@@ -1,0 +1,150 @@
+"""Golden digests that pin both halves of the ring schedule bit for bit.
+
+Each case hashes a family of outputs into one sha256:
+
+* simulator timelines (`Timeline.to_jsonl`, so event order, resources,
+  times and labels all count) for every (variant, RS hop kind, AG hop kind)
+  and for the naive and ideal 2:1 rings, over specs that cover N=2 (the
+  semi-loop CW arc is empty), N=8 (the semi-loop receive asymmetry), m=1
+  (the full-loop CCW ring carries nothing when quantized), m=3 (uneven
+  minishard split), u in {1, 2}, with `fuse_recv_pass` off and on;
+* the output bits of `all_reduce` for every flavor and codec, of the BF16
+  baseline and of the naive ring, at N in {2, 4, 8} and m in {1, 3}.
+
+A refactor of the schedule must leave every digest unchanged. To print the
+current digests:
+
+    PYTHONPATH=src python -m tests.test_schedule_goldens
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from qarsim.analysis import device_inputs
+from qarsim.collectives import (
+    CollectiveConfig,
+    Variant,
+    all_reduce,
+    baseline_allreduce_bf16,
+    naive_lowp_allreduce,
+)
+from qarsim.layout import CHUNK_ELEMS, PartitionSpec
+from qarsim.numerics import Codec
+from qarsim.simnet import (
+    ComputeParams,
+    LinkParams,
+    simulate,
+    simulate_ideal_2to1,
+    simulate_naive,
+)
+
+LINK = LinkParams(bandwidth_bytes_per_s=4.5e10, hop_latency_s=1.5e-6)
+COMPUTE = ComputeParams(dequant_rate=7e11, add_rate=1.3e12, scan_rate=1.1e12,
+                        encode_rate=9e11, cast_rate=1.7e12)
+# (num_devices, minishards_per_shard, microshards_per_minishard)
+SIM_SPECS = ((2, 1, 1), (2, 3, 2), (4, 2, 2), (6, 3, 1), (8, 1, 2), (8, 3, 1), (8, 3, 2))
+VALUE_SPECS = tuple((n, m) for n in (2, 4, 8) for m in (1, 3))
+STAGES = {"raw": False, "quant": True}
+
+
+def _sim_runs():
+    """(spec, tensor_bytes, compute) for every simulator case."""
+    for n, m, u in SIM_SPECS:
+        spec = PartitionSpec(n, m, u)
+        nbytes = 2 * CHUNK_ELEMS * n * m * u * 2
+        for fuse in (False, True):
+            yield spec, nbytes, replace(COMPUTE, fuse_recv_pass=fuse)
+
+
+def sim_digest(case: str) -> str:
+    h = hashlib.sha256()
+    for spec, nbytes, compute in _sim_runs():
+        if case == "naive":
+            tl = simulate_naive(spec, nbytes, LINK, compute)
+        elif case == "ideal":
+            tl = simulate_ideal_2to1(spec, nbytes, LINK, compute)
+        else:
+            variant, rs, ag = case.split("-")
+            cfg = CollectiveConfig(Variant(variant), spec, quantize_rs=STAGES[rs],
+                                   quantize_ag=STAGES[ag])
+            tl = simulate(cfg, nbytes, LINK, compute)
+        h.update(tl.to_jsonl().encode())
+    return h.hexdigest()
+
+
+def value_digest(case: str) -> str:
+    h = hashlib.sha256()
+    for n, m in VALUE_SPECS:
+        spec = PartitionSpec(n, m, 1)
+        inputs = device_inputs(48 * n, 128, n, seed=n + m)
+        for codec in Codec:
+            if case == "baseline":
+                if codec is not Codec.INT8:
+                    continue
+                outs = baseline_allreduce_bf16(inputs, spec)
+            elif case == "naive":
+                outs = naive_lowp_allreduce(inputs, codec, spec)
+            else:
+                variant, rs, ag = case.split("-")
+                cfg = CollectiveConfig(Variant(variant), spec, quantize_rs=STAGES[rs],
+                                       quantize_ag=STAGES[ag], codec=codec)
+                outs = all_reduce(inputs, cfg)
+            assert all(o.data.tobytes() == outs[0].data.tobytes() for o in outs[1:])
+            h.update(outs[0].data.tobytes())
+    return h.hexdigest()
+
+
+_RING_CASES = [f"{v.value}-{rs}-{ag}" for v in Variant for rs in STAGES for ag in STAGES]
+
+SIM_GOLDENS = {
+    "full_loop-raw-raw": "ca63555bd7d65cf0530754175c81939446367d68221cbe3c607ccc4956cd7ad1",
+    "full_loop-raw-quant": "2073ab7dc392ea1fbc7dd309dc1da107a9ac0790400ac06efacb07e31de8ba6e",
+    "full_loop-quant-raw": "bfb4f21bd75ea1dbeb48b948dc00ecd48d48c26ae9862d39bd19bcf9eb2a3182",
+    "full_loop-quant-quant": "626ce287e66d6fa28afc6430ddf3d1b2a99e0d092e406d7f34f8a106c77cf9ae",
+    "semi_loop-raw-raw": "ea2f6add31c3a5f26def7600e3a50471d47e70cf2a45d7da8fd91ffdbe3a0529",
+    "semi_loop-raw-quant": "b2937c24187078f10b8b22b450f870732c7c24dbd19ecec367600d783fa3b0b8",
+    "semi_loop-quant-raw": "5ec8a8adf05f4c900b94798bb0baac7aeeef71e7dbdac36095dca84d7900a941",
+    "semi_loop-quant-quant": "517dae2ebe510cc1a1821558159cb4aeb544fdf63f625ab8184b99cf92e04b5d",
+    "naive": "5b74d11706f3f8982bcc932e5995f0c59cf14558fec4cacd41e1c7e5ac158833",
+    "ideal": "759afea6b45db7258289b769ee9d76aa509668380c7424e640723e2f22ab4745",
+}
+
+VALUE_GOLDENS = {
+    "full_loop-raw-raw": "d713fb3771a911b83b653fb1dfe540ff2055919824d698dc8c4495b79e1309bf",
+    "full_loop-raw-quant": "04eb9c1a0a2e6d22345e9039fa25a70abbd58b107db6fe0f19a00a77c0e2091d",
+    "full_loop-quant-raw": "5f73512e079b12b25e2773c12fb4b3902eefc883ea4036db53d502c261a89be5",
+    "full_loop-quant-quant": "092beb7e5a85d30ba5667386acb6c34a52efbf23d8c20a35d3fd47f4f9fdd790",
+    "semi_loop-raw-raw": "6b4ed16f37722159e30d320b474f4f1e4a670d68974c6ab61808f97844f6d362",
+    "semi_loop-raw-quant": "1e63b685e0a31e639439eaffe756ada4a7b76ff60bcae7d81ff69552d59606b1",
+    "semi_loop-quant-raw": "5ad1675c6ea637b89a6d31bc42d720b198b1210fc02c1bc7212c1254440aaf4f",
+    "semi_loop-quant-quant": "84f22828c4604a9722a5e2906861142eeec8a2ea63ae7cdd9a29d011ce3b7d57",
+    "baseline": "919ba6943de41876bb10d68d1cc4df5b22a6b73d4999d830e57be84c696d048c",
+    "naive": "4c6bcf7826048e8956e804e074036e984b7d88a8418f734571bcc8f440ab7ed8",
+}
+
+
+@pytest.mark.parametrize("case", list(SIM_GOLDENS))
+def test_simulator_timeline_digest(case):
+    assert sim_digest(case) == SIM_GOLDENS[case]
+
+
+@pytest.mark.parametrize("case", list(VALUE_GOLDENS))
+def test_functional_output_digest(case):
+    assert value_digest(case) == VALUE_GOLDENS[case]
+
+
+def test_goldens_cover_every_case():
+    assert list(SIM_GOLDENS) == _RING_CASES + ["naive", "ideal"]
+    assert list(VALUE_GOLDENS) == _RING_CASES + ["baseline", "naive"]
+
+
+if __name__ == "__main__":
+    print("SIM_GOLDENS = {")
+    for c in _RING_CASES + ["naive", "ideal"]:
+        print(f'    "{c}": "{sim_digest(c)}",')
+    print("}\n\nVALUE_GOLDENS = {")
+    for c in _RING_CASES + ["baseline", "naive"]:
+        print(f'    "{c}": "{value_digest(c)}",')
+    print("}")
