@@ -18,8 +18,6 @@ from .collectives import (
     all_reduce,
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
-    reduce_scatter_full_loop,
-    reduce_scatter_semi_loop,
 )
 from .layout import (
     CHUNK_COLS,
@@ -29,22 +27,16 @@ from .layout import (
     MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
-    ShardView,
     TensorBuf,
-    partition,
-    reassemble,
 )
 from .numerics import BF16_MAX, Codec, decode, encode, round_to_bf16
 from .quant import (
     GRID_BYTES,
     QuantizedShard,
     absmax_grid,
-    apply_scale_grid,
-    dequantize_chunks,
     dequantize_shard,
     quantize_shard,
     scales_from_absmax,
-    scan_scale_grid,
 )
 from .simnet import (
     ComputeParams,

@@ -1,18 +1,14 @@
 """Value-level ring collectives: baseline, quantized, and naive low-precision.
 
-AllReduce = reduce-scatter then all-gather on a ring of N devices. Two
-reduce-scatter shapes are implemented:
-
-  full loop  N-1 iterations; the partial for shard s starts at device s+1
-             and visits every device once, ending at the owner s. Deployed
-             as two counter-rotating rings, each carrying half of every
-             shard (by minishard when quantized, by element midpoint when
-             raw), which only permutes hop order functionally.
-  semi loop  N even, N/2 iterations; shard s receives two arcs that meet
-             at the owner: devices s-1 .. s-(N/2-1) chain clockwise (merged
-             into the owner's local value first) and devices s+1 .. s+N/2
-             chain counter-clockwise (merged last), a balanced adder tree
-             with at most N/2 quantize/dequantize pairs on any path.
+AllReduce = reduce-scatter then all-gather on a ring of N devices. The
+reduce-scatter runs the arcs of `schedule` on values: each arc's head
+quantizes its local part of the shard, every later device dequantizes,
+adds its own part and re-quantizes, and the owner merges the arriving
+partials into its local value in the order the schedule gives. The full
+loop runs two counter-rotating rings, each carrying half of every shard,
+which only permutes hop order functionally; the semi loop (N even) meets
+two arcs at the owner, a balanced adder tree with at most N/2
+quantize/dequantize pairs on any path. `schedule` defines the arcs.
 
 Inputs are rounded to BF16 on ingest (the wire format of the baseline).
 Quantized hops carry codes plus scale grids; the receiver dequantizes to
@@ -29,12 +25,12 @@ in FP32 and re-encodes (saturating), and the all-gather forwards codes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import schedule
 from .layout import (
     CHUNK_COLS,
     CHUNK_ELEMS,
@@ -45,11 +41,7 @@ from .layout import (
 )
 from .numerics import Codec, decode, encode, round_to_bf16
 from .quant import dequantize_shard, quantize_shard
-
-
-class Variant(enum.Enum):
-    FULL_LOOP = "full_loop"
-    SEMI_LOOP = "semi_loop"
+from .schedule import Variant
 
 
 class SemiLoopOddNError(ValueError):
@@ -91,12 +83,7 @@ def _ingest(inputs: Sequence[TensorBuf], spec: PartitionSpec) -> np.ndarray:
     return out
 
 
-def _ring_chain(s: int, n: int, step: int) -> list[int]:
-    """Devices visited by shard s's partial, owner last. step +1 is CW, -1 CCW."""
-    return [(s + step * k) % n for k in range(1, n)] + [s]
-
-
-def _quant_arc(local: LocalFn, devices: list[int], codec: Codec, minishards: int):
+def _quant_arc(local: LocalFn, devices: Sequence[int], codec: Codec, minishards: int):
     """Partial after the last arc device: quantize at the head, then Dq+add+Q per hop."""
     q = quantize_shard(local(devices[0]), codec, minishards)
     for dev in devices[1:]:
@@ -104,7 +91,7 @@ def _quant_arc(local: LocalFn, devices: list[int], codec: Codec, minishards: int
     return q
 
 
-def _bf16_arc(local: LocalFn, devices: list[int]) -> np.ndarray:
+def _bf16_arc(local: LocalFn, devices: Sequence[int]) -> np.ndarray:
     """Raw partial after the last arc device, rounded to BF16 after every add."""
     wire = local(devices[0])
     for dev in devices[1:]:
@@ -112,81 +99,34 @@ def _bf16_arc(local: LocalFn, devices: list[int]) -> np.ndarray:
     return wire
 
 
-def _rs_full(ing: np.ndarray, cfg: CollectiveConfig) -> list[np.ndarray]:
+def _reduce_scatter(ing: np.ndarray, cfg: CollectiveConfig) -> list[np.ndarray]:
+    """Run every shard's arcs on values; result[s] is shard s, reduced at its owner."""
     n = cfg.spec.num_devices
     per = ing.shape[2]
     m = cfg.spec.minishards_per_shard
-    elems = per * CHUNK_ELEMS
+    semi = cfg.variant is Variant.SEMI_LOOP
     out = []
-    for s in range(n):
-        cw = _ring_chain(s, n, +1)
-        ccw = _ring_chain(s, n, -1)
-        if cfg.quantize_rs:
-            # CW ring carries the first ceil(m/2) minishards, CCW the rest;
-            # each direction keeps whole minishards so grids stay intact.
-            h = (m + 1) // 2
-            c_split = h * (per // m)
-            parts = []
-            if h:
-                loc = lambda d, s=s, c=c_split: ing[d, s, :c]
-                parts.append(dequantize_shard(_quant_arc(loc, cw[:-1], cfg.codec, h)) + loc(s))
-            if m - h:
-                loc = lambda d, s=s, c=c_split: ing[d, s, c:]
-                parts.append(
-                    dequantize_shard(_quant_arc(loc, ccw[:-1], cfg.codec, m - h)) + loc(s)
-                )
-            res = np.concatenate(parts, axis=0)
-        else:
-            mid = elems // 2
-            lo = lambda d, s=s: ing[d, s].reshape(elems)[:mid]
-            hi = lambda d, s=s: ing[d, s].reshape(elems)[mid:]
-            half_lo = round_to_bf16(_bf16_arc(lo, cw[:-1]) + lo(s))
-            half_hi = round_to_bf16(_bf16_arc(hi, ccw[:-1]) + hi(s))
-            res = np.concatenate([half_lo, half_hi]).reshape(per, CHUNK_ROWS, CHUNK_COLS)
-        out.append(res)
+    for s, arcs in enumerate(schedule.rs_arcs(cfg.variant, n, m if cfg.quantize_rs else per * CHUNK_ELEMS)):
+        merged: dict[str, np.ndarray] = {}
+        for arc in arcs:
+            r = arc.units
+            if cfg.quantize_rs:
+                c = per // m
+                loc = lambda d, s=s, r=r: ing[d, s, r.start * c : r.stop * c]
+            else:
+                loc = lambda d, s=s, r=r: ing[d, s].reshape(-1)[r.start : r.stop]
+            acc = merged.pop(arc.after) if arc.after else loc(s)
+            if cfg.quantize_rs:
+                q = _quant_arc(loc, arc.devices[:-1], cfg.codec, len(r))
+                merged[arc.direction] = dequantize_shard(q) + acc
+            else:
+                wire = _bf16_arc(loc, arc.devices[:-1])
+                # Operand order decides which NaN payload survives; each variant keeps its own.
+                merged[arc.direction] = round_to_bf16(acc + wire if semi else wire + acc)
+        parts = list(merged.values())
+        res = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out.append(res.reshape(per, CHUNK_ROWS, CHUNK_COLS))
     return out
-
-
-def _semi_arcs(s: int, n: int) -> tuple[list[int], list[int]]:
-    half = n // 2
-    arc_a = [(s - half + 1 + j) % n for j in range(half - 1)]  # chains CW into s
-    arc_b = [(s + half - j) % n for j in range(half)]  # chains CCW into s
-    return arc_a, arc_b
-
-
-def _rs_semi(ing: np.ndarray, cfg: CollectiveConfig) -> list[np.ndarray]:
-    n = cfg.spec.num_devices
-    m = cfg.spec.minishards_per_shard
-    out = []
-    for s in range(n):
-        arc_a, arc_b = _semi_arcs(s, n)
-        loc = lambda d, s=s: ing[d, s]
-        if cfg.quantize_rs:
-            acc = loc(s)
-            if arc_a:
-                acc = dequantize_shard(_quant_arc(loc, arc_a, cfg.codec, m)) + acc
-            res = dequantize_shard(_quant_arc(loc, arc_b, cfg.codec, m)) + acc
-        else:
-            acc = loc(s)
-            if arc_a:
-                acc = round_to_bf16(acc + _bf16_arc(loc, arc_a))
-            res = round_to_bf16(acc + _bf16_arc(loc, arc_b))
-        out.append(res)
-    return out
-
-
-def reduce_scatter_full_loop(inputs: Sequence[TensorBuf], cfg: CollectiveConfig):
-    """Device d ends up holding shard d of the elementwise sum (float32 blocks)."""
-    if cfg.variant is not Variant.FULL_LOOP:
-        raise ValueError(f"config variant is {cfg.variant}, expected FULL_LOOP")
-    return _rs_full(_ingest(inputs, cfg.spec), cfg)
-
-
-def reduce_scatter_semi_loop(inputs: Sequence[TensorBuf], cfg: CollectiveConfig):
-    """Same result target as full-loop via two arcs per shard meeting at the owner."""
-    if cfg.variant is not Variant.SEMI_LOOP:
-        raise ValueError(f"config variant is {cfg.variant}, expected SEMI_LOOP")
-    return _rs_semi(_ingest(inputs, cfg.spec), cfg)
 
 
 def all_gather(
@@ -222,7 +162,7 @@ def all_gather(
 def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[TensorBuf]:
     """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized."""
     ing = _ingest(inputs, cfg.spec)
-    rs = _rs_semi(ing, cfg) if cfg.variant is Variant.SEMI_LOOP else _rs_full(ing, cfg)
+    rs = _reduce_scatter(ing, cfg)
     return all_gather(rs, cfg.quantize_ag, cfg.codec, cfg.spec, inputs[0].rows, inputs[0].cols)
 
 
@@ -241,14 +181,13 @@ def naive_lowp_allreduce(inputs: Sequence[TensorBuf], codec: Codec, spec: Partit
     for d in range(n):
         codes[d] = encode(ing[d], codec)
     out_shards = []
-    for s in range(n):
-        mid = elems // 2
+    # The full-loop raw split: each ring carries half of every shard's elements.
+    for s, arcs in enumerate(schedule.rs_arcs(Variant.FULL_LOOP, n, elems)):
         halves = []
-        for step, sl in ((+1, slice(0, mid)), (-1, slice(mid, elems))):
-            chain = _ring_chain(s, n, step)
-            loc = lambda d, s=s, sl=sl: codes[d, s].reshape(elems)[sl]
-            cur = loc(chain[0])
-            for dev in chain[1:]:
+        for arc in arcs:
+            loc = lambda d, s=s, r=arc.units: codes[d, s].reshape(elems)[r.start : r.stop]
+            cur = loc(arc.devices[0])
+            for dev in arc.devices[1:]:
                 cur = encode(decode(cur, codec) + decode(loc(dev), codec), codec)
             halves.append(cur)
         out_shards.append(round_to_bf16(decode(np.concatenate(halves), codec)))

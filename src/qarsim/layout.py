@@ -1,4 +1,4 @@
-"""Tensor partitioning: device shards, minishards, microshards, 8x128 chunks.
+"""Tensor layout: device shards, minishards, microshards, 8x128 chunks.
 
 A tensor is linearized row-major and cut into N contiguous equal shards
 (shard i lives on device i). Each shard is a run of 8x128 chunks, grouped
@@ -24,11 +24,11 @@ class DivisibilityError(ValueError):
 
 
 class MissingShardError(ValueError):
-    """Reassembly input does not cover every shard index exactly once."""
+    """A collective was handed shard results that do not cover every device."""
 
 
 class ShapeMismatchError(ValueError):
-    """Reassembly target shape disagrees with the supplied shard data."""
+    """A tensor's data length disagrees with its nominal (rows, cols) shape."""
 
 
 @dataclass(frozen=True)
@@ -90,72 +90,3 @@ class TensorBuf:
             raise ShapeMismatchError(
                 f"data length {self.data.size} != rows*cols = {self.rows * self.cols}"
             )
-
-
-@dataclass(frozen=True)
-class ShardView:
-    """One device's contiguous slice of the tensor, as (chunks, 8, 128)."""
-
-    shard_index: int
-    chunks: np.ndarray
-    spec: PartitionSpec
-
-    def __post_init__(self):
-        c = self.chunks
-        if c.ndim != 3 or c.shape[1:] != (CHUNK_ROWS, CHUNK_COLS):
-            raise ValueError(f"chunks must be (c, {CHUNK_ROWS}, {CHUNK_COLS}), got {c.shape}")
-        if c.shape[0] % self.spec.minishards_per_shard:
-            raise DivisibilityError(
-                f"{c.shape[0]} chunks do not split across "
-                f"{self.spec.minishards_per_shard} minishards"
-            )
-
-    @property
-    def chunk_count(self) -> int:
-        return self.chunks.shape[0]
-
-    @property
-    def chunks_per_minishard(self) -> int:
-        return self.chunk_count // self.spec.minishards_per_shard
-
-    @property
-    def block_size(self) -> int:
-        # Elements sharing one scale factor = one per chunk of the minishard.
-        return self.chunks_per_minishard
-
-    @property
-    def element_count(self) -> int:
-        return self.chunk_count * CHUNK_ELEMS
-
-    def minishard(self, g: int) -> np.ndarray:
-        per = self.chunks_per_minishard
-        return self.chunks[g * per : (g + 1) * per]
-
-    def microshard(self, g: int, j: int) -> np.ndarray:
-        per = self.chunks_per_minishard // self.spec.microshards_per_minishard
-        base = g * self.chunks_per_minishard
-        return self.chunks[base + j * per : base + (j + 1) * per]
-
-
-def partition(t: TensorBuf, spec: PartitionSpec) -> list[ShardView]:
-    """Split a tensor into N ShardViews; concatenation in index order is the identity."""
-    spec.validate_element_count(t.data.size)
-    per_shard = spec.chunks_per_shard(t.data.size)
-    blocks = t.data.reshape(spec.num_devices, per_shard, CHUNK_ROWS, CHUNK_COLS)
-    return [ShardView(i, blocks[i], spec) for i in range(spec.num_devices)]
-
-
-def reassemble(shards: list[ShardView], rows: int, cols: int) -> TensorBuf:
-    """Inverse of partition; insensitive to input order (keyed by shard_index)."""
-    if not shards:
-        raise MissingShardError("no shards supplied")
-    n = shards[0].spec.num_devices
-    by_index = {s.shard_index: s for s in shards}
-    missing = sorted(set(range(n)) - set(by_index))
-    if missing or len(shards) != n:
-        raise MissingShardError(f"expected shard indices 0..{n - 1}, missing {missing}")
-    total = sum(s.element_count for s in by_index.values())
-    if total != rows * cols:
-        raise ShapeMismatchError(f"{total} elements cannot fill a {rows}x{cols} tensor")
-    flat = np.concatenate([by_index[i].chunks.reshape(-1) for i in range(n)])
-    return TensorBuf(flat, rows, cols)

@@ -25,27 +25,13 @@ GRID_BYTES = CHUNK_ELEMS * 4  # one float32 scale grid
 
 
 def absmax_grid(chunks: np.ndarray) -> np.ndarray:
-    """Raw 8x128 abs-max over the chunk axis. Mergeable by np.maximum."""
-    return np.max(np.abs(chunks), axis=0)
+    """Raw 8x128 abs-max over the chunk axis (-3). Mergeable by np.maximum."""
+    return np.max(np.abs(chunks), axis=-3)
 
 
 def scales_from_absmax(absmax: np.ndarray, codec: Codec) -> np.ndarray:
     scales = (absmax / np.float32(codec.max_magnitude)).astype(np.float32)
     return np.where(absmax == 0.0, np.float32(1.0), scales)
-
-
-def scan_scale_grid(chunks: np.ndarray, codec: Codec) -> np.ndarray:
-    """Phase 1 over a full minishard."""
-    return scales_from_absmax(absmax_grid(chunks), codec)
-
-
-def apply_scale_grid(chunks: np.ndarray, grid: np.ndarray, codec: Codec) -> np.ndarray:
-    """Phase 2: scale each chunk by the grid and encode to uint8 codes."""
-    return encode(chunks / grid, codec)
-
-
-def dequantize_chunks(codes: np.ndarray, grid: np.ndarray, codec: Codec) -> np.ndarray:
-    return (decode(codes, codec) * grid).astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -78,20 +64,6 @@ class QuantizedShard:
     def wire_bytes(self) -> int:
         return self.payload.size + self.grids.shape[0] * GRID_BYTES
 
-    def to_bytes(self) -> bytes:
-        return self.grids.astype("<f4").tobytes() + self.payload.tobytes()
-
-    @classmethod
-    def from_bytes(cls, buf: bytes, codec: Codec, minishards: int, shard_index: int = 0):
-        meta = minishards * GRID_BYTES
-        if len(buf) < meta or (len(buf) - meta) % CHUNK_ELEMS:
-            raise ValueError(f"buffer length {len(buf)} does not parse as {minishards} grids + chunks")
-        grids = np.frombuffer(buf, dtype="<f4", count=minishards * CHUNK_ELEMS)
-        grids = grids.astype(np.float32).reshape(minishards, CHUNK_ROWS, CHUNK_COLS)
-        payload = np.frombuffer(buf, dtype=np.uint8, offset=meta)
-        payload = payload.reshape(-1, CHUNK_ROWS, CHUNK_COLS).copy()
-        return cls(shard_index, codec, payload, grids)
-
 
 def quantize_shard(
     blocks: np.ndarray, codec: Codec, minishards: int = 1, shard_index: int = 0
@@ -101,7 +73,7 @@ def quantize_shard(
     if c % minishards:
         raise ValueError(f"{c} chunks do not split across {minishards} minishards")
     grouped = blocks.reshape(minishards, c // minishards, CHUNK_ROWS, CHUNK_COLS)
-    grids = scales_from_absmax(np.max(np.abs(grouped), axis=1), codec)
+    grids = scales_from_absmax(absmax_grid(grouped), codec)
     codes = encode(grouped / grids[:, None], codec)
     return QuantizedShard(shard_index, codec, codes.reshape(c, CHUNK_ROWS, CHUNK_COLS), grids)
 

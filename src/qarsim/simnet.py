@@ -10,7 +10,11 @@ visible to the receiver one hop latency later. Identical inputs therefore
 produce bit-identical timelines, and total time is non-increasing in
 bandwidth and in every compute rate (a fixed order can never invert).
 
-Dependency rules mirror the functional collectives: a microshard's
+The hop structure comes from `schedule`, which defines the arcs and the
+per-iteration hop lists; one executor walks those lists and emits each
+hop's events through its hop kind: quantized, raw BF16, or the 8-bit
+casts of the naive and ideal 2:1 rings. Dependency rules mirror the
+functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
 add follows dequantize; the scale-encode of any microshard in a minishard
 waits for the abs-max scans of all u microshards of that minishard; each
@@ -30,18 +34,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 
-from .collectives import CollectiveConfig, Variant
+from .collectives import CollectiveConfig
 from .layout import DivisibilityError, PartitionSpec
 from .quant import GRID_BYTES
+from .schedule import Hop, Schedule, Variant, ag_schedule, rs_schedule
 
 RES_LINK_CW = "LINK_CW"
 RES_LINK_CCW = "LINK_CCW"
 RES_VPU = "VPU"
 
 _LINK_OF = {"cw": RES_LINK_CW, "ccw": RES_LINK_CCW}
-_STEP_OF = {"cw": +1, "ccw": -1}
 
 
 @dataclass(frozen=True)
@@ -200,411 +204,265 @@ def _recv_micro(s: _Sched, dev: int, tag: str, e: float, arrive, add_key, scan_k
         s.vpu(dev, [scan_key], f"rs:scan{tag}", e, c.scan_rate, [add_key])
 
 
-def _dir_minishards(m: int) -> dict[str, range]:
-    # CW ring carries the first ceil(m/2) minishards, CCW the rest.
-    h = (m + 1) // 2
-    return {"cw": range(0, h), "ccw": range(h, m)}
+def _prep_quant(s, dev, tag, gs, u, e_micro, keys, stage, deps=()):
+    """Send-side phase-1 scans (all microshards) then phase-2 encodes.
 
-
-def _prep_quant(s, dev, dname, gs, u, e_micro, scan_key, enc_key, stage, deps=()):
-    """Send-side phase-1 scans (all microshards) then phase-2 encodes."""
+    The joined scans and the encodes are stored under every key prefix in
+    keys: a semi-loop all-gather source encodes once for both directions.
+    """
     c = s.compute
+    scan = keys[0] + ("scan",)
     for g in gs:
         for j in range(u):
-            tag = f":prep:{dname}:g={g}:j={j}"
-            s.vpu(dev, [scan_key(g, j)], f"{stage}:scan{tag}", e_micro, c.scan_rate, deps)
+            s.vpu(dev, [scan + (g, j)], f"{stage}:scan:prep:{tag}:g={g}:j={j}", e_micro,
+                  c.scan_rate, deps)
     for g in gs:
-        s.join(scan_key(g, None), [scan_key(g, j) for j in range(u)])
+        for k in keys:
+            s.join(k + ("scanj", g), [scan + (g, j) for j in range(u)])
         for j in range(u):
-            tag = f":prep:{dname}:g={g}:j={j}"
-            s.vpu(dev, [enc_key(g, j)], f"{stage}:enc{tag}", e_micro, c.encode_rate, [scan_key(g, None)])
+            s.vpu(dev, [k + ("enc", g, j) for k in keys], f"{stage}:enc:prep:{tag}:g={g}:j={j}",
+                  e_micro, c.encode_rate, [keys[0] + ("scanj", g)])
 
 
-def _build_rs_full_quant(s: _Sched, spec: PartitionSpec, elems: int):
-    n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
-    e_shard = elems // n
-    e_micro = e_shard // (m * u)
-    dirs = _dir_minishards(m)
+def _key(stage: str, h: Hop, t: int) -> tuple:
+    """Key prefix of what hop t of h's arc carries."""
+    return (stage, h.arc.shard, h.arc.direction, t)
 
-    for d in range(n):
-        for dname, gs in dirs.items():
-            scan_k = lambda g, j, d=d, dn=dname: ("rscan", 1, d, dn, g, j) if j is not None else ("rscanj", 1, d, dn, g)
-            enc_k = lambda g, j, d=d, dn=dname: ("renc", 1, d, dn, g, j)
-            _prep_quant(s, d, dname, gs, u, e_micro, scan_k, enc_k, "rs")
 
-    for it in range(1, n):
-        last = it == n - 1
-        for d in range(n):
-            for dname, gs in dirs.items():
-                if not gs:
-                    continue
-                meta_deps = [("rscanj", it, d, dname, g) for g in gs]
-                s.send(d, dname, ("rmeta", it, d, dname), f"rs:meta:it={it}:{dname}",
-                       len(gs) * GRID_BYTES, meta_deps)
-                for g in gs:
+class _Hops:
+    """How one stage's hops turn into events; `_execute` walks the hop lists."""
+
+    def __init__(self, s: _Sched, stage: str):
+        self.s = s
+        self.stage = stage
+
+    def _join_merges(self, sch: Schedule, arc_keys) -> None:
+        # The all-gather of shard d starts once every partial merged at its owner.
+        merges: dict[int, list] = {}
+        for h in sch.heads:
+            merges.setdefault(h.arc.shard, []).extend(arc_keys(h.arc))
+        for shard, keys in merges.items():
+            self.s.join(("rs_done", shard), keys)
+
+
+class _Quant(_Hops):
+    """Block-quantized hops: one metadata transfer (a scale grid per minishard),
+    then the payload microshards. Reduce-scatter receivers dequantize, add,
+    scan and re-encode for the next hop; all-gather receivers dequantize."""
+
+    def __init__(self, s: _Sched, stage: str, e_micro: int, u: int):
+        super().__init__(s, stage)
+        self.e, self.u = e_micro, u
+
+    def prep(self, sch: Schedule) -> None:
+        s, e, u = self.s, self.e, self.u
+        if self.stage == "rs":
+            for h in sch.heads:
+                _prep_quant(s, h.sender, h.arc.direction, h.arc.units, u, e,
+                            [_key("rs", h, 1)], "rs")
+            return
+        # Sources encode their reduced shard (once for both directions when
+        # the arcs carry it whole) and decode their own codes too, so outputs
+        # match everywhere.
+        for d, hs in groupby(sch.heads, key=lambda h: h.sender):
+            hs = list(hs)
+            parts = [("", hs)] if sch.whole else [(h.arc.direction, [h]) for h in hs]
+            for dn, ph in parts:
+                _prep_quant(s, d, dn or "own", ph[0].arc.units, u, e,
+                            [_key("ag", h, 1) for h in ph], "ag", deps=[("rs_done", d)])
+            for dn, ph in parts:
+                enc = _key("ag", ph[0], 1) + ("enc",)
+                tag = f":{dn}" if dn else ""
+                for g in ph[0].arc.units:
                     for j in range(u):
-                        s.send(d, dname, ("rpay", it, d, dname, g, j),
-                               f"rs:pay:it={it}:{dname}:g={g}:j={j}", e_micro,
-                               [("renc", it, d, dname, g, j)])
-        for d in range(n):
-            streams = []
-            for dname, gs in dirs.items():
-                snd = (d - _STEP_OF[dname]) % n
-                streams.append([(dname, snd, g) for g in gs])
-            for dname, snd, g in _interleave(*streams):
-                meta = ("rmeta", it, snd, dname)
-                for j in range(u):
-                    tag = f":it={it}:{dname}:g={g}:j={j}"
-                    arrive = [("rpay", it, snd, dname, g, j), meta]
-                    add_key = ("radd", it, d, dname, g, j)
-                    scan_key = None if last else ("rscan", it + 1, d, dname, g, j)
-                    _recv_micro(s, d, tag, e_micro, arrive, add_key, scan_key)
-                if not last:
-                    s.join(("rscanj", it + 1, d, dname, g),
-                           [("rscan", it + 1, d, dname, g, j) for j in range(u)])
-                    for j in range(u):
-                        s.vpu(d, [("renc", it + 1, d, dname, g, j)],
-                              f"rs:enc:it={it + 1}:{dname}:g={g}:j={j}", e_micro,
-                              s.compute.encode_rate, [("rscanj", it + 1, d, dname, g)])
+                        s.vpu(d, [], f"ag:dq:own{tag}:g={g}:j={j}", e, s.compute.dequant_rate,
+                              [enc + (g, j)])
 
-    for d in range(n):
-        finals = [("radd", n - 1, d, dn, g, j) for dn, gs in dirs.items() for g in gs for j in range(u)]
-        s.join(("rs_done", d), finals)
-
-
-def _build_rs_full_raw(s: _Sched, spec: PartitionSpec, elems: int):
-    """Unquantized reduce-scatter: BF16 half-shards, add is the only compute."""
-    n = spec.num_devices
-    e_half = elems // n // 2  # elements per direction (bytes on the wire = 2x)
-    for it in range(1, n):
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                deps = [] if it == 1 else [("rradd", it - 1, d, dname)]
-                s.send(d, dname, ("rraw", it, d, dname), f"rs:raw:it={it}:{dname}", 2 * e_half, deps)
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                snd = (d - _STEP_OF[dname]) % n
-                s.vpu(d, [("rradd", it, d, dname)], f"rs:add:it={it}:{dname}", e_half,
-                      s.compute.add_rate, [("rraw", it, snd, dname)])
-    for d in range(n):
-        s.join(("rs_done", d), [("rradd", n - 1, d, dn) for dn in ("cw", "ccw")])
-
-
-def _semi_hops(s_idx: int, n: int, t: int) -> list[tuple[str, int, int]]:
-    """(direction, sender, receiver) hops of shard s_idx at semi-loop iteration t."""
-    half = n // 2
-    hops = []
-    if t <= half - 1:
-        hops.append(("cw", (s_idx - half + t) % n, (s_idx - half + t + 1) % n))
-    if t <= half:
-        hops.append(("ccw", (s_idx + half - t + 1) % n, (s_idx + half - t) % n))
-    return hops
-
-
-def _build_rs_semi_quant(s: _Sched, spec: PartitionSpec, elems: int):
-    n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
-    half = n // 2
-    e_shard = elems // n
-    e_micro = e_shard // (m * u)
-
-    # Arc heads quantize their local shard: device d starts shard d+half-1
-    # clockwise (when the CW arc exists) and shard d-half counter-clockwise.
-    for d in range(n):
-        for dname in (("cw", "ccw") if half > 1 else ("ccw",)):
-            scan_k = lambda g, j, d=d, dn=dname: ("sscan", 1, d, dn, g, j) if j is not None else ("sscanj", 1, d, dn, g)
-            enc_k = lambda g, j, d=d, dn=dname: ("senc", 1, d, dn, g, j)
-            _prep_quant(s, d, dname, range(m), u, e_micro, scan_k, enc_k, "rs")
-
-    for t in range(1, half + 1):
-        sends = []  # (dname, sender, receiver, owner_merge)
-        for s_idx in range(n):
-            for dname, snd, rcv in _semi_hops(s_idx, n, t):
-                sends.append((dname, snd, rcv, rcv == s_idx, s_idx))
-        for dname, snd, rcv, _, _ in sends:
-            meta_deps = [("sscanj", t, snd, dname, g) for g in range(m)]
-            s.send(snd, dname, ("smeta", t, snd, dname), f"rs:meta:it={t}:{dname}",
-                   m * GRID_BYTES, meta_deps)
-            for g in range(m):
-                for j in range(u):
-                    s.send(snd, dname, ("spay", t, snd, dname, g, j),
-                           f"rs:pay:it={t}:{dname}:g={g}:j={j}", e_micro,
-                           [("senc", t, snd, dname, g, j)])
-        by_receiver: dict[int, list] = {}
-        for dname, snd, rcv, is_owner, s_idx in sends:
-            by_receiver.setdefault(rcv, []).append((dname, snd, is_owner, s_idx))
-        for d in range(n):
-            streams = [[(a, g) for g in range(m)] for a in by_receiver.get(d, [])]
-            for (dname, snd, is_owner, s_idx), g in _interleave(*streams):
-                meta = ("smeta", t, snd, dname)
-                for j in range(u):
-                    tag = f":it={t}:{dname}:g={g}:j={j}"
-                    arrive = [("spay", t, snd, dname, g, j), meta]
-                    if is_owner and dname == "ccw" and half > 1:
-                        # Final merge folds into the accumulator made by the CW arc.
-                        arrive = arrive + [("sacc", s_idx, g, j)]
-                    if is_owner:
-                        key = ("sacc", s_idx, g, j) if dname == "cw" else ("sfin", s_idx, g, j)
-                        _recv_micro(s, d, tag, e_micro, arrive, key, None)
-                    else:
-                        _recv_micro(s, d, tag, e_micro, arrive,
-                                    ("sadd", t, d, dname, g, j), ("sscan", t + 1, d, dname, g, j))
-                if not is_owner:
-                    s.join(("sscanj", t + 1, d, dname, g),
-                           [("sscan", t + 1, d, dname, g, j) for j in range(u)])
-                    for j in range(u):
-                        s.vpu(d, [("senc", t + 1, d, dname, g, j)],
-                              f"rs:enc:it={t + 1}:{dname}:g={g}:j={j}", e_micro,
-                              s.compute.encode_rate, [("sscanj", t + 1, d, dname, g)])
-
-    for d in range(n):
-        s.join(("rs_done", d), [("sfin", d, g, j) for g in range(m) for j in range(u)])
-
-
-def _build_rs_semi_raw(s: _Sched, spec: PartitionSpec, elems: int):
-    n = spec.num_devices
-    half = n // 2
-    e_shard = elems // n
-    for t in range(1, half + 1):
-        hops = [h + (s_idx,) for s_idx in range(n) for h in _semi_hops(s_idx, n, t)]
-        for dname, snd, rcv, s_idx in hops:
-            deps = [] if t == 1 else [("sradd", t - 1, snd, dname)]
-            s.send(snd, dname, ("sraw", t, snd, dname), f"rs:raw:it={t}:{dname}", 2 * e_shard, deps)
-        for dname, snd, rcv, s_idx in hops:
-            owner = rcv == s_idx
-            deps = [("sraw", t, snd, dname)]
-            if owner and dname == "ccw" and half > 1:
-                deps.append(("sracc", s_idx))
-            key = (("sracc", s_idx) if dname == "cw" else ("srfin", s_idx)) if owner \
-                else ("sradd", t, rcv, dname)
-            s.vpu(rcv, [key], f"rs:add:it={t}:{dname}", e_shard, s.compute.add_rate, deps)
-    for d in range(n):
-        s.join(("rs_done", d), [("srfin", d)])
-
-
-def _build_ag_full_quant(s: _Sched, spec: PartitionSpec, elems: int):
-    n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
-    e_shard = elems // n
-    e_micro = e_shard // (m * u)
-    dirs = _dir_minishards(m)
-    c = s.compute
-
-    for d in range(n):
-        for dname, gs in dirs.items():
-            scan_k = lambda g, j, d=d, dn=dname: ("ascan", d, dn, g, j) if j is not None else ("ascanj", d, dn, g)
-            enc_k = lambda g, j, d=d, dn=dname: ("aenc", d, dn, g, j)
-            _prep_quant(s, d, dname, gs, u, e_micro, scan_k, enc_k, "ag", deps=[("rs_done", d)])
-        # The source decodes its own codes too, so outputs match everywhere.
-        for dname, gs in dirs.items():
-            for g in gs:
-                for j in range(u):
-                    s.vpu(d, [], f"ag:dq:own:{dname}:g={g}:j={j}", e_micro, c.dequant_rate,
-                          [("aenc", d, dname, g, j)])
-
-    for t in range(1, n):
-        for d in range(n):
-            for dname, gs in dirs.items():
-                if not gs:
-                    continue
-                prev = (d - _STEP_OF[dname]) % n
-                if t == 1:
-                    meta_deps = [("ascanj", d, dname, g) for g in gs]
-                else:
-                    meta_deps = [("ameta", t - 1, prev, dname)]
-                s.send(d, dname, ("ameta", t, d, dname), f"ag:meta:it={t}:{dname}",
-                       len(gs) * GRID_BYTES, meta_deps)
-                for g in gs:
-                    for j in range(u):
-                        dep = [("aenc", d, dname, g, j)] if t == 1 else \
-                            [("apay", t - 1, prev, dname, g, j)]
-                        s.send(d, dname, ("apay", t, d, dname, g, j),
-                               f"ag:pay:it={t}:{dname}:g={g}:j={j}", e_micro, dep)
-        for d in range(n):
-            streams = []
-            for dname, gs in dirs.items():
-                snd = (d - _STEP_OF[dname]) % n
-                streams.append([(dname, snd, g) for g in gs])
-            for dname, snd, g in _interleave(*streams):
-                for j in range(u):
-                    s.vpu(d, [], f"ag:dq:it={t}:{dname}:g={g}:j={j}", e_micro, c.dequant_rate,
-                          [("apay", t, snd, dname, g, j), ("ameta", t, snd, dname)])
-
-
-def _build_ag_full_raw(s: _Sched, spec: PartitionSpec, elems: int):
-    n = spec.num_devices
-    e_half_bytes = elems // n  # half the shard's elements at 2 bytes each
-    for t in range(1, n):
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                prev = (d - _STEP_OF[dname]) % n
-                deps = [("rs_done", d)] if t == 1 else [("araw", t - 1, prev, dname)]
-                s.send(d, dname, ("araw", t, d, dname), f"ag:raw:it={t}:{dname}", e_half_bytes, deps)
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                snd = (d - _STEP_OF[dname]) % n
-                # Zero-cost landing marker: completion includes the final hop latency.
-                s.vpu(d, [], f"ag:land:it={t}:{dname}", 0.0, 1.0, [("araw", t, snd, dname)])
-
-
-def _build_ag_semi_quant(s: _Sched, spec: PartitionSpec, elems: int):
-    n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
-    half = n // 2
-    e_shard = elems // n
-    e_micro = e_shard // (m * u)
-    c = s.compute
-    iters = {"cw": half, "ccw": half - 1}
-
-    for d in range(n):
-        scan_k = lambda g, j, d=d: ("ascan", d, "", g, j) if j is not None else ("ascanj", d, "", g)
-        enc_k = lambda g, j, d=d: ("aenc", d, "", g, j)
-        _prep_quant(s, d, "own", range(m), u, e_micro, scan_k, enc_k, "ag", deps=[("rs_done", d)])
-        for g in range(m):
+    def send(self, h: Hop) -> None:
+        s, st, e, u, t = self.s, self.stage, self.e, self.u, h.it
+        dn, gs = h.arc.direction, h.arc.units
+        k = _key(st, h, t)
+        if st == "ag" and t > 1:
+            # Forward the codes and grids that arrived on the previous hop.
+            src = _key(st, h, t - 1)
+            meta_deps = [src + ("meta",)]
+            pay = src + ("pay",)
+        else:
+            meta_deps = [k + ("scanj", g) for g in gs]
+            pay = k + ("enc",)
+        s.send(h.sender, dn, k + ("meta",), f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES,
+               meta_deps)
+        for g in gs:
             for j in range(u):
-                s.vpu(d, [], f"ag:dq:own:g={g}:j={j}", e_micro, c.dequant_rate,
-                      [("aenc", d, "", g, j)])
+                s.send(h.sender, dn, k + ("pay", g, j), f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e,
+                       [pay + (g, j)])
 
-    for t in range(1, half + 1):
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                if t > iters[dname]:
-                    continue
-                prev = (d - _STEP_OF[dname]) % n
-                if t == 1:
-                    meta_deps = [("ascanj", d, "", g) for g in range(m)]
-                else:
-                    meta_deps = [("ameta", t - 1, prev, dname)]
-                s.send(d, dname, ("ameta", t, d, dname), f"ag:meta:it={t}:{dname}",
-                       m * GRID_BYTES, meta_deps)
-                for g in range(m):
-                    for j in range(u):
-                        dep = [("aenc", d, "", g, j)] if t == 1 else \
-                            [("apay", t - 1, prev, dname, g, j)]
-                        s.send(d, dname, ("apay", t, d, dname, g, j),
-                               f"ag:pay:it={t}:{dname}:g={g}:j={j}", e_micro, dep)
-        for d in range(n):
-            streams = []
-            for dname in ("cw", "ccw"):
-                if t > iters[dname]:
-                    continue
-                snd = (d - _STEP_OF[dname]) % n
-                streams.append([(dname, snd, g) for g in range(m)])
-            for dname, snd, g in _interleave(*streams):
+    def recv(self, group: tuple[Hop, ...]) -> None:
+        s, st, e, u = self.s, self.stage, self.e, self.u
+        c = s.compute
+        for h, g in _interleave(*[[(h, g) for g in h.arc.units] for h in group]):
+            a, d, t = h.arc, h.receiver, h.it
+            dn = a.direction
+            k = _key(st, h, t)
+            if st == "ag":
                 for j in range(u):
-                    s.vpu(d, [], f"ag:dq:it={t}:{dname}:g={g}:j={j}", e_micro, c.dequant_rate,
-                          [("apay", t, snd, dname, g, j), ("ameta", t, snd, dname)])
+                    s.vpu(d, [], f"ag:dq:it={t}:{dn}:g={g}:j={j}", e, c.dequant_rate,
+                          [k + ("pay", g, j), k + ("meta",)])
+                continue
+            nxt = _key(st, h, t + 1)
+            for j in range(u):
+                tag = f":it={t}:{dn}:g={g}:j={j}"
+                arrive = [k + ("pay", g, j), k + ("meta",)]
+                if h.last:
+                    if a.after:
+                        # Fold into the accumulator the earlier arc's merge made.
+                        arrive.append(("merge", a.shard, a.after, g, j))
+                    _recv_micro(s, d, tag, e, arrive, ("merge", a.shard, dn, g, j), None)
+                else:
+                    _recv_micro(s, d, tag, e, arrive, nxt + ("add", g, j), nxt + ("scan", g, j))
+            if not h.last:
+                s.join(nxt + ("scanj", g), [nxt + ("scan", g, j) for j in range(u)])
+                for j in range(u):
+                    s.vpu(d, [nxt + ("enc", g, j)], f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", e,
+                          c.encode_rate, [nxt + ("scanj", g)])
+
+    def done(self, sch: Schedule) -> None:
+        if self.stage == "rs":
+            u = self.u
+            self._join_merges(sch, lambda a: [("merge", a.shard, a.direction, g, j)
+                                              for g in a.units for j in range(u)])
 
 
-def _build_ag_semi_raw(s: _Sched, spec: PartitionSpec, elems: int):
-    n = spec.num_devices
-    half = n // 2
-    shard_bytes = 2 * (elems // n)
-    iters = {"cw": half, "ccw": half - 1}
-    for t in range(1, half + 1):
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                if t > iters[dname]:
-                    continue
-                prev = (d - _STEP_OF[dname]) % n
-                deps = [("rs_done", d)] if t == 1 else [("araw", t - 1, prev, dname)]
-                s.send(d, dname, ("araw", t, d, dname), f"ag:raw:it={t}:{dname}", shard_bytes, deps)
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                if t > iters[dname]:
-                    continue
-                snd = (d - _STEP_OF[dname]) % n
-                s.vpu(d, [], f"ag:land:it={t}:{dname}", 0.0, 1.0, [("araw", t, snd, dname)])
+class _Plain(_Hops):
+    """Unquantized hops, elem_bytes per element on the wire: BF16 partials
+    (raw), or 8-bit codes (the naive and ideal 2:1 rings), where `cast` adds
+    the naive ring's cast, recode and decode passes."""
+
+    def __init__(self, s: _Sched, stage: str, word: str, elem_bytes: int, cast: bool = False,
+                 per_direction: bool = False):
+        super().__init__(s, stage)
+        self.word, self.elem_bytes, self.cast = word, elem_bytes, cast
+        # The 8-bit rings gather each direction's half as soon as it is reduced.
+        self.per_direction = per_direction
+
+    def prep(self, sch: Schedule) -> None:
+        if self.stage == "rs" and self.cast:
+            for h in sch.heads:
+                self.s.vpu(h.sender, [_key("rs", h, 1) + ("red",)],
+                           f"rs:cast:prep:{h.arc.direction}", len(h.arc.units),
+                           self.s.compute.cast_rate)
+
+    def send(self, h: Hop) -> None:
+        st, t, dn = self.stage, h.it, h.arc.direction
+        k = _key(st, h, t)
+        if st == "rs":
+            deps = [k + ("red",)] if t > 1 or self.cast else []
+        elif t > 1:
+            deps = [_key(st, h, t - 1) + ("wire",)]
+        else:
+            deps = [("merge", h.sender, dn) if self.per_direction else ("rs_done", h.sender)]
+        self.s.send(h.sender, dn, k + ("wire",), f"{st}:{self.word}:it={t}:{dn}",
+                    self.elem_bytes * len(h.arc.units), deps)
+
+    def recv(self, group: tuple[Hop, ...]) -> None:
+        s, st = self.s, self.stage
+        c = s.compute
+        for h in group:
+            a, d, t = h.arc, h.receiver, h.it
+            dn, elems = a.direction, len(a.units)
+            k = _key(st, h, t)
+            arrive = [k + ("wire",)]
+            if st == "ag":
+                if self.cast:
+                    s.vpu(d, [], f"ag:dec:it={t}:{dn}", elems, c.cast_rate, arrive)
+                else:
+                    # Zero-cost landing marker: completion includes the final hop latency.
+                    s.vpu(d, [], f"ag:land:it={t}:{dn}", 0.0, 1.0, arrive)
+                continue
+            if h.last:
+                out = ("merge", a.shard, dn)
+                if a.after:
+                    arrive.append(("merge", a.shard, a.after))
+            else:
+                out = _key(st, h, t + 1) + ("red",)
+            if self.cast:
+                s.vpu(d, [k + ("sum",)], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
+                s.vpu(d, [out], f"rs:recode:it={t}:{dn}", elems, c.cast_rate, [k + ("sum",)])
+            else:
+                s.vpu(d, [out], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
+
+    def done(self, sch: Schedule) -> None:
+        if self.stage == "rs":
+            self._join_merges(sch, lambda a: [("merge", a.shard, a.direction)])
+        elif self.cast:
+            for h in sch.heads:
+                self.s.vpu(h.sender, [], f"ag:dec:own:{h.arc.direction}", len(h.arc.units),
+                           self.s.compute.cast_rate, [("merge", h.sender, h.arc.direction)])
+
+
+def _execute(s: _Sched, *stages: tuple[Schedule, _Hops]) -> Timeline:
+    """Walk each stage's hop lists in order, emitting events through its hop kind."""
+    for sch, hops in stages:
+        hops.prep(sch)
+        for step in sch.steps:
+            for h in step.sends:
+                hops.send(h)
+            for group in step.recvs:
+                hops.recv(group)
+        hops.done(sch)
+    return s.finish()
+
+
+def _elements(tensor_bytes: int, spec: PartitionSpec) -> int:
+    if tensor_bytes % 2:
+        raise DivisibilityError(f"tensor_bytes={tensor_bytes} is not a whole BF16 element count")
+    elems = tensor_bytes // 2
+    spec.validate_element_count(elems)
+    return elems
 
 
 def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
              compute: ComputeParams) -> Timeline:
     """Schedule one AllReduce of a BF16 tensor of tensor_bytes and return its timeline."""
-    if tensor_bytes % 2:
-        raise DivisibilityError(f"tensor_bytes={tensor_bytes} is not a whole BF16 element count")
-    elems = tensor_bytes // 2
-    cfg.spec.validate_element_count(elems)
+    spec = cfg.spec
+    n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
+    e_shard = _elements(tensor_bytes, spec) // n
     s = _Sched(link, compute)
-    semi = cfg.variant is Variant.SEMI_LOOP
-    if cfg.quantize_rs:
-        (_build_rs_semi_quant if semi else _build_rs_full_quant)(s, cfg.spec, elems)
-    else:
-        (_build_rs_semi_raw if semi else _build_rs_full_raw)(s, cfg.spec, elems)
-    if cfg.quantize_ag:
-        (_build_ag_semi_quant if semi else _build_ag_full_quant)(s, cfg.spec, elems)
-    else:
-        (_build_ag_semi_raw if semi else _build_ag_full_raw)(s, cfg.spec, elems)
-    return s.finish()
+
+    def hops(stage: str, quantized: bool) -> _Hops:
+        return _Quant(s, stage, e_shard // (m * u), u) if quantized else _Plain(s, stage, "raw", 2)
+
+    q_rs, q_ag = cfg.quantize_rs, cfg.quantize_ag
+    return _execute(
+        s,
+        (rs_schedule(cfg.variant, n, m if q_rs else e_shard, q_rs), hops("rs", q_rs)),
+        (ag_schedule(cfg.variant, n, m if q_ag else e_shard), hops("ag", q_ag)),
+    )
 
 
-def _build_lowp_ring(s: _Sched, spec: PartitionSpec, elems: int, with_codec: bool):
-    """Full-loop ring at 1 byte per element; optional cast/recode compute passes."""
+def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
+               compute: ComputeParams, cast: bool) -> Timeline:
+    """Full-loop ring at 1 byte per element; optional cast/recode/decode passes."""
     n = spec.num_devices
-    e_half = elems // n // 2
-    c = s.compute
-    if with_codec:
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                s.vpu(d, [("ncast", d, dname)], f"rs:cast:prep:{dname}", e_half, c.cast_rate)
-    for it in range(1, n):
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                if it == 1:
-                    deps = [("ncast", d, dname)] if with_codec else []
-                else:
-                    deps = [("nred", it - 1, d, dname)]
-                s.send(d, dname, ("npay", it, d, dname), f"rs:pay:it={it}:{dname}", e_half, deps)
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                snd = (d - _STEP_OF[dname]) % n
-                if with_codec:
-                    s.vpu(d, [("nadd", it, d, dname)], f"rs:add:it={it}:{dname}", e_half,
-                          c.add_rate, [("npay", it, snd, dname)])
-                    s.vpu(d, [("nred", it, d, dname)], f"rs:recode:it={it}:{dname}", e_half,
-                          c.cast_rate, [("nadd", it, d, dname)])
-                else:
-                    s.vpu(d, [("nred", it, d, dname)], f"rs:add:it={it}:{dname}", e_half,
-                          c.add_rate, [("npay", it, snd, dname)])
-    for t in range(1, n):
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                prev = (d - _STEP_OF[dname]) % n
-                deps = [("nred", n - 1, d, dname)] if t == 1 else [("nagp", t - 1, prev, dname)]
-                s.send(d, dname, ("nagp", t, d, dname), f"ag:pay:it={t}:{dname}", e_half, deps)
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                snd = (d - _STEP_OF[dname]) % n
-                if with_codec:
-                    s.vpu(d, [], f"ag:dec:it={t}:{dname}", e_half, c.cast_rate,
-                          [("nagp", t, snd, dname)])
-                else:
-                    s.vpu(d, [], f"ag:land:it={t}:{dname}", 0.0, 1.0, [("nagp", t, snd, dname)])
-    if with_codec:
-        for d in range(n):
-            for dname in ("cw", "ccw"):
-                s.vpu(d, [], f"ag:dec:own:{dname}", e_half, c.cast_rate,
-                      [("nred", n - 1, d, dname)])
+    e_shard = _elements(tensor_bytes, spec) // n
+    s = _Sched(link, compute)
+    return _execute(
+        s,
+        (rs_schedule(Variant.FULL_LOOP, n, e_shard, False), _Plain(s, "rs", "pay", 1, cast, True)),
+        (ag_schedule(Variant.FULL_LOOP, n, e_shard), _Plain(s, "ag", "pay", 1, cast, True)),
+    )
 
 
 def simulate_naive(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
                    compute: ComputeParams) -> Timeline:
     """Naive cast-to-8-bit AllReduce: half the wire bytes plus cast/recode passes."""
-    if tensor_bytes % 2:
-        raise DivisibilityError(f"tensor_bytes={tensor_bytes} is not a whole BF16 element count")
-    elems = tensor_bytes // 2
-    spec.validate_element_count(elems)
-    s = _Sched(link, compute)
-    _build_lowp_ring(s, spec, elems, with_codec=True)
-    return s.finish()
+    return _lowp_ring(spec, tensor_bytes, link, compute, cast=True)
 
 
 def simulate_ideal_2to1(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
                         compute: ComputeParams) -> Timeline:
     """Hypothetical lossless 2:1 compression: half the wire bytes, add-only compute."""
-    if tensor_bytes % 2:
-        raise DivisibilityError(f"tensor_bytes={tensor_bytes} is not a whole BF16 element count")
-    elems = tensor_bytes // 2
-    spec.validate_element_count(elems)
-    s = _Sched(link, compute)
-    _build_lowp_ring(s, spec, elems, with_codec=False)
-    return s.finish()
+    return _lowp_ring(spec, tensor_bytes, link, compute, cast=False)
 
 
 def predict_speedup(cfg_a: CollectiveConfig, cfg_b: CollectiveConfig, tensor_bytes: int,

@@ -22,7 +22,7 @@ from qarsim.collectives import (
 from qarsim.layout import CHUNK_ELEMS, PartitionSpec, TensorBuf
 from qarsim.numerics import Codec, decode, encode, round_to_bf16
 from qarsim.presets import load_preset
-from qarsim.quant import dequantize_shard, quantize_shard, scan_scale_grid, absmax_grid, scales_from_absmax
+from qarsim.quant import dequantize_shard, quantize_shard, absmax_grid, scales_from_absmax
 from qarsim.simnet import ComputeParams, LinkParams, idle_time, lower_bound, simulate, simulate_ideal_2to1, simulate_naive
 
 MIB = 1 << 20
@@ -210,7 +210,7 @@ def test_criterion_7_quantization_guarantees():
     # partial scans merged by running max reproduce the full scan exactly
     chunks = (rng.standard_normal((16, 8, 128)) * 10).astype(np.float32)
     chunks[:, 4, :] = 0.0
-    full = scan_scale_grid(chunks, Codec.INT8)
+    full = quantize_shard(chunks, Codec.INT8).grids[0]
     merge_ok = True
     for split in (1, 5, 8, 15):
         merged = scales_from_absmax(

@@ -8,13 +8,14 @@ from qarsim.collectives import (
     CollectiveConfig,
     SemiLoopOddNError,
     Variant,
+    all_gather,
     all_reduce,
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
 )
-from qarsim.layout import CHUNK_ELEMS, PartitionSpec, TensorBuf, partition
+from qarsim.layout import CHUNK_ELEMS, MissingShardError, PartitionSpec, TensorBuf
 from qarsim.numerics import Codec
-from qarsim.quant import scan_scale_grid
+from qarsim.quant import absmax_grid, scales_from_absmax
 
 
 def int_inputs(n, elems, seed=0, lo=-16, hi=16):
@@ -72,6 +73,15 @@ def test_semi_loop_n2_equals_full_loop_n2():
 def test_semi_loop_rejects_odd_ring():
     with pytest.raises(SemiLoopOddNError):
         CollectiveConfig(Variant.SEMI_LOOP, PartitionSpec(5, 1, 1))
+
+
+def test_all_gather_rejects_missing_shard():
+    spec = PartitionSpec(4, 1, 1)
+    shards = [np.zeros((1, 8, 128), dtype=np.float32)] * 4
+    with pytest.raises(MissingShardError):
+        all_gather(shards[:3], False, Codec.INT8, spec, 4, CHUNK_ELEMS)
+    with pytest.raises(MissingShardError):
+        all_gather(shards[:3] + [None], True, Codec.INT8, spec, 4, CHUNK_ELEMS)
 
 
 def test_outputs_identical_across_devices():
@@ -160,14 +170,10 @@ def test_ag_only_error_is_bounded_by_final_quantization_step():
     cfg = CollectiveConfig(Variant.FULL_LOOP, spec, quantize_rs=False, quantize_ag=True)
     out = all_reduce(inputs, cfg)[0]
     diff = np.abs(out.data - base.data)
-    allowed = np.zeros_like(base.data)
-    for shard in partition(base, spec):
-        per = shard.chunks_per_minishard
-        for g in range(spec.minishards_per_shard):
-            grid = scan_scale_grid(shard.minishard(g), Codec.INT8)
-            lo = (shard.shard_index * spec.minishards_per_shard + g) * per * CHUNK_ELEMS
-            bound = np.broadcast_to(grid, (per, 8, 128)).reshape(-1)
-            allowed[lo : lo + per * CHUNK_ELEMS] = bound
+    # shards and their minishards are contiguous runs of the flat tensor
+    minis = base.data.reshape(spec.num_devices * spec.minishards_per_shard, -1, 8, 128)
+    grids = scales_from_absmax(absmax_grid(minis), Codec.INT8)
+    allowed = np.broadcast_to(grids[:, None], minis.shape).reshape(-1)
     budget = allowed * (0.5 + 1e-4) + np.abs(base.data) * 2.0**-8 + 1e-30
     assert np.all(diff <= budget)
 

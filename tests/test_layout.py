@@ -1,98 +1,22 @@
-"""Partitioning layout: chunk geometry, round trips, divisibility diagnostics."""
+"""Partitioning layout: chunk geometry, spec validation, divisibility diagnostics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qarsim.layout import (
     CHUNK_COLS,
     CHUNK_ELEMS,
     CHUNK_ROWS,
     DivisibilityError,
-    MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
     TensorBuf,
-    partition,
-    reassemble,
 )
-
-
-def make_buf(n_elems, rows=None, cols=None, seed=0):
-    rng = np.random.default_rng(seed)
-    rows = rows or 1
-    cols = cols or n_elems
-    return TensorBuf(rng.standard_normal(n_elems).astype(np.float32), rows, cols)
 
 
 def test_chunk_geometry():
     assert (CHUNK_ROWS, CHUNK_COLS) == (8, 128)
     assert CHUNK_ELEMS == 1024
-
-
-def test_partition_shapes_and_indexing():
-    spec = PartitionSpec(4, 2, 2)
-    t = make_buf(4 * 4 * CHUNK_ELEMS, rows=128, cols=128)
-    shards = partition(t, spec)
-    assert len(shards) == 4
-    for s, shard in enumerate(shards):
-        assert shard.shard_index == s
-        assert shard.chunks.shape == (4, 8, 128)
-        assert shard.chunk_count == 4
-        assert shard.chunks_per_minishard == 2
-        assert shard.block_size == 2
-        assert shard.element_count == 4 * CHUNK_ELEMS
-        assert shard.minishard(0).shape == (2, 8, 128)
-        assert shard.microshard(1, 1).shape == (1, 8, 128)
-    # shard s holds the s-th contiguous quarter of the flat tensor
-    got = shards[2].chunks.reshape(-1)
-    assert np.array_equal(got, t.data[2 * 4 * CHUNK_ELEMS : 3 * 4 * CHUNK_ELEMS])
-
-
-def test_minishard_microshard_split_is_contiguous():
-    spec = PartitionSpec(2, 2, 2)
-    t = make_buf(2 * 4 * CHUNK_ELEMS)
-    shard = partition(t, spec)[0]
-    g0 = shard.minishard(0).reshape(-1)
-    g1 = shard.minishard(1).reshape(-1)
-    assert np.array_equal(np.concatenate([g0, g1]), shard.chunks.reshape(-1))
-    j00 = shard.microshard(0, 0).reshape(-1)
-    j01 = shard.microshard(0, 1).reshape(-1)
-    assert np.array_equal(np.concatenate([j00, j01]), g0)
-
-
-def test_round_trip_exact():
-    spec = PartitionSpec(8, 4, 2)
-    t = make_buf(8 * 8 * CHUNK_ELEMS, rows=512, cols=128)
-    shards = partition(t, spec)
-    back = reassemble(shards, 512, 128)
-    assert np.array_equal(back.data, t.data)
-    assert (back.rows, back.cols) == (512, 128)
-
-
-def test_reassemble_order_insensitive():
-    spec = PartitionSpec(4, 1, 1)
-    t = make_buf(4 * CHUNK_ELEMS)
-    shards = partition(t, spec)
-    back = reassemble([shards[2], shards[0], shards[3], shards[1]], 1, 4 * CHUNK_ELEMS)
-    assert np.array_equal(back.data, t.data)
-
-
-def test_reassemble_missing_shard_lists_indices():
-    spec = PartitionSpec(4, 1, 1)
-    t = make_buf(4 * CHUNK_ELEMS)
-    shards = partition(t, spec)
-    with pytest.raises(MissingShardError, match="1"):
-        reassemble([shards[0], shards[2], shards[3]], 1, 4 * CHUNK_ELEMS)
-
-
-def test_reassemble_wrong_element_count():
-    spec = PartitionSpec(2, 1, 1)
-    t = make_buf(2 * CHUNK_ELEMS)
-    shards = partition(t, spec)
-    with pytest.raises(ShapeMismatchError):
-        reassemble(shards, 1, CHUNK_ELEMS)
 
 
 def test_divisibility_errors_name_the_failing_factor():
@@ -127,26 +51,3 @@ def test_partition_spec_validation():
 def test_tensorbuf_size_check():
     with pytest.raises(ShapeMismatchError):
         TensorBuf(np.zeros(10, dtype=np.float32), 4, 4)
-
-
-@st.composite
-def layouts(draw):
-    n = draw(st.sampled_from([2, 4, 8]))
-    m = draw(st.sampled_from([1, 2, 4]))
-    u = draw(st.sampled_from([1, 2]))
-    extra = draw(st.integers(min_value=1, max_value=3))
-    return n, m, u, n * m * u * extra * CHUNK_ELEMS
-
-
-@given(layouts())
-@settings(max_examples=40, deadline=None)
-def test_partition_reassemble_bijection(layout):
-    n, m, u, elems = layout
-    spec = PartitionSpec(n, m, u)
-    t = make_buf(elems, seed=elems)
-    shards = partition(t, spec)
-    # elementwise coverage: every element lands in exactly one shard
-    total = sum(s.chunks.size for s in shards)
-    assert total == elems
-    back = reassemble(shards, t.rows, t.cols)
-    assert np.array_equal(back.data, t.data)

@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from qarsim.numerics import Codec, decode
 from qarsim.quant import (
     GRID_BYTES,
-    QuantizedShard,
     absmax_grid,
-    apply_scale_grid,
-    dequantize_chunks,
     dequantize_shard,
     quantize_shard,
     scales_from_absmax,
-    scan_scale_grid,
 )
 
 
@@ -38,19 +34,19 @@ def test_two_chunk_shared_scale_example():
 
 def test_all_ones_scale():
     chunks = np.ones((4, 8, 128), dtype=np.float32)
-    grid = scan_scale_grid(chunks, Codec.INT8)
-    assert np.all(grid == np.float32(1.0 / 127.0))
-    codes = apply_scale_grid(chunks, grid, Codec.INT8).view(np.int8)
-    assert np.all(codes == 127)
+    q = quantize_shard(chunks, Codec.INT8)
+    assert np.all(q.grids[0] == np.float32(1.0 / 127.0))
+    assert np.all(q.payload.view(np.int8) == 127)
 
 
 def test_zero_column_scale_is_one():
     chunks = np.zeros((2, 8, 128), dtype=np.float32)
     chunks[:, :, 64:] = 3.0
-    grid = scan_scale_grid(chunks, Codec.INT8)
+    q = quantize_shard(chunks, Codec.INT8)
+    grid = q.grids[0]
     assert np.all(grid[:, :64] == 1.0)  # empty positions quantize as identity
     assert np.all(grid[:, 64:] == np.float32(3.0 / 127.0))
-    codes = apply_scale_grid(chunks, grid, Codec.INT8).view(np.int8)
+    codes = q.payload.view(np.int8)
     assert np.all(codes[:, :, :64] == 0)
     assert np.all(codes[:, :, 64:] == 127)
 
@@ -59,7 +55,7 @@ def test_64_chunk_scan_example():
     # chunk c carries value c at position (0,0): absmax there is 63
     chunks = np.zeros((64, 8, 128), dtype=np.float32)
     chunks[:, 0, 0] = np.arange(64, dtype=np.float32)
-    grid = scan_scale_grid(chunks, Codec.INT8)
+    grid = quantize_shard(chunks, Codec.INT8).grids[0]
     assert grid[0, 0] == np.float32(63.0 / 127.0)
     assert np.all(grid.reshape(-1)[1:] == 1.0)
 
@@ -68,7 +64,7 @@ def test_partial_scan_merge_matches_full_scan():
     rng = np.random.default_rng(3)
     chunks = rng.standard_normal((8, 8, 128)).astype(np.float32)
     chunks[:, 2, :] = 0.0  # a position that stays empty in every partial scan
-    full = scan_scale_grid(chunks, Codec.INT8)
+    full = quantize_shard(chunks, Codec.INT8).grids[0]
     partial = np.maximum(absmax_grid(chunks[:3]), absmax_grid(chunks[3:]))
     merged = scales_from_absmax(partial, Codec.INT8)
     assert np.array_equal(full, merged)
@@ -123,22 +119,6 @@ def test_wire_bytes_counts_payload_plus_grids():
     assert q.wire_bytes == 4 * 1024 + 2 * GRID_BYTES
 
 
-def test_serialization_round_trip_metadata_first():
-    rng = np.random.default_rng(9)
-    chunks = rng.standard_normal((4, 8, 128)).astype(np.float32)
-    q = quantize_shard(chunks, Codec.F8E4M3, minishards=2, shard_index=3)
-    blob = q.to_bytes()
-    assert len(blob) == q.wire_bytes
-    # scale grids lead the stream so a receiver can decode as payload arrives
-    grids = np.frombuffer(blob[: 2 * GRID_BYTES], dtype="<f4").reshape(2, 8, 128)
-    assert np.array_equal(grids, q.grids)
-    back = QuantizedShard.from_bytes(blob, Codec.F8E4M3, minishards=2, shard_index=3)
-    assert np.array_equal(back.payload, q.payload)
-    assert np.array_equal(back.grids, q.grids)
-    assert back.shard_index == 3
-    assert np.array_equal(dequantize_shard(back), dequantize_shard(q))
-
-
 def test_quantize_shard_divisibility():
     chunks = np.zeros((3, 8, 128), dtype=np.float32)
     with pytest.raises(ValueError):
@@ -147,9 +127,8 @@ def test_quantize_shard_divisibility():
 
 def test_fp8_grid_scales_normalize_to_codec_max():
     chunks = np.full((1, 8, 128), 7.0, dtype=np.float32)
-    grid = scan_scale_grid(chunks, Codec.F8E4M3)
-    assert np.all(grid == np.float32(7.0 / 448.0))
-    codes = apply_scale_grid(chunks, grid, Codec.F8E4M3)
-    assert np.all(decode(codes, Codec.F8E4M3) == 448.0)
-    back = dequantize_chunks(codes, grid, Codec.F8E4M3)
+    q = quantize_shard(chunks, Codec.F8E4M3)
+    assert np.all(q.grids[0] == np.float32(7.0 / 448.0))
+    assert np.all(decode(q.payload, Codec.F8E4M3) == 448.0)
+    back = dequantize_shard(q)
     assert np.allclose(back, 7.0, rtol=1e-6)
