@@ -101,22 +101,21 @@ def _bf16_arc(local: LocalFn, devices: Sequence[int]) -> np.ndarray:
 
 def _reduce_scatter(ing: np.ndarray, cfg: CollectiveConfig) -> list[np.ndarray]:
     """Run every shard's arcs on values; result[s] is shard s, reduced at its owner."""
-    n = cfg.spec.num_devices
+    n, m = cfg.spec.num_devices, cfg.spec.minishards_per_shard
     per = ing.shape[2]
-    m = cfg.spec.minishards_per_shard
-    semi = cfg.variant is Variant.SEMI_LOOP
+    quant, semi = cfg.quantize_rs, cfg.variant is Variant.SEMI_LOOP
+    c = per // m  # chunks per minishard
     out = []
-    for s, arcs in enumerate(schedule.rs_arcs(cfg.variant, n, m if cfg.quantize_rs else per * CHUNK_ELEMS)):
+    for s, arcs in enumerate(schedule.rs_arcs(cfg.variant, n, m if quant else per * CHUNK_ELEMS)):
         merged: dict[str, np.ndarray] = {}
         for arc in arcs:
             r = arc.units
-            if cfg.quantize_rs:
-                c = per // m
+            if quant:
                 loc = lambda d, s=s, r=r: ing[d, s, r.start * c : r.stop * c]
             else:
                 loc = lambda d, s=s, r=r: ing[d, s].reshape(-1)[r.start : r.stop]
             acc = merged.pop(arc.after) if arc.after else loc(s)
-            if cfg.quantize_rs:
+            if quant:
                 q = _quant_arc(loc, arc.devices[:-1], cfg.codec, len(r))
                 merged[arc.direction] = dequantize_shard(q) + acc
             else:

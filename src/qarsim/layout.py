@@ -28,7 +28,7 @@ class MissingShardError(ValueError):
 
 
 class ShapeMismatchError(ValueError):
-    """A tensor's data length disagrees with its nominal (rows, cols) shape."""
+    """Tensor data disagrees with the shape it is declared or compared with."""
 
 
 @dataclass(frozen=True)

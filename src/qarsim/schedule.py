@@ -93,7 +93,7 @@ class Schedule:
 
 
 def split(variant: Variant, units: int) -> dict[str, range]:
-    """The units of one shard each direction carries."""
+    """The units (minishards or elements) of one shard each direction carries."""
     if variant is Variant.SEMI_LOOP:
         return {CW: range(units), CCW: range(units)}
     h = (units + 1) // 2
@@ -139,7 +139,15 @@ def _dir(h: Hop) -> int:
     return DIRECTIONS.index(h.arc.direction)
 
 
-def _schedule(arcs: list[list[Arc]], send_key, recv_key, whole: bool) -> Schedule:
+def _by_sender(h: Hop) -> tuple[int, int]:
+    return h.sender, _dir(h)
+
+
+def _by_shard(h: Hop) -> tuple[int, int]:
+    return h.arc.shard, _dir(h)
+
+
+def _schedule(variant: Variant, arcs: list[list[Arc]], send_key, recv_key) -> Schedule:
     """Hop lists per iteration; recv_key None keeps receive passes in send order."""
     flat = [a for shard in arcs for a in shard]
     steps = []
@@ -155,21 +163,18 @@ def _schedule(arcs: list[list[Arc]], send_key, recv_key, whole: bool) -> Schedul
                 by_dev.setdefault(h.receiver, []).append(h)
             recvs = tuple(tuple(by_dev[d]) for d in sorted(by_dev))
         steps.append(Step(sends, recvs))
-    heads = tuple(sorted(steps[0].sends, key=lambda h: (h.sender, _dir(h))))
-    return Schedule(heads, tuple(steps), whole)
+    heads = tuple(sorted(steps[0].sends, key=_by_sender))
+    return Schedule(heads, tuple(steps), whole=variant is Variant.SEMI_LOOP)
 
 
 def rs_schedule(variant: Variant, n: int, units: int, quantized: bool) -> Schedule:
     """Reduce-scatter hop lists; units are minishards if quantized, else elements."""
-    by_dir = lambda h: (h.sender, _dir(h))
     arcs = rs_arcs(variant, n, units)
     if variant is Variant.FULL_LOOP:
-        return _schedule(arcs, by_dir, _dir, whole=False)
-    by_shard = lambda h: (h.arc.shard, _dir(h))
-    return _schedule(arcs, by_shard, by_shard if quantized else None, whole=True)
+        return _schedule(variant, arcs, _by_sender, _dir)
+    return _schedule(variant, arcs, _by_shard, _by_shard if quantized else None)
 
 
 def ag_schedule(variant: Variant, n: int, units: int) -> Schedule:
     """All-gather hop lists; units are minishards if quantized, else elements."""
-    return _schedule(ag_arcs(variant, n, units), lambda h: (h.sender, _dir(h)), _dir,
-                     whole=variant is Variant.SEMI_LOOP)
+    return _schedule(variant, ag_arcs(variant, n, units), _by_sender, _dir)

@@ -247,8 +247,11 @@ class _Hops:
 
 class _Quant(_Hops):
     """Block-quantized hops: one metadata transfer (a scale grid per minishard),
-    then the payload microshards. Reduce-scatter receivers dequantize, add,
-    scan and re-encode for the next hop; all-gather receivers dequantize."""
+    then the payload microshards.
+
+    Reduce-scatter receivers dequantize, add, scan and re-encode for the next
+    hop; all-gather receivers dequantize.
+    """
 
     def __init__(self, s: _Sched, stage: str, e_micro: int, u: int):
         super().__init__(s, stage)
@@ -334,9 +337,12 @@ class _Quant(_Hops):
 
 
 class _Plain(_Hops):
-    """Unquantized hops, elem_bytes per element on the wire: BF16 partials
-    (raw), or 8-bit codes (the naive and ideal 2:1 rings), where `cast` adds
-    the naive ring's cast, recode and decode passes."""
+    """Unquantized hops, elem_bytes per element on the wire.
+
+    BF16 partials (raw hops, 2 bytes), or 8-bit codes (the naive and ideal
+    2:1 rings, 1 byte), where `cast` adds the naive ring's cast, recode and
+    decode passes.
+    """
 
     def __init__(self, s: _Sched, stage: str, word: str, elem_bytes: int, cast: bool = False,
                  per_direction: bool = False):
