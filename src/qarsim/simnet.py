@@ -13,8 +13,9 @@ bandwidth and in every compute rate (a fixed order can never invert).
 The hop structure comes from `schedule`, which defines the arcs and the
 per-iteration hop lists; one executor walks those lists and emits each
 hop's events through its hop kind: quantized, raw BF16, or the 8-bit
-casts of the naive and ideal 2:1 rings. Dependency rules mirror the
-functional collectives: a microshard's
+casts of the naive and ideal 2:1 rings.
+
+Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
 add follows dequantize; the scale-encode of any microshard in a minishard
 waits for the abs-max scans of all u microshards of that minishard; each
