@@ -1,10 +1,13 @@
 """Command-line behavior: precedence, schemas, exit codes, determinism."""
 
+import argparse
 import json
+from dataclasses import fields, replace
 
 import pytest
 
-from qarsim.cli import main
+import qarsim.cli as cli
+from qarsim.cli import RunConfig, _build_parser, build_config, main
 
 SMALL = {"rows": 256, "cols": 512, "num_devices": 4, "seed": 7}
 
@@ -165,3 +168,93 @@ def test_naive_flavor_via_cli(tmp_path):
     rec = json.loads(out.read_text())[0]
     assert rec["stages"] == "cast"
     assert rec["mse"] > 0.01  # cast-style ring is far noisier than scaled codecs
+
+
+# --- every override flag and every config field lands on its RunConfig field ---
+
+# (flag argv, expected RunConfig fields): each flag alone, all else at default.
+FLAG_CASES = [
+    (["--seed", "5"], {"seed": 5}),
+    (["--preset", "other-preset"], {"preset": "other-preset"}),
+    (["--output", "out.csv"], {"output": "out.csv"}),
+    (["--format", "json"], {"format": "json"}),
+    (["--timestamp"], {"timestamp": True}),
+    (["--variant", "semi_loop"], {"variant": "semi_loop"}),
+    (["--codec", "f8e4m3"], {"codec": "f8e4m3"}),
+    (["--no-quantize-rs"], {"quantize_rs": False}),
+    (["--no-quantize-ag"], {"quantize_ag": False}),
+    (["--naive"], {"naive": True}),
+    (["--num-devices", "4"], {"num_devices": 4}),
+    (["--rows", "256"], {"rows": 256}),
+    (["--cols", "512"], {"cols": 512}),
+    (["--minishards", "3"], {"minishards_per_shard": 3}),
+    (["--microshards", "4"], {"microshards_per_minishard": 4}),
+    (["--bandwidth", "1e9"], {"link": {"bandwidth_bytes_per_s": 1e9}}),
+    (["--hop-latency", "2e-6"], {"link": {"hop_latency_s": 2e-6}}),
+    (["--dequant-rate", "1.5e12"], {"compute": {"dequant_rate": 1.5e12}}),
+    (["--add-rate", "2.5e12"], {"compute": {"add_rate": 2.5e12}}),
+    (["--scan-rate", "3.5e12"], {"compute": {"scan_rate": 3.5e12}}),
+    (["--encode-rate", "4.5e12"], {"compute": {"encode_rate": 4.5e12}}),
+    (["--cast-rate", "5.5e12"], {"compute": {"cast_rate": 5.5e12}}),
+    (["--fuse-recv-pass"], {"compute": {"fuse_recv_pass": True}}),
+    (["--sizes", "1MiB, 4KiB,512"], {"sizes": [1 << 20, 4 << 10, 512]}),
+]
+
+# field -> (config-file value, flag argv, field value from the file alone,
+#           field value with the flag given too)
+FILE_CASES = {
+    "variant": ("semi_loop", ["--variant", "full_loop"], "semi_loop", "full_loop"),
+    "quantize_rs": (False, ["--quantize-rs"], False, True),
+    "quantize_ag": (False, ["--quantize-ag"], False, True),
+    "codec": ("f8e5m2", ["--codec", "f8e4m3"], "f8e5m2", "f8e4m3"),
+    "naive": (True, ["--no-naive"], True, False),
+    "num_devices": (4, ["--num-devices", "6"], 4, 6),
+    "rows": (256, ["--rows", "512"], 256, 512),
+    "cols": (1024, ["--cols", "2048"], 1024, 2048),
+    "minishards_per_shard": (2, ["--minishards", "8"], 2, 8),
+    "microshards_per_minishard": (4, ["--microshards", "1"], 4, 1),
+    "seed": (7, ["--seed", "11"], 7, 11),
+    "preset": ("other-preset", ["--preset", "v5e-like"], "other-preset", "v5e-like"),
+    "link": ({"bandwidth_bytes_per_s": 2e9, "hop_latency_s": 1e-6}, ["--bandwidth", "1e9"],
+             {"bandwidth_bytes_per_s": 2e9, "hop_latency_s": 1e-6},
+             {"bandwidth_bytes_per_s": 1e9, "hop_latency_s": 1e-6}),
+    "compute": ({"add_rate": 1e12, "fuse_recv_pass": True}, ["--no-fuse-recv-pass"],
+                {"add_rate": 1e12, "fuse_recv_pass": True},
+                {"add_rate": 1e12, "fuse_recv_pass": False}),
+    "sizes": (["2MiB", 1024], ["--sizes", "1MiB"], [2 << 20, 1024], [1 << 20]),
+    "output": ("a.csv", ["--output", "b.csv"], "a.csv", "b.csv"),
+    "format": ("json", ["--format", "csv"], "json", "csv"),
+    "timestamp": (True, ["--no-timestamp"], True, False),
+}
+
+
+@pytest.fixture
+def two_presets(monkeypatch):
+    monkeypatch.setattr(cli, "available_presets", lambda: ["other-preset", "v5e-like"])
+
+
+def _parse(argv):
+    return build_config(_build_parser().parse_args(["simulate", *argv]))
+
+
+@pytest.mark.parametrize("argv, expected", FLAG_CASES, ids=[c[0][0] for c in FLAG_CASES])
+def test_each_flag_sets_its_field(argv, expected, two_presets):
+    assert _parse(argv) == replace(RunConfig(), **expected)
+
+
+def test_flag_cases_cover_every_override_flag():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices["simulate"]._actions
+               if a.option_strings and a.dest not in ("help", "config")]
+    assert len(actions) == len(FLAG_CASES) == 24
+    for action in actions:
+        assert any(argv[0] in action.option_strings for argv, _ in FLAG_CASES), action.dest
+
+
+@pytest.mark.parametrize("name", sorted(FILE_CASES))
+def test_config_file_sets_field_and_flag_beats_file(name, tmp_path, two_presets):
+    assert set(FILE_CASES) == {f.name for f in fields(RunConfig)}
+    file_val, argv, from_file, from_flag = FILE_CASES[name]
+    path = write_cfg(tmp_path, {name: file_val})
+    assert getattr(_parse(["--config", path]), name) == from_file
+    assert getattr(_parse(["--config", path, *argv]), name) == from_flag
