@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,14 +39,14 @@ FLAVORS = (
     "semi_both",
 )
 
-# flavor -> (variant, quantize_rs, quantize_ag, stages tag)
+# flavor -> (variant, quantize_rs, quantize_ag)
 _FLAVOR_DEFS = {
-    "full_rs": (Variant.FULL_LOOP, True, False, "rs"),
-    "full_ag": (Variant.FULL_LOOP, False, True, "ag"),
-    "full_both": (Variant.FULL_LOOP, True, True, "both"),
-    "semi_rs": (Variant.SEMI_LOOP, True, False, "rs"),
-    "semi_ag": (Variant.SEMI_LOOP, False, True, "ag"),
-    "semi_both": (Variant.SEMI_LOOP, True, True, "both"),
+    "full_rs": (Variant.FULL_LOOP, True, False),
+    "full_ag": (Variant.FULL_LOOP, False, True),
+    "full_both": (Variant.FULL_LOOP, True, True),
+    "semi_rs": (Variant.SEMI_LOOP, True, False),
+    "semi_ag": (Variant.SEMI_LOOP, False, True),
+    "semi_both": (Variant.SEMI_LOOP, True, True),
 }
 
 CSV_COLUMNS = (
@@ -67,6 +67,12 @@ CSV_COLUMNS = (
 SWEEP_COLUMNS = ("size_bytes", "flavor_time_s", "baseline_time_s", "ratio")
 
 
+def stages_tag(quantize_rs: bool, quantize_ag: bool) -> str:
+    """Which ring stages are quantized: none, rs, ag or both."""
+    return {(False, False): "none", (True, False): "rs",
+            (False, True): "ag", (True, True): "both"}[(quantize_rs, quantize_ag)]
+
+
 def mse(a, b) -> float:
     """Mean squared elementwise difference, accumulated in float64."""
     da = a.data if isinstance(a, TensorBuf) else np.asarray(a)
@@ -84,6 +90,15 @@ def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[Ten
         rng = np.random.default_rng(seed + d)
         out.append(TensorBuf(rng.standard_normal(rows * cols, dtype=np.float32), rows, cols))
     return out
+
+
+def _fill_params(link: LinkParams | None,
+                 compute: ComputeParams | None) -> tuple[LinkParams, ComputeParams]:
+    """Take a missing link or compute model from DEFAULT_PRESET."""
+    if link is None or compute is None:
+        p_link, p_compute = load_preset(DEFAULT_PRESET)
+        link, compute = link or p_link, compute or p_compute
+    return link, compute
 
 
 def auto_minishards(total_elems: int, num_devices: int) -> int:
@@ -132,15 +147,11 @@ def tradeoff_study(
     seed: int = 0,
     minishards: int | None = None,
     microshards: int = 2,
-    preset: str = DEFAULT_PRESET,
     link: LinkParams | None = None,
     compute: ComputeParams | None = None,
 ) -> list[FlavorResult]:
     """Run all 8 flavors on identical inputs; MSE vs baseline plus predicted speedup."""
-    if link is None or compute is None:
-        p_link, p_compute = load_preset(preset)
-        link = link or p_link
-        compute = compute or p_compute
+    link, compute = _fill_params(link, compute)
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
     spec = PartitionSpec(num_devices, m, microshards)
     inputs = device_inputs(rows, cols, num_devices, seed)
@@ -165,11 +176,12 @@ def tradeoff_study(
     )
 
     for flavor in FLAVORS[2:]:
-        variant, q_rs, q_ag, stages = _FLAVOR_DEFS[flavor]
+        variant, q_rs, q_ag = _FLAVOR_DEFS[flavor]
         cfg = CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
         flavor_out = all_reduce(inputs, cfg)[0]
         t_flavor = simulate(cfg, tensor_bytes, link, compute).total_time
-        out.append(result(flavor, variant, stages, codec.value, mse(base_out, flavor_out), t_flavor))
+        out.append(result(flavor, variant, stages_tag(q_rs, q_ag), codec.value,
+                          mse(base_out, flavor_out), t_flavor))
     return out
 
 
@@ -181,12 +193,7 @@ class SweepPoint:
     ratio: float
 
     def to_row(self) -> dict:
-        return {
-            "size_bytes": self.size_bytes,
-            "flavor_time_s": self.flavor_time_s,
-            "baseline_time_s": self.baseline_time_s,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 def size_sweep(
@@ -198,7 +205,6 @@ def size_sweep(
     quantize_ag: bool = True,
     minishards: int | None = None,
     microshards: int = 2,
-    preset: str = DEFAULT_PRESET,
     link: LinkParams | None = None,
     compute: ComputeParams | None = None,
 ) -> list[SweepPoint]:
@@ -207,10 +213,7 @@ def size_sweep(
     With minishards unset each size picks its own block-preserving count, the
     same rule tradeoff_study uses.
     """
-    if link is None or compute is None:
-        p_link, p_compute = load_preset(preset)
-        link = link or p_link
-        compute = compute or p_compute
+    link, compute = _fill_params(link, compute)
     out = []
     for size in sizes:
         elems = size // 2

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .analysis import (
     render_csv,
     render_json,
     size_sweep,
+    stages_tag,
     tradeoff_study,
 )
 from .collectives import (
@@ -49,6 +51,7 @@ from .presets import DEFAULT_PRESET, available_presets, load_preset
 from .simnet import (
     ComputeParams,
     LinkParams,
+    Timeline,
     idle_time,
     lower_bound,
     simulate,
@@ -86,9 +89,11 @@ class RunConfig:
     timestamp: bool = False
 
 
-_LINK_FIELDS = {f.name for f in dataclasses.fields(LinkParams)}
-_COMPUTE_FIELDS = {f.name for f in dataclasses.fields(ComputeParams)}
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+# Each setting's name and type live only in its dataclass annotation.
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+_LINK_TYPES = typing.get_type_hints(LinkParams)
+_COMPUTE_TYPES = typing.get_type_hints(ComputeParams)
+_SCOPES = (("link", _LINK_TYPES), ("compute", _COMPUTE_TYPES))
 
 _VARIANTS = {v.value for v in Variant}
 _CODECS = {c.value for c in Codec}
@@ -113,41 +118,36 @@ def parse_size(token) -> int:
         raise ConfigError(f"bad size value {token!r}") from None
 
 
-def _check_type(name, value, kinds):
-    if isinstance(value, bool) and bool not in kinds:
-        raise ConfigError(f"field '{name}' has wrong type {type(value).__name__}")
-    if not isinstance(value, tuple(kinds)):
+def _size_tokens(text: str) -> list[str]:
+    """Split a --sizes comma list; parse_size reads each token later."""
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _check_type(name, value, hint):
+    """Raise unless value fits hint; ints pass for float, bools only for bool."""
+    kinds = typing.get_args(hint) or (hint,)
+    if float in kinds:
+        kinds += (int,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ConfigError(f"field '{name}' has wrong type {type(value).__name__}")
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.variant not in _VARIANTS:
-        raise ConfigError(f"field 'variant' must be one of {sorted(_VARIANTS)}, got {cfg.variant!r}")
-    if cfg.codec not in _CODECS:
-        raise ConfigError(f"field 'codec' must be one of {sorted(_CODECS)}, got {cfg.codec!r}")
-    if cfg.format is not None and cfg.format not in _FORMATS:
-        raise ConfigError(f"field 'format' must be one of {sorted(_FORMATS)}, got {cfg.format!r}")
-    if cfg.preset not in available_presets():
-        raise ConfigError(f"field 'preset' must be one of {available_presets()}, got {cfg.preset!r}")
-    for name in ("quantize_rs", "quantize_ag", "naive", "timestamp"):
-        _check_type(name, getattr(cfg, name), (bool,))
-    for name in ("num_devices", "rows", "cols", "microshards_per_minishard", "seed"):
-        _check_type(name, getattr(cfg, name), (int,))
-    if cfg.minishards_per_shard is not None:
-        _check_type("minishards_per_shard", cfg.minishards_per_shard, (int,))
+    for name, hint in _CONFIG_TYPES.items():
+        _check_type(name, getattr(cfg, name), hint)
+    for scope, types in _SCOPES:
+        for key, val in getattr(cfg, scope).items():
+            if key not in types:
+                raise ConfigError(f"unknown {scope} field '{key}'")
+            _check_type(f"{scope}.{key}", val, types[key])
+    for name, allowed in (("variant", _VARIANTS), ("codec", _CODECS), ("format", _FORMATS),
+                          ("preset", available_presets())):
+        val = getattr(cfg, name)
+        if val is not None and val not in allowed:
+            raise ConfigError(f"field '{name}' must be one of {sorted(allowed)}, got {val!r}")
     for name in ("num_devices", "rows", "cols", "microshards_per_minishard"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"field '{name}' must be positive, got {getattr(cfg, name)}")
-    for scope, given, known in (("link", cfg.link, _LINK_FIELDS), ("compute", cfg.compute, _COMPUTE_FIELDS)):
-        _check_type(scope, given, (dict,))
-        for key, val in given.items():
-            if key not in known:
-                raise ConfigError(f"unknown {scope} field '{key}'")
-            if key == "fuse_recv_pass":
-                _check_type(f"{scope}.{key}", val, (bool,))
-            else:
-                _check_type(f"{scope}.{key}", val, (int, float))
-    _check_type("sizes", cfg.sizes, (list,))
     cfg.sizes = [parse_size(s) for s in cfg.sizes]
     return cfg
 
@@ -162,61 +162,23 @@ def load_config_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     for key in doc:
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config field '{key}'")
     return doc
 
 
-# CLI flag dest -> (config field, converter). Booleans use BooleanOptionalAction.
-_FLAG_FIELDS = {
-    "variant": "variant",
-    "codec": "codec",
-    "quantize_rs": "quantize_rs",
-    "quantize_ag": "quantize_ag",
-    "naive": "naive",
-    "num_devices": "num_devices",
-    "rows": "rows",
-    "cols": "cols",
-    "minishards": "minishards_per_shard",
-    "microshards": "microshards_per_minishard",
-    "seed": "seed",
-    "preset": "preset",
-    "output": "output",
-    "format": "format",
-    "timestamp": "timestamp",
-}
-_LINK_FLAGS = {"bandwidth": "bandwidth_bytes_per_s", "hop_latency": "hop_latency_s"}
-_COMPUTE_FLAGS = {
-    "dequant_rate": "dequant_rate",
-    "add_rate": "add_rate",
-    "scan_rate": "scan_rate",
-    "encode_rate": "encode_rate",
-    "cast_rate": "cast_rate",
-    "fuse_recv_pass": "fuse_recv_pass",
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, val in load_config_file(args.config).items():
+    """Flags (argparse dests named after fields) override the config file."""
+    cfg = RunConfig(**load_config_file(args.config)) if args.config else RunConfig()
+    for key, val in vars(args).items():
+        if val is None or key in ("command", "config"):
+            continue
+        scope = next((name for name, types in _SCOPES if key in types), None)
+        if scope is None:
             setattr(cfg, key, val)
-    for dest, name in _FLAG_FIELDS.items():
-        val = getattr(args, dest, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    for dest, name in _LINK_FLAGS.items():
-        val = getattr(args, dest, None)
-        if val is not None:
-            cfg.link = dict(cfg.link)
-            cfg.link[name] = val
-    for dest, name in _COMPUTE_FLAGS.items():
-        val = getattr(args, dest, None)
-        if val is not None:
-            cfg.compute = dict(cfg.compute)
-            cfg.compute[name] = val
-    if getattr(args, "sizes", None) is not None:
-        cfg.sizes = [tok.strip() for tok in args.sizes.split(",") if tok.strip()]
+        else:
+            _check_type(scope, getattr(cfg, scope), _CONFIG_TYPES[scope])
+            setattr(cfg, scope, {**getattr(cfg, scope), key: val})
     return _validate(cfg)
 
 
@@ -236,24 +198,24 @@ def _partition_spec(cfg: RunConfig) -> PartitionSpec:
     return PartitionSpec(cfg.num_devices, m, cfg.microshards_per_minishard)
 
 
-def _stages_tag(cfg: RunConfig) -> str:
+def _collective_config(cfg: RunConfig, spec: PartitionSpec) -> CollectiveConfig:
+    return CollectiveConfig(Variant(cfg.variant), spec, quantize_rs=cfg.quantize_rs,
+                            quantize_ag=cfg.quantize_ag, codec=Codec(cfg.codec))
+
+
+def _timeline(cfg: RunConfig, spec: PartitionSpec, link: LinkParams,
+              compute: ComputeParams) -> Timeline:
+    tensor_bytes = cfg.rows * cfg.cols * 2
     if cfg.naive:
-        return "cast"
-    return {(False, False): "none", (True, False): "rs",
-            (False, True): "ag", (True, True): "both"}[(cfg.quantize_rs, cfg.quantize_ag)]
-
-
-def _stamp(rows: list[dict], cfg: RunConfig) -> list[dict]:
-    if cfg.timestamp:
-        now = time.time()
-        rows = [dict(r, timestamp=now) for r in rows]
-    return rows
+        return simulate_naive(spec, tensor_bytes, link, compute)
+    return simulate(_collective_config(cfg, spec), tensor_bytes, link, compute)
 
 
 def _render(rows: list[dict], columns, cfg: RunConfig) -> str:
-    rows = _stamp(rows, cfg)
     if cfg.timestamp:
-        columns = tuple(columns) + ("timestamp",)
+        now = time.time()
+        rows = [dict(r, timestamp=now) for r in rows]
+        columns = (*columns, "timestamp")
     if cfg.format == "json":
         return render_json(rows)
     return render_csv(rows, columns)
@@ -263,19 +225,15 @@ def cmd_simulate(cfg: RunConfig) -> str:
     link, compute = resolve_params(cfg)
     spec = _partition_spec(cfg)
     inputs = device_inputs(cfg.rows, cfg.cols, cfg.num_devices, cfg.seed)
-    tensor_bytes = cfg.rows * cfg.cols * 2
     base_out = baseline_allreduce_bf16(inputs, spec)[0]
     if cfg.naive:
         out = naive_lowp_allreduce(inputs, Codec(cfg.codec), spec)[0]
-        tl = simulate_naive(spec, tensor_bytes, link, compute)
     else:
-        ccfg = CollectiveConfig(Variant(cfg.variant), spec, quantize_rs=cfg.quantize_rs,
-                                quantize_ag=cfg.quantize_ag, codec=Codec(cfg.codec))
-        out = all_reduce(inputs, ccfg)[0]
-        tl = simulate(ccfg, tensor_bytes, link, compute)
+        out = all_reduce(inputs, _collective_config(cfg, spec))[0]
+    tl = _timeline(cfg, spec, link, compute)
     row = {
         "variant": cfg.variant,
-        "stages": _stages_tag(cfg),
+        "stages": "cast" if cfg.naive else stages_tag(cfg.quantize_rs, cfg.quantize_ag),
         "codec": cfg.codec,
         "N": cfg.num_devices,
         "rows": cfg.rows,
@@ -312,15 +270,7 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 
 def cmd_timeline(cfg: RunConfig) -> str:
-    link, compute = resolve_params(cfg)
-    spec = _partition_spec(cfg)
-    tensor_bytes = cfg.rows * cfg.cols * 2
-    if cfg.naive:
-        tl = simulate_naive(spec, tensor_bytes, link, compute)
-    else:
-        ccfg = CollectiveConfig(Variant(cfg.variant), spec, quantize_rs=cfg.quantize_rs,
-                                quantize_ag=cfg.quantize_ag, codec=Codec(cfg.codec))
-        tl = simulate(ccfg, tensor_bytes, link, compute)
+    tl = _timeline(cfg, _partition_spec(cfg), *resolve_params(cfg))
     if cfg.format == "csv":
         rows = [dataclasses.asdict(e) for e in tl.events]
         return _render(rows, TIMELINE_COLUMNS, cfg)
@@ -367,17 +317,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--num-devices", type=int)
     common.add_argument("--rows", type=int)
     common.add_argument("--cols", type=int)
-    common.add_argument("--minishards", type=int)
-    common.add_argument("--microshards", type=int)
-    common.add_argument("--bandwidth", type=float)
-    common.add_argument("--hop-latency", type=float)
+    common.add_argument("--minishards", type=int, dest="minishards_per_shard", metavar="MINISHARDS")
+    common.add_argument("--microshards", type=int, dest="microshards_per_minishard",
+                        metavar="MICROSHARDS")
+    common.add_argument("--bandwidth", type=float, dest="bandwidth_bytes_per_s", metavar="BANDWIDTH")
+    common.add_argument("--hop-latency", type=float, dest="hop_latency_s", metavar="HOP_LATENCY")
     common.add_argument("--dequant-rate", type=float)
     common.add_argument("--add-rate", type=float)
     common.add_argument("--scan-rate", type=float)
     common.add_argument("--encode-rate", type=float)
     common.add_argument("--cast-rate", type=float)
     common.add_argument("--fuse-recv-pass", action=argparse.BooleanOptionalAction)
-    common.add_argument("--sizes", help="comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'")
+    common.add_argument("--sizes", type=_size_tokens, help="comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'")
 
     parser = argparse.ArgumentParser(
         prog="qarsim",

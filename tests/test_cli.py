@@ -258,3 +258,26 @@ def test_config_file_sets_field_and_flag_beats_file(name, tmp_path, two_presets)
     path = write_cfg(tmp_path, {name: file_val})
     assert getattr(_parse(["--config", path]), name) == from_file
     assert getattr(_parse(["--config", path, *argv]), name) == from_flag
+
+
+@pytest.mark.parametrize("bad, flags, name", [
+    ({"variant": ["semi_loop"]}, [], "variant"),
+    ({"output": 5}, [], "output"),
+    ({"format": {}}, [], "format"),
+    ({"minishards_per_shard": True}, [], "minishards_per_shard"),
+    ({"link": {"hop_latency_s": True}}, [], "hop_latency_s"),
+    ({"link": 5}, ["--bandwidth", "1e9"], "link"),
+])
+def test_ill_typed_config_exits_2_naming_field(bad, flags, name, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dict(SMALL, **bad))
+    assert run(["simulate", "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+def test_int_config_value_accepted_for_float_field(tmp_path):
+    cfg = write_cfg(tmp_path, {"num_devices": 4, "rows": 2048, "cols": 2048,
+                               "link": {"bandwidth_bytes_per_s": 1000000000, "hop_latency_s": 0}})
+    out = tmp_path / "b.json"
+    assert run(["bounds", "--config", cfg, "--format", "json", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())[0]["bandwidth_bytes_per_s"] == 1e9
