@@ -45,7 +45,6 @@ from .simnet import (
     TimelineEvent,
     idle_time,
     lower_bound,
-    predict_speedup,
     simulate,
     simulate_ideal_2to1,
     simulate_naive,

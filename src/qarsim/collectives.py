@@ -149,7 +149,7 @@ def all_gather(
     gathered = []
     for s in range(n):
         if quantize:
-            q = quantize_shard(shards[s], codec, spec.minishards_per_shard, shard_index=s)
+            q = quantize_shard(shards[s], codec, spec.minishards_per_shard)
             gathered.append(round_to_bf16(dequantize_shard(q)).reshape(-1))
         else:
             gathered.append(round_to_bf16(shards[s]).reshape(-1))

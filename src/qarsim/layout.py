@@ -71,9 +71,6 @@ class PartitionSpec:
     def chunks_per_shard(self, n: int) -> int:
         return n // CHUNK_ELEMS // self.num_devices
 
-    def chunks_per_minishard(self, n: int) -> int:
-        return self.chunks_per_shard(n) // self.minishards_per_shard
-
 
 @dataclass(frozen=True)
 class TensorBuf:

@@ -43,7 +43,6 @@ class QuantizedShard:
     (microshards in order): receivers need scales before data arrives.
     """
 
-    shard_index: int
     codec: Codec
     payload: np.ndarray
     grids: np.ndarray
@@ -65,9 +64,7 @@ class QuantizedShard:
         return self.payload.size + self.grids.shape[0] * GRID_BYTES
 
 
-def quantize_shard(
-    blocks: np.ndarray, codec: Codec, minishards: int = 1, shard_index: int = 0
-) -> QuantizedShard:
+def quantize_shard(blocks: np.ndarray, codec: Codec, minishards: int = 1) -> QuantizedShard:
     """Scan and encode a whole shard, one scale grid per minishard."""
     c = blocks.shape[0]
     if c % minishards:
@@ -75,7 +72,7 @@ def quantize_shard(
     grouped = blocks.reshape(minishards, c // minishards, CHUNK_ROWS, CHUNK_COLS)
     grids = scales_from_absmax(absmax_grid(grouped), codec)
     codes = encode(grouped / grids[:, None], codec)
-    return QuantizedShard(shard_index, codec, codes.reshape(c, CHUNK_ROWS, CHUNK_COLS), grids)
+    return QuantizedShard(codec, codes.reshape(c, CHUNK_ROWS, CHUNK_COLS), grids)
 
 
 def dequantize_shard(q: QuantizedShard) -> np.ndarray:

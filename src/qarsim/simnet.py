@@ -470,11 +470,3 @@ def simulate_ideal_2to1(spec: PartitionSpec, tensor_bytes: int, link: LinkParams
                         compute: ComputeParams) -> Timeline:
     """Hypothetical lossless 2:1 compression: half the wire bytes, add-only compute."""
     return _lowp_ring(spec, tensor_bytes, link, compute, cast=False)
-
-
-def predict_speedup(cfg_a: CollectiveConfig, cfg_b: CollectiveConfig, tensor_bytes: int,
-                    link: LinkParams, compute: ComputeParams) -> float:
-    """How much faster cfg_a runs than cfg_b: time(b) / time(a)."""
-    ta = simulate(cfg_a, tensor_bytes, link, compute).total_time
-    tb = simulate(cfg_b, tensor_bytes, link, compute).total_time
-    return tb / ta

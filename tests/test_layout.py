@@ -36,7 +36,6 @@ def test_single_chunk_per_device_example():
     spec = PartitionSpec(2, 1, 1)
     spec.validate_element_count(2 * CHUNK_ELEMS)
     assert spec.chunks_per_shard(2 * CHUNK_ELEMS) == 1
-    assert spec.chunks_per_minishard(2 * CHUNK_ELEMS) == 1
 
 
 def test_partition_spec_validation():

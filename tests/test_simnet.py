@@ -13,7 +13,6 @@ from qarsim.simnet import (
     LinkParams,
     idle_time,
     lower_bound,
-    predict_speedup,
     simulate,
     simulate_ideal_2to1,
     simulate_naive,
@@ -224,18 +223,6 @@ def test_idle_time_nonnegative_and_latency_sensitive():
     without = idle_time(simulate(cfg, nbytes, LinkParams(4.5e10, 0.0), COMP))
     assert with_lat >= 0.0 and without >= 0.0
     assert without <= with_lat
-
-
-def test_predict_speedup_matches_total_times():
-    spec = PartitionSpec(8, 8, 2)
-    quant = CollectiveConfig(Variant.FULL_LOOP, spec, quantize_rs=True, quantize_ag=True)
-    base = CollectiveConfig(Variant.FULL_LOOP, spec)
-    nbytes = 16 * MIB
-    s = predict_speedup(quant, base, nbytes, LINK, COMP)
-    ta = simulate(quant, nbytes, LINK, COMP).total_time
-    tb = simulate(base, nbytes, LINK, COMP).total_time
-    assert s == pytest.approx(tb / ta, rel=1e-12)
-    assert s > 1.0
 
 
 def test_simulate_validates_inputs():
