@@ -302,6 +302,7 @@ COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each flag's dest is the RunConfig, LinkParams or ComputeParams field it sets.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config document")
     common.add_argument("--seed", type=int)
@@ -317,10 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--num-devices", type=int)
     common.add_argument("--rows", type=int)
     common.add_argument("--cols", type=int)
-    common.add_argument("--minishards", type=int, dest="minishards_per_shard", metavar="MINISHARDS")
+    common.add_argument("--minishards", type=int, dest="minishards_per_shard",
+                        metavar="MINISHARDS")
     common.add_argument("--microshards", type=int, dest="microshards_per_minishard",
                         metavar="MICROSHARDS")
-    common.add_argument("--bandwidth", type=float, dest="bandwidth_bytes_per_s", metavar="BANDWIDTH")
+    common.add_argument("--bandwidth", type=float, dest="bandwidth_bytes_per_s",
+                        metavar="BANDWIDTH")
     common.add_argument("--hop-latency", type=float, dest="hop_latency_s", metavar="HOP_LATENCY")
     common.add_argument("--dequant-rate", type=float)
     common.add_argument("--add-rate", type=float)
@@ -328,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--encode-rate", type=float)
     common.add_argument("--cast-rate", type=float)
     common.add_argument("--fuse-recv-pass", action=argparse.BooleanOptionalAction)
-    common.add_argument("--sizes", type=_size_tokens, help="comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'")
+    common.add_argument("--sizes", type=_size_tokens,
+                        help="comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'")
 
     parser = argparse.ArgumentParser(
         prog="qarsim",
