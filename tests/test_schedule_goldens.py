@@ -9,7 +9,12 @@ Each case hashes a family of outputs into one sha256:
   (the full-loop CCW ring carries nothing when quantized), m=3 (uneven
   minishard split), u in {1, 2}, with `fuse_recv_pass` off and on;
 * the output bits of `all_reduce` for every flavor and codec, of the BF16
-  baseline and of the naive ring, at N in {2, 4, 8} and m in {1, 3}.
+  baseline and of the naive ring, at N in {2, 4, 8} and m in {1, 3};
+* the same outputs for inputs with non-finite values and values near
+  BF16_MAX planted in every shard (`nonfinite_inputs`). These pin which NaN
+  payload survives an owner merge, the quantized flavors turning +-inf into
+  NaN, and overflow of near-max sums. NumPy's invalid/overflow warnings are
+  expected there and silenced.
 
 A refactor of the schedule must leave every digest unchanged. To print the
 current digests:
@@ -18,8 +23,10 @@ current digests:
 """
 
 import hashlib
+import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qarsim.analysis import device_inputs
@@ -30,8 +37,8 @@ from qarsim.collectives import (
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
 )
-from qarsim.layout import CHUNK_ELEMS, PartitionSpec
-from qarsim.numerics import Codec
+from qarsim.layout import CHUNK_ELEMS, PartitionSpec, TensorBuf
+from qarsim.numerics import BF16_MAX, Codec
 from qarsim.simnet import (
     ComputeParams,
     LinkParams,
@@ -74,11 +81,51 @@ def sim_digest(case: str) -> str:
     return h.hexdigest()
 
 
-def value_digest(case: str) -> str:
+def _nan(payload: int) -> np.float32:
+    return np.array([payload], dtype=np.uint32).view(np.float32)[0]
+
+
+def nonfinite_inputs(rows: int, cols: int, n: int, seed: int):
+    """`device_inputs` with special values planted in every shard.
+
+    Each plant sits once in the first and once in the last third of the
+    shard (the CW and CCW parts of the full loop, raw or quantized at m=3),
+    and every plant of a shard has its own scale-grid position:
+    NaNs with distinct payloads on each pair of devices at one position;
+    +inf and -inf at one position; a lone +inf and a lone -inf on the owner;
+    0.75 * BF16_MAX on every device (the sum overflows); BF16_MAX on the
+    owner alone (it flushes its grid position); and +-BF16_MAX alternating
+    over the devices.
+    """
+    data = [t.data.copy() for t in device_inputs(rows, cols, n, seed)]
+    shard = data[0].size // n
+    pairs = list(itertools.combinations(range(n), 2))
+    step = CHUNK_ELEMS // (len(pairs) + 5)
+    big = np.float32(BF16_MAX)
+    for s, base in itertools.product(range(n), (0, 2 * shard // 3)):
+        pos = iter(range(s * shard + base + 3, (s + 1) * shard, step))
+        for a, b in pairs:
+            p = next(pos)
+            data[a][p], data[b][p] = _nan(0x7FC00000 | (a + 1) << 16), _nan(0xFFC00000 | (b + 1) << 16)
+        p = next(pos)
+        data[0][p], data[-1][p] = np.inf, -np.inf
+        data[s][next(pos)] = np.inf
+        data[s][next(pos)] = -np.inf
+        p = next(pos)
+        for d in range(n):
+            data[d][p] = big * np.float32(0.75)
+        data[s][next(pos)] = big
+        p = next(pos)
+        for d in range(n):
+            data[d][p] = big if d % 2 else -big
+    return [TensorBuf(x, rows, cols) for x in data]
+
+
+def value_digest(case: str, make_inputs=device_inputs) -> str:
     h = hashlib.sha256()
     for n, m in VALUE_SPECS:
         spec = PartitionSpec(n, m, 1)
-        inputs = device_inputs(48 * n, 128, n, seed=n + m)
+        inputs = make_inputs(48 * n, 128, n, seed=n + m)
         for codec in Codec:
             if case == "baseline":
                 if codec is not Codec.INT8:
@@ -94,6 +141,11 @@ def value_digest(case: str) -> str:
             assert all(o.data.tobytes() == outs[0].data.tobytes() for o in outs[1:])
             h.update(outs[0].data.tobytes())
     return h.hexdigest()
+
+
+def nonfinite_digest(case: str) -> str:
+    with np.errstate(invalid="ignore", over="ignore"):
+        return value_digest(case, nonfinite_inputs)
 
 
 _RING_CASES = [f"{v.value}-{rs}-{ag}" for v in Variant for rs in STAGES for ag in STAGES]
@@ -125,6 +177,20 @@ VALUE_GOLDENS = {
 }
 
 
+NONFINITE_GOLDENS = {
+    "full_loop-raw-raw": "fef792e5428699e862c467d13d427ad2e3d593f583891d355870aac869f72fb5",
+    "full_loop-raw-quant": "98e08d645704a1182c6e43c162026bc4ba12c8a74decee0fddbf16b625c5c7d3",
+    "full_loop-quant-raw": "ac27e4e01eca925f0cd730b13fdd556a5faec5a3d4e52194ba4a745b6333d5ad",
+    "full_loop-quant-quant": "90e0a84b5afb0e88388bf938cdcce9be6a7af5e9d32911901f8c853b57b5f33c",
+    "semi_loop-raw-raw": "62cb85aaf240a62819b56d188b1a078edf975c35fa61da8afec3ab2442864ee1",
+    "semi_loop-raw-quant": "ae4bb91418f5d9eac332477a97aed43c15aec7518513748fda6a175c6c5ffc9e",
+    "semi_loop-quant-raw": "d9c1cdf352ae30f34d44b862552040babfe56b00825781a1bde48184db700956",
+    "semi_loop-quant-quant": "07e122d03842cd5ee4762323e72d05b60b2cd8e3687b835d3bb46bad14e20ad7",
+    "baseline": "8ba122d69278c16ff5480e08f4d40ef477c331b53e5518100735ae150a47a7ba",
+    "naive": "8878dcccbddd469aa079c43d9da75bc8e3cee51f26005031e51b298f7cb819cc",
+}
+
+
 @pytest.mark.parametrize("case", list(SIM_GOLDENS))
 def test_simulator_timeline_digest(case):
     assert sim_digest(case) == SIM_GOLDENS[case]
@@ -135,9 +201,15 @@ def test_functional_output_digest(case):
     assert value_digest(case) == VALUE_GOLDENS[case]
 
 
+@pytest.mark.parametrize("case", list(NONFINITE_GOLDENS))
+def test_nonfinite_output_digest(case):
+    assert nonfinite_digest(case) == NONFINITE_GOLDENS[case]
+
+
 def test_goldens_cover_every_case():
     assert list(SIM_GOLDENS) == _RING_CASES + ["naive", "ideal"]
     assert list(VALUE_GOLDENS) == _RING_CASES + ["baseline", "naive"]
+    assert list(NONFINITE_GOLDENS) == list(VALUE_GOLDENS)
 
 
 if __name__ == "__main__":
@@ -147,4 +219,7 @@ if __name__ == "__main__":
     print("}\n\nVALUE_GOLDENS = {")
     for c in _RING_CASES + ["baseline", "naive"]:
         print(f'    "{c}": "{value_digest(c)}",')
+    print("}\n\nNONFINITE_GOLDENS = {")
+    for c in _RING_CASES + ["baseline", "naive"]:
+        print(f'    "{c}": "{nonfinite_digest(c)}",')
     print("}")
