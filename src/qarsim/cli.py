@@ -98,6 +98,9 @@ _SCOPES = (("link", _LINK_TYPES), ("compute", _COMPUTE_TYPES))
 _VARIANTS = {v.value for v in Variant}
 _CODECS = {c.value for c in Codec}
 _FORMATS = {"csv", "json"}
+# Smallest legal value of each count field; an unset minishard count is chosen later.
+_MINIMUM = {"num_devices": 2, "rows": 1, "cols": 1, "minishards_per_shard": 1,
+            "microshards_per_minishard": 1}
 
 
 def parse_size(token) -> int:
@@ -145,9 +148,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         val = getattr(cfg, name)
         if val is not None and val not in allowed:
             raise ConfigError(f"field '{name}' must be one of {sorted(allowed)}, got {val!r}")
-    for name in ("num_devices", "rows", "cols", "microshards_per_minishard"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"field '{name}' must be positive, got {getattr(cfg, name)}")
+    for name, low in _MINIMUM.items():
+        val = getattr(cfg, name)
+        if val is not None and val < low:
+            raise ConfigError(f"field '{name}' must be >= {low}, got {val}")
     cfg.sizes = [parse_size(s) for s in cfg.sizes]
     return cfg
 
@@ -184,11 +188,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def resolve_params(cfg: RunConfig) -> tuple[LinkParams, ComputeParams]:
     link, compute = load_preset(cfg.preset)
-    if cfg.link:
-        link = dataclasses.replace(link, **cfg.link)
-    if cfg.compute:
-        compute = dataclasses.replace(compute, **cfg.compute)
-    return link, compute
+    try:
+        return dataclasses.replace(link, **cfg.link), dataclasses.replace(compute, **cfg.compute)
+    except ValueError as e:  # the dataclasses reject out-of-range rates and latencies
+        raise ConfigError(str(e)) from None
 
 
 def _partition_spec(cfg: RunConfig) -> PartitionSpec:

@@ -1,44 +1,41 @@
 """Value-level ring collectives: baseline, quantized, and naive low-precision.
 
 AllReduce = reduce-scatter then all-gather on a ring of N devices. The
-reduce-scatter runs the arcs of `schedule` on values: each arc's head
-quantizes its local part of the shard, every later device dequantizes,
-adds its own part and re-quantizes, and the owner merges the arriving
+reduce-scatter runs the arcs of `schedule` on values: the arc's head puts
+its local part of the shard on the wire, every later device folds its own
+part into what arrives and forwards it, and the owner merges the arriving
 partials into its local value in the order the schedule gives. The full
 loop runs two counter-rotating rings, each carrying half of every shard,
 which only permutes hop order functionally; the semi loop (N even) meets
 two arcs at the owner, a balanced adder tree with at most N/2
 quantize/dequantize pairs on any path. `schedule` defines the arcs.
 
-Inputs are rounded to BF16 on ingest (the wire format of the baseline).
-Quantized hops carry codes plus scale grids; the receiver dequantizes to
-FP32, adds its local shard, and re-quantizes for the next hop. Raw hops
-carry BF16-rounded partials (round after every addition). The all-gather
-quantizes each shard once at its source and every device, the source
-included, decodes the same codes, so outputs are bit-identical across
-devices. Final outputs are BF16-rounded.
+One loop walks every arc; only the hop kind (the wire format) differs:
 
-The naive low-precision AllReduce is the overflow-prone strawman: inputs
-are cast elementwise to the codec with no scaling, each hop decodes, adds
-in FP32 and re-encodes (saturating), and the all-gather forwards codes.
+  quantized  codes plus a scale grid per minishard: each receiver
+             dequantizes to FP32, adds its local part and re-quantizes.
+  BF16       raw partials, rounded to BF16 after every addition (the
+             baseline).
+  cast       the naive low-precision strawman: codes cast elementwise with
+             no scaling; each receiver decodes, adds in FP32 and
+             re-encodes, saturating at the codec's range.
+
+Inputs are read in place: each device's part of an arc is rounded to BF16
+where the arc reads it, so every element is rounded exactly once. The
+all-gather quantizes each shard once at its source (or forwards it raw)
+and every device, the source included, decodes the same codes, so outputs
+are bit-identical across devices. Final outputs are BF16-rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import schedule
-from .layout import (
-    CHUNK_COLS,
-    CHUNK_ELEMS,
-    CHUNK_ROWS,
-    MissingShardError,
-    PartitionSpec,
-    TensorBuf,
-)
+from .layout import CHUNK_COLS, CHUNK_ROWS, MissingShardError, PartitionSpec, TensorBuf
 from .numerics import Codec, decode, encode, round_to_bf16
 from .quant import dequantize_shard, quantize_shard
 from .schedule import Variant
@@ -63,68 +60,95 @@ class CollectiveConfig:
             )
 
 
-LocalFn = Callable[[int], np.ndarray]
-
-
-def _ingest(inputs: Sequence[TensorBuf], spec: PartitionSpec) -> np.ndarray:
-    """BF16-round every input and shard it: result[d, s] = device d's shard s."""
+def _check(inputs: Sequence[TensorBuf], spec: PartitionSpec) -> None:
+    """Reject inputs that do not cover every device with one layout-legal shape."""
     n = spec.num_devices
     if len(inputs) != n:
         raise ValueError(f"expected {n} device inputs, got {len(inputs)}")
     rows, cols = inputs[0].rows, inputs[0].cols
-    size = inputs[0].data.size
-    spec.validate_element_count(size)
-    per = spec.chunks_per_shard(size)
-    out = np.empty((n, n, per, CHUNK_ROWS, CHUNK_COLS), dtype=np.float32)
+    spec.validate_element_count(inputs[0].data.size)
     for d, t in enumerate(inputs):
         if (t.rows, t.cols) != (rows, cols):
             raise ValueError(f"device {d} input shape {(t.rows, t.cols)} != {(rows, cols)}")
-        out[d] = round_to_bf16(t.data).reshape(n, per, CHUNK_ROWS, CHUNK_COLS)
-    return out
 
 
-def _quant_arc(local: LocalFn, devices: Sequence[int], codec: Codec, minishards: int):
-    """Partial after the last arc device: quantize at the head, then Dq+add+Q per hop."""
-    q = quantize_shard(local(devices[0]), codec, minishards)
-    for dev in devices[1:]:
-        q = quantize_shard(dequantize_shard(q) + local(dev), codec, minishards)
-    return q
+class _QuantHop:
+    """Codes plus one scale grid per minishard; a unit is a minishard of `unit` elements."""
+
+    def __init__(self, codec: Codec, unit: int):
+        self.codec, self.unit = codec, unit
+
+    def send(self, local):
+        blocks = local.reshape(-1, CHUNK_ROWS, CHUNK_COLS)
+        return quantize_shard(blocks, self.codec, local.size // self.unit)
+
+    def hop(self, wire, local):
+        return self.send(dequantize_shard(wire).reshape(-1) + local)
+
+    def merge(self, acc, wire):
+        return dequantize_shard(wire).reshape(-1) + acc
 
 
-def _bf16_arc(local: LocalFn, devices: Sequence[int]) -> np.ndarray:
-    """Raw partial after the last arc device, rounded to BF16 after every add."""
-    wire = local(devices[0])
-    for dev in devices[1:]:
-        wire = round_to_bf16(wire + local(dev))
-    return wire
+class _Bf16Hop:
+    """BF16 partials, rounded after every addition; a unit is one element."""
+
+    unit = 1
+
+    def __init__(self, acc_first: bool):
+        # Operand order decides which NaN payload survives; each variant keeps its own.
+        self.acc_first = acc_first
+
+    def send(self, local):
+        return local
+
+    def hop(self, wire, local):
+        return round_to_bf16(wire + local)
+
+    def merge(self, acc, wire):
+        return round_to_bf16(acc + wire if self.acc_first else wire + acc)
 
 
-def _reduce_scatter(ing: np.ndarray, cfg: CollectiveConfig) -> list[np.ndarray]:
-    """Run every shard's arcs on values; result[s] is shard s, reduced at its owner."""
-    n, m = cfg.spec.num_devices, cfg.spec.minishards_per_shard
-    per = ing.shape[2]
-    quant, semi = cfg.quantize_rs, cfg.variant is Variant.SEMI_LOOP
-    c = per // m  # chunks per minishard
+class _CastHop:
+    """Unscaled codes: each hop decodes, adds in FP32 and re-encodes (saturating)."""
+
+    unit = 1
+
+    def __init__(self, codec: Codec):
+        self.codec = codec
+
+    def send(self, local):
+        return encode(local, self.codec)
+
+    def hop(self, wire, local):
+        c = self.codec
+        return encode(decode(wire, c) + decode(encode(local, c), c), c)
+
+    def merge(self, acc, wire):
+        return decode(self.hop(wire, acc), self.codec)
+
+
+def _reduce_scatter(inputs: Sequence[TensorBuf], variant: Variant,
+                    kind: _QuantHop | _Bf16Hop | _CastHop) -> list[np.ndarray]:
+    """Run every shard's arcs through one hop kind; result[s] is shard s at its owner.
+
+    Each device's part of an arc is read from its input and BF16-rounded
+    there, so every element is rounded exactly once and no copy is staged.
+    """
+    n, u = len(inputs), kind.unit
+    shard = inputs[0].data.size // n
     out = []
-    for s, arcs in enumerate(schedule.rs_arcs(cfg.variant, n, m if quant else per * CHUNK_ELEMS)):
+    for s, arcs in enumerate(schedule.rs_arcs(variant, n, shard // u)):
         merged: dict[str, np.ndarray] = {}
         for arc in arcs:
-            r = arc.units
-            if quant:
-                loc = lambda d, s=s, r=r: ing[d, s, r.start * c : r.stop * c]
-            else:
-                loc = lambda d, s=s, r=r: ing[d, s].reshape(-1)[r.start : r.stop]
-            acc = merged.pop(arc.after) if arc.after else loc(s)
-            if quant:
-                q = _quant_arc(loc, arc.devices[:-1], cfg.codec, len(r))
-                merged[arc.direction] = dequantize_shard(q) + acc
-            else:
-                wire = _bf16_arc(loc, arc.devices[:-1])
-                # Operand order decides which NaN payload survives; each variant keeps its own.
-                merged[arc.direction] = round_to_bf16(acc + wire if semi else wire + acc)
-        parts = list(merged.values())
-        res = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        out.append(res.reshape(per, CHUNK_ROWS, CHUNK_COLS))
+            part = slice(s * shard + arc.units.start * u, s * shard + arc.units.stop * u)
+            local = lambda d, part=part: round_to_bf16(inputs[d].data[part])
+            head, *mid, owner = arc.devices
+            wire = kind.send(local(head))
+            for dev in mid:
+                wire = kind.hop(wire, local(dev))
+            acc = merged.pop(arc.after) if arc.after else local(owner)
+            merged[arc.direction] = kind.merge(acc, wire)
+        out.append(np.concatenate(list(merged.values())).reshape(-1, CHUNK_ROWS, CHUNK_COLS))
     return out
 
 
@@ -160,9 +184,15 @@ def all_gather(
 
 def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[TensorBuf]:
     """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized."""
-    ing = _ingest(inputs, cfg.spec)
-    rs = _reduce_scatter(ing, cfg)
-    return all_gather(rs, cfg.quantize_ag, cfg.codec, cfg.spec, inputs[0].rows, inputs[0].cols)
+    spec = cfg.spec
+    _check(inputs, spec)
+    if cfg.quantize_rs:
+        minishard = inputs[0].data.size // (spec.num_devices * spec.minishards_per_shard)
+        kind = _QuantHop(cfg.codec, minishard)
+    else:
+        kind = _Bf16Hop(acc_first=cfg.variant is Variant.SEMI_LOOP)
+    rs = _reduce_scatter(inputs, cfg.variant, kind)
+    return all_gather(rs, cfg.quantize_ag, cfg.codec, spec, inputs[0].rows, inputs[0].cols)
 
 
 def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec):
@@ -172,25 +202,6 @@ def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec):
 
 def naive_lowp_allreduce(inputs: Sequence[TensorBuf], codec: Codec, spec: PartitionSpec):
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
-    ing = _ingest(inputs, spec)
-    n = spec.num_devices
-    per = ing.shape[2]
-    elems = per * CHUNK_ELEMS
-    codes = np.empty(ing.shape, dtype=np.uint8)
-    for d in range(n):
-        codes[d] = encode(ing[d], codec)
-    out_shards = []
-    # The full-loop raw split: each ring carries half of every shard's elements.
-    for s, arcs in enumerate(schedule.rs_arcs(Variant.FULL_LOOP, n, elems)):
-        halves = []
-        for arc in arcs:
-            loc = lambda d, s=s, r=arc.units: codes[d, s].reshape(elems)[r.start : r.stop]
-            cur = loc(arc.devices[0])
-            for dev in arc.devices[1:]:
-                cur = encode(decode(cur, codec) + decode(loc(dev), codec), codec)
-            halves.append(cur)
-        out_shards.append(round_to_bf16(decode(np.concatenate(halves), codec)))
-    flat = np.concatenate(out_shards)
-    flat.setflags(write=False)
-    rows, cols = inputs[0].rows, inputs[0].cols
-    return [TensorBuf(flat, rows, cols) for _ in range(n)]
+    _check(inputs, spec)
+    rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec))
+    return all_gather(rs, False, codec, spec, inputs[0].rows, inputs[0].cols)

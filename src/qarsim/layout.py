@@ -68,9 +68,6 @@ class PartitionSpec:
                 f"microshards_per_minishard={self.microshards_per_minishard}"
             )
 
-    def chunks_per_shard(self, n: int) -> int:
-        return n // CHUNK_ELEMS // self.num_devices
-
 
 @dataclass(frozen=True)
 class TensorBuf:

@@ -56,9 +56,9 @@ class LinkParams:
 
     def __post_init__(self):
         if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth must be > 0")
+            raise ValueError("bandwidth_bytes_per_s must be > 0")
         if self.hop_latency_s < 0:
-            raise ValueError("hop latency must be >= 0")
+            raise ValueError("hop_latency_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -338,19 +338,16 @@ class _Quant(_Hops):
 
 
 class _Plain(_Hops):
-    """Unquantized hops, elem_bytes per element on the wire.
-
-    BF16 partials (raw hops, 2 bytes), or 8-bit codes (the naive and ideal
-    2:1 rings, 1 byte), where `cast` adds the naive ring's cast, recode and
-    decode passes.
+    """Unquantized hops: BF16 partials (raw hops, 2 bytes per element), or
+    with `eight_bit` the 8-bit codes of the naive and ideal 2:1 rings (1 byte
+    per element), where `cast` adds the naive ring's cast, recode and decode
+    passes. The 8-bit rings gather each direction's half as soon as it is
+    reduced.
     """
 
-    def __init__(self, s: _Sched, stage: str, word: str, elem_bytes: int, cast: bool = False,
-                 per_direction: bool = False):
+    def __init__(self, s: _Sched, stage: str, eight_bit: bool = False, cast: bool = False):
         super().__init__(s, stage)
-        self.word, self.elem_bytes, self.cast = word, elem_bytes, cast
-        # The 8-bit rings gather each direction's half as soon as it is reduced.
-        self.per_direction = per_direction
+        self.eight_bit, self.cast = eight_bit, cast
 
     def prep(self, sch: Schedule) -> None:
         if self.stage == "rs" and self.cast:
@@ -367,9 +364,10 @@ class _Plain(_Hops):
         elif t > 1:
             deps = [_key(st, h, t - 1) + ("wire",)]
         else:
-            deps = [("merge", h.sender, dn) if self.per_direction else ("rs_done", h.sender)]
-        self.s.send(h.sender, dn, k + ("wire",), f"{st}:{self.word}:it={t}:{dn}",
-                    self.elem_bytes * len(h.arc.units), deps)
+            deps = [("merge", h.sender, dn) if self.eight_bit else ("rs_done", h.sender)]
+        word, elem_bytes = ("pay", 1) if self.eight_bit else ("raw", 2)
+        self.s.send(h.sender, dn, k + ("wire",), f"{st}:{word}:it={t}:{dn}",
+                    elem_bytes * len(h.arc.units), deps)
 
     def recv(self, group: tuple[Hop, ...]) -> None:
         s, st = self.s, self.stage
@@ -437,7 +435,7 @@ def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
     s = _Sched(link, compute)
 
     def hops(stage: str, quantized: bool) -> _Hops:
-        return _Quant(s, stage, e_shard // (m * u), u) if quantized else _Plain(s, stage, "raw", 2)
+        return _Quant(s, stage, e_shard // (m * u), u) if quantized else _Plain(s, stage)
 
     q_rs, q_ag = cfg.quantize_rs, cfg.quantize_ag
     return _execute(
@@ -453,10 +451,11 @@ def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
     n = spec.num_devices
     e_shard = _elements(tensor_bytes, spec) // n
     s = _Sched(link, compute)
+    rs, ag = (_Plain(s, stage, eight_bit=True, cast=cast) for stage in ("rs", "ag"))
     return _execute(
         s,
-        (rs_schedule(Variant.FULL_LOOP, n, e_shard, False), _Plain(s, "rs", "pay", 1, cast, True)),
-        (ag_schedule(Variant.FULL_LOOP, n, e_shard), _Plain(s, "ag", "pay", 1, cast, True)),
+        (rs_schedule(Variant.FULL_LOOP, n, e_shard, False), rs),
+        (ag_schedule(Variant.FULL_LOOP, n, e_shard), ag),
     )
 
 

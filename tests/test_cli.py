@@ -275,6 +275,29 @@ def test_ill_typed_config_exits_2_naming_field(bad, flags, name, tmp_path, capsy
     assert name in err and "Traceback" not in err
 
 
+# (subcommand, flag argv, the same value as a config-file entry, field named on stderr)
+OUT_OF_RANGE_CASES = [
+    ("bounds", ["--num-devices", "1"], {"num_devices": 1}, "num_devices"),
+    ("bounds", ["--bandwidth", "0"], {"link": {"bandwidth_bytes_per_s": 0}},
+     "bandwidth_bytes_per_s"),
+    ("bounds", ["--hop-latency=-1"], {"link": {"hop_latency_s": -1}}, "hop_latency_s"),
+    ("bounds", ["--add-rate", "0"], {"compute": {"add_rate": 0}}, "add_rate"),
+    ("simulate", ["--minishards", "0"], {"minishards_per_shard": 0}, "minishards_per_shard"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command, argv, doc, name", OUT_OF_RANGE_CASES,
+                         ids=[c[3] for c in OUT_OF_RANGE_CASES])
+def test_out_of_range_value_exits_2_naming_field(command, argv, doc, name, source, tmp_path,
+                                                  capsys):
+    if source == "file":
+        argv = ["--config", write_cfg(tmp_path, dict(SMALL, **doc))]
+    assert run([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_int_config_value_accepted_for_float_field(tmp_path):
     cfg = write_cfg(tmp_path, {"num_devices": 4, "rows": 2048, "cols": 2048,
                                "link": {"bandwidth_bytes_per_s": 1000000000, "hop_latency_s": 0}})

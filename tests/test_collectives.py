@@ -1,5 +1,7 @@
 """Functional AllReduce variants: exactness, ordering, and error structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,49 @@ def test_unquantized_integer_inputs_bit_exact(n, variant):
     assert len(outs) == n
     for o in outs:
         assert np.array_equal(o.data, exact)
+
+
+# Every collective of the module, called as run(inputs, spec).
+COLLECTIVES = {
+    **{
+        f"{v.value}-rs={q_rs}-ag={q_ag}": (
+            lambda inputs, spec, v=v, q_rs=q_rs, q_ag=q_ag: all_reduce(
+                inputs, CollectiveConfig(v, spec, quantize_rs=q_rs, quantize_ag=q_ag)
+            )
+        )
+        for v in Variant
+        for q_rs in (False, True)
+        for q_ag in (False, True)
+    },
+    "baseline": baseline_allreduce_bf16,
+    "naive": lambda inputs, spec: naive_lowp_allreduce(inputs, Codec.F8E5M2, spec),
+}
+
+
+@pytest.mark.parametrize("name", list(COLLECTIVES))
+def test_inputs_are_left_unchanged(name):
+    # the ring reads the callers' buffers in place, so it must never write them
+    spec = PartitionSpec(4, 2, 1)
+    inputs = device_inputs(64, 256, 4, seed=9)
+    before = [t.data.tobytes() for t in inputs]
+    COLLECTIVES[name](inputs, spec)
+    assert [t.data.tobytes() for t in inputs] == before
+
+
+@pytest.mark.parametrize("name", list(COLLECTIVES))
+def test_traced_peak_stays_below_half_the_input_bytes(name):
+    # no staged copy of the inputs: what one call allocates is the reduced
+    # shards and the gathered output, each 1/N of the inputs, plus one arc
+    spec = PartitionSpec(8, 2, 1)
+    inputs = device_inputs(256, 1024, 8, seed=4)
+    input_bytes = sum(t.data.nbytes for t in inputs)
+    tracemalloc.start()
+    try:
+        COLLECTIVES[name](inputs, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * input_bytes
 
 
 def test_baseline_is_the_shared_unquantized_path():
