@@ -106,7 +106,8 @@ def nonfinite_inputs(rows: int, cols: int, n: int, seed: int):
         pos = iter(range(s * shard + base + 3, (s + 1) * shard, step))
         for a, b in pairs:
             p = next(pos)
-            data[a][p], data[b][p] = _nan(0x7FC00000 | (a + 1) << 16), _nan(0xFFC00000 | (b + 1) << 16)
+            data[a][p] = _nan(0x7FC00000 | (a + 1) << 16)
+            data[b][p] = _nan(0xFFC00000 | (b + 1) << 16)
         p = next(pos)
         data[0][p], data[-1][p] = np.inf, -np.inf
         data[s][next(pos)] = np.inf
