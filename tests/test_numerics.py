@@ -1,5 +1,6 @@
 """Codec and rounding tests against independently constructed oracles."""
 
+import functools
 import struct
 from fractions import Fraction
 
@@ -208,3 +209,160 @@ def test_round_to_bf16_preserves_exact_bf16(upper):
     x = bits.view(np.float32)
     if np.isfinite(x):
         assert float(round_to_bf16(x)) == float(x)
+
+
+# Differential oracle: the float64 kernels that the integer kernels replaced,
+# kept verbatim as references. Every live kernel must match them bit for bit.
+
+
+def ref_round_to_bf16(x):
+    """uint64 add-and-mask, then float-mask fix-ups for overflow and non-finite input."""
+    arr = np.asarray(x, dtype=np.float32)
+    bits = arr.view(np.uint32).astype(np.uint64)
+    rounded = ((bits + 0x7FFF + ((bits >> 16) & 1)) & 0xFFFF0000).astype(np.uint32)
+    out = rounded.view(np.float32)
+    finite = np.isfinite(arr)
+    out = np.where(finite & ~np.isfinite(out), np.copysign(np.float32(BF16_MAX), arr), out)
+    out = np.where(finite, out, arr)
+    if arr.ndim == 0:
+        return np.float32(out[()])
+    return out
+
+
+@functools.cache
+def _ref_fp8_midpoints(codec: Codec) -> np.ndarray:
+    table = decode(np.arange(128, dtype=np.uint8), codec).astype(np.float64)
+    vals = table[np.isfinite(table)]
+    return (vals[:-1] + vals[1:]) / 2.0
+
+
+def ref_encode(values, codec: Codec) -> np.ndarray:
+    """float64 rint/clip for INT8; double searchsorted over the FP8 midpoints."""
+    xf = np.asarray(values, dtype=np.float64)
+    if codec is Codec.INT8:
+        q = np.clip(np.rint(xf), -127.0, 127.0)
+        q = np.where(np.isnan(xf), -128.0, q)
+        return q.astype(np.int8).view(np.uint8)
+
+    mids = _ref_fp8_midpoints(codec)
+    mag = np.minimum(np.abs(xf), codec.max_magnitude)
+    lo = np.searchsorted(mids, mag, side="left")
+    hi = np.searchsorted(mids, mag, side="right")
+    code = np.where(lo == hi, lo, lo + (lo & 1)).astype(np.uint8)
+    code = code | np.where(np.signbit(xf), np.uint8(0x80), np.uint8(0))
+    if codec is Codec.F8E5M2:
+        code = np.where(np.isinf(xf), np.uint8(0x7C) | np.where(xf < 0, np.uint8(0x80), np.uint8(0)), code)
+    nan_code = {Codec.F8E4M3: 0x7F, Codec.F8E5M2: 0x7E}[codec]
+    return np.where(np.isnan(xf), np.uint8(nan_code), code)
+
+
+FLOATS = {np.float32: np.uint32, np.float64: np.uint64}
+
+
+def _from_bits(bits, dtype):
+    return np.asarray(bits, dtype=FLOATS[dtype]).view(dtype)
+
+
+def _around(values, dtype) -> np.ndarray:
+    """Each value, both neighbours one ulp away, and the negatives of all three."""
+    v = np.asarray(values, dtype=dtype)
+    v = np.concatenate([v, np.nextafter(v, dtype(0)), np.nextafter(v, dtype(np.inf))])
+    return np.concatenate([v, -v])
+
+
+@functools.cache
+def edge_values(dtype) -> np.ndarray:
+    """Deterministic edge cases of every kernel in one float dtype.
+
+    Every FP8 value and midpoint, the FP8 subnormal/normal boundary and each
+    codec max (each +-1 ulp); INT8 half-integers; +-0, +-inf, NaNs; BF16_MAX
+    and the patterns around its rounding threshold; float subnormals.
+    """
+    fi = np.finfo(dtype)
+    parts = [_around([0.0, np.inf, fi.max, fi.tiny, fi.smallest_subnormal], dtype),
+             _around(np.arange(-130, 131) + 0.5, dtype),
+             _from_bits([0x7F7F0000, 0x7F7F7FFF, 0x7F7F8000, 0x7F7FFFFF, 0x7F800001, 0x7FC00000,
+                         0xFF7F8000, 0xFFC00001], np.float32).astype(dtype),
+             np.array([np.nan, -np.nan], dtype=dtype)]
+    for codec in (Codec.F8E4M3, Codec.F8E5M2):
+        grid = decode(np.arange(128, dtype=np.uint8), codec).astype(np.float64)
+        grid = grid[np.isfinite(grid)]
+        bias = 7 if codec is Codec.F8E4M3 else 15
+        top = 2 * grid[-1] - grid[-2]  # the step past the max, and the midpoint to it
+        parts += [_around(grid, dtype), _around(_ref_fp8_midpoints(codec), dtype),
+                  _around([2.0 ** (1 - bias), top, (grid[-1] + top) / 2], dtype)]
+    return np.concatenate(parts)
+
+
+@functools.cache
+def oracle_inputs(dtype) -> np.ndarray:
+    """Random bit patterns plus `edge_values`: 2^22 float32 or 2^20 float64 patterns.
+
+    float32 also covers every NaN pattern at or above 0xFFFF8000 and 0x7FFF8000,
+    which wrap to finite values when 0x8000 is added in uint32.
+    """
+    rng = np.random.default_rng(6)
+    if dtype is np.float32:
+        bits = [rng.integers(0, 2**32, 2**22, dtype=np.uint32),
+                np.arange(0xFFFF8000, 2**32, dtype=np.uint32),
+                np.arange(0x7FFF8000, 2**31, dtype=np.uint32)]
+    else:
+        bits = [rng.integers(0, 2**64 - 1, 2**20, dtype=np.uint64, endpoint=True)]
+    return np.concatenate([_from_bits(np.concatenate(bits), dtype), edge_values(dtype)])
+
+
+def _assert_same_bits(got, want, inputs):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if got.tobytes() != want.tobytes():
+        row = lambda a: a.reshape(-1).view(np.uint8).reshape(a.size, -1)
+        bad = np.flatnonzero((row(got) != row(want)).any(axis=1))
+        i = bad[0]
+        x = np.asarray(inputs).reshape(-1)[i]
+        raise AssertionError(f"{bad.size} lanes differ; first input {x!r} "
+                             f"(bits {x.view(FLOATS.get(type(x), np.uint8))!r}): "
+                             f"got {got.reshape(-1)[i]!r}, want {want.reshape(-1)[i]!r}")
+
+
+def _reference(fn, *args):
+    with np.errstate(all="ignore"):  # the references warn on signaling NaNs and overflow
+        return fn(*args)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_round_to_bf16_matches_reference_bit_for_bit(dtype):
+    x = oracle_inputs(dtype)
+    _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
+def test_encode_matches_reference_bit_for_bit(codec, dtype):
+    x = oracle_inputs(dtype)
+    _assert_same_bits(encode(x, codec), _reference(ref_encode, x, codec), x)
+
+
+def scalar_inputs():
+    """0-d inputs: numpy scalars, 0-d arrays and Python floats of the edge values."""
+    for dtype in (np.float32, np.float64):
+        for x in edge_values(dtype)[::3]:
+            yield x
+            yield np.asarray(x)
+    yield from (0.5, -2.5, 1e300, float("inf"), float("nan"))
+
+
+def other_dtype_inputs():
+    """Inputs that are neither float32 nor float64 arrays: every float16 pattern,
+    integers, a list and a 2-d float32 array."""
+    yield np.arange(2**16, dtype=np.uint16).view(np.float16)
+    yield np.arange(-300, 300, dtype=np.int64)
+    yield [0.5, -1.5, 200.0, float("nan"), float("-inf")]
+    yield oracle_inputs(np.float32)[:4096].reshape(64, 64)
+
+
+def test_kernels_match_reference_on_scalars_and_other_inputs():
+    for x in [*scalar_inputs(), *other_dtype_inputs()]:
+        _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
+        for codec in Codec:
+            _assert_same_bits(encode(x, codec), _reference(ref_encode, x, codec), x)
