@@ -8,6 +8,17 @@ is round-to-nearest-even; magnitudes past the format max saturate to
 the max finite value. NaN always survives encoding: FP8 NaN patterns
 propagate, and INT8 maps NaN onto the otherwise unused code -128 so
 corruption stays loud after decode instead of turning into a zero.
+
+The kernels round in integer arithmetic on the input's own bits, as in
+Kalamkar et al. (2019) for BF16 and Micikevicius et al. (2022) for FP8:
+add half an output ulp minus one plus the lowest kept bit, then drop the
+low bits. BF16 rounding works on float32 (other inputs are cast to float32
+first). `encode` keeps float32 input in float32 (uint32 bits) and converts
+anything else to float64 (uint64 bits); INT8 is `rint` and `clip` in that
+dtype, and FP8-subnormal lanes are `rint` of the magnitude times a power
+of two, both exact. Every result equals exact round-to-nearest-even of the
+input value, so it does not depend on the path taken. No input, signaling
+NaNs included, makes a kernel raise a floating-point warning.
 """
 
 from __future__ import annotations
@@ -67,45 +78,74 @@ def _fp8_decode_table(codec: Codec) -> np.ndarray:
 _DECODE = {k: _fp8_decode_table(k) for k in _FP8_FIELDS}
 
 
-def _fp8_encode_grid(codec: Codec):
-    """Ascending finite non-negative values (= codes 0..K) and their midpoints.
+# Unsigned integer type of the same width, for each float dtype a kernel runs in.
+_UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 
-    Codes are ordered by magnitude within a sign, so nearest-value search
-    over this grid plus a tie rule on the low bit implements RNE exactly.
-    Midpoints of adjacent FP8 values carry one extra mantissa bit and are
-    exact in float64, so tie detection is exact too.
+
+def _as_float(values, dtype) -> np.ndarray:
+    """`values` as an array of `dtype`, narrowing silently.
+
+    A cast to a narrower float maps a signaling NaN to NaN and a value past
+    the format's range to inf without a warning, as the kernels expect.
     """
-    table = _DECODE[codec].astype(np.float64)
-    finite = np.isfinite(table[:128])
-    vals = table[:128][finite]
-    assert np.all(np.diff(vals) > 0)
-    mids = (vals[:-1] + vals[1:]) / 2.0
-    return vals, mids
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.asarray(values, dtype=dtype)
 
 
-_ENCODE_GRID = {k: _fp8_encode_grid(k) for k in _FP8_FIELDS}
+def _bits(value: float, dtype) -> int:
+    return int(np.asarray(value, dtype=dtype).view(_UINT[np.dtype(dtype)]))
+
+
+def _int8_encode(x: np.ndarray) -> np.ndarray:
+    # Clipping first equals clipping after rint (the bounds are integers);
+    # NaN lanes are set to -128 before rint so that no NaN reaches it.
+    q = np.clip(x, -127, 127)
+    np.copyto(q, -128, where=np.isnan(q))
+    np.rint(q, out=q)
+    return q.astype(np.int8).view(np.uint8)
+
+
+def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
+    _, man_bits, bias = _FP8_FIELDS[codec]
+    shift = np.finfo(x.dtype).nmant - man_bits
+    sign_pos = 8 * x.dtype.itemsize - 1
+    bits = x.view(_UINT[x.dtype])
+    mag = bits & ((1 << sign_pos) - 1)
+    special = mag.max(initial=0) >= _bits(np.inf, x.dtype)
+    # Non-negative floats order like their bits, so this saturates at the max.
+    np.minimum(mag, _bits(codec.max_magnitude, x.dtype), out=mag)
+    # FP8-normal lanes: round to nearest even on the dropped bits, then
+    # rebias the exponent. Subnormal lanes wrap here and are replaced below.
+    code = (mag >> shift) & 1
+    code += (1 << (shift - 1)) - 1
+    code += mag
+    code >>= shift
+    code -= (np.finfo(x.dtype).maxexp - 1 - bias) << man_bits
+    out = code.astype(np.uint8)
+    # FP8-subnormal lanes: the code counts subnormal steps, and scaling by a
+    # power of two is exact. Clamping keeps every lane in uint8 range.
+    min_normal = _bits(2.0 ** (1 - bias), x.dtype)
+    steps = np.minimum(mag, min_normal).view(x.dtype) * 2.0 ** (bias - 1 + man_bits)
+    np.copyto(out, np.rint(steps).astype(np.uint8), where=mag < min_normal)
+    out |= (bits >> (sign_pos - 7)).astype(np.uint8) & 0x80
+    if special:
+        if codec in _INF_CODE:
+            out = np.where(np.isinf(x), out & 0x80 | _INF_CODE[codec], out)
+        out[np.isnan(x)] = _NAN_CODE[codec]
+    return out
 
 
 def encode(values, codec: Codec) -> np.ndarray:
-    """Quantize float values to uint8 codes of the given codec (RNE, saturating)."""
-    xf = np.asarray(values, dtype=np.float64)
-    if codec is Codec.INT8:
-        q = np.clip(np.rint(xf), -127.0, 127.0)
-        q = np.where(np.isnan(xf), -128.0, q)
-        return q.astype(np.int8).view(np.uint8)
+    """Quantize float values to uint8 codes of the given codec (RNE, saturating).
 
-    _, mids = _ENCODE_GRID[codec]
-    mag = np.minimum(np.abs(xf), codec.max_magnitude)
-    lo = np.searchsorted(mids, mag, side="left")
-    hi = np.searchsorted(mids, mag, side="right")
-    # lo != hi means mag sits exactly on a midpoint: of the two candidate
-    # codes lo/lo+1 keep the even one.
-    code = np.where(lo == hi, lo, lo + (lo & 1)).astype(np.uint8)
-    code = code | np.where(np.signbit(xf), np.uint8(0x80), np.uint8(0))
-    if codec in _INF_CODE:
-        inf_pos = np.uint8(_INF_CODE[codec])
-        code = np.where(np.isinf(xf), inf_pos | np.where(xf < 0, np.uint8(0x80), np.uint8(0)), code)
-    return np.where(np.isnan(xf), np.uint8(_NAN_CODE[codec]), code)
+    float32 input is encoded in float32; any other input is converted to
+    float64 first. Returns an array of the input's shape.
+    """
+    x = np.asarray(values)
+    x = _as_float(x, np.float32 if x.dtype == np.float32 else np.float64)
+    flat = x.reshape(-1)  # 0-d too: integer wrap-around stays a silent array op
+    out = _int8_encode(flat) if codec is Codec.INT8 else _fp8_encode(flat, codec)
+    return out.reshape(x.shape)
 
 
 def decode(codes, codec: Codec) -> np.ndarray:
@@ -122,13 +162,22 @@ def round_to_bf16(x):
     Result stays float32. Finite overflow saturates to +/-BF16_MAX; NaN and
     inf pass through unchanged.
     """
-    arr = np.asarray(x, dtype=np.float32)
-    bits = arr.view(np.uint32).astype(np.uint64)
-    rounded = ((bits + 0x7FFF + ((bits >> 16) & 1)) & 0xFFFF0000).astype(np.uint32)
-    out = rounded.view(np.float32)
-    finite = np.isfinite(arr)
-    out = np.where(finite & ~np.isfinite(out), np.copysign(np.float32(BF16_MAX), arr), out)
-    out = np.where(finite, out, arr)
+    arr = _as_float(x, np.float32)
+    flat = arr.reshape(-1)
+    bits = flat.view(np.uint32)
+    out = (bits >> 16) & 1
+    out += bits
+    out += 0x7FFF
+    out &= 0xFFFF0000
+    res = out.view(np.float32)
+    # Only lanes with a non-finite input or output need fixing. The input's
+    # finiteness counts too: NaN patterns from 0xFFFF8000 up wrap to finite.
+    ok = np.isfinite(flat)
+    ok &= np.isfinite(res)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        a = flat[bad]
+        res[bad] = np.where(np.isfinite(a), np.copysign(np.float32(BF16_MAX), a), a)
     if arr.ndim == 0:
-        return np.float32(out[()])
-    return out
+        return res[0]
+    return res.reshape(arr.shape)
