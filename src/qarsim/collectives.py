@@ -191,8 +191,11 @@ def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[Tenso
         kind = _QuantHop(cfg.codec, minishard)
     else:
         kind = _Bf16Hop(acc_first=cfg.variant is Variant.SEMI_LOOP)
-    rs = _reduce_scatter(inputs, cfg.variant, kind)
-    return all_gather(rs, cfg.quantize_ag, cfg.codec, spec, inputs[0].rows, inputs[0].cols)
+    # NaN and inf inputs have defined results (README "Non-finite values"), so the
+    # invalid/overflow flags of their adds, scale divisions and multiplies are expected.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rs = _reduce_scatter(inputs, cfg.variant, kind)
+        return all_gather(rs, cfg.quantize_ag, cfg.codec, spec, inputs[0].rows, inputs[0].cols)
 
 
 def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec):
@@ -203,5 +206,6 @@ def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec):
 def naive_lowp_allreduce(inputs: Sequence[TensorBuf], codec: Codec, spec: PartitionSpec):
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
     _check(inputs, spec)
-    rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec))
-    return all_gather(rs, False, codec, spec, inputs[0].rows, inputs[0].cols)
+    with np.errstate(invalid="ignore", over="ignore"):  # as in all_reduce
+        rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec))
+        return all_gather(rs, False, codec, spec, inputs[0].rows, inputs[0].cols)

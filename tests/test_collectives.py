@@ -16,7 +16,7 @@ from qarsim.collectives import (
     naive_lowp_allreduce,
 )
 from qarsim.layout import CHUNK_ELEMS, MissingShardError, PartitionSpec, TensorBuf
-from qarsim.numerics import Codec
+from qarsim.numerics import BF16_MAX, Codec
 from qarsim.quant import absmax_grid, scales_from_absmax
 
 
@@ -82,6 +82,58 @@ def test_traced_peak_stays_below_half_the_input_bytes(name):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * input_bytes
+
+
+# Non-finite semantics (README "Non-finite values"). One element P of shard 0
+# and its partner Q: same scale-grid position, same minishard, next chunk.
+P, Q = 5, 5 + CHUNK_ELEMS
+QUANTIZED = [name for name in COLLECTIVES if "=True" in name]
+UNQUANTIZED = [name for name in COLLECTIVES if name not in QUANTIZED]
+
+
+def _planted(values: dict[int, float]) -> dict[str, np.ndarray]:
+    """Every collective's output with values[d] planted at P on device d (N=4, m=1)."""
+    inputs = device_inputs(32, 256, 4, seed=0)
+    for d, v in values.items():
+        inputs[d].data[P] = v
+    return {name: run(inputs, PartitionSpec(4, 1, 1))[0].data for name, run in COLLECTIVES.items()}
+
+
+def test_nan_propagates_and_spreads_over_its_grid_position_when_quantized():
+    for name, out in _planted({1: np.nan}).items():
+        assert np.isnan(out[P]), name
+        assert np.isnan(out[Q]) == (name in QUANTIZED), name
+        assert np.isnan(out).sum() == 1 + (name in QUANTIZED), name
+
+
+def test_inf_survives_unquantized_rings_but_not_a_quantized_stage():
+    out = _planted({1: np.inf})
+    for name in UNQUANTIZED:
+        assert out[name][P] == np.inf, name
+    for name in QUANTIZED:
+        # inf/inf is NaN; INT8 decodes NaN's code -128 times an infinite scale to -inf
+        assert np.isnan(out[name][P]) or out[name][P] == -np.inf, name
+        assert np.isnan(out[name][Q]), name
+        if name.endswith("rs=True-ag=True"):
+            assert np.isnan(out[name][P]), name
+
+
+def test_bf16_overflow_saturates_but_float32_overflow_is_inf():
+    bf16_rings = [name for name in UNQUANTIZED if name != "naive"]
+    # finite in float32 and past the BF16 rounding threshold: saturates
+    out = _planted({0: BF16_MAX, 1: 1e36})
+    assert all(out[name][P] == np.float32(BF16_MAX) for name in bf16_rings)
+    # the float32 sum itself overflows: inf
+    out = _planted({d: 0.75 * BF16_MAX for d in range(4)})
+    assert all(out[name][P] == np.inf for name in bf16_rings)
+
+
+def test_near_max_outlier_flushes_its_grid_position_to_zero():
+    out = _planted({2: BF16_MAX})
+    for name in QUANTIZED:
+        assert out[name][P] == np.float32(BF16_MAX), name
+        if name.endswith("ag=True"):
+            assert out[name][Q] == 0.0, name
 
 
 def test_baseline_is_the_shared_unquantized_path():

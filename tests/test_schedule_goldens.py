@@ -13,8 +13,8 @@ Each case hashes a family of outputs into one sha256:
 * the same outputs for inputs with non-finite values and values near
   BF16_MAX planted in every shard (`nonfinite_inputs`). These pin which NaN
   payload survives an owner merge, the quantized flavors turning +-inf into
-  NaN, and overflow of near-max sums. NumPy's invalid/overflow warnings are
-  expected there and silenced.
+  NaN, and overflow of near-max sums. The collectives silence NumPy's
+  invalid/overflow flags for these inputs; no warning may escape them.
 
 A refactor of the schedule must leave every digest unchanged. To print the
 current digests:
@@ -24,6 +24,7 @@ current digests:
 
 import hashlib
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,13 @@ def test_functional_output_digest(case):
 @pytest.mark.parametrize("case", list(NONFINITE_GOLDENS))
 def test_nonfinite_output_digest(case):
     assert nonfinite_digest(case) == NONFINITE_GOLDENS[case]
+
+
+@pytest.mark.parametrize("case", list(NONFINITE_GOLDENS))
+def test_nonfinite_inputs_raise_no_warning(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value_digest(case, nonfinite_inputs)
 
 
 def test_goldens_cover_every_case():
