@@ -79,8 +79,12 @@ def mse(a, b) -> float:
     db = b.data if isinstance(b, TensorBuf) else np.asarray(b)
     if da.shape != db.shape:
         raise ShapeMismatchError(f"shapes {da.shape} and {db.shape} differ")
-    diff = da.astype(np.float64) - db.astype(np.float64)
-    return float(np.mean(diff * diff))
+    # One float64 buffer, updated in place: the same values as a - b and
+    # diff * diff, without two more tensor-sized temporaries.
+    diff = da.astype(np.float64)
+    diff -= db
+    diff *= diff
+    return float(np.mean(diff))
 
 
 def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[TensorBuf]:

@@ -16,9 +16,10 @@ low bits. BF16 rounding works on float32 (other inputs are cast to float32
 first). `encode` keeps float32 input in float32 (uint32 bits) and converts
 anything else to float64 (uint64 bits); INT8 is `rint` and `clip` in that
 dtype, and FP8-subnormal lanes are `rint` of the magnitude times a power
-of two, both exact. Every result equals exact round-to-nearest-even of the
-input value, so it does not depend on the path taken. No input, signaling
-NaNs included, makes a kernel raise a floating-point warning.
+of two, both exact. Either dtype gives exact round-to-nearest-even of the
+input value, so a value representable in float32 gets the same code both
+ways. No input, signaling NaNs included, makes a kernel raise a
+floating-point warning.
 """
 
 from __future__ import annotations
@@ -86,13 +87,15 @@ def _as_float(values, dtype) -> np.ndarray:
     """`values` as an array of `dtype`, narrowing silently.
 
     A cast to a narrower float maps a signaling NaN to NaN and a value past
-    the format's range to inf without a warning, as the kernels expect.
+    the format's range to inf. Both are valid kernel inputs, so the cast
+    raises no warning for them.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         return np.asarray(values, dtype=dtype)
 
 
 def _bits(value: float, dtype) -> int:
+    """Bit pattern of `value` in float `dtype`."""
     return int(np.asarray(value, dtype=dtype).view(_UINT[np.dtype(dtype)]))
 
 
@@ -107,7 +110,8 @@ def _int8_encode(x: np.ndarray) -> np.ndarray:
 
 def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
     _, man_bits, bias = _FP8_FIELDS[codec]
-    shift = np.finfo(x.dtype).nmant - man_bits
+    fi = np.finfo(x.dtype)
+    shift = fi.nmant - man_bits
     sign_pos = 8 * x.dtype.itemsize - 1
     bits = x.view(_UINT[x.dtype])
     mag = bits & ((1 << sign_pos) - 1)
@@ -120,7 +124,7 @@ def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
     code += (1 << (shift - 1)) - 1
     code += mag
     code >>= shift
-    code -= (np.finfo(x.dtype).maxexp - 1 - bias) << man_bits
+    code -= (fi.maxexp - 1 - bias) << man_bits
     out = code.astype(np.uint8)
     # FP8-subnormal lanes: the code counts subnormal steps, and scaling by a
     # power of two is exact. Clamping keeps every lane in uint8 range.
@@ -130,7 +134,7 @@ def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
     out |= (bits >> (sign_pos - 7)).astype(np.uint8) & 0x80
     if special:
         if codec in _INF_CODE:
-            out = np.where(np.isinf(x), out & 0x80 | _INF_CODE[codec], out)
+            out = np.where(np.isinf(x), (out & 0x80) | _INF_CODE[codec], out)
         out[np.isnan(x)] = _NAN_CODE[codec]
     return out
 
