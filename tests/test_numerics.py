@@ -301,8 +301,8 @@ def edge_values(dtype) -> np.ndarray:
 def oracle_inputs(dtype) -> np.ndarray:
     """Random bit patterns plus `edge_values`: 2^22 float32 or 2^20 float64 patterns.
 
-    float32 also covers every NaN pattern at or above 0xFFFF8000 and 0x7FFF8000,
-    which wrap to finite values when 0x8000 is added in uint32.
+    float32 also covers every NaN pattern at or above 0xFFFF8000 and 0x7FFF8000:
+    adding 0x8000 in uint32 carries them out of the exponent to finite patterns.
     """
     rng = np.random.default_rng(6)
     if dtype is np.float32:
@@ -324,7 +324,7 @@ def _assert_same_bits(got, want, inputs):
         i = bad[0]
         x = np.asarray(inputs).reshape(-1)[i]
         raise AssertionError(f"{bad.size} lanes differ; first input {x!r} "
-                             f"(bits {x.view(FLOATS.get(type(x), np.uint8))!r}): "
+                             f"(bytes {np.asarray(x).tobytes().hex()}): "
                              f"got {got.reshape(-1)[i]!r}, want {want.reshape(-1)[i]!r}")
 
 
