@@ -275,7 +275,7 @@ def cmd_sweep(cfg: RunConfig) -> str:
 def cmd_timeline(cfg: RunConfig) -> str:
     tl = _timeline(cfg, _partition_spec(cfg), *resolve_params(cfg))
     if cfg.format == "csv":
-        rows = [dataclasses.asdict(e) for e in tl.events]
+        rows = [dict(zip(TIMELINE_COLUMNS, r)) for r in zip(*tl.columns)]
         return _render(rows, TIMELINE_COLUMNS, cfg)
     return tl.to_jsonl()
 

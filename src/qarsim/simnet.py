@@ -34,8 +34,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import groupby, zip_longest
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .collectives import CollectiveConfig
 from .layout import DivisibilityError, PartitionSpec
@@ -85,44 +89,88 @@ class TimelineEvent:
     label: str
 
 
-@dataclass
+class _Events(Sequence[TimelineEvent]):
+    """Read-only view of a timeline's columns that builds each event on access.
+
+    Slicing returns a view of the slice.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, cols: tuple[Sequence, ...]):
+        self._cols = cols
+
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Events(tuple(c[i] for c in self._cols))
+        return TimelineEvent(*(c[i] for c in self._cols))
+
+    def __iter__(self):
+        return map(TimelineEvent, *self._cols)
+
+
+@dataclass(frozen=True)
 class Timeline:
-    events: list[TimelineEvent] = field(default_factory=list)
+    """A schedule's events in emission order, stored as parallel columns.
+
+    Entry i of every column is a field of event i; the times are floats.
+    `events` builds `TimelineEvent`s from the columns only when read.
+    """
+
+    device: Sequence[int] = ()
+    resource: Sequence[str] = ()
+    start_s: Sequence[float] = ()
+    end_s: Sequence[float] = ()
+    label: Sequence[str] = ()
+
+    def __post_init__(self):
+        if len({len(c) for c in self.columns}) > 1:
+            raise ValueError("timeline columns differ in length")
+
+    @property
+    def columns(self) -> tuple[Sequence, ...]:
+        """The columns in `TimelineEvent` field order."""
+        return self.device, self.resource, self.start_s, self.end_s, self.label
+
+    @property
+    def events(self) -> Sequence[TimelineEvent]:
+        return _Events(self.columns)
 
     @property
     def total_time(self) -> float:
-        return max((e.end_s for e in self.events), default=0.0)
+        return max(self.end_s, default=0.0)
 
     def stage_end(self, prefix: str) -> float:
         """Latest end among events whose label starts with prefix (e.g. 'rs', 'ag')."""
-        return max((e.end_s for e in self.events if e.label.startswith(prefix)), default=0.0)
+        return max((e for e, lb in zip(self.end_s, self.label) if lb.startswith(prefix)),
+                   default=0.0)
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "device": e.device,
-                    "resource": e.resource,
-                    "start_s": e.start_s,
-                    "end_s": e.end_s,
-                    "label": e.label,
-                }
-            )
-            for e in self.events
-        ]
-        return "\n".join(lines) + "\n" if lines else ""
+        """One line per event, byte for byte the `json.dumps` of its field dict."""
+        # A finite sum means every time is finite, and json.dumps writes a
+        # finite float as float.__repr__ does; it spells out NaN and Infinity.
+        num = float.__repr__ if math.isfinite(sum(self.start_s) + sum(self.end_s)) else json.dumps
+        enc = encode_basestring_ascii
+        return "".join([
+            f'{{"device": {d}, "resource": {enc(r)}, "start_s": {num(s)}, "end_s": {num(e)}, '
+            f'"label": {enc(lb)}}}\n'
+            for d, r, s, e, lb in zip(*self.columns)
+        ])
 
 
 def idle_time(t: Timeline) -> float:
     """Sum over links of idle gaps between each link's first and last transfer."""
     windows: dict[tuple[int, str], list[float]] = {}
-    for e in t.events:
-        if e.resource == RES_VPU:
+    for d, r, start, end in zip(t.device, t.resource, t.start_s, t.end_s):
+        if r == RES_VPU:
             continue
-        w = windows.setdefault((e.device, e.resource), [math.inf, 0.0, 0.0])
-        w[0] = min(w[0], e.start_s)
-        w[1] = max(w[1], e.end_s)
-        w[2] += e.end_s - e.start_s
+        w = windows.setdefault((d, r), [math.inf, 0.0, 0.0])
+        w[0] = min(w[0], start)
+        w[1] = max(w[1], end)
+        w[2] += end - start
     return sum(last - first - busy for first, last, busy in windows.values())
 
 
@@ -136,14 +184,21 @@ def lower_bound(variant: Variant, num_devices: int, d_bytes: float, bandwidth: f
 
 
 class _Sched:
-    """Static-order list scheduler over per-device link and VPU resources."""
+    """Static-order list scheduler over per-device link and VPU resources.
+
+    Events go into parallel columns, one append per field.
+    """
 
     def __init__(self, link: LinkParams, compute: ComputeParams):
         self.link = link
         self.compute = compute
         self.free: dict[tuple[int, str], float] = {}
         self.done: dict[tuple, float] = {}
-        self.events: list[TimelineEvent] = []
+        self.device: list[int] = []
+        self.resource: list[str] = []
+        self.start_s: list[float] = []
+        self.end_s: list[float] = []
+        self.label: list[str] = []
 
     def _run(self, device: int, resource: str, label: str, dur: float, deps) -> float:
         t0 = self.free.get((device, resource), 0.0)
@@ -153,7 +208,11 @@ class _Sched:
                 t0 = dt
         t1 = t0 + dur
         self.free[(device, resource)] = t1
-        self.events.append(TimelineEvent(device, resource, t0, t1, label))
+        self.device.append(device)
+        self.resource.append(resource)
+        self.start_s.append(t0)
+        self.end_s.append(t1)
+        self.label.append(label)
         return t1
 
     def vpu(self, device: int, keys, label: str, nelems: float, rate: float, deps=()):
@@ -170,13 +229,28 @@ class _Sched:
         self.done[key] = max((self.done[d] for d in deps), default=0.0)
 
     def finish(self) -> Timeline:
-        # Per-resource construction order is execution order; verify no overlap.
-        prev: dict[tuple[int, str], float] = {}
-        for e in self.events:
-            k = (e.device, e.resource)
-            assert e.start_s >= prev.get(k, 0.0) - 1e-12, f"overlap on {k} at {e.label}"
-            prev[k] = e.end_s
-        return Timeline(self.events)
+        """Check that no resource runs two events at once; return the timeline.
+
+        Per-resource emission order is execution order, so each event may
+        start at most 1e-12 s before the previous event on its resource
+        ends, and the first event on a resource at most 1e-12 s before 0.
+        """
+        n = len(self.device)
+        names = {r: i for i, r in enumerate(sorted(set(self.resource)))}
+        key = (np.fromiter(self.device, np.int64, n) * len(names)
+               + np.fromiter(map(names.__getitem__, self.resource), np.int64, n))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.fromiter(self.start_s, np.float64, n)[order]
+        end = np.fromiter(self.end_s, np.float64, n)[order]
+        prev_end = np.zeros(n)
+        prev_end[1:] = np.where(key[1:] == key[:-1], end[:-1], 0.0)
+        bad = ~(start >= prev_end - 1e-12)
+        if bad.any():
+            i = int(order[bad].min())
+            raise RuntimeError(f"overlap on device {self.device[i]} {self.resource[i]} "
+                               f"at {self.label[i]}")
+        return Timeline(self.device, self.resource, self.start_s, self.end_s, self.label)
 
 
 def _interleave(*seqs):

@@ -1,6 +1,7 @@
 """Command-line behavior: precedence, schemas, exit codes, determinism."""
 
 import argparse
+import csv
 import json
 from dataclasses import fields, replace
 
@@ -128,6 +129,21 @@ def test_timeline_jsonl_schema(tmp_path):
     for line in lines[:5]:
         rec = json.loads(line)
         assert set(rec) == {"device", "resource", "start_s", "end_s", "label"}
+
+
+def test_timeline_csv_rows_match_jsonl_records(tmp_path):
+    argv = ["timeline", "--rows", "256", "--cols", "512", "--num-devices", "4",
+            "--variant", "semi_loop"]
+    jsonl, csv_out = tmp_path / "tl.jsonl", tmp_path / "tl.csv"
+    assert run(argv + ["--output", str(jsonl)]) == 0
+    assert run(argv + ["--format", "csv", "--output", str(csv_out)]) == 0
+    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    with csv_out.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == len(records) > 10
+    for row, rec in zip(rows, records):
+        assert list(row) == list(rec)
+        assert row == {k: str(v) for k, v in rec.items()}
 
 
 def test_sweep_csv_schema(tmp_path):

@@ -1,16 +1,30 @@
 """Event-driven performance model: schedule structure, determinism, bounds."""
 
+import dataclasses
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qarsim.simnet as simnet
 from qarsim.collectives import CollectiveConfig, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
 from qarsim.simnet import (
+    RES_LINK_CCW,
+    RES_LINK_CW,
+    RES_VPU,
     ComputeParams,
     LinkParams,
+    Timeline,
     idle_time,
     lower_bound,
     simulate,
@@ -235,3 +249,150 @@ def test_simulate_validates_inputs():
         ComputeParams(0.0, 1e12, 1e12, 1e12, 1e12)
     with pytest.raises(ValueError):
         LinkParams(0.0)
+
+
+def _ref_idle_time(events) -> float:
+    """The per-event form of `idle_time`."""
+    windows = {}
+    for e in events:
+        if e.resource == RES_VPU:
+            continue
+        w = windows.setdefault((e.device, e.resource), [math.inf, 0.0, 0.0])
+        w[0] = min(w[0], e.start_s)
+        w[1] = max(w[1], e.end_s)
+        w[2] += e.end_s - e.start_s
+    return sum(last - first - busy for first, last, busy in windows.values())
+
+
+def _ref_jsonl(events) -> str:
+    return "".join(json.dumps(dataclasses.asdict(e)) + "\n" for e in events)
+
+
+@st.composite
+def small_timelines(draw):
+    n = draw(st.sampled_from([2, 4, 6, 8]))
+    spec = PartitionSpec(n, draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2])))
+    compute = replace(COMP, fuse_recv_pass=draw(st.booleans()))
+    nbytes = 2 * n * spec.minishards_per_shard * spec.microshards_per_minishard * 1024
+    kind = draw(st.sampled_from(["ring", "naive", "ideal"]))
+    if kind == "naive":
+        return simulate_naive(spec, nbytes, LINK, compute)
+    if kind == "ideal":
+        return simulate_ideal_2to1(spec, nbytes, LINK, compute)
+    cfg = CollectiveConfig(draw(st.sampled_from(list(Variant))), spec,
+                           quantize_rs=draw(st.booleans()), quantize_ag=draw(st.booleans()))
+    return simulate(cfg, nbytes, LINK, compute)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_timelines())
+def test_column_reads_match_per_event_reference(tl):
+    events = list(tl.events)
+    assert tl.total_time == max(e.end_s for e in events)
+    for prefix in ("rs", "ag"):
+        assert tl.stage_end(prefix) == max(
+            (e.end_s for e in events if e.label.startswith(prefix)), default=0.0)
+    assert idle_time(tl) == _ref_idle_time(events)
+    jsonl = tl.to_jsonl()
+    assert jsonl == _ref_jsonl(events)
+    assert len(tl.events) == len(events) == jsonl.count("\n")
+
+
+def test_reads_and_len_build_no_event(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("TimelineEvent built")
+
+    monkeypatch.setattr(simnet, "TimelineEvent", forbidden)
+    cfg = small_cfg(variant=Variant.SEMI_LOOP)
+    nbytes = small_bytes(cfg)
+    for tl in (simulate(cfg, nbytes, LINK, COMP), simulate_naive(cfg.spec, nbytes, LINK, COMP),
+               simulate_ideal_2to1(cfg.spec, nbytes, LINK, COMP)):
+        assert len(tl.events) > 0 and tl.total_time > 0 and tl.stage_end("ag") > 0
+        assert idle_time(tl) >= 0 and tl.to_jsonl()
+    with pytest.raises(AssertionError, match="TimelineEvent built"):
+        tl.events[0]
+
+
+def test_events_view_is_a_read_only_sequence():
+    cfg = small_cfg(n=2, m=1, u=1)
+    tl = simulate(cfg, small_bytes(cfg), LINK, COMP)
+    ev = tl.events
+    lines = tl.to_jsonl().splitlines()
+    assert [json.loads(line) for line in lines] == [dataclasses.asdict(e) for e in ev]
+    n = len(ev)
+    assert ev[0] == ev[-n] and ev[n - 1] == ev[-1]
+    assert dataclasses.asdict(ev[-1]) == json.loads(lines[-1])
+    with pytest.raises(IndexError):
+        ev[n]
+    # Slicing returns a view of the slice.
+    assert list(ev[1:5]) == list(ev)[1:5] and list(ev[::-2]) == list(ev)[::-2]
+    assert len(ev[1:5]) == 4 and ev[1:5][-1] == ev[4]
+    with pytest.raises(TypeError):
+        ev[1:5][0] = ev[0]
+    with pytest.raises(TypeError):
+        ev[0] = ev[1]
+    with pytest.raises(TypeError):
+        del ev[0]
+    assert not hasattr(ev, "append")
+    with pytest.raises(AttributeError):
+        tl.events = []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev[0].start_s = 1.0
+    assert len(tl.events) == n and list(tl.events) == list(ev)
+
+
+def test_timeline_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="length"):
+        Timeline([0, 1], [RES_VPU], [0.0], [1.0], ["a"])
+
+
+def test_to_jsonl_escapes_like_json_dumps():
+    labels = ['q"uote', "back\\slash", "caf\u00e9", "tab\tnew\nline", "\U0001f600"]
+    n = len(labels)
+    tl = Timeline(list(range(n)), [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU],
+                  [0.0, 1e-300, 2.5, 1 / 3, 7.0], [0.1, 1e300, 3.5, 2 / 3, 7.0], labels)
+    assert tl.to_jsonl().splitlines() == [json.dumps(dataclasses.asdict(e)) for e in tl.events]
+    odd = Timeline([0, 1, 2], [RES_VPU] * 3, [0.0, math.inf, -math.inf], [math.nan, math.inf, 0.0],
+                   ["a", "b", "c"])
+    assert odd.to_jsonl() == _ref_jsonl(odd.events)
+    assert Timeline().to_jsonl() == ""
+
+
+def _filled_sched(rows) -> simnet._Sched:
+    s = simnet._Sched(LINK, COMP)
+    for row in rows:
+        for col, value in zip((s.device, s.resource, s.start_s, s.end_s, s.label), row):
+            col.append(value)
+    return s
+
+
+@pytest.mark.parametrize("rows, culprit", [
+    # Different resources may overlap in time; the first overlap emitted is named.
+    ([(1, RES_LINK_CW, 0.0, 2.0, "a"), (1, RES_VPU, 0.5, 1.0, "b"), (1, RES_VPU, 0.9, 1.5, "d"),
+      (0, RES_LINK_CW, 0.5, 3.0, "c"), (0, RES_LINK_CW, 1.0, 2.0, "f")], "device 1 VPU at d"),
+    # The first event on a resource may not start before 0.
+    ([(0, RES_VPU, 0.0, 1.0, "a"), (2, RES_LINK_CCW, -1e-9, 1.0, "e")], "device 2 LINK_CCW at e"),
+])
+def test_finish_raises_on_overlap(rows, culprit):
+    with pytest.raises(RuntimeError, match=f"overlap on {culprit}$"):
+        _filled_sched(rows).finish()
+
+
+def test_finish_keeps_the_tolerance():
+    tl = _filled_sched([(0, RES_VPU, -0.5e-12, 1.0, "a"), (0, RES_VPU, 1.0 - 0.5e-12, 2.0, "b"),
+                        (0, RES_LINK_CW, 0.0, 0.0, "c")]).finish()
+    assert list(tl.label) == ["a", "b", "c"]
+    with pytest.raises(RuntimeError):
+        _filled_sched([(0, RES_VPU, 0.0, math.nan, "a"), (0, RES_VPU, 1.0, 2.0, "b")]).finish()
+
+
+def test_overlap_check_runs_under_optimize():
+    code = ("import qarsim.simnet as s\n"
+            "x = s._Sched(None, None)\n"
+            "for c, v in zip((x.device, x.resource, x.start_s, x.end_s, x.label),"
+            " (0, 'VPU', -1.0, 0.0, 'a')): c.append(v)\n"
+            "try:\n    x.finish()\nexcept RuntimeError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = str(Path(simnet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
