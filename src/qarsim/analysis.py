@@ -28,17 +28,6 @@ from .numerics import Codec
 from .presets import DEFAULT_PRESET, load_preset
 from .simnet import ComputeParams, LinkParams, simulate, simulate_naive
 
-FLAVORS = (
-    "baseline",
-    "naive",
-    "full_rs",
-    "full_ag",
-    "full_both",
-    "semi_rs",
-    "semi_ag",
-    "semi_both",
-)
-
 # flavor -> (variant, quantize_rs, quantize_ag)
 _FLAVOR_DEFS = {
     "full_rs": (Variant.FULL_LOOP, True, False),
@@ -48,6 +37,8 @@ _FLAVOR_DEFS = {
     "semi_ag": (Variant.SEMI_LOOP, False, True),
     "semi_both": (Variant.SEMI_LOOP, True, True),
 }
+
+FLAVORS = ("baseline", "naive", *_FLAVOR_DEFS)
 
 CSV_COLUMNS = (
     "flavor",
@@ -179,8 +170,7 @@ def tradeoff_study(
         result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value, mse(base_out, naive_out), t_naive)
     )
 
-    for flavor in FLAVORS[2:]:
-        variant, q_rs, q_ag = _FLAVOR_DEFS[flavor]
+    for flavor, (variant, q_rs, q_ag) in _FLAVOR_DEFS.items():
         cfg = CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
         flavor_out = all_reduce(inputs, cfg)[0]
         t_flavor = simulate(cfg, tensor_bytes, link, compute).total_time

@@ -94,10 +94,6 @@ class _Bf16Hop:
 
     unit = 1
 
-    def __init__(self, acc_first: bool):
-        # Operand order decides which NaN payload survives; each variant keeps its own.
-        self.acc_first = acc_first
-
     def send(self, local):
         return local
 
@@ -105,7 +101,7 @@ class _Bf16Hop:
         return round_to_bf16(wire + local)
 
     def merge(self, acc, wire):
-        return round_to_bf16(acc + wire if self.acc_first else wire + acc)
+        return round_to_bf16(wire + acc)
 
 
 class _CastHop:
@@ -190,7 +186,7 @@ def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[Tenso
         minishard = inputs[0].data.size // (spec.num_devices * spec.minishards_per_shard)
         kind = _QuantHop(cfg.codec, minishard)
     else:
-        kind = _Bf16Hop(acc_first=cfg.variant is Variant.SEMI_LOOP)
+        kind = _Bf16Hop()
     # NaN and inf inputs have defined results (README "Non-finite values"), so the
     # invalid/overflow flags of their adds, scale divisions and multiplies are expected.
     with np.errstate(invalid="ignore", over="ignore"):

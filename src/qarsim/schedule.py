@@ -24,23 +24,16 @@ Hop t of every arc runs in iteration t.
              & Yuan 2009). All-gather: CW runs N/2 iterations, CCW N/2-1.
 
 Hop lists carry the order the simulator emits them in, because its
-timeline lists events in emission order:
-
-  sends     by sender, CW before CCW; the semi-loop reduce-scatter emits
-            its sends in shard order instead.
-  receives  grouped by receiving device in device order, CW before CCW;
-            a group's quantized hops interleave minishard by minishard.
-            The semi-loop reduce-scatter orders a device's group by shard
-            index, and its raw (unquantized) hops do not group at all but
-            follow send order. Shard order wraps around differently on
-            each device, which is why semi-loop devices finish at
-            different times (the simulator-symmetry item in ROADMAP.md).
+timeline lists events in emission order. Both variants use one rule:
+sends by sender, receives grouped by receiving device, each CW before
+CCW; a group's quantized hops interleave minishard by minishard.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import groupby
 
 CW = "cw"
 CCW = "ccw"
@@ -87,9 +80,13 @@ class Step:
 
 @dataclass(frozen=True)
 class Schedule:
-    heads: tuple[Hop, ...]  # every arc's first hop, by sender, CW before CCW
     steps: tuple[Step, ...]
     whole: bool  # every arc carries the whole shard (semi loop)
+
+    @property
+    def heads(self) -> tuple[Hop, ...]:
+        """Every arc's first hop, by sender, CW before CCW."""
+        return self.steps[0].sends
 
 
 def split(variant: Variant, units: int) -> dict[str, range]:
@@ -139,42 +136,25 @@ def _dir(h: Hop) -> int:
     return DIRECTIONS.index(h.arc.direction)
 
 
-def _by_sender(h: Hop) -> tuple[int, int]:
-    return h.sender, _dir(h)
-
-
-def _by_shard(h: Hop) -> tuple[int, int]:
-    return h.arc.shard, _dir(h)
-
-
-def _schedule(variant: Variant, arcs: list[list[Arc]], send_key, recv_key) -> Schedule:
-    """Hop lists per iteration; recv_key None keeps receive passes in send order."""
+def _schedule(variant: Variant, arcs: list[list[Arc]]) -> Schedule:
+    """Hop lists per iteration: sends by sender, receives grouped by receiver."""
     flat = [a for shard in arcs for a in shard]
     steps = []
     for t in range(1, max(len(a.devices) for a in flat)):
         hops = [Hop(a, t, a.devices[t - 1], a.devices[t], t == len(a.devices) - 1)
                 for a in flat if len(a.devices) > t]
-        sends = tuple(sorted(hops, key=send_key))
-        if recv_key is None:
-            recvs = tuple((h,) for h in sends)
-        else:
-            by_dev: dict[int, list[Hop]] = {}
-            for h in sorted(hops, key=recv_key):
-                by_dev.setdefault(h.receiver, []).append(h)
-            recvs = tuple(tuple(by_dev[d]) for d in sorted(by_dev))
+        sends = tuple(sorted(hops, key=lambda h: (h.sender, _dir(h))))
+        by_receiver = sorted(hops, key=lambda h: (h.receiver, _dir(h)))
+        recvs = tuple(tuple(g) for _, g in groupby(by_receiver, key=lambda h: h.receiver))
         steps.append(Step(sends, recvs))
-    heads = tuple(sorted(steps[0].sends, key=_by_sender))
-    return Schedule(heads, tuple(steps), whole=variant is Variant.SEMI_LOOP)
+    return Schedule(tuple(steps), whole=variant is Variant.SEMI_LOOP)
 
 
-def rs_schedule(variant: Variant, n: int, units: int, quantized: bool) -> Schedule:
+def rs_schedule(variant: Variant, n: int, units: int) -> Schedule:
     """Reduce-scatter hop lists; units are minishards if quantized, else elements."""
-    arcs = rs_arcs(variant, n, units)
-    if variant is Variant.FULL_LOOP:
-        return _schedule(variant, arcs, _by_sender, _dir)
-    return _schedule(variant, arcs, _by_shard, _by_shard if quantized else None)
+    return _schedule(variant, rs_arcs(variant, n, units))
 
 
 def ag_schedule(variant: Variant, n: int, units: int) -> Schedule:
     """All-gather hop lists; units are minishards if quantized, else elements."""
-    return _schedule(variant, ag_arcs(variant, n, units), _by_sender, _dir)
+    return _schedule(variant, ag_arcs(variant, n, units))

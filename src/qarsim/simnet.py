@@ -59,10 +59,10 @@ class LinkParams:
     hop_latency_s: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("bandwidth_bytes_per_s must be > 0")
-        if self.hop_latency_s < 0:
-            raise ValueError("hop_latency_s must be >= 0")
+        if not (math.isfinite(self.bandwidth_bytes_per_s) and self.bandwidth_bytes_per_s > 0):
+            raise ValueError("bandwidth_bytes_per_s must be finite and > 0")
+        if not (math.isfinite(self.hop_latency_s) and self.hop_latency_s >= 0):
+            raise ValueError("hop_latency_s must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class ComputeParams:
 
     def __post_init__(self):
         for name in ("dequant_rate", "add_rate", "scan_rate", "encode_rate", "cast_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -514,7 +515,7 @@ def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
     q_rs, q_ag = cfg.quantize_rs, cfg.quantize_ag
     return _execute(
         s,
-        (rs_schedule(cfg.variant, n, m if q_rs else e_shard, q_rs), hops("rs", q_rs)),
+        (rs_schedule(cfg.variant, n, m if q_rs else e_shard), hops("rs", q_rs)),
         (ag_schedule(cfg.variant, n, m if q_ag else e_shard), hops("ag", q_ag)),
     )
 
@@ -528,7 +529,7 @@ def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
     rs, ag = (_Plain(s, stage, eight_bit=True, cast=cast) for stage in ("rs", "ag"))
     return _execute(
         s,
-        (rs_schedule(Variant.FULL_LOOP, n, e_shard, False), rs),
+        (rs_schedule(Variant.FULL_LOOP, n, e_shard), rs),
         (ag_schedule(Variant.FULL_LOOP, n, e_shard), ag),
     )
 

@@ -314,6 +314,28 @@ def test_out_of_range_value_exits_2_naming_field(command, argv, doc, name, sourc
     assert name in err and "Traceback" not in err
 
 
+# (flag, the link or compute field it sets)
+PARAM_FLAGS = [("--bandwidth", "bandwidth_bytes_per_s"), ("--hop-latency", "hop_latency_s"),
+               ("--dequant-rate", "dequant_rate"), ("--add-rate", "add_rate"),
+               ("--scan-rate", "scan_rate"), ("--encode-rate", "encode_rate"),
+               ("--cast-rate", "cast_rate")]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, name", PARAM_FLAGS, ids=[c[1] for c in PARAM_FLAGS])
+def test_non_finite_link_or_compute_value_exits_2_naming_field(flag, name, value, source,
+                                                               tmp_path, capsys):
+    argv = [flag, value]
+    if source == "file":
+        scope = "link" if flag in ("--bandwidth", "--hop-latency") else "compute"
+        # json.dumps writes NaN and Infinity, which the config reader accepts
+        argv = ["--config", write_cfg(tmp_path, dict(SMALL, **{scope: {name: float(value)}}))]
+    assert run(["simulate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err and "Traceback" not in err
+
+
 def test_int_config_value_accepted_for_float_field(tmp_path):
     cfg = write_cfg(tmp_path, {"num_devices": 4, "rows": 2048, "cols": 2048,
                                "link": {"bandwidth_bytes_per_s": 1000000000, "hop_latency_s": 0}})

@@ -60,12 +60,16 @@ def test_ag_arcs_deliver_every_shard_to_every_device(variant, n):
             assert all(a.units == range(units) for a in arcs)
 
 
+# Units per shard: minishards when the hops are quantized, an even element count when raw.
+UNITS = {True: 3, False: 8}
+
+
 @pytest.mark.parametrize("quantized", [False, True])
 @pytest.mark.parametrize("variant", list(Variant))
 def test_hop_lists_cover_every_hop_once_and_senders_use_each_link_once(variant, quantized):
-    n = 8
-    for sch, arcs in ((rs_schedule(variant, n, 3, quantized), rs_arcs(variant, n, 3)),
-                      (ag_schedule(variant, n, 3), ag_arcs(variant, n, 3))):
+    n, units = 8, UNITS[quantized]
+    for sch, arcs in ((rs_schedule(variant, n, units), rs_arcs(variant, n, units)),
+                      (ag_schedule(variant, n, units), ag_arcs(variant, n, units))):
         want = {(a.shard, a.direction, t) for shard in arcs for a in shard
                 for t in range(1, len(a.devices))}
         got = [(h.arc.shard, h.arc.direction, h.it) for st in sch.steps for h in st.sends]
@@ -80,12 +84,16 @@ def test_hop_lists_cover_every_hop_once_and_senders_use_each_link_once(variant, 
         assert [h.sender for h in sch.heads] == sorted(h.sender for h in sch.heads)
 
 
-def test_full_loop_receives_cw_before_ccw_and_semi_loop_in_shard_order():
-    full = rs_schedule(Variant.FULL_LOOP, 4, 2, True).steps[0]
-    assert [[h.arc.direction for h in g] for g in full.recvs] == [[CW, CCW]] * 4
-    semi = rs_schedule(Variant.SEMI_LOOP, 8, 2, True).steps[0]
-    for group in semi.recvs:
-        shards = [h.arc.shard for h in group]
-        assert shards == sorted(shards)
-    raw = rs_schedule(Variant.SEMI_LOOP, 8, 2, False).steps[0]
-    assert [g[0] for g in raw.recvs] == list(raw.sends)
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_receive_groups_put_cw_before_ccw_in_both_variants(variant, quantized):
+    n, units = 8, UNITS[quantized]
+    for sch in (rs_schedule(variant, n, units), ag_schedule(variant, n, units)):
+        for st in sch.steps:
+            links = [(h.sender, h.arc.direction == CCW) for h in st.sends]
+            assert links == sorted(links)
+            receivers = [g[0].receiver for g in st.recvs]
+            assert receivers == sorted(set(receivers))
+            for group in st.recvs:
+                assert {h.receiver for h in group} == {group[0].receiver}
+                assert [h.arc.direction for h in group] in ([CW], [CCW], [CW, CCW])

@@ -5,9 +5,9 @@ Each case hashes a family of outputs into one sha256:
 * simulator timelines (`Timeline.to_jsonl`, so event order, resources,
   times and labels all count) for every (variant, RS hop kind, AG hop kind)
   and for the naive and ideal 2:1 rings, over specs that cover N=2 (the
-  semi-loop CW arc is empty), N=8 (the semi-loop receive asymmetry), m=1
-  (the full-loop CCW ring carries nothing when quantized), m=3 (uneven
-  minishard split), u in {1, 2}, with `fuse_recv_pass` off and on;
+  semi-loop CW arc is empty), N=8, m=1 (the full-loop CCW ring carries
+  nothing when quantized), m=3 (uneven minishard split), u in {1, 2}, with
+  `fuse_recv_pass` off and on;
 * the output bits of `all_reduce` for every flavor and codec, of the BF16
   baseline and of the naive ring, at N in {2, 4, 8} and m in {1, 3};
 * the same outputs for inputs with non-finite values and values near
@@ -17,7 +17,8 @@ Each case hashes a family of outputs into one sha256:
   invalid/overflow flags for these inputs; no warning may escape them.
 
 A refactor of the schedule must leave every digest unchanged. To print the
-current digests:
+current digests, each one that differs from the recorded digest marked
+`# changed`:
 
     PYTHONPATH=src python -m tests.test_schedule_goldens
 """
@@ -157,10 +158,10 @@ SIM_GOLDENS = {
     "full_loop-raw-quant": "2073ab7dc392ea1fbc7dd309dc1da107a9ac0790400ac06efacb07e31de8ba6e",
     "full_loop-quant-raw": "bfb4f21bd75ea1dbeb48b948dc00ecd48d48c26ae9862d39bd19bcf9eb2a3182",
     "full_loop-quant-quant": "626ce287e66d6fa28afc6430ddf3d1b2a99e0d092e406d7f34f8a106c77cf9ae",
-    "semi_loop-raw-raw": "ea2f6add31c3a5f26def7600e3a50471d47e70cf2a45d7da8fd91ffdbe3a0529",
-    "semi_loop-raw-quant": "b2937c24187078f10b8b22b450f870732c7c24dbd19ecec367600d783fa3b0b8",
-    "semi_loop-quant-raw": "5ec8a8adf05f4c900b94798bb0baac7aeeef71e7dbdac36095dca84d7900a941",
-    "semi_loop-quant-quant": "517dae2ebe510cc1a1821558159cb4aeb544fdf63f625ab8184b99cf92e04b5d",
+    "semi_loop-raw-raw": "8d88b330bace97e0d98d9bd95d0ea9fbcefccefe6dcb56641da69c7d49a7612c",
+    "semi_loop-raw-quant": "4731d97e31f31bf53f37eabcc4c560663d7be6fe70108e10741d32f7d9976e45",
+    "semi_loop-quant-raw": "b2da268e15f86ae33ffe3f46b67cb10d507929a9c5c79cd5ac563775095f7fb5",
+    "semi_loop-quant-quant": "6042edb12fdc736ec3710c30b9a729615e03635e09d8d718251873e0f1519ec3",
     "naive": "5b74d11706f3f8982bcc932e5995f0c59cf14558fec4cacd41e1c7e5ac158833",
     "ideal": "759afea6b45db7258289b769ee9d76aa509668380c7424e640723e2f22ab4745",
 }
@@ -184,8 +185,8 @@ NONFINITE_GOLDENS = {
     "full_loop-raw-quant": "98e08d645704a1182c6e43c162026bc4ba12c8a74decee0fddbf16b625c5c7d3",
     "full_loop-quant-raw": "ac27e4e01eca925f0cd730b13fdd556a5faec5a3d4e52194ba4a745b6333d5ad",
     "full_loop-quant-quant": "90e0a84b5afb0e88388bf938cdcce9be6a7af5e9d32911901f8c853b57b5f33c",
-    "semi_loop-raw-raw": "62cb85aaf240a62819b56d188b1a078edf975c35fa61da8afec3ab2442864ee1",
-    "semi_loop-raw-quant": "ae4bb91418f5d9eac332477a97aed43c15aec7518513748fda6a175c6c5ffc9e",
+    "semi_loop-raw-raw": "07831dc1ca2e090d28b20ee37e31fc57b417a02498663a3c01ae4382e1691e6b",
+    "semi_loop-raw-quant": "9bb38dc74b6306e048e6aa20b85f243236134a80eeb8e57de078772fbb575126",
     "semi_loop-quant-raw": "d9c1cdf352ae30f34d44b862552040babfe56b00825781a1bde48184db700956",
     "semi_loop-quant-quant": "07e122d03842cd5ee4762323e72d05b60b2cd8e3687b835d3bb46bad14e20ad7",
     "baseline": "8ba122d69278c16ff5480e08f4d40ef477c331b53e5518100735ae150a47a7ba",
@@ -221,14 +222,19 @@ def test_goldens_cover_every_case():
     assert list(NONFINITE_GOLDENS) == list(VALUE_GOLDENS)
 
 
-if __name__ == "__main__":
-    print("SIM_GOLDENS = {")
-    for c in _RING_CASES + ["naive", "ideal"]:
-        print(f'    "{c}": "{sim_digest(c)}",')
-    print("}\n\nVALUE_GOLDENS = {")
-    for c in _RING_CASES + ["baseline", "naive"]:
-        print(f'    "{c}": "{value_digest(c)}",')
-    print("}\n\nNONFINITE_GOLDENS = {")
-    for c in _RING_CASES + ["baseline", "naive"]:
-        print(f'    "{c}": "{nonfinite_digest(c)}",')
+def _print_goldens(name: str, recorded: dict, digest, cases: list[str]) -> None:
+    """Print one goldens dict, marking each digest that differs from the recorded one."""
+    print(f"{name} = {{")
+    for c in cases:
+        d = digest(c)
+        print(f'    "{c}": "{d}",' + ("" if recorded.get(c) == d else "  # changed"))
     print("}")
+
+
+if __name__ == "__main__":
+    _print_goldens("SIM_GOLDENS", SIM_GOLDENS, sim_digest, _RING_CASES + ["naive", "ideal"])
+    print()
+    _print_goldens("VALUE_GOLDENS", VALUE_GOLDENS, value_digest, _RING_CASES + ["baseline", "naive"])
+    print()
+    _print_goldens("NONFINITE_GOLDENS", NONFINITE_GOLDENS, nonfinite_digest,
+                   _RING_CASES + ["baseline", "naive"])

@@ -396,3 +396,16 @@ def test_overlap_check_runs_under_optimize():
     src = str(Path(simnet.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_timelines())
+def test_every_device_runs_device_0s_events(tl):
+    # Rotation symmetry: labels name no device or shard, so device d's events
+    # are device 0's events exactly, times included.
+    per_device: dict[int, list] = {}
+    for d, *event in zip(*tl.columns):
+        per_device.setdefault(d, []).append(tuple(event))
+    assert sorted(per_device) == list(range(len(per_device)))
+    for d, events in per_device.items():
+        assert events == per_device[0], f"device {d}"
