@@ -7,7 +7,9 @@ Each case hashes a family of outputs into one sha256:
   and for the naive and ideal 2:1 rings, over specs that cover N=2 (the
   semi-loop CW arc is empty), N=8, m=1 (the full-loop CCW ring carries
   nothing when quantized), m=3 (uneven minishard split), u in {1, 2}, with
-  `fuse_recv_pass` off and on;
+  `fuse_recv_pass` off and on; a second family repeats every case at
+  N=16 (m=1, and m=3 with u=2) and N=32 (m=1, u=1), where each simulated
+  device's events are derived from device 0's;
 * the output bits of `all_reduce` for every flavor and codec, of the BF16
   baseline and of the naive ring, at N in {2, 4, 8} and m in {1, 3};
 * the same outputs for inputs with non-finite values and values near
@@ -54,22 +56,23 @@ COMPUTE = ComputeParams(dequant_rate=7e11, add_rate=1.3e12, scan_rate=1.1e12,
                         encode_rate=9e11, cast_rate=1.7e12)
 # (num_devices, minishards_per_shard, microshards_per_minishard)
 SIM_SPECS = ((2, 1, 1), (2, 3, 2), (4, 2, 2), (6, 3, 1), (8, 1, 2), (8, 3, 1), (8, 3, 2))
+LARGE_SIM_SPECS = ((16, 1, 1), (16, 3, 2), (32, 1, 1))
 VALUE_SPECS = tuple((n, m) for n in (2, 4, 8) for m in (1, 3))
 STAGES = {"raw": False, "quant": True}
 
 
-def _sim_runs():
+def _sim_runs(specs):
     """(spec, tensor_bytes, compute) for every simulator case."""
-    for n, m, u in SIM_SPECS:
+    for n, m, u in specs:
         spec = PartitionSpec(n, m, u)
         nbytes = 2 * CHUNK_ELEMS * n * m * u * 2
         for fuse in (False, True):
             yield spec, nbytes, replace(COMPUTE, fuse_recv_pass=fuse)
 
 
-def sim_digest(case: str) -> str:
+def sim_digest(case: str, specs=SIM_SPECS) -> str:
     h = hashlib.sha256()
-    for spec, nbytes, compute in _sim_runs():
+    for spec, nbytes, compute in _sim_runs(specs):
         if case == "naive":
             tl = simulate_naive(spec, nbytes, LINK, compute)
         elif case == "ideal":
@@ -124,6 +127,10 @@ def nonfinite_inputs(rows: int, cols: int, n: int, seed: int):
     return [TensorBuf(x, rows, cols) for x in data]
 
 
+def large_sim_digest(case: str) -> str:
+    return sim_digest(case, LARGE_SIM_SPECS)
+
+
 def value_digest(case: str, make_inputs=device_inputs) -> str:
     h = hashlib.sha256()
     for n, m in VALUE_SPECS:
@@ -166,6 +173,19 @@ SIM_GOLDENS = {
     "ideal": "759afea6b45db7258289b769ee9d76aa509668380c7424e640723e2f22ab4745",
 }
 
+LARGE_SIM_GOLDENS = {
+    "full_loop-raw-raw": "938d42b29f8c2319ab3d64d29d905d88f0483d638654e5ee108aa5507140172d",
+    "full_loop-raw-quant": "f8764b53c034537d50a8de2177179934586713bc3af6599a34d6a632ecf76bb6",
+    "full_loop-quant-raw": "7ec88434aaa73f7b41118e92e133897bc53d5d6a1147734cfc00afcbad79ebeb",
+    "full_loop-quant-quant": "8b811f3c80325db3fa5d9f63493d49106c5c5b532de53d7e440eaa552b9ac336",
+    "semi_loop-raw-raw": "73b89bed6dfd4219f51aedbd4c46ff11ae9afa40d0132e70ba642937dfcef5c7",
+    "semi_loop-raw-quant": "d4e931b712af6e81631349a6d7e463c5b356426b700ccd99d7c322c21ff7eadc",
+    "semi_loop-quant-raw": "22ce452f7319e3da00fb0819fcd344fa91f4f0eea6b28bba4f28a28d824727f8",
+    "semi_loop-quant-quant": "724e077ca084c0fa40da49e55a4735d5587db095b1e03797fb7c9084b9da90c2",
+    "naive": "b953262ffc3730ee1487e5a9d4ac936fc0da7bc40b6374a71620a663c33cb121",
+    "ideal": "de91142e52b7b2b3e8300188f991f2dd247fd9c835d3329bccba219f512be3f1",
+}
+
 VALUE_GOLDENS = {
     "full_loop-raw-raw": "d713fb3771a911b83b653fb1dfe540ff2055919824d698dc8c4495b79e1309bf",
     "full_loop-raw-quant": "04eb9c1a0a2e6d22345e9039fa25a70abbd58b107db6fe0f19a00a77c0e2091d",
@@ -199,6 +219,11 @@ def test_simulator_timeline_digest(case):
     assert sim_digest(case) == SIM_GOLDENS[case]
 
 
+@pytest.mark.parametrize("case", list(LARGE_SIM_GOLDENS))
+def test_large_ring_timeline_digest(case):
+    assert large_sim_digest(case) == LARGE_SIM_GOLDENS[case]
+
+
 @pytest.mark.parametrize("case", list(VALUE_GOLDENS))
 def test_functional_output_digest(case):
     assert value_digest(case) == VALUE_GOLDENS[case]
@@ -218,6 +243,7 @@ def test_nonfinite_inputs_raise_no_warning(case):
 
 def test_goldens_cover_every_case():
     assert list(SIM_GOLDENS) == _RING_CASES + ["naive", "ideal"]
+    assert list(LARGE_SIM_GOLDENS) == list(SIM_GOLDENS)
     assert list(VALUE_GOLDENS) == _RING_CASES + ["baseline", "naive"]
     assert list(NONFINITE_GOLDENS) == list(VALUE_GOLDENS)
 
@@ -233,6 +259,9 @@ def _print_goldens(name: str, recorded: dict, digest, cases: list[str]) -> None:
 
 if __name__ == "__main__":
     _print_goldens("SIM_GOLDENS", SIM_GOLDENS, sim_digest, _RING_CASES + ["naive", "ideal"])
+    print()
+    _print_goldens("LARGE_SIM_GOLDENS", LARGE_SIM_GOLDENS, large_sim_digest,
+                   _RING_CASES + ["naive", "ideal"])
     print()
     _print_goldens("VALUE_GOLDENS", VALUE_GOLDENS, value_digest, _RING_CASES + ["baseline", "naive"])
     print()
