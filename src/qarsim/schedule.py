@@ -27,6 +27,8 @@ Hop lists carry the order the simulator emits them in, because its
 timeline lists events in emission order. Both variants use one rule:
 sends by sender, receives grouped by receiving device, each CW before
 CCW; a group's quantized hops interleave minishard by minishard.
+Every device runs the same hop lists up to a rotation of the ring, so
+the simulator walks `Schedule.on_device(0)` alone.
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ class Schedule:
     def heads(self) -> tuple[Hop, ...]:
         """Every arc's first hop, by sender, CW before CCW."""
         return self.steps[0].sends
+
+    def on_device(self, d: int) -> Schedule:
+        """The sends of device d and its receive groups, in the same order."""
+        return Schedule(tuple(Step(tuple(h for h in st.sends if h.sender == d),
+                                   tuple(g for g in st.recvs if g[0].receiver == d))
+                              for st in self.steps), self.whole)
 
 
 def split(variant: Variant, units: int) -> dict[str, range]:

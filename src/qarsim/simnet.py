@@ -15,6 +15,23 @@ per-iteration hop lists; one executor walks those lists and emits each
 hop's events through its hop kind: quantized, raw BF16, or the 8-bit
 casts of the naive and ideal 2:1 rings.
 
+One representative device. The ring is rotation-symmetric: device d runs
+device 0's hop lists on shards shifted by d, so its events are device 0's
+exactly, times included. The executor therefore walks device 0's hop
+lists alone (`Schedule.on_device(0)`) with device-relative dependency
+keys, which name a stage, direction, iteration and unit but never a
+shard. A device sends one arc and receives one per (direction,
+iteration), so a key is unique on device 0, and the key a neighbour's
+send would produce is done when device 0's own send of that (direction,
+iteration) is; each step emits its sends before its receives. The
+overlap check runs on device 0's events, and every other device's are
+copies of them, so it covers every event. A `Timeline` keeps device 0's
+events and where each segment of the emission order ends (after each
+stage's prep, each step's sends and receives, and each stage's end); the
+N-device columns repeat every segment once per device, device 0 first,
+and are built only when a caller reads them. `total_time`, `stage_end`
+and `len(events)` cost one device.
+
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
 add follows dequantize; the scale-encode of any microshard in a minishard
@@ -36,7 +53,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from itertools import pairwise, zip_longest
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -91,75 +108,131 @@ class TimelineEvent:
 
 
 class _Events(Sequence[TimelineEvent]):
-    """Read-only view of a timeline's columns that builds each event on access.
+    """Read-only view of a timeline that builds each event on access.
 
     Slicing returns a view of the slice.
     """
 
-    __slots__ = ("_cols",)
+    __slots__ = ("_tl",)
 
-    def __init__(self, cols: tuple[Sequence, ...]):
-        self._cols = cols
+    def __init__(self, tl: Timeline):
+        self._tl = tl
 
     def __len__(self) -> int:
-        return len(self._cols[0])
+        return self._tl._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _Events(tuple(c[i] for c in self._cols))
-        return TimelineEvent(*(c[i] for c in self._cols))
+            return _Events(Timeline(*(c[i] for c in self._tl.columns)))
+        return TimelineEvent(*(c[i] for c in self._tl.columns))
 
     def __iter__(self):
-        return map(TimelineEvent, *self._cols)
+        return map(TimelineEvent, *self._tl.columns)
 
 
-@dataclass(frozen=True)
+def _expand(n: int, bounds: Sequence[int], cols: tuple[list, ...]) -> tuple[list, ...]:
+    """All n devices' columns from device 0's: each segment of device 0's
+    events (between consecutive bounds) repeats once per device, device 0 first.
+    """
+    device: list[int] = []
+    out: tuple[list, ...] = tuple([] for _ in cols)
+    for a, b in pairwise(bounds):
+        for d in range(n):
+            device += [d] * (b - a)
+        for full, col in zip(out, cols):
+            full += col[a:b] * n
+    return (device, *out)
+
+
 class Timeline:
     """A schedule's events in emission order, stored as parallel columns.
 
     Entry i of every column is a field of event i; the times are floats.
     `events` builds `TimelineEvent`s from the columns only when read.
+
+    A simulated timeline keeps device 0's events alone (see the module
+    docstring). `total_time`, `stage_end` and `len(events)` read those; the
+    full columns are built on the first read of a column, `columns`,
+    `to_jsonl`, `idle_time` or an event.
     """
 
-    device: Sequence[int] = ()
-    resource: Sequence[str] = ()
-    start_s: Sequence[float] = ()
-    end_s: Sequence[float] = ()
-    label: Sequence[str] = ()
+    # _rep: (resource, start_s, end_s, label) of the events one device runs,
+    # repeated _copies times segment by segment, the segments running between
+    # consecutive entries of _bounds; _cols: the full columns once built.
+    __slots__ = ("_cols", "_rep", "_copies", "_bounds", "_len")
 
-    def __post_init__(self):
-        if len({len(c) for c in self.columns}) > 1:
+    def __init__(self, device: Sequence[int] = (), resource: Sequence[str] = (),
+                 start_s: Sequence[float] = (), end_s: Sequence[float] = (),
+                 label: Sequence[str] = ()):
+        cols = (device, resource, start_s, end_s, label)
+        if len({len(c) for c in cols}) > 1:
             raise ValueError("timeline columns differ in length")
+        self._cols = cols
+        self._rep, self._copies, self._bounds = cols[1:], 1, [0, len(device)]
+        self._len = len(device)
+
+    @classmethod
+    def _of_device_0(cls, n: int, bounds: list[int], *cols: list) -> Timeline:
+        """The timeline of n devices that each run device 0's columns `cols`
+        (resource, start_s, end_s, label), segment by segment."""
+        tl = cls.__new__(cls)
+        tl._cols = None
+        tl._rep, tl._copies, tl._bounds = cols, n, bounds
+        tl._len = n * len(cols[0])
+        return tl
 
     @property
     def columns(self) -> tuple[Sequence, ...]:
         """The columns in `TimelineEvent` field order."""
-        return self.device, self.resource, self.start_s, self.end_s, self.label
+        if self._cols is None:
+            self._cols = _expand(self._copies, self._bounds, self._rep)
+        return self._cols
+
+    @property
+    def device(self) -> Sequence[int]:
+        return self.columns[0]
+
+    @property
+    def resource(self) -> Sequence[str]:
+        return self.columns[1]
+
+    @property
+    def start_s(self) -> Sequence[float]:
+        return self.columns[2]
+
+    @property
+    def end_s(self) -> Sequence[float]:
+        return self.columns[3]
+
+    @property
+    def label(self) -> Sequence[str]:
+        return self.columns[4]
 
     @property
     def events(self) -> Sequence[TimelineEvent]:
-        return _Events(self.columns)
+        return _Events(self)
 
     @property
     def total_time(self) -> float:
-        return max(self.end_s, default=0.0)
+        return max(self._rep[2], default=0.0)
 
     def stage_end(self, prefix: str) -> float:
         """Latest end among events whose label starts with prefix (e.g. 'rs', 'ag')."""
-        return max((e for e, lb in zip(self.end_s, self.label) if lb.startswith(prefix)),
-                   default=0.0)
+        _, _, end_s, label = self._rep
+        return max((e for e, lb in zip(end_s, label) if lb.startswith(prefix)), default=0.0)
 
     def to_jsonl(self) -> str:
         """One line per event, byte for byte the `json.dumps` of its field dict."""
+        _, start_s, end_s, _ = self._rep
         # A finite sum means every time is finite, and json.dumps writes a
         # finite float as float.__repr__ does; it spells out NaN and Infinity.
-        num = float.__repr__ if math.isfinite(sum(self.start_s) + sum(self.end_s)) else json.dumps
+        num = float.__repr__ if math.isfinite(sum(start_s) + sum(end_s)) else json.dumps
         enc = encode_basestring_ascii
-        return "".join([
-            f'{{"device": {d}, "resource": {enc(r)}, "start_s": {num(s)}, "end_s": {num(e)}, '
-            f'"label": {enc(lb)}}}\n'
-            for d, r, s, e, lb in zip(*self.columns)
-        ])
+        # Format all but the device once per event of device 0.
+        tails = [f'"resource": {enc(r)}, "start_s": {num(s)}, "end_s": {num(e)}, '
+                 f'"label": {enc(lb)}}}\n' for r, s, e, lb in zip(*self._rep)]
+        tails = _expand(self._copies, self._bounds, (tails,))[1]
+        return "".join([f'{{"device": {d}, {t}' for d, t in zip(self.device, tails)])
 
 
 def idle_time(t: Timeline) -> float:
@@ -184,74 +257,91 @@ def lower_bound(variant: Variant, num_devices: int, d_bytes: float, bandwidth: f
     return (num_devices - 1) * d_bytes / (2.0 * num_devices * bandwidth)
 
 
-class _Sched:
-    """Static-order list scheduler over per-device link and VPU resources.
+def _check_overlap(device, resource, start_s, end_s, label) -> None:
+    """Raise unless each (device, resource) runs one event at a time.
 
-    Events go into parallel columns, one append per field.
+    Per-resource emission order is execution order, so each event may
+    start at most 1e-12 s before the previous event on its resource ends,
+    and the first event on a resource at most 1e-12 s before 0. The first
+    overlapping event emitted is named.
+    """
+    n = len(label)
+    names = {r: i for i, r in enumerate(sorted(set(resource)))}
+    key = (np.fromiter(device, np.int64, n) * len(names)
+           + np.fromiter(map(names.__getitem__, resource), np.int64, n))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.fromiter(start_s, np.float64, n)[order]
+    end = np.fromiter(end_s, np.float64, n)[order]
+    prev_end = np.zeros(n)
+    prev_end[1:] = np.where(key[1:] == key[:-1], end[:-1], 0.0)
+    bad = ~(start >= prev_end - 1e-12)
+    if bad.any():
+        i = int(order[bad].min())
+        raise RuntimeError(f"overlap on device {device[i]} {resource[i]} at {label[i]}")
+
+
+class _Sched:
+    """Static-order list scheduler over device 0's link and VPU resources,
+    keyed device-relatively (see the module docstring).
+
+    Events go into parallel columns, one append per field. `mark` ends a
+    segment of the emission order.
     """
 
-    def __init__(self, link: LinkParams, compute: ComputeParams):
+    def __init__(self, n: int, link: LinkParams, compute: ComputeParams):
+        self.n = n
         self.link = link
         self.compute = compute
-        self.free: dict[tuple[int, str], float] = {}
+        self.free: dict[str, float] = {}
         self.done: dict[tuple, float] = {}
-        self.device: list[int] = []
         self.resource: list[str] = []
         self.start_s: list[float] = []
         self.end_s: list[float] = []
         self.label: list[str] = []
+        self.bounds = [0]
 
-    def _run(self, device: int, resource: str, label: str, dur: float, deps) -> float:
-        t0 = self.free.get((device, resource), 0.0)
+    def _run(self, resource: str, label: str, dur: float, deps) -> float:
+        t0 = self.free.get(resource, 0.0)
         for d in deps:
             dt = self.done[d]
             if dt > t0:
                 t0 = dt
         t1 = t0 + dur
-        self.free[(device, resource)] = t1
-        self.device.append(device)
+        self.free[resource] = t1
         self.resource.append(resource)
         self.start_s.append(t0)
         self.end_s.append(t1)
         self.label.append(label)
         return t1
 
-    def vpu(self, device: int, keys, label: str, nelems: float, rate: float, deps=()):
-        t1 = self._run(device, RES_VPU, label, nelems / rate, deps)
+    def vpu(self, keys, label: str, nelems: float, rate: float, deps=()):
+        t1 = self._run(RES_VPU, label, nelems / rate, deps)
         for k in keys:
             self.done[k] = t1
 
-    def send(self, device: int, direction: str, key, label: str, nbytes: float, deps=()):
-        t1 = self._run(device, _LINK_OF[direction], label, nbytes / self.link.bandwidth_bytes_per_s, deps)
+    def send(self, direction: str, key, label: str, nbytes: float, deps=()):
+        t1 = self._run(_LINK_OF[direction], label, nbytes / self.link.bandwidth_bytes_per_s, deps)
         # Receiver-side visibility: one hop latency after the wire drains.
         self.done[key] = t1 + self.link.hop_latency_s
 
     def join(self, key, deps):
         self.done[key] = max((self.done[d] for d in deps), default=0.0)
 
-    def finish(self) -> Timeline:
-        """Check that no resource runs two events at once; return the timeline.
+    def mark(self) -> None:
+        if len(self.label) > self.bounds[-1]:
+            self.bounds.append(len(self.label))
 
-        Per-resource emission order is execution order, so each event may
-        start at most 1e-12 s before the previous event on its resource
-        ends, and the first event on a resource at most 1e-12 s before 0.
+    def finish(self) -> Timeline:
+        """Check device 0's events for overlaps; return the n-device timeline.
+
+        The other devices' events are copies of device 0's, so this checks
+        every event.
         """
-        n = len(self.device)
-        names = {r: i for i, r in enumerate(sorted(set(self.resource)))}
-        key = (np.fromiter(self.device, np.int64, n) * len(names)
-               + np.fromiter(map(names.__getitem__, self.resource), np.int64, n))
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        start = np.fromiter(self.start_s, np.float64, n)[order]
-        end = np.fromiter(self.end_s, np.float64, n)[order]
-        prev_end = np.zeros(n)
-        prev_end[1:] = np.where(key[1:] == key[:-1], end[:-1], 0.0)
-        bad = ~(start >= prev_end - 1e-12)
-        if bad.any():
-            i = int(order[bad].min())
-            raise RuntimeError(f"overlap on device {self.device[i]} {self.resource[i]} "
-                               f"at {self.label[i]}")
-        return Timeline(self.device, self.resource, self.start_s, self.end_s, self.label)
+        cols = (self.resource, self.start_s, self.end_s, self.label)
+        _check_overlap([0] * len(self.label), *cols)
+        self.mark()
+        return Timeline._of_device_0(self.n, self.bounds, *cols)
 
 
 def _interleave(*seqs):
@@ -261,8 +351,8 @@ def _interleave(*seqs):
     return out
 
 
-def _recv_micro(s: _Sched, dev: int, tag: str, e: float, arrive, add_key, scan_key):
-    """Dq + Add (+ abs-max scan) of one arriving microshard on the device VPU.
+def _recv_micro(s: _Sched, tag: str, e: float, arrive, add_key, scan_key):
+    """Dq + Add (+ abs-max scan) of one arriving microshard on the VPU.
 
     With fuse_recv_pass the phases collapse into one pass gated by the
     slowest participating rate.
@@ -271,16 +361,16 @@ def _recv_micro(s: _Sched, dev: int, tag: str, e: float, arrive, add_key, scan_k
     if c.fuse_recv_pass:
         rates = [c.dequant_rate, c.add_rate] + ([c.scan_rate] if scan_key else [])
         keys = [add_key] + ([scan_key] if scan_key else [])
-        s.vpu(dev, keys, f"rs:fused{tag}", e, min(rates), arrive)
+        s.vpu(keys, f"rs:fused{tag}", e, min(rates), arrive)
         return
     dq_key = ("dq",) + add_key
-    s.vpu(dev, [dq_key], f"rs:dq{tag}", e, c.dequant_rate, arrive)
-    s.vpu(dev, [add_key], f"rs:add{tag}", e, c.add_rate, [dq_key])
+    s.vpu([dq_key], f"rs:dq{tag}", e, c.dequant_rate, arrive)
+    s.vpu([add_key], f"rs:add{tag}", e, c.add_rate, [dq_key])
     if scan_key:
-        s.vpu(dev, [scan_key], f"rs:scan{tag}", e, c.scan_rate, [add_key])
+        s.vpu([scan_key], f"rs:scan{tag}", e, c.scan_rate, [add_key])
 
 
-def _prep_quant(s, dev, tag, gs, u, e_micro, keys, stage, deps=()):
+def _prep_quant(s, tag, gs, u, e_micro, keys, stage, deps=()):
     """Send-side phase-1 scans (all microshards) then phase-2 encodes.
 
     The joined scans and the encodes are stored under every key prefix in
@@ -290,19 +380,19 @@ def _prep_quant(s, dev, tag, gs, u, e_micro, keys, stage, deps=()):
     scan = keys[0] + ("scan",)
     for g in gs:
         for j in range(u):
-            s.vpu(dev, [scan + (g, j)], f"{stage}:scan:prep:{tag}:g={g}:j={j}", e_micro,
+            s.vpu([scan + (g, j)], f"{stage}:scan:prep:{tag}:g={g}:j={j}", e_micro,
                   c.scan_rate, deps)
     for g in gs:
         for k in keys:
             s.join(k + ("scanj", g), [scan + (g, j) for j in range(u)])
         for j in range(u):
-            s.vpu(dev, [k + ("enc", g, j) for k in keys], f"{stage}:enc:prep:{tag}:g={g}:j={j}",
+            s.vpu([k + ("enc", g, j) for k in keys], f"{stage}:enc:prep:{tag}:g={g}:j={j}",
                   e_micro, c.encode_rate, [keys[0] + ("scanj", g)])
 
 
 def _key(stage: str, h: Hop, t: int) -> tuple:
-    """Key prefix of what hop t of h's arc carries."""
-    return (stage, h.arc.shard, h.arc.direction, t)
+    """Key prefix of what hop t in h's direction carries."""
+    return (stage, h.arc.direction, t)
 
 
 class _Hops:
@@ -313,12 +403,9 @@ class _Hops:
         self.stage = stage
 
     def _join_merges(self, sch: Schedule, arc_keys) -> None:
-        # The all-gather of shard d starts once every partial merged at its owner.
-        merges: dict[int, list] = {}
-        for h in sch.heads:
-            merges.setdefault(h.arc.shard, []).extend(arc_keys(h.arc))
-        for shard, keys in merges.items():
-            self.s.join(("rs_done", shard), keys)
+        # The all-gather starts once every partial merged at the owner. The
+        # arcs device 0 heads run one per direction, like the owner's.
+        self.s.join(("rs_done",), [k for h in sch.heads for k in arc_keys(h.arc)])
 
 
 class _Quant(_Hops):
@@ -337,25 +424,22 @@ class _Quant(_Hops):
         s, e, u = self.s, self.e, self.u
         if self.stage == "rs":
             for h in sch.heads:
-                _prep_quant(s, h.sender, h.arc.direction, h.arc.units, u, e,
-                            [_key("rs", h, 1)], "rs")
+                _prep_quant(s, h.arc.direction, h.arc.units, u, e, [_key("rs", h, 1)], "rs")
             return
-        # Sources encode their reduced shard (once for both directions when
-        # the arcs carry it whole) and decode their own codes too, so outputs
+        # The source encodes its reduced shard (once for both directions when
+        # the arcs carry it whole) and decodes its own codes too, so outputs
         # match everywhere.
-        for d, hs in groupby(sch.heads, key=lambda h: h.sender):
-            hs = list(hs)
-            parts = [("", hs)] if sch.whole else [(h.arc.direction, [h]) for h in hs]
-            for dn, ph in parts:
-                _prep_quant(s, d, dn or "own", ph[0].arc.units, u, e,
-                            [_key("ag", h, 1) for h in ph], "ag", deps=[("rs_done", d)])
-            for dn, ph in parts:
-                enc = _key("ag", ph[0], 1) + ("enc",)
-                tag = f":{dn}" if dn else ""
-                for g in ph[0].arc.units:
-                    for j in range(u):
-                        s.vpu(d, [], f"ag:dq:own{tag}:g={g}:j={j}", e, s.compute.dequant_rate,
-                              [enc + (g, j)])
+        parts = [("", sch.heads)] if sch.whole else [(h.arc.direction, [h]) for h in sch.heads]
+        for dn, ph in parts:
+            _prep_quant(s, dn or "own", ph[0].arc.units, u, e,
+                        [_key("ag", h, 1) for h in ph], "ag", deps=[("rs_done",)])
+        for dn, ph in parts:
+            enc = _key("ag", ph[0], 1) + ("enc",)
+            tag = f":{dn}" if dn else ""
+            for g in ph[0].arc.units:
+                for j in range(u):
+                    s.vpu([], f"ag:dq:own{tag}:g={g}:j={j}", e, s.compute.dequant_rate,
+                          [enc + (g, j)])
 
     def send(self, h: Hop) -> None:
         s, st, e, u, t = self.s, self.stage, self.e, self.u, h.it
@@ -369,23 +453,22 @@ class _Quant(_Hops):
         else:
             meta_deps = [k + ("scanj", g) for g in gs]
             pay = k + ("enc",)
-        s.send(h.sender, dn, k + ("meta",), f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES,
-               meta_deps)
+        s.send(dn, k + ("meta",), f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES, meta_deps)
         for g in gs:
             for j in range(u):
-                s.send(h.sender, dn, k + ("pay", g, j), f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e,
+                s.send(dn, k + ("pay", g, j), f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e,
                        [pay + (g, j)])
 
     def recv(self, group: tuple[Hop, ...]) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
         c = s.compute
         for h, g in _interleave(*[[(h, g) for g in h.arc.units] for h in group]):
-            a, d, t = h.arc, h.receiver, h.it
+            a, t = h.arc, h.it
             dn = a.direction
             k = _key(st, h, t)
             if st == "ag":
                 for j in range(u):
-                    s.vpu(d, [], f"ag:dq:it={t}:{dn}:g={g}:j={j}", e, c.dequant_rate,
+                    s.vpu([], f"ag:dq:it={t}:{dn}:g={g}:j={j}", e, c.dequant_rate,
                           [k + ("pay", g, j), k + ("meta",)])
                 continue
             nxt = _key(st, h, t + 1)
@@ -395,20 +478,20 @@ class _Quant(_Hops):
                 if h.last:
                     if a.after:
                         # Fold into the accumulator the earlier arc's merge made.
-                        arrive.append(("merge", a.shard, a.after, g, j))
-                    _recv_micro(s, d, tag, e, arrive, ("merge", a.shard, dn, g, j), None)
+                        arrive.append(("merge", a.after, g, j))
+                    _recv_micro(s, tag, e, arrive, ("merge", dn, g, j), None)
                 else:
-                    _recv_micro(s, d, tag, e, arrive, nxt + ("add", g, j), nxt + ("scan", g, j))
+                    _recv_micro(s, tag, e, arrive, nxt + ("add", g, j), nxt + ("scan", g, j))
             if not h.last:
                 s.join(nxt + ("scanj", g), [nxt + ("scan", g, j) for j in range(u)])
                 for j in range(u):
-                    s.vpu(d, [nxt + ("enc", g, j)], f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", e,
+                    s.vpu([nxt + ("enc", g, j)], f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", e,
                           c.encode_rate, [nxt + ("scanj", g)])
 
     def done(self, sch: Schedule) -> None:
         if self.stage == "rs":
             u = self.u
-            self._join_merges(sch, lambda a: [("merge", a.shard, a.direction, g, j)
+            self._join_merges(sch, lambda a: [("merge", a.direction, g, j)
                                               for g in a.units for j in range(u)])
 
 
@@ -427,9 +510,8 @@ class _Plain(_Hops):
     def prep(self, sch: Schedule) -> None:
         if self.stage == "rs" and self.cast:
             for h in sch.heads:
-                self.s.vpu(h.sender, [_key("rs", h, 1) + ("red",)],
-                           f"rs:cast:prep:{h.arc.direction}", len(h.arc.units),
-                           self.s.compute.cast_rate)
+                self.s.vpu([_key("rs", h, 1) + ("red",)], f"rs:cast:prep:{h.arc.direction}",
+                           len(h.arc.units), self.s.compute.cast_rate)
 
     def send(self, h: Hop) -> None:
         st, t, dn = self.stage, h.it, h.arc.direction
@@ -439,57 +521,64 @@ class _Plain(_Hops):
         elif t > 1:
             deps = [_key(st, h, t - 1) + ("wire",)]
         else:
-            deps = [("merge", h.sender, dn) if self.eight_bit else ("rs_done", h.sender)]
+            deps = [("merge", dn) if self.eight_bit else ("rs_done",)]
         word, elem_bytes = ("pay", 1) if self.eight_bit else ("raw", 2)
-        self.s.send(h.sender, dn, k + ("wire",), f"{st}:{word}:it={t}:{dn}",
-                    elem_bytes * len(h.arc.units), deps)
+        self.s.send(dn, k + ("wire",), f"{st}:{word}:it={t}:{dn}", elem_bytes * len(h.arc.units),
+                    deps)
 
     def recv(self, group: tuple[Hop, ...]) -> None:
         s, st = self.s, self.stage
         c = s.compute
         for h in group:
-            a, d, t = h.arc, h.receiver, h.it
+            a, t = h.arc, h.it
             dn, elems = a.direction, len(a.units)
             k = _key(st, h, t)
             arrive = [k + ("wire",)]
             if st == "ag":
                 if self.cast:
-                    s.vpu(d, [], f"ag:dec:it={t}:{dn}", elems, c.cast_rate, arrive)
+                    s.vpu([], f"ag:dec:it={t}:{dn}", elems, c.cast_rate, arrive)
                 else:
                     # Zero-cost landing marker: completion includes the final hop latency.
-                    s.vpu(d, [], f"ag:land:it={t}:{dn}", 0.0, 1.0, arrive)
+                    s.vpu([], f"ag:land:it={t}:{dn}", 0.0, 1.0, arrive)
                 continue
             if h.last:
-                out = ("merge", a.shard, dn)
+                out = ("merge", dn)
                 if a.after:
-                    arrive.append(("merge", a.shard, a.after))
+                    arrive.append(("merge", a.after))
             else:
                 out = _key(st, h, t + 1) + ("red",)
             if self.cast:
-                s.vpu(d, [k + ("sum",)], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
-                s.vpu(d, [out], f"rs:recode:it={t}:{dn}", elems, c.cast_rate, [k + ("sum",)])
+                s.vpu([k + ("sum",)], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
+                s.vpu([out], f"rs:recode:it={t}:{dn}", elems, c.cast_rate, [k + ("sum",)])
             else:
-                s.vpu(d, [out], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
+                s.vpu([out], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
 
     def done(self, sch: Schedule) -> None:
         if self.stage == "rs":
-            self._join_merges(sch, lambda a: [("merge", a.shard, a.direction)])
+            self._join_merges(sch, lambda a: [("merge", a.direction)])
         elif self.cast:
             for h in sch.heads:
-                self.s.vpu(h.sender, [], f"ag:dec:own:{h.arc.direction}", len(h.arc.units),
-                           self.s.compute.cast_rate, [("merge", h.sender, h.arc.direction)])
+                self.s.vpu([], f"ag:dec:own:{h.arc.direction}", len(h.arc.units),
+                           self.s.compute.cast_rate, [("merge", h.arc.direction)])
 
 
 def _execute(s: _Sched, *stages: tuple[Schedule, _Hops]) -> Timeline:
-    """Walk each stage's hop lists in order, emitting events through its hop kind."""
+    """Walk device 0's hop lists of each stage in order, emitting events
+    through its hop kind; a segment ends after each stage's prep, each
+    step's sends, each step's receives and each stage's done."""
     for sch, hops in stages:
+        sch = sch.on_device(0)
         hops.prep(sch)
+        s.mark()
         for step in sch.steps:
             for h in step.sends:
                 hops.send(h)
+            s.mark()
             for group in step.recvs:
                 hops.recv(group)
+            s.mark()
         hops.done(sch)
+        s.mark()
     return s.finish()
 
 
@@ -507,7 +596,7 @@ def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
     spec = cfg.spec
     n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
     e_shard = _elements(tensor_bytes, spec) // n
-    s = _Sched(link, compute)
+    s = _Sched(n, link, compute)
 
     def hops(stage: str, quantized: bool) -> _Hops:
         return _Quant(s, stage, e_shard // (m * u), u) if quantized else _Plain(s, stage)
@@ -525,7 +614,7 @@ def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
     """Full-loop ring at 1 byte per element; optional cast/recode/decode passes."""
     n = spec.num_devices
     e_shard = _elements(tensor_bytes, spec) // n
-    s = _Sched(link, compute)
+    s = _Sched(n, link, compute)
     rs, ag = (_Plain(s, stage, eight_bit=True, cast=cast) for stage in ("rs", "ag"))
     return _execute(
         s,

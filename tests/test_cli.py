@@ -3,13 +3,16 @@
 import argparse
 import csv
 import json
+import runpy
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 import qarsim.cli as cli
 from qarsim.cli import RunConfig, _build_parser, build_config, main
 
+SCRIPTS = Path(__file__).parents[1] / "scripts"
 SMALL = {"rows": 256, "cols": 512, "num_devices": 4, "seed": 7}
 
 
@@ -155,6 +158,13 @@ def test_sweep_csv_schema(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("1048576,")
     assert lines[2].startswith("2097152,")
+
+
+def test_shipped_size_sweep_regenerates_byte_for_byte(tmp_path):
+    sizes = runpy.run_path(str(SCRIPTS / "run_size_sweep.py"))["SIZES"]
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--sizes", sizes, "--num-devices", "8", "--output", str(out)]) == 0
+    assert out.read_bytes() == (SCRIPTS / "size_sweep_n8.csv").read_bytes()
 
 
 def test_bad_size_token_exits_2(capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -62,11 +63,7 @@ def test_simulation_is_deterministic():
     assert na.total_time == nb.total_time and len(na.events) == len(nb.events)
 
 
-@pytest.mark.parametrize("variant", [Variant.FULL_LOOP, Variant.SEMI_LOOP])
-@pytest.mark.parametrize("quant", [False, True])
-def test_no_resource_overlap(variant, quant):
-    cfg = small_cfg(variant=variant, rs=quant, ag=quant)
-    tl = simulate(cfg, small_bytes(cfg), LINK, COMP)
+def _assert_no_overlap(tl):
     streams = {}
     for e in tl.events:
         streams.setdefault((e.device, e.resource), []).append(e)
@@ -74,6 +71,13 @@ def test_no_resource_overlap(variant, quant):
         evs.sort(key=lambda e: (e.start_s, e.end_s))
         for prev, cur in zip(evs, evs[1:]):
             assert cur.start_s >= prev.end_s - 1e-15
+
+
+@pytest.mark.parametrize("variant", [Variant.FULL_LOOP, Variant.SEMI_LOOP])
+@pytest.mark.parametrize("quant", [False, True])
+def test_no_resource_overlap(variant, quant):
+    cfg = small_cfg(variant=variant, rs=quant, ag=quant)
+    _assert_no_overlap(simulate(cfg, small_bytes(cfg), LINK, COMP))
 
 
 def test_lower_bound_worked_example():
@@ -359,9 +363,10 @@ def test_to_jsonl_escapes_like_json_dumps():
 
 
 def _filled_sched(rows) -> simnet._Sched:
-    s = simnet._Sched(LINK, COMP)
+    """A one-device scheduler holding the events `rows` of (resource, start_s, end_s, label)."""
+    s = simnet._Sched(1, LINK, COMP)
     for row in rows:
-        for col, value in zip((s.device, s.resource, s.start_s, s.end_s, s.label), row):
+        for col, value in zip((s.resource, s.start_s, s.end_s, s.label), row):
             col.append(value)
     return s
 
@@ -374,23 +379,26 @@ def _filled_sched(rows) -> simnet._Sched:
     ([(0, RES_VPU, 0.0, 1.0, "a"), (2, RES_LINK_CCW, -1e-9, 1.0, "e")], "device 2 LINK_CCW at e"),
 ])
 def test_finish_raises_on_overlap(rows, culprit):
+    # `_Sched.finish` runs this check on device 0's columns.
     with pytest.raises(RuntimeError, match=f"overlap on {culprit}$"):
-        _filled_sched(rows).finish()
+        simnet._check_overlap(*zip(*rows))
+    with pytest.raises(RuntimeError, match=f"overlap on device 0 {culprit.split()[2]} at "):
+        _filled_sched([row[1:] for row in rows]).finish()
 
 
 def test_finish_keeps_the_tolerance():
-    tl = _filled_sched([(0, RES_VPU, -0.5e-12, 1.0, "a"), (0, RES_VPU, 1.0 - 0.5e-12, 2.0, "b"),
-                        (0, RES_LINK_CW, 0.0, 0.0, "c")]).finish()
+    tl = _filled_sched([(RES_VPU, -0.5e-12, 1.0, "a"), (RES_VPU, 1.0 - 0.5e-12, 2.0, "b"),
+                        (RES_LINK_CW, 0.0, 0.0, "c")]).finish()
     assert list(tl.label) == ["a", "b", "c"]
     with pytest.raises(RuntimeError):
-        _filled_sched([(0, RES_VPU, 0.0, math.nan, "a"), (0, RES_VPU, 1.0, 2.0, "b")]).finish()
+        _filled_sched([(RES_VPU, 0.0, math.nan, "a"), (RES_VPU, 1.0, 2.0, "b")]).finish()
 
 
 def test_overlap_check_runs_under_optimize():
     code = ("import qarsim.simnet as s\n"
-            "x = s._Sched(None, None)\n"
-            "for c, v in zip((x.device, x.resource, x.start_s, x.end_s, x.label),"
-            " (0, 'VPU', -1.0, 0.0, 'a')): c.append(v)\n"
+            "x = s._Sched(1, None, None)\n"
+            "for c, v in zip((x.resource, x.start_s, x.end_s, x.label),"
+            " ('VPU', -1.0, 0.0, 'a')): c.append(v)\n"
             "try:\n    x.finish()\nexcept RuntimeError:\n    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
     src = str(Path(simnet.__file__).parents[1])
@@ -409,3 +417,90 @@ def test_every_device_runs_device_0s_events(tl):
     assert sorted(per_device) == list(range(len(per_device)))
     for d, events in per_device.items():
         assert events == per_device[0], f"device {d}"
+
+
+# Receive-side passes of hop `it` in a direction, and the sends they wait for.
+_RECV = re.compile(r"(rs|ag):(?:dq|add|fused|land|dec):it=(\d+):(cw|ccw)(:g=\d+:j=\d+)?$")
+_SEND = re.compile(r"(rs|ag):(?:pay|raw):it=(\d+):(cw|ccw)(:g=\d+:j=\d+)?$")
+_KINDS = [f"{v.value}-{rs}-{ag}" for v in Variant for rs in ("raw", "quant")
+          for ag in ("raw", "quant")] + ["naive", "ideal"]
+
+
+def _timelines(kind: str, n: int):
+    spec = PartitionSpec(n, 3, 2)
+    nbytes = 2 * n * 3 * 2 * 1024
+    for fuse in (False, True):
+        compute = replace(COMP, fuse_recv_pass=fuse)
+        if kind == "naive":
+            yield simulate_naive(spec, nbytes, LINK, compute)
+        elif kind == "ideal":
+            yield simulate_ideal_2to1(spec, nbytes, LINK, compute)
+        else:
+            variant, rs, ag = kind.split("-")
+            cfg = CollectiveConfig(Variant(variant), spec, quantize_rs=rs == "quant",
+                                   quantize_ag=ag == "quant")
+            yield simulate(cfg, nbytes, LINK, compute)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("n", [4, 6, 16])
+def test_derived_devices_wait_for_their_neighbours_sends(n, kind):
+    # Read off the full timeline alone, not the simulator's keys: each
+    # receive pass on device d starts no earlier than the sending
+    # neighbour's matching transfer ends plus the hop latency.
+    for tl in _timelines(kind, n):
+        sent = {}
+        for d, _, _, end, label in zip(*tl.columns):
+            m = _SEND.match(label)
+            if m:
+                sent[(d, *m.groups())] = end
+        checked = 0
+        for d, _, start, _, label in zip(*tl.columns):
+            m = _RECV.match(label)
+            if m:
+                stage, it, dn, part = m.groups()
+                sender = (d - 1) % n if dn == "cw" else (d + 1) % n
+                assert start >= sent[(sender, stage, it, dn, part)] + LINK.hop_latency_s, \
+                    (d, label)
+                checked += 1
+        assert checked >= n
+        _assert_no_overlap(tl)
+
+
+def _derived():
+    cfg = small_cfg(n=6, m=3, variant=Variant.SEMI_LOOP)
+    return simulate(cfg, small_bytes(cfg), LINK, COMP)
+
+
+def test_total_time_stage_end_and_len_leave_the_columns_unbuilt(monkeypatch):
+    full = _derived()
+    expected = (max(full.end_s),
+                max(e for e, lb in zip(full.end_s, full.label) if lb.startswith("rs")),
+                max(e for e, lb in zip(full.end_s, full.label) if lb.startswith("ag")),
+                len(full.device))
+
+    def forbidden(*args):
+        raise AssertionError("columns built")
+
+    monkeypatch.setattr(simnet, "_expand", forbidden)
+    tl = _derived()
+    assert (tl.total_time, tl.stage_end("rs"), tl.stage_end("ag"), len(tl.events)) == expected
+    with pytest.raises(AssertionError, match="columns built"):
+        tl.columns
+
+
+_READS = {
+    **{name: operator.attrgetter(name)
+       for name in ("device", "resource", "start_s", "end_s", "label", "columns")},
+    "to_jsonl": Timeline.to_jsonl,
+    "idle_time": idle_time,
+    "events[i]": lambda tl: [tl.events[i] for i in (0, 1, len(tl.events) // 2, -1)],
+    "events[a:b:c]": lambda tl: list(tl.events[5:400:7]),
+}
+
+
+@pytest.mark.parametrize("read", list(_READS))
+def test_derived_reads_match_a_timeline_of_the_expanded_columns(read):
+    full = Timeline(*(list(c) for c in _derived().columns))
+    # A fresh timeline, so `read` is the first thing read from it.
+    assert _READS[read](_derived()) == _READS[read](full)
