@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -104,6 +104,7 @@ def auto_minishards(total_elems: int, num_devices: int) -> int:
 
 @dataclass(frozen=True)
 class FlavorResult:
+    # The fields are in CSV_COLUMNS order.
     flavor: str
     variant: str
     stages: str
@@ -118,20 +119,7 @@ class FlavorResult:
     predicted_speedup: float
 
     def to_row(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "variant": self.variant,
-            "stages": self.stages,
-            "codec": self.codec,
-            "N": self.num_devices,
-            "rows": self.rows,
-            "cols": self.cols,
-            "m": self.minishards,
-            "u": self.microshards,
-            "seed": self.seed,
-            "mse": self.mse,
-            "predicted_speedup": self.predicted_speedup,
-        }
+        return dict(zip(CSV_COLUMNS, astuple(self)))
 
 
 def tradeoff_study(

@@ -23,19 +23,19 @@ Hop t of every arc runs in iteration t.
              pairs (an adder tree over a bandwidth-optimal ring, Patarasuk
              & Yuan 2009). All-gather: CW runs N/2 iterations, CCW N/2-1.
 
-Hop lists carry the order the simulator emits them in, because its
-timeline lists events in emission order. Both variants use one rule:
-sends by sender, receives grouped by receiving device, each CW before
-CCW; a group's quantized hops interleave minishard by minishard.
-Every device runs the same hop lists up to a rotation of the ring, so
-the simulator walks `Schedule.on_device(0)` alone.
+The hop lists are device 0's: every device runs the same lists up to a
+rotation of the ring (device d's are device 0's with every shard and
+device shifted by d), so the simulator walks device 0's alone, and
+`simnet._expand` lays out the other devices' events in emission order.
+Each iteration's sends and receives are in the order the simulator emits
+them, CW before CCW in both variants; quantized receives interleave
+minishard by minishard.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import groupby
 
 CW = "cw"
 CCW = "ccw"
@@ -67,17 +67,16 @@ class Hop:
 
     arc: Arc
     it: int
-    sender: int
-    receiver: int
     last: bool  # the arc ends at the receiver
 
 
 @dataclass(frozen=True)
 class Step:
-    """One iteration: link transfers, then receive passes in emission order."""
+    """One iteration of device 0: its link transfers, then its receive passes,
+    each CW before CCW."""
 
     sends: tuple[Hop, ...]
-    recvs: tuple[tuple[Hop, ...], ...]
+    recvs: tuple[Hop, ...]
 
 
 @dataclass(frozen=True)
@@ -87,14 +86,8 @@ class Schedule:
 
     @property
     def heads(self) -> tuple[Hop, ...]:
-        """Every arc's first hop, by sender, CW before CCW."""
+        """The first hops of the arcs device 0 heads, CW before CCW."""
         return self.steps[0].sends
-
-    def on_device(self, d: int) -> Schedule:
-        """The sends of device d and its receive groups, in the same order."""
-        return Schedule(tuple(Step(tuple(h for h in st.sends if h.sender == d),
-                                   tuple(g for g in st.recvs if g[0].receiver == d))
-                              for st in self.steps), self.whole)
 
 
 def split(variant: Variant, units: int) -> dict[str, range]:
@@ -140,21 +133,15 @@ def ag_arcs(variant: Variant, n: int, units: int) -> list[list[Arc]]:
     ]
 
 
-def _dir(h: Hop) -> int:
-    return DIRECTIONS.index(h.arc.direction)
-
-
 def _schedule(variant: Variant, arcs: list[list[Arc]]) -> Schedule:
-    """Hop lists per iteration: sends by sender, receives grouped by receiver."""
-    flat = [a for shard in arcs for a in shard]
+    """Device 0's hop lists per iteration: the hops it sends, then the hops
+    it receives, each CW before CCW."""
+    flat = [a for dn in DIRECTIONS for shard in arcs for a in shard if a.direction == dn]
     steps = []
     for t in range(1, max(len(a.devices) for a in flat)):
-        hops = [Hop(a, t, a.devices[t - 1], a.devices[t], t == len(a.devices) - 1)
-                for a in flat if len(a.devices) > t]
-        sends = tuple(sorted(hops, key=lambda h: (h.sender, _dir(h))))
-        by_receiver = sorted(hops, key=lambda h: (h.receiver, _dir(h)))
-        recvs = tuple(tuple(g) for _, g in groupby(by_receiver, key=lambda h: h.receiver))
-        steps.append(Step(sends, recvs))
+        hops = [Hop(a, t, t == len(a.devices) - 1) for a in flat if len(a.devices) > t]
+        steps.append(Step(tuple(h for h in hops if h.arc.devices[t - 1] == 0),
+                          tuple(h for h in hops if h.arc.devices[t] == 0)))
     return Schedule(tuple(steps), whole=variant is Variant.SEMI_LOOP)
 
 

@@ -17,20 +17,19 @@ casts of the naive and ideal 2:1 rings.
 
 One representative device. The ring is rotation-symmetric: device d runs
 device 0's hop lists on shards shifted by d, so its events are device 0's
-exactly, times included. The executor therefore walks device 0's hop
-lists alone (`Schedule.on_device(0)`) with device-relative dependency
-keys, which name a stage, direction, iteration and unit but never a
-shard. A device sends one arc and receives one per (direction,
-iteration), so a key is unique on device 0, and the key a neighbour's
-send would produce is done when device 0's own send of that (direction,
-iteration) is; each step emits its sends before its receives. The
-overlap check runs on device 0's events, and every other device's are
-copies of them, so it covers every event. A `Timeline` keeps device 0's
-events and where each segment of the emission order ends (after each
-stage's prep, each step's sends and receives, and each stage's end); the
-N-device columns repeat every segment once per device, device 0 first,
-and are built only when a caller reads them. `total_time`, `stage_end`
-and `len(events)` cost one device.
+exactly, times included. The schedule's hop lists are device 0's, and
+the executor walks them with device-relative dependency keys, which name
+a stage, direction, iteration and unit but never a shard. A device sends
+one arc and receives one per (direction, iteration), so a key is unique
+on device 0, and the key a neighbour's send would produce is done when
+device 0's own send of that (direction, iteration) is; each step emits
+its sends before its receives. The overlap check runs on device 0's
+events, and every other device's are copies of them, so it covers every
+event. A `Timeline` is device 0's events plus where each segment of the
+emission order ends (after each stage's prep, each step's sends and
+receives, and each stage's end). `_expand` alone lays out devices
+1..N-1, repeating every segment once per device, device 0 first; only
+`Timeline.columns` (and so `events`) and `to_jsonl` call it.
 
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
@@ -53,10 +52,9 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise, zip_longest
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from .collectives import CollectiveConfig
 from .layout import DivisibilityError, PartitionSpec
@@ -108,9 +106,9 @@ class TimelineEvent:
 
 
 class _Events(Sequence[TimelineEvent]):
-    """Read-only view of a timeline that builds each event on access.
+    """Read-only view of a timeline's events that builds each event on access.
 
-    Slicing returns a view of the slice.
+    Slicing returns a tuple of events.
     """
 
     __slots__ = ("_tl",)
@@ -119,20 +117,21 @@ class _Events(Sequence[TimelineEvent]):
         self._tl = tl
 
     def __len__(self) -> int:
-        return self._tl._len
+        return self._tl.n * len(self._tl.label)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _Events(Timeline(*(c[i] for c in self._tl.columns)))
+            return tuple(map(TimelineEvent, *(c[i] for c in self._tl.columns)))
         return TimelineEvent(*(c[i] for c in self._tl.columns))
 
     def __iter__(self):
         return map(TimelineEvent, *self._tl.columns)
 
 
-def _expand(n: int, bounds: Sequence[int], cols: tuple[list, ...]) -> tuple[list, ...]:
-    """All n devices' columns from device 0's: each segment of device 0's
-    events (between consecutive bounds) repeats once per device, device 0 first.
+def _expand(n: int, bounds: Sequence[int], cols: tuple[Sequence, ...]) -> tuple[list, ...]:
+    """The device column and all n devices' `cols` from device 0's: each
+    segment of device 0's events (between consecutive bounds) repeats once
+    per device, device 0 first.
     """
     device: list[int] = []
     out: tuple[list, ...] = tuple([] for _ in cols)
@@ -144,69 +143,39 @@ def _expand(n: int, bounds: Sequence[int], cols: tuple[list, ...]) -> tuple[list
     return (device, *out)
 
 
+@dataclass(frozen=True, eq=False)
 class Timeline:
-    """A schedule's events in emission order, stored as parallel columns.
+    """The events of n devices that each run device 0's events, in emission order.
 
-    Entry i of every column is a field of event i; the times are floats.
-    `events` builds `TimelineEvent`s from the columns only when read.
-
-    A simulated timeline keeps device 0's events alone (see the module
-    docstring). `total_time`, `stage_end` and `len(events)` read those; the
-    full columns are built on the first read of a column, `columns`,
-    `to_jsonl`, `idle_time` or an event.
+    `resource`, `start_s`, `end_s` and `label` are device 0's events as
+    parallel columns (entry i of each is a field of its event i), and
+    `bounds` are where each segment of the emission order ends, from 0 to
+    the column length. Across devices the emission order is each segment
+    once per device, device 0 first (see `_expand`). `total_time`,
+    `stage_end`, `len(events)` and `idle_time` read device 0's columns;
+    `to_jsonl` expands its lines; `columns` and `events` are the n
+    devices' events, built on first read.
     """
 
-    # _rep: (resource, start_s, end_s, label) of the events one device runs,
-    # repeated _copies times segment by segment, the segments running between
-    # consecutive entries of _bounds; _cols: the full columns once built.
-    __slots__ = ("_cols", "_rep", "_copies", "_bounds", "_len")
+    n: int
+    bounds: Sequence[int]
+    resource: Sequence[str]
+    start_s: Sequence[float]
+    end_s: Sequence[float]
+    label: Sequence[str]
 
-    def __init__(self, device: Sequence[int] = (), resource: Sequence[str] = (),
-                 start_s: Sequence[float] = (), end_s: Sequence[float] = (),
-                 label: Sequence[str] = ()):
-        cols = (device, resource, start_s, end_s, label)
-        if len({len(c) for c in cols}) > 1:
+    def __post_init__(self):
+        if len({len(self.resource), len(self.start_s), len(self.end_s), len(self.label)}) > 1:
             raise ValueError("timeline columns differ in length")
-        self._cols = cols
-        self._rep, self._copies, self._bounds = cols[1:], 1, [0, len(device)]
-        self._len = len(device)
+        b = self.bounds
+        if not (b and b[0] == 0 and b[-1] == len(self.label)
+                and all(x < y for x, y in pairwise(b))):
+            raise ValueError("timeline bounds must increase from 0 to the column length")
 
-    @classmethod
-    def _of_device_0(cls, n: int, bounds: list[int], *cols: list) -> Timeline:
-        """The timeline of n devices that each run device 0's columns `cols`
-        (resource, start_s, end_s, label), segment by segment."""
-        tl = cls.__new__(cls)
-        tl._cols = None
-        tl._rep, tl._copies, tl._bounds = cols, n, bounds
-        tl._len = n * len(cols[0])
-        return tl
-
-    @property
-    def columns(self) -> tuple[Sequence, ...]:
-        """The columns in `TimelineEvent` field order."""
-        if self._cols is None:
-            self._cols = _expand(self._copies, self._bounds, self._rep)
-        return self._cols
-
-    @property
-    def device(self) -> Sequence[int]:
-        return self.columns[0]
-
-    @property
-    def resource(self) -> Sequence[str]:
-        return self.columns[1]
-
-    @property
-    def start_s(self) -> Sequence[float]:
-        return self.columns[2]
-
-    @property
-    def end_s(self) -> Sequence[float]:
-        return self.columns[3]
-
-    @property
-    def label(self) -> Sequence[str]:
-        return self.columns[4]
+    @cached_property
+    def columns(self) -> tuple[list, ...]:
+        """The n devices' columns in `TimelineEvent` field order."""
+        return _expand(self.n, self.bounds, (self.resource, self.start_s, self.end_s, self.label))
 
     @property
     def events(self) -> Sequence[TimelineEvent]:
@@ -214,38 +183,49 @@ class Timeline:
 
     @property
     def total_time(self) -> float:
-        return max(self._rep[2], default=0.0)
+        return max(self.end_s, default=0.0)
 
     def stage_end(self, prefix: str) -> float:
         """Latest end among events whose label starts with prefix (e.g. 'rs', 'ag')."""
-        _, _, end_s, label = self._rep
-        return max((e for e, lb in zip(end_s, label) if lb.startswith(prefix)), default=0.0)
+        return max((e for e, lb in zip(self.end_s, self.label) if lb.startswith(prefix)),
+                   default=0.0)
 
     def to_jsonl(self) -> str:
         """One line per event, byte for byte the `json.dumps` of its field dict."""
-        _, start_s, end_s, _ = self._rep
         # A finite sum means every time is finite, and json.dumps writes a
         # finite float as float.__repr__ does; it spells out NaN and Infinity.
-        num = float.__repr__ if math.isfinite(sum(start_s) + sum(end_s)) else json.dumps
+        num = float.__repr__ if math.isfinite(sum(self.start_s) + sum(self.end_s)) else json.dumps
         enc = encode_basestring_ascii
         # Format all but the device once per event of device 0.
         tails = [f'"resource": {enc(r)}, "start_s": {num(s)}, "end_s": {num(e)}, '
-                 f'"label": {enc(lb)}}}\n' for r, s, e, lb in zip(*self._rep)]
-        tails = _expand(self._copies, self._bounds, (tails,))[1]
-        return "".join([f'{{"device": {d}, {t}' for d, t in zip(self.device, tails)])
+                 f'"label": {enc(lb)}}}\n'
+                 for r, s, e, lb in zip(self.resource, self.start_s, self.end_s, self.label)]
+        device, tails = _expand(self.n, self.bounds, (tails,))
+        return "".join([f'{{"device": {d}, {t}' for d, t in zip(device, tails)])
 
 
 def idle_time(t: Timeline) -> float:
-    """Sum over links of idle gaps between each link's first and last transfer."""
-    windows: dict[tuple[int, str], list[float]] = {}
-    for d, r, start, end in zip(t.device, t.resource, t.start_s, t.end_s):
-        if r == RES_VPU:
-            continue
-        w = windows.setdefault((d, r), [math.inf, 0.0, 0.0])
-        w[0] = min(w[0], start)
-        w[1] = max(w[1], end)
-        w[2] += end - start
-    return sum(last - first - busy for first, last, busy in windows.values())
+    """Sum over links of idle gaps between each link's first and last transfer.
+
+    Every device's link windows are device 0's. They are summed in the order
+    in which the n-device timeline first uses each (device, link), which is
+    per segment the links device 0 first uses there, once per device, so the
+    sum is bit for bit the per-event one.
+    """
+    windows: dict[str, list[float]] = {}
+    order: list[str] = []
+    for a, b in pairwise(t.bounds):
+        seen = len(windows)
+        for r, start, end in zip(t.resource[a:b], t.start_s[a:b], t.end_s[a:b]):
+            if r == RES_VPU:
+                continue
+            w = windows.setdefault(r, [math.inf, 0.0, 0.0])
+            w[0] = min(w[0], start)
+            w[1] = max(w[1], end)
+            w[2] += end - start
+        order += list(windows)[seen:] * t.n
+    gap = {r: last - first - busy for r, (first, last, busy) in windows.items()}
+    return sum(gap[r] for r in order)
 
 
 def lower_bound(variant: Variant, num_devices: int, d_bytes: float, bandwidth: float) -> float:
@@ -257,28 +237,19 @@ def lower_bound(variant: Variant, num_devices: int, d_bytes: float, bandwidth: f
     return (num_devices - 1) * d_bytes / (2.0 * num_devices * bandwidth)
 
 
-def _check_overlap(device, resource, start_s, end_s, label) -> None:
-    """Raise unless each (device, resource) runs one event at a time.
+def _check_overlap(resource, start_s, end_s, label) -> None:
+    """Raise unless each resource runs one event at a time.
 
     Per-resource emission order is execution order, so each event may
     start at most 1e-12 s before the previous event on its resource ends,
     and the first event on a resource at most 1e-12 s before 0. The first
     overlapping event emitted is named.
     """
-    n = len(label)
-    names = {r: i for i, r in enumerate(sorted(set(resource)))}
-    key = (np.fromiter(device, np.int64, n) * len(names)
-           + np.fromiter(map(names.__getitem__, resource), np.int64, n))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.fromiter(start_s, np.float64, n)[order]
-    end = np.fromiter(end_s, np.float64, n)[order]
-    prev_end = np.zeros(n)
-    prev_end[1:] = np.where(key[1:] == key[:-1], end[:-1], 0.0)
-    bad = ~(start >= prev_end - 1e-12)
-    if bad.any():
-        i = int(order[bad].min())
-        raise RuntimeError(f"overlap on device {device[i]} {resource[i]} at {label[i]}")
+    prev_end: dict[str, float] = {}
+    for r, start, end, lb in zip(resource, start_s, end_s, label):
+        if not start >= prev_end.get(r, 0.0) - 1e-12:
+            raise RuntimeError(f"overlap on {r} at {lb}")
+        prev_end[r] = end
 
 
 class _Sched:
@@ -339,9 +310,9 @@ class _Sched:
         every event.
         """
         cols = (self.resource, self.start_s, self.end_s, self.label)
-        _check_overlap([0] * len(self.label), *cols)
+        _check_overlap(*cols)
         self.mark()
-        return Timeline._of_device_0(self.n, self.bounds, *cols)
+        return Timeline(self.n, self.bounds, *cols)
 
 
 def _interleave(*seqs):
@@ -459,10 +430,10 @@ class _Quant(_Hops):
                 s.send(dn, k + ("pay", g, j), f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e,
                        [pay + (g, j)])
 
-    def recv(self, group: tuple[Hop, ...]) -> None:
+    def recv(self, recvs: tuple[Hop, ...]) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
         c = s.compute
-        for h, g in _interleave(*[[(h, g) for g in h.arc.units] for h in group]):
+        for h, g in _interleave(*[[(h, g) for g in h.arc.units] for h in recvs]):
             a, t = h.arc, h.it
             dn = a.direction
             k = _key(st, h, t)
@@ -526,10 +497,10 @@ class _Plain(_Hops):
         self.s.send(dn, k + ("wire",), f"{st}:{word}:it={t}:{dn}", elem_bytes * len(h.arc.units),
                     deps)
 
-    def recv(self, group: tuple[Hop, ...]) -> None:
+    def recv(self, recvs: tuple[Hop, ...]) -> None:
         s, st = self.s, self.stage
         c = s.compute
-        for h in group:
+        for h in recvs:
             a, t = h.arc, h.it
             dn, elems = a.direction, len(a.units)
             k = _key(st, h, t)
@@ -567,15 +538,13 @@ def _execute(s: _Sched, *stages: tuple[Schedule, _Hops]) -> Timeline:
     through its hop kind; a segment ends after each stage's prep, each
     step's sends, each step's receives and each stage's done."""
     for sch, hops in stages:
-        sch = sch.on_device(0)
         hops.prep(sch)
         s.mark()
         for step in sch.steps:
             for h in step.sends:
                 hops.send(h)
             s.mark()
-            for group in step.recvs:
-                hops.recv(group)
+            hops.recv(step.recvs)
             s.mark()
         hops.done(sch)
         s.mark()

@@ -66,34 +66,28 @@ UNITS = {True: 3, False: 8}
 
 @pytest.mark.parametrize("quantized", [False, True])
 @pytest.mark.parametrize("variant", list(Variant))
-def test_hop_lists_cover_every_hop_once_and_senders_use_each_link_once(variant, quantized):
-    n, units = 8, UNITS[quantized]
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
+def test_device_0s_hop_lists_rotate_onto_every_hop(n, variant, quantized):
+    # The simulator's premise: device d runs device 0's hop lists with every
+    # shard and device shifted by d, and together the n rotations run every
+    # hop of every arc once.
+    units = UNITS[quantized]
     for sch, arcs in ((rs_schedule(variant, n, units), rs_arcs(variant, n, units)),
                       (ag_schedule(variant, n, units), ag_arcs(variant, n, units))):
-        want = {(a.shard, a.direction, t) for shard in arcs for a in shard
-                for t in range(1, len(a.devices))}
-        got = [(h.arc.shard, h.arc.direction, h.it) for st in sch.steps for h in st.sends]
-        assert sorted(got) == sorted(want)
+        arc_of = {(a.shard, a.direction): a for shard in arcs for a in shard}
+        want = sorted((a.shard, a.direction, t) for a in arc_of.values()
+                      for t in range(1, len(a.devices)))
+        sent, received = [], []
         for t, st in enumerate(sch.steps, 1):
-            assert all(h.it == t for h in st.sends)
-            links = [(h.sender, h.arc.direction) for h in st.sends]
-            assert len(links) == len(set(links))
-            received = [h for group in st.recvs for h in group]
-            assert sorted(received, key=id) == sorted(st.sends, key=id)
-        assert [h.it for h in sch.heads] == [1] * len(sch.heads)
-        assert [h.sender for h in sch.heads] == sorted(h.sender for h in sch.heads)
-
-
-@pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("variant", list(Variant))
-def test_receive_groups_put_cw_before_ccw_in_both_variants(variant, quantized):
-    n, units = 8, UNITS[quantized]
-    for sch in (rs_schedule(variant, n, units), ag_schedule(variant, n, units)):
-        for st in sch.steps:
-            links = [(h.sender, h.arc.direction == CCW) for h in st.sends]
-            assert links == sorted(links)
-            receivers = [g[0].receiver for g in st.recvs]
-            assert receivers == sorted(set(receivers))
-            for group in st.recvs:
-                assert {h.receiver for h in group} == {group[0].receiver}
-                assert [h.arc.direction for h in group] in ([CW], [CCW], [CW, CCW])
+            for hops, at, rotated in ((st.sends, t - 1, sent), (st.recvs, t, received)):
+                assert [h.arc.direction for h in hops] in ([], [CW], [CCW], [CW, CCW])
+                for h in hops:
+                    a = h.arc
+                    assert h.it == t and a.devices[at] == 0
+                    assert h.last == (t == len(a.devices) - 1)
+                    for d in range(n):
+                        b = arc_of[((a.shard + d) % n, a.direction)]
+                        assert b.devices == tuple((x + d) % n for x in a.devices)
+                        assert (b.units, b.after) == (a.units, a.after)
+                        rotated.append((b.shard, b.direction, t))
+        assert sorted(sent) == want and sorted(received) == want

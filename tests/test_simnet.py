@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import operator
 import os
 import re
 import subprocess
@@ -300,6 +299,13 @@ def test_column_reads_match_per_event_reference(tl):
     jsonl = tl.to_jsonl()
     assert jsonl == _ref_jsonl(events)
     assert len(tl.events) == len(events) == jsonl.count("\n")
+    assert tl.columns == tuple(map(list, zip(*map(dataclasses.astuple, events))))
+    assert [tl.events[i] for i in (0, 1, len(events) // 2, -1)] == \
+        [events[i] for i in (0, 1, len(events) // 2, -1)]
+    assert tl.events[5:400:7] == tuple(events[5:400:7])
+    # The stored columns are device 0's events.
+    device_0 = [(e.resource, e.start_s, e.end_s, e.label) for e in events if e.device == 0]
+    assert list(zip(tl.resource, tl.start_s, tl.end_s, tl.label)) == device_0
 
 
 def test_reads_and_len_build_no_event(monkeypatch):
@@ -328,8 +334,8 @@ def test_events_view_is_a_read_only_sequence():
     assert dataclasses.asdict(ev[-1]) == json.loads(lines[-1])
     with pytest.raises(IndexError):
         ev[n]
-    # Slicing returns a view of the slice.
-    assert list(ev[1:5]) == list(ev)[1:5] and list(ev[::-2]) == list(ev)[::-2]
+    # Slicing returns a tuple of events.
+    assert ev[1:5] == tuple(ev)[1:5] and ev[::-2] == tuple(ev)[::-2]
     assert len(ev[1:5]) == 4 and ev[1:5][-1] == ev[4]
     with pytest.raises(TypeError):
         ev[1:5][0] = ev[0]
@@ -346,20 +352,27 @@ def test_events_view_is_a_read_only_sequence():
 
 
 def test_timeline_rejects_columns_of_unequal_length():
-    with pytest.raises(ValueError, match="length"):
-        Timeline([0, 1], [RES_VPU], [0.0], [1.0], ["a"])
+    with pytest.raises(ValueError, match="differ in length"):
+        Timeline(1, [0, 1], [RES_VPU, RES_VPU], [0.0], [1.0], ["a"])
+
+
+# Not from 0, short of the length 2, decreasing, repeating, empty.
+@pytest.mark.parametrize("bounds", [[1, 2], [0, 1], [0, 2, 1, 2], [0, 1, 1, 2], []])
+def test_timeline_rejects_bounds_that_do_not_increase_from_0_to_the_length(bounds):
+    with pytest.raises(ValueError, match="bounds"):
+        Timeline(1, bounds, [RES_VPU] * 2, [0.0, 1.0], [1.0, 2.0], ["a", "b"])
 
 
 def test_to_jsonl_escapes_like_json_dumps():
     labels = ['q"uote', "back\\slash", "caf\u00e9", "tab\tnew\nline", "\U0001f600"]
     n = len(labels)
-    tl = Timeline(list(range(n)), [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU],
+    tl = Timeline(1, [0, n], [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU],
                   [0.0, 1e-300, 2.5, 1 / 3, 7.0], [0.1, 1e300, 3.5, 2 / 3, 7.0], labels)
     assert tl.to_jsonl().splitlines() == [json.dumps(dataclasses.asdict(e)) for e in tl.events]
-    odd = Timeline([0, 1, 2], [RES_VPU] * 3, [0.0, math.inf, -math.inf], [math.nan, math.inf, 0.0],
-                   ["a", "b", "c"])
+    odd = Timeline(1, [0, 3], [RES_VPU] * 3, [0.0, math.inf, -math.inf],
+                   [math.nan, math.inf, 0.0], ["a", "b", "c"])
     assert odd.to_jsonl() == _ref_jsonl(odd.events)
-    assert Timeline().to_jsonl() == ""
+    assert Timeline(1, [0], [], [], [], []).to_jsonl() == ""
 
 
 def _filled_sched(rows) -> simnet._Sched:
@@ -372,18 +385,19 @@ def _filled_sched(rows) -> simnet._Sched:
 
 
 @pytest.mark.parametrize("rows, culprit", [
-    # Different resources may overlap in time; the first overlap emitted is named.
-    ([(1, RES_LINK_CW, 0.0, 2.0, "a"), (1, RES_VPU, 0.5, 1.0, "b"), (1, RES_VPU, 0.9, 1.5, "d"),
-      (0, RES_LINK_CW, 0.5, 3.0, "c"), (0, RES_LINK_CW, 1.0, 2.0, "f")], "device 1 VPU at d"),
+    # Different resources may overlap in time; the first overlap emitted is
+    # named, not the first in resource order.
+    ([(RES_LINK_CW, 0.0, 2.0, "a"), (RES_VPU, 0.5, 1.0, "b"), (RES_VPU, 0.9, 1.5, "d"),
+      (RES_LINK_CCW, 0.5, 3.0, "c"), (RES_LINK_CCW, 1.0, 2.0, "f")], "VPU at d"),
     # The first event on a resource may not start before 0.
-    ([(0, RES_VPU, 0.0, 1.0, "a"), (2, RES_LINK_CCW, -1e-9, 1.0, "e")], "device 2 LINK_CCW at e"),
+    ([(RES_VPU, 0.0, 1.0, "a"), (RES_LINK_CCW, -1e-9, 1.0, "e")], "LINK_CCW at e"),
 ])
 def test_finish_raises_on_overlap(rows, culprit):
     # `_Sched.finish` runs this check on device 0's columns.
     with pytest.raises(RuntimeError, match=f"overlap on {culprit}$"):
         simnet._check_overlap(*zip(*rows))
-    with pytest.raises(RuntimeError, match=f"overlap on device 0 {culprit.split()[2]} at "):
-        _filled_sched([row[1:] for row in rows]).finish()
+    with pytest.raises(RuntimeError, match=f"overlap on {culprit}$"):
+        _filled_sched(rows).finish()
 
 
 def test_finish_keeps_the_tolerance():
@@ -474,33 +488,27 @@ def _derived():
 
 def test_total_time_stage_end_and_len_leave_the_columns_unbuilt(monkeypatch):
     full = _derived()
-    expected = (max(full.end_s),
-                max(e for e, lb in zip(full.end_s, full.label) if lb.startswith("rs")),
-                max(e for e, lb in zip(full.end_s, full.label) if lb.startswith("ag")),
-                len(full.device))
+    events = list(full.events)
+    expected = (max(e.end_s for e in events),
+                max(e.end_s for e in events if e.label.startswith("rs")),
+                max(e.end_s for e in events if e.label.startswith("ag")),
+                len(events), _ref_idle_time(events), _ref_jsonl(events))
 
     def forbidden(*args):
         raise AssertionError("columns built")
 
-    monkeypatch.setattr(simnet, "_expand", forbidden)
+    expand, expanded = simnet._expand, []
+
+    def recorded(n, bounds, cols):
+        expanded.append(len(cols))
+        return expand(n, bounds, cols)
+
+    monkeypatch.setattr(Timeline, "columns", property(forbidden))
+    monkeypatch.setattr(simnet, "_expand", recorded)
     tl = _derived()
-    assert (tl.total_time, tl.stage_end("rs"), tl.stage_end("ag"), len(tl.events)) == expected
+    reads = (tl.total_time, tl.stage_end("rs"), tl.stage_end("ag"), len(tl.events), idle_time(tl))
+    assert not expanded
+    assert reads + (tl.to_jsonl(),) == expected
+    assert expanded == [1]  # to_jsonl expands its formatted lines alone
     with pytest.raises(AssertionError, match="columns built"):
         tl.columns
-
-
-_READS = {
-    **{name: operator.attrgetter(name)
-       for name in ("device", "resource", "start_s", "end_s", "label", "columns")},
-    "to_jsonl": Timeline.to_jsonl,
-    "idle_time": idle_time,
-    "events[i]": lambda tl: [tl.events[i] for i in (0, 1, len(tl.events) // 2, -1)],
-    "events[a:b:c]": lambda tl: list(tl.events[5:400:7]),
-}
-
-
-@pytest.mark.parametrize("read", list(_READS))
-def test_derived_reads_match_a_timeline_of_the_expanded_columns(read):
-    full = Timeline(*(list(c) for c in _derived().columns))
-    # A fresh timeline, so `read` is the first thing read from it.
-    assert _READS[read](_derived()) == _READS[read](full)
