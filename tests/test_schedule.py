@@ -66,6 +66,47 @@ UNITS = {True: 3, False: 8}
 
 @pytest.mark.parametrize("quantized", [False, True])
 @pytest.mark.parametrize("variant", list(Variant))
+def test_hop_lists_cover_every_hop_once_and_senders_use_each_link_once(variant, quantized):
+    # Rotated onto every device, device 0's sends run every hop once; in each
+    # iteration every device sends on each of its links at most once, and the
+    # hops received are the hops sent.
+    n, units = 8, UNITS[quantized]
+    for sch, arcs in ((rs_schedule(variant, n, units), rs_arcs(variant, n, units)),
+                      (ag_schedule(variant, n, units), ag_arcs(variant, n, units))):
+        want = sorted((a.shard, a.direction, t) for shard in arcs for a in shard
+                      for t in range(1, len(a.devices)))
+        got = []
+        for t, st in enumerate(sch.steps, 1):
+            assert all(h.it == t for h in st.sends + st.recvs)
+            sent, received = (
+                sorted(((h.arc.shard + d) % n, h.arc.direction, (h.arc.devices[t - 1] + d) % n)
+                       for h in hops for d in range(n))
+                for hops in (st.sends, st.recvs))
+            links = [(sender, dn) for _, dn, sender in sent]
+            assert len(links) == len(set(links))
+            assert received == sent
+            got += [(shard, dn, t) for shard, dn, _ in sent]
+        assert sorted(got) == want
+        assert all(h.it == 1 and h.arc.devices[0] == 0 for h in sch.heads)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_receive_groups_put_cw_before_ccw_in_both_variants(variant, quantized):
+    # Device 0 receives CW hops from device n-1 and CCW hops from device 1,
+    # at most one of each per iteration, CW first; its sends are ordered alike.
+    n, units = 8, UNITS[quantized]
+    for sch in (rs_schedule(variant, n, units), ag_schedule(variant, n, units)):
+        for t, st in enumerate(sch.steps, 1):
+            for hops in (st.sends, st.recvs):
+                assert [h.arc.direction for h in hops] in ([], [CW], [CCW], [CW, CCW])
+            for h in st.recvs:
+                assert h.arc.devices[t] == 0
+                assert h.arc.devices[t - 1] == (n - 1 if h.arc.direction == CW else 1)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
 def test_device_0s_hop_lists_rotate_onto_every_hop(n, variant, quantized):
     # The simulator's premise: device d runs device 0's hop lists with every

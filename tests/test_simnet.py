@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from qarsim.simnet import (
     ComputeParams,
     LinkParams,
     Timeline,
+    TimelineEvent,
     idle_time,
     lower_bound,
     simulate,
@@ -512,3 +515,32 @@ def test_total_time_stage_end_and_len_leave_the_columns_unbuilt(monkeypatch):
     assert expanded == [1]  # to_jsonl expands its formatted lines alone
     with pytest.raises(AssertionError, match="columns built"):
         tl.columns
+
+
+def _expanded_events(tl):
+    """The n devices' events, one at a time from device 0's columns: each
+    segment once per device, device 0 first."""
+    return [TimelineEvent(d, tl.resource[i], tl.start_s[i], tl.end_s[i], tl.label[i])
+            for a, b in pairwise(tl.bounds) for d in range(tl.n) for i in range(a, b)]
+
+
+# Each read of a timeline, and the same read of its expanded events.
+_READS = {
+    **{name: (operator.attrgetter(name),
+              lambda events, name=name: [getattr(e, name) for e in events if e.device == 0])
+       for name in ("resource", "start_s", "end_s", "label")},
+    "columns": (operator.attrgetter("columns"),
+                lambda events: tuple(map(list, zip(*map(dataclasses.astuple, events))))),
+    "to_jsonl": (Timeline.to_jsonl, _ref_jsonl),
+    "idle_time": (idle_time, _ref_idle_time),
+    "events[i]": (lambda tl: [tl.events[i] for i in (0, 1, len(tl.events) // 2, -1)],
+                  lambda events: [events[i] for i in (0, 1, len(events) // 2, -1)]),
+    "events[a:b:c]": (lambda tl: list(tl.events[5:400:7]), lambda events: events[5:400:7]),
+}
+
+
+@pytest.mark.parametrize("read", list(_READS))
+def test_derived_reads_match_a_timeline_of_the_expanded_columns(read):
+    derived, expanded = _READS[read]
+    # A fresh timeline, so `read` is the first thing read from it.
+    assert derived(_derived()) == expanded(_expanded_events(_derived()))
