@@ -91,13 +91,18 @@ class RunConfig:
 
 # Each setting's name and type live only in its dataclass annotation.
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
-_LINK_TYPES = typing.get_type_hints(LinkParams)
-_COMPUTE_TYPES = typing.get_type_hints(ComputeParams)
-_SCOPES = (("link", _LINK_TYPES), ("compute", _COMPUTE_TYPES))
+_SCOPES = {"link": typing.get_type_hints(LinkParams),
+           "compute": typing.get_type_hints(ComputeParams)}
 
-_VARIANTS = {v.value for v in Variant}
-_CODECS = {c.value for c in Codec}
-_FORMATS = {"csv", "json"}
+# Allowed values of each enum field; the preset names come from the presets module.
+_ALLOWED = {"variant": {v.value for v in Variant}, "codec": {c.value for c in Codec},
+            "format": {"csv", "json"}}
+# A flag is its field's name with dashes, apart from these shorter spellings.
+_SHORT_FLAGS = {"minishards_per_shard": "--minishards",
+                "microshards_per_minishard": "--microshards",
+                "bandwidth_bytes_per_s": "--bandwidth", "hop_latency_s": "--hop-latency"}
+_HELP = {"output": "result file path (default: stdout)",
+         "sizes": "comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'"}
 # Smallest legal value of each count field; an unset minishard count is chosen later.
 _MINIMUM = {"num_devices": 2, "rows": 1, "cols": 1, "minishards_per_shard": 1,
             "microshards_per_minishard": 1}
@@ -138,13 +143,12 @@ def _check_type(name, value, hint):
 def _validate(cfg: RunConfig) -> RunConfig:
     for name, hint in _CONFIG_TYPES.items():
         _check_type(name, getattr(cfg, name), hint)
-    for scope, types in _SCOPES:
+    for scope, types in _SCOPES.items():
         for key, val in getattr(cfg, scope).items():
             if key not in types:
                 raise ConfigError(f"unknown {scope} field '{key}'")
             _check_type(f"{scope}.{key}", val, types[key])
-    for name, allowed in (("variant", _VARIANTS), ("codec", _CODECS), ("format", _FORMATS),
-                          ("preset", available_presets())):
+    for name, allowed in (*_ALLOWED.items(), ("preset", available_presets())):
         val = getattr(cfg, name)
         if val is not None and val not in allowed:
             raise ConfigError(f"field '{name}' must be one of {sorted(allowed)}, got {val!r}")
@@ -153,6 +157,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         if val is not None and val < low:
             raise ConfigError(f"field '{name}' must be >= {low}, got {val}")
     cfg.sizes = [parse_size(s) for s in cfg.sizes]
+    if min(cfg.sizes, default=1) < 1:
+        raise ConfigError(f"field 'sizes' must hold sizes >= 1, got {min(cfg.sizes)}")
     return cfg
 
 
@@ -177,7 +183,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key, val in vars(args).items():
         if val is None or key in ("command", "config"):
             continue
-        scope = next((name for name, types in _SCOPES if key in types), None)
+        scope = next((name for name, types in _SCOPES.items() if key in types), None)
         if scope is None:
             setattr(cfg, key, val)
         else:
@@ -305,37 +311,18 @@ COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # Each flag's dest is the RunConfig, LinkParams or ComputeParams field it sets.
+    # One flag per RunConfig, LinkParams and ComputeParams field, with the field as its dest.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config document")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--preset")
-    common.add_argument("--output", help="result file path (default: stdout)")
-    common.add_argument("--format", choices=sorted(_FORMATS))
-    common.add_argument("--timestamp", action=argparse.BooleanOptionalAction)
-    common.add_argument("--variant", choices=sorted(_VARIANTS))
-    common.add_argument("--codec", choices=sorted(_CODECS))
-    common.add_argument("--quantize-rs", action=argparse.BooleanOptionalAction)
-    common.add_argument("--quantize-ag", action=argparse.BooleanOptionalAction)
-    common.add_argument("--naive", action=argparse.BooleanOptionalAction)
-    common.add_argument("--num-devices", type=int)
-    common.add_argument("--rows", type=int)
-    common.add_argument("--cols", type=int)
-    common.add_argument("--minishards", type=int, dest="minishards_per_shard",
-                        metavar="MINISHARDS")
-    common.add_argument("--microshards", type=int, dest="microshards_per_minishard",
-                        metavar="MICROSHARDS")
-    common.add_argument("--bandwidth", type=float, dest="bandwidth_bytes_per_s",
-                        metavar="BANDWIDTH")
-    common.add_argument("--hop-latency", type=float, dest="hop_latency_s", metavar="HOP_LATENCY")
-    common.add_argument("--dequant-rate", type=float)
-    common.add_argument("--add-rate", type=float)
-    common.add_argument("--scan-rate", type=float)
-    common.add_argument("--encode-rate", type=float)
-    common.add_argument("--cast-rate", type=float)
-    common.add_argument("--fuse-recv-pass", action=argparse.BooleanOptionalAction)
-    common.add_argument("--sizes", type=_size_tokens,
-                        help="comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'")
+    for types in (_CONFIG_TYPES, *_SCOPES.values()):
+        for name, hint in types.items():
+            if name in _SCOPES:
+                continue
+            kind = (typing.get_args(hint) or (hint,))[0]  # X from an `X | None` annotation
+            kw = {bool: {"action": argparse.BooleanOptionalAction},
+                  list: {"type": _size_tokens}}.get(kind, {"type": kind})
+            flag = _SHORT_FLAGS.get(name, "--" + name.replace("_", "-"))
+            common.add_argument(flag, dest=name, help=_HELP.get(name), **kw)
 
     parser = argparse.ArgumentParser(
         prog="qarsim",

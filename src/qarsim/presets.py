@@ -1,4 +1,4 @@
-"""Named link/compute calibration profiles, shipped as JSON package data.
+"""Named link/compute calibration profiles, declared as constants.
 
 The "v5e-like" profile is calibrated at ratio level only: per-direction
 bandwidth, hop latency, and VPU pass rates are chosen so the baseline
@@ -9,30 +9,25 @@ against. Absolute hardware rates are not modeled.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 from .simnet import ComputeParams, LinkParams
 
 DEFAULT_PRESET = "v5e-like"
 
-
-def _preset_dir():
-    return resources.files(__package__).joinpath("presets")
+_PRESETS = {
+    "v5e-like": (
+        LinkParams(bandwidth_bytes_per_s=4.5e10, hop_latency_s=1.5e-5),
+        ComputeParams(dequant_rate=8e11, add_rate=1.6e12, scan_rate=1.6e12,
+                      encode_rate=8e11, cast_rate=1.6e12, fuse_recv_pass=False),
+    ),
+}
 
 
 def available_presets() -> list[str]:
-    names = []
-    for entry in _preset_dir().iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")].replace("_", "-"))
-    return sorted(names)
+    return sorted(_PRESETS)
 
 
 def load_preset(name: str) -> tuple[LinkParams, ComputeParams]:
-    path = _preset_dir().joinpath(name.replace("-", "_") + ".json")
     try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
+        return _PRESETS[name]
+    except KeyError:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(available_presets())}")
-    return LinkParams(**raw["link"]), ComputeParams(**raw["compute"])

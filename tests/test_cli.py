@@ -11,6 +11,8 @@ import pytest
 
 import qarsim.cli as cli
 from qarsim.cli import RunConfig, _build_parser, build_config, main
+from qarsim.presets import DEFAULT_PRESET, available_presets, load_preset
+from qarsim.simnet import ComputeParams, LinkParams
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 SMALL = {"rows": 256, "cols": 512, "num_devices": 4, "seed": 7}
@@ -187,6 +189,22 @@ def test_unknown_preset_exits_2(capsys):
     assert "preset" in capsys.readouterr().err
 
 
+def test_v5e_like_preset_matches_readme():
+    assert available_presets() == [DEFAULT_PRESET] == ["v5e-like"]
+    link, compute = load_preset("v5e-like")
+    assert link == LinkParams(bandwidth_bytes_per_s=4.5e10, hop_latency_s=1.5e-5)
+    assert compute == ComputeParams(dequant_rate=8e11, add_rate=1.6e12, scan_rate=1.6e12,
+                                    encode_rate=8e11, cast_rate=1.6e12, fuse_recv_pass=False)
+    with pytest.raises(KeyError, match="v5e-like"):
+        load_preset("nonexistent")
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_exits_0(command, capsys):
+    assert run([command, "-h"]) == 0
+    assert "--fuse-recv-pass" in capsys.readouterr().out
+
+
 def test_naive_flavor_via_cli(tmp_path):
     cfg = write_cfg(tmp_path, dict(SMALL, naive=True, codec="f8e5m2"))
     out = tmp_path / "n.json"
@@ -277,6 +295,27 @@ def test_flag_cases_cover_every_override_flag():
         assert any(argv[0] in action.option_strings for argv, _ in FLAG_CASES), action.dest
 
 
+def test_every_setting_field_has_exactly_one_flag():
+    names = [f.name for f in fields(RunConfig) if f.name not in ("link", "compute")]
+    names += [f.name for f in fields(LinkParams)] + [f.name for f in fields(ComputeParams)]
+    assert len(set(names)) == len(names)  # a shared name would route a flag to one scope only
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        dests = [a.dest for a in parser._actions
+                 if a.option_strings and a.dest not in ("help", "config")]
+        assert sorted(dests) == sorted(names), command
+
+
+@pytest.mark.parametrize("name, value", [("variant", "bogus"), ("codec", "int4"),
+                                         ("format", "xml")])
+def test_bad_enum_flag_reads_like_config_file_error(name, value, tmp_path, capsys):
+    assert run(["simulate", f"--{name}", value]) == 2
+    from_flag = capsys.readouterr().err
+    assert run(["simulate", "--config", write_cfg(tmp_path, {name: value})]) == 2
+    assert from_flag == capsys.readouterr().err
+    assert from_flag.startswith(f"config error: field '{name}' must be one of")
+
+
 @pytest.mark.parametrize("name", sorted(FILE_CASES))
 def test_config_file_sets_field_and_flag_beats_file(name, tmp_path, two_presets):
     assert set(FILE_CASES) == {f.name for f in fields(RunConfig)}
@@ -309,6 +348,8 @@ OUT_OF_RANGE_CASES = [
     ("bounds", ["--hop-latency=-1"], {"link": {"hop_latency_s": -1}}, "hop_latency_s"),
     ("bounds", ["--add-rate", "0"], {"compute": {"add_rate": 0}}, "add_rate"),
     ("simulate", ["--minishards", "0"], {"minishards_per_shard": 0}, "minishards_per_shard"),
+    ("sweep", ["--sizes=-4MiB"], {"sizes": [-4 << 20]}, "sizes"),
+    ("sweep", ["--sizes", "1MiB,0"], {"sizes": ["1MiB", 0]}, "sizes"),
 ]
 
 
