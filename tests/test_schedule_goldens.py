@@ -9,7 +9,9 @@ Each case hashes a family of outputs into one sha256:
   nothing when quantized), m=3 (uneven minishard split), u in {1, 2}, with
   `fuse_recv_pass` off and on; a second family repeats every case at
   N=16 (m=1, and m=3 with u=2) and N=32 (m=1, u=1), where each simulated
-  device's events are derived from device 0's;
+  device's events are derived from device 0's; a third covers odd rings,
+  N in {3, 5, 7}, for every full-loop case and the naive and ideal rings
+  (the semi loop needs an even N);
 * the output bits of `all_reduce` for every flavor and codec, of the BF16
   baseline and of the naive ring, at N in {2, 4, 8} and m in {1, 3};
 * the same outputs for inputs with non-finite values and values near
@@ -57,6 +59,7 @@ COMPUTE = ComputeParams(dequant_rate=7e11, add_rate=1.3e12, scan_rate=1.1e12,
 # (num_devices, minishards_per_shard, microshards_per_minishard)
 SIM_SPECS = ((2, 1, 1), (2, 3, 2), (4, 2, 2), (6, 3, 1), (8, 1, 2), (8, 3, 1), (8, 3, 2))
 LARGE_SIM_SPECS = ((16, 1, 1), (16, 3, 2), (32, 1, 1))
+ODD_SIM_SPECS = ((3, 1, 2), (3, 3, 1), (5, 2, 2), (7, 1, 1), (7, 3, 2))
 VALUE_SPECS = tuple((n, m) for n in (2, 4, 8) for m in (1, 3))
 STAGES = {"raw": False, "quant": True}
 
@@ -131,6 +134,10 @@ def large_sim_digest(case: str) -> str:
     return sim_digest(case, LARGE_SIM_SPECS)
 
 
+def odd_sim_digest(case: str) -> str:
+    return sim_digest(case, ODD_SIM_SPECS)
+
+
 def value_digest(case: str, make_inputs=device_inputs) -> str:
     h = hashlib.sha256()
     for n, m in VALUE_SPECS:
@@ -159,6 +166,7 @@ def nonfinite_digest(case: str) -> str:
 
 
 _RING_CASES = [f"{v.value}-{rs}-{ag}" for v in Variant for rs in STAGES for ag in STAGES]
+_FULL_LOOP_CASES = [c for c in _RING_CASES if c.startswith(Variant.FULL_LOOP.value)]
 
 SIM_GOLDENS = {
     "full_loop-raw-raw": "ca63555bd7d65cf0530754175c81939446367d68221cbe3c607ccc4956cd7ad1",
@@ -184,6 +192,15 @@ LARGE_SIM_GOLDENS = {
     "semi_loop-quant-quant": "724e077ca084c0fa40da49e55a4735d5587db095b1e03797fb7c9084b9da90c2",
     "naive": "b953262ffc3730ee1487e5a9d4ac936fc0da7bc40b6374a71620a663c33cb121",
     "ideal": "de91142e52b7b2b3e8300188f991f2dd247fd9c835d3329bccba219f512be3f1",
+}
+
+ODD_SIM_GOLDENS = {
+    "full_loop-raw-raw": "1996e7e607ae76488e0ec1677c04b07150ef6e26a164a74df607503d1b5afcab",
+    "full_loop-raw-quant": "540498b0459f76bdd4f9b1f55acb4c961f0544d2ad35ffb2ea7e721e6f5fdab1",
+    "full_loop-quant-raw": "0bc03e6e6ab26ba2f435da4c2b09dc5fdf5ef66e23da3c2f0fdc303aebe5cca7",
+    "full_loop-quant-quant": "16b3dd2ad19ff12a32f7aab1897b0acc5c131b2177b6a446084e93eceb81034e",
+    "naive": "80fa5bb77556ac0e50179e9b9e9d2dc1ee07abd7d68fdceae2699ff4905abfc6",
+    "ideal": "4809bff199309fe7f7705232210dda9338ffb77b1055af3a43a703d64d473b0b",
 }
 
 VALUE_GOLDENS = {
@@ -224,6 +241,11 @@ def test_large_ring_timeline_digest(case):
     assert large_sim_digest(case) == LARGE_SIM_GOLDENS[case]
 
 
+@pytest.mark.parametrize("case", list(ODD_SIM_GOLDENS))
+def test_odd_ring_timeline_digest(case):
+    assert odd_sim_digest(case) == ODD_SIM_GOLDENS[case]
+
+
 @pytest.mark.parametrize("case", list(VALUE_GOLDENS))
 def test_functional_output_digest(case):
     assert value_digest(case) == VALUE_GOLDENS[case]
@@ -244,6 +266,7 @@ def test_nonfinite_inputs_raise_no_warning(case):
 def test_goldens_cover_every_case():
     assert list(SIM_GOLDENS) == _RING_CASES + ["naive", "ideal"]
     assert list(LARGE_SIM_GOLDENS) == list(SIM_GOLDENS)
+    assert list(ODD_SIM_GOLDENS) == _FULL_LOOP_CASES + ["naive", "ideal"]
     assert list(VALUE_GOLDENS) == _RING_CASES + ["baseline", "naive"]
     assert list(NONFINITE_GOLDENS) == list(VALUE_GOLDENS)
 
@@ -262,6 +285,9 @@ if __name__ == "__main__":
     print()
     _print_goldens("LARGE_SIM_GOLDENS", LARGE_SIM_GOLDENS, large_sim_digest,
                    _RING_CASES + ["naive", "ideal"])
+    print()
+    _print_goldens("ODD_SIM_GOLDENS", ODD_SIM_GOLDENS, odd_sim_digest,
+                   _FULL_LOOP_CASES + ["naive", "ideal"])
     print()
     _print_goldens("VALUE_GOLDENS", VALUE_GOLDENS, value_digest, _RING_CASES + ["baseline", "naive"])
     print()
