@@ -10,26 +10,27 @@ visible to the receiver one hop latency later. Identical inputs therefore
 produce bit-identical timelines, and total time is non-increasing in
 bandwidth and in every compute rate (a fixed order can never invert).
 
-The hop structure comes from `schedule`, which defines the arcs and the
-per-iteration hop lists; one executor walks those lists and emits each
-hop's events through its hop kind: quantized, raw BF16, or the 8-bit
-casts of the naive and ideal 2:1 rings.
+The hop structure comes from `schedule`'s arcs. One executor walks shard
+0's arcs iteration by iteration and emits each hop's events through its
+hop kind: quantized, raw BF16, or the 8-bit casts of the naive and ideal
+2:1 rings.
 
 One representative device. The ring is rotation-symmetric: device d runs
-device 0's hop lists on shards shifted by d, so its events are device 0's
-exactly, times included. The schedule's hop lists are device 0's, and
-the executor walks them with device-relative dependency keys, which name
-a stage, direction, iteration and unit but never a shard. A device sends
-one arc and receives one per (direction, iteration), so a key is unique
-on device 0, and the key a neighbour's send would produce is done when
-device 0's own send of that (direction, iteration) is; each step emits
-its sends before its receives. The overlap check runs on device 0's
-events, and every other device's are copies of them, so it covers every
-event. A `Timeline` is device 0's events plus where each segment of the
-emission order ends (after each stage's prep, each step's sends and
-receives, and each stage's end). `_expand` alone lays out devices
-1..N-1, repeating every segment once per device, device 0 first; only
-`Timeline.columns` (and so `events`) and `to_jsonl` call it.
+device 0's hops on shards shifted by d, so its events are device 0's
+exactly, times included. In iteration t device 0 sends hop t of one arc
+per direction and receives hop t of another, and every shard's arcs are
+shard 0's rotated, so the executor emits shard 0's hop t of each
+direction. Dependency keys name a stage, direction, iteration and unit
+but never a shard, so a key is unique on device 0, and the key a
+neighbour's send would produce is done when device 0's own send of that
+(direction, iteration) is; each iteration emits its sends before its
+receives. The overlap check runs on device 0's events, and every other
+device's are copies of them, so it covers every event. A `Timeline` is
+device 0's events plus where each segment of the emission order ends
+(after each stage's prep, each iteration's sends and receives, and each
+stage's end). `_expand` alone lays out devices 1..N-1, repeating every
+segment once per device, device 0 first; only `Timeline.columns` (and so
+`events`) and `to_jsonl` call it.
 
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
@@ -59,7 +60,7 @@ from json.encoder import encode_basestring_ascii
 from .collectives import CollectiveConfig
 from .layout import DivisibilityError, PartitionSpec
 from .quant import GRID_BYTES
-from .schedule import Hop, Schedule, Variant, ag_schedule, rs_schedule
+from .schedule import Arc, Variant, ag_arcs, rs_arcs
 
 RES_LINK_CW = "LINK_CW"
 RES_LINK_CCW = "LINK_CCW"
@@ -361,22 +362,21 @@ def _prep_quant(s, tag, gs, u, e_micro, keys, stage, deps=()):
                   e_micro, c.encode_rate, [keys[0] + ("scanj", g)])
 
 
-def _key(stage: str, h: Hop, t: int) -> tuple:
-    """Key prefix of what hop t in h's direction carries."""
-    return (stage, h.arc.direction, t)
+def _key(stage: str, a: Arc, t: int) -> tuple:
+    """Key prefix of what hop t in a's direction carries."""
+    return (stage, a.direction, t)
 
 
 class _Hops:
-    """How one stage's hops turn into events; `_execute` walks the hop lists."""
+    """How one stage's hops turn into events; `_execute` walks shard 0's arcs."""
 
     def __init__(self, s: _Sched, stage: str):
         self.s = s
         self.stage = stage
 
-    def _join_merges(self, sch: Schedule, arc_keys) -> None:
-        # The all-gather starts once every partial merged at the owner. The
-        # arcs device 0 heads run one per direction, like the owner's.
-        self.s.join(("rs_done",), [k for h in sch.heads for k in arc_keys(h.arc)])
+    def _join_merges(self, arcs: list[Arc], arc_keys) -> None:
+        # The all-gather starts once every partial merged at the owner.
+        self.s.join(("rs_done",), [k for a in arcs for k in arc_keys(a)])
 
 
 class _Quant(_Hops):
@@ -384,41 +384,42 @@ class _Quant(_Hops):
     then the payload microshards.
 
     Reduce-scatter receivers dequantize, add, scan and re-encode for the next
-    hop; all-gather receivers dequantize.
+    hop; all-gather receivers dequantize. `whole`: every arc carries the
+    whole shard (semi loop).
     """
 
-    def __init__(self, s: _Sched, stage: str, e_micro: int, u: int):
+    def __init__(self, s: _Sched, stage: str, e_micro: int, u: int, whole: bool):
         super().__init__(s, stage)
-        self.e, self.u = e_micro, u
+        self.e, self.u, self.whole = e_micro, u, whole
 
-    def prep(self, sch: Schedule) -> None:
+    def prep(self, arcs: list[Arc]) -> None:
         s, e, u = self.s, self.e, self.u
         if self.stage == "rs":
-            for h in sch.heads:
-                _prep_quant(s, h.arc.direction, h.arc.units, u, e, [_key("rs", h, 1)], "rs")
+            for a in arcs:
+                _prep_quant(s, a.direction, a.units, u, e, [_key("rs", a, 1)], "rs")
             return
         # The source encodes its reduced shard (once for both directions when
         # the arcs carry it whole) and decodes its own codes too, so outputs
         # match everywhere.
-        parts = [("", sch.heads)] if sch.whole else [(h.arc.direction, [h]) for h in sch.heads]
-        for dn, ph in parts:
-            _prep_quant(s, dn or "own", ph[0].arc.units, u, e,
-                        [_key("ag", h, 1) for h in ph], "ag", deps=[("rs_done",)])
-        for dn, ph in parts:
-            enc = _key("ag", ph[0], 1) + ("enc",)
+        parts = [("", arcs)] if self.whole else [(a.direction, [a]) for a in arcs]
+        for dn, pa in parts:
+            _prep_quant(s, dn or "own", pa[0].units, u, e,
+                        [_key("ag", a, 1) for a in pa], "ag", deps=[("rs_done",)])
+        for dn, pa in parts:
+            enc = _key("ag", pa[0], 1) + ("enc",)
             tag = f":{dn}" if dn else ""
-            for g in ph[0].arc.units:
+            for g in pa[0].units:
                 for j in range(u):
                     s.vpu([], f"ag:dq:own{tag}:g={g}:j={j}", e, s.compute.dequant_rate,
                           [enc + (g, j)])
 
-    def send(self, h: Hop) -> None:
-        s, st, e, u, t = self.s, self.stage, self.e, self.u, h.it
-        dn, gs = h.arc.direction, h.arc.units
-        k = _key(st, h, t)
+    def send(self, a: Arc, t: int) -> None:
+        s, st, e, u = self.s, self.stage, self.e, self.u
+        dn, gs = a.direction, a.units
+        k = _key(st, a, t)
         if st == "ag" and t > 1:
             # Forward the codes and grids that arrived on the previous hop.
-            src = _key(st, h, t - 1)
+            src = _key(st, a, t - 1)
             meta_deps = [src + ("meta",)]
             pay = src + ("pay",)
         else:
@@ -430,39 +431,38 @@ class _Quant(_Hops):
                 s.send(dn, k + ("pay", g, j), f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e,
                        [pay + (g, j)])
 
-    def recv(self, recvs: tuple[Hop, ...]) -> None:
+    def recv(self, arcs: list[Arc], t: int) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
         c = s.compute
-        for h, g in _interleave(*[[(h, g) for g in h.arc.units] for h in recvs]):
-            a, t = h.arc, h.it
-            dn = a.direction
-            k = _key(st, h, t)
+        for a, g in _interleave(*[[(a, g) for g in a.units] for a in arcs]):
+            dn, last = a.direction, t == len(a.devices) - 1
+            k = _key(st, a, t)
             if st == "ag":
                 for j in range(u):
                     s.vpu([], f"ag:dq:it={t}:{dn}:g={g}:j={j}", e, c.dequant_rate,
                           [k + ("pay", g, j), k + ("meta",)])
                 continue
-            nxt = _key(st, h, t + 1)
+            nxt = _key(st, a, t + 1)
             for j in range(u):
                 tag = f":it={t}:{dn}:g={g}:j={j}"
                 arrive = [k + ("pay", g, j), k + ("meta",)]
-                if h.last:
+                if last:
                     if a.after:
                         # Fold into the accumulator the earlier arc's merge made.
                         arrive.append(("merge", a.after, g, j))
                     _recv_micro(s, tag, e, arrive, ("merge", dn, g, j), None)
                 else:
                     _recv_micro(s, tag, e, arrive, nxt + ("add", g, j), nxt + ("scan", g, j))
-            if not h.last:
+            if not last:
                 s.join(nxt + ("scanj", g), [nxt + ("scan", g, j) for j in range(u)])
                 for j in range(u):
                     s.vpu([nxt + ("enc", g, j)], f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", e,
                           c.encode_rate, [nxt + ("scanj", g)])
 
-    def done(self, sch: Schedule) -> None:
+    def done(self, arcs: list[Arc]) -> None:
         if self.stage == "rs":
             u = self.u
-            self._join_merges(sch, lambda a: [("merge", a.direction, g, j)
+            self._join_merges(arcs, lambda a: [("merge", a.direction, g, j)
                                               for g in a.units for j in range(u)])
 
 
@@ -478,32 +478,31 @@ class _Plain(_Hops):
         super().__init__(s, stage)
         self.eight_bit, self.cast = eight_bit, cast
 
-    def prep(self, sch: Schedule) -> None:
+    def prep(self, arcs: list[Arc]) -> None:
         if self.stage == "rs" and self.cast:
-            for h in sch.heads:
-                self.s.vpu([_key("rs", h, 1) + ("red",)], f"rs:cast:prep:{h.arc.direction}",
-                           len(h.arc.units), self.s.compute.cast_rate)
+            for a in arcs:
+                self.s.vpu([_key("rs", a, 1) + ("red",)], f"rs:cast:prep:{a.direction}",
+                           len(a.units), self.s.compute.cast_rate)
 
-    def send(self, h: Hop) -> None:
-        st, t, dn = self.stage, h.it, h.arc.direction
-        k = _key(st, h, t)
+    def send(self, a: Arc, t: int) -> None:
+        st, dn = self.stage, a.direction
+        k = _key(st, a, t)
         if st == "rs":
             deps = [k + ("red",)] if t > 1 or self.cast else []
         elif t > 1:
-            deps = [_key(st, h, t - 1) + ("wire",)]
+            deps = [_key(st, a, t - 1) + ("wire",)]
         else:
             deps = [("merge", dn) if self.eight_bit else ("rs_done",)]
         word, elem_bytes = ("pay", 1) if self.eight_bit else ("raw", 2)
-        self.s.send(dn, k + ("wire",), f"{st}:{word}:it={t}:{dn}", elem_bytes * len(h.arc.units),
+        self.s.send(dn, k + ("wire",), f"{st}:{word}:it={t}:{dn}", elem_bytes * len(a.units),
                     deps)
 
-    def recv(self, recvs: tuple[Hop, ...]) -> None:
+    def recv(self, arcs: list[Arc], t: int) -> None:
         s, st = self.s, self.stage
         c = s.compute
-        for h in recvs:
-            a, t = h.arc, h.it
+        for a in arcs:
             dn, elems = a.direction, len(a.units)
-            k = _key(st, h, t)
+            k = _key(st, a, t)
             arrive = [k + ("wire",)]
             if st == "ag":
                 if self.cast:
@@ -512,41 +511,44 @@ class _Plain(_Hops):
                     # Zero-cost landing marker: completion includes the final hop latency.
                     s.vpu([], f"ag:land:it={t}:{dn}", 0.0, 1.0, arrive)
                 continue
-            if h.last:
+            if t == len(a.devices) - 1:
                 out = ("merge", dn)
                 if a.after:
                     arrive.append(("merge", a.after))
             else:
-                out = _key(st, h, t + 1) + ("red",)
+                out = _key(st, a, t + 1) + ("red",)
             if self.cast:
                 s.vpu([k + ("sum",)], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
                 s.vpu([out], f"rs:recode:it={t}:{dn}", elems, c.cast_rate, [k + ("sum",)])
             else:
                 s.vpu([out], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
 
-    def done(self, sch: Schedule) -> None:
+    def done(self, arcs: list[Arc]) -> None:
         if self.stage == "rs":
-            self._join_merges(sch, lambda a: [("merge", a.direction)])
+            self._join_merges(arcs, lambda a: [("merge", a.direction)])
         elif self.cast:
-            for h in sch.heads:
-                self.s.vpu([], f"ag:dec:own:{h.arc.direction}", len(h.arc.units),
-                           self.s.compute.cast_rate, [("merge", h.arc.direction)])
+            for a in arcs:
+                self.s.vpu([], f"ag:dec:own:{a.direction}", len(a.units),
+                           self.s.compute.cast_rate, [("merge", a.direction)])
 
 
-def _execute(s: _Sched, *stages: tuple[Schedule, _Hops]) -> Timeline:
-    """Walk device 0's hop lists of each stage in order, emitting events
-    through its hop kind; a segment ends after each stage's prep, each
-    step's sends, each step's receives and each stage's done."""
-    for sch, hops in stages:
-        hops.prep(sch)
+def _execute(s: _Sched, *stages: tuple[list[Arc], _Hops]) -> Timeline:
+    """Walk each stage's shard-0 arcs in order, emitting device 0's events
+    through its hop kind: in iteration t, hop t of every arc that has one is
+    sent, then received, CW before CCW. A segment ends after each stage's
+    prep, each iteration's sends, each iteration's receives and each stage's
+    done."""
+    for arcs, hops in stages:
+        hops.prep(arcs)
         s.mark()
-        for step in sch.steps:
-            for h in step.sends:
-                hops.send(h)
+        for t in range(1, max(len(a.devices) for a in arcs)):
+            live = [a for a in arcs if len(a.devices) > t]
+            for a in live:
+                hops.send(a, t)
             s.mark()
-            hops.recv(step.recvs)
+            hops.recv(live, t)
             s.mark()
-        hops.done(sch)
+        hops.done(arcs)
         s.mark()
     return s.finish()
 
@@ -568,13 +570,15 @@ def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
     s = _Sched(n, link, compute)
 
     def hops(stage: str, quantized: bool) -> _Hops:
-        return _Quant(s, stage, e_shard // (m * u), u) if quantized else _Plain(s, stage)
+        if quantized:
+            return _Quant(s, stage, e_shard // (m * u), u, cfg.variant is Variant.SEMI_LOOP)
+        return _Plain(s, stage)
 
     q_rs, q_ag = cfg.quantize_rs, cfg.quantize_ag
     return _execute(
         s,
-        (rs_schedule(cfg.variant, n, m if q_rs else e_shard), hops("rs", q_rs)),
-        (ag_schedule(cfg.variant, n, m if q_ag else e_shard), hops("ag", q_ag)),
+        (rs_arcs(cfg.variant, n, m if q_rs else e_shard)[0], hops("rs", q_rs)),
+        (ag_arcs(cfg.variant, n, m if q_ag else e_shard)[0], hops("ag", q_ag)),
     )
 
 
@@ -587,8 +591,8 @@ def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
     rs, ag = (_Plain(s, stage, eight_bit=True, cast=cast) for stage in ("rs", "ag"))
     return _execute(
         s,
-        (rs_schedule(Variant.FULL_LOOP, n, e_shard), rs),
-        (ag_schedule(Variant.FULL_LOOP, n, e_shard), ag),
+        (rs_arcs(Variant.FULL_LOOP, n, e_shard)[0], rs),
+        (ag_arcs(Variant.FULL_LOOP, n, e_shard)[0], ag),
     )
 
 

@@ -1,4 +1,6 @@
-"""Ring schedule structure: arcs, the CW/CCW split and the hop lists."""
+"""Ring schedule structure: arcs, the CW/CCW split and their rotation symmetry."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -8,9 +10,7 @@ from qarsim.schedule import (
     STEP,
     Variant,
     ag_arcs,
-    ag_schedule,
     rs_arcs,
-    rs_schedule,
     split,
 )
 
@@ -27,7 +27,7 @@ def test_split_gives_cw_the_larger_half():
 def test_rs_arcs_reach_every_device_and_end_at_the_owner(variant, n):
     for s, arcs in enumerate(rs_arcs(variant, n, 2)):
         for a in arcs:
-            assert a.shard == s and a.devices[-1] == s
+            assert a.devices[-1] == s
             steps = {(b - a_) % n for a_, b in zip(a.devices, a.devices[1:])}
             assert steps == {STEP[a.direction] % n}
         if variant is Variant.FULL_LOOP:
@@ -66,69 +66,26 @@ UNITS = {True: 3, False: 8}
 
 @pytest.mark.parametrize("quantized", [False, True])
 @pytest.mark.parametrize("variant", list(Variant))
-def test_hop_lists_cover_every_hop_once_and_senders_use_each_link_once(variant, quantized):
-    # Rotated onto every device, device 0's sends run every hop once; in each
-    # iteration every device sends on each of its links at most once, and the
-    # hops received are the hops sent.
-    n, units = 8, UNITS[quantized]
-    for sch, arcs in ((rs_schedule(variant, n, units), rs_arcs(variant, n, units)),
-                      (ag_schedule(variant, n, units), ag_arcs(variant, n, units))):
-        want = sorted((a.shard, a.direction, t) for shard in arcs for a in shard
-                      for t in range(1, len(a.devices)))
-        got = []
-        for t, st in enumerate(sch.steps, 1):
-            assert all(h.it == t for h in st.sends + st.recvs)
-            sent, received = (
-                sorted(((h.arc.shard + d) % n, h.arc.direction, (h.arc.devices[t - 1] + d) % n)
-                       for h in hops for d in range(n))
-                for hops in (st.sends, st.recvs))
-            links = [(sender, dn) for _, dn, sender in sent]
-            assert len(links) == len(set(links))
-            assert received == sent
-            got += [(shard, dn, t) for shard, dn, _ in sent]
-        assert sorted(got) == want
-        assert all(h.it == 1 and h.arc.devices[0] == 0 for h in sch.heads)
-
-
-@pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("variant", list(Variant))
-def test_receive_groups_put_cw_before_ccw_in_both_variants(variant, quantized):
-    # Device 0 receives CW hops from device n-1 and CCW hops from device 1,
-    # at most one of each per iteration, CW first; its sends are ordered alike.
-    n, units = 8, UNITS[quantized]
-    for sch in (rs_schedule(variant, n, units), ag_schedule(variant, n, units)):
-        for t, st in enumerate(sch.steps, 1):
-            for hops in (st.sends, st.recvs):
-                assert [h.arc.direction for h in hops] in ([], [CW], [CCW], [CW, CCW])
-            for h in st.recvs:
-                assert h.arc.devices[t] == 0
-                assert h.arc.devices[t - 1] == (n - 1 if h.arc.direction == CW else 1)
-
-
-@pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
 def test_device_0s_hop_lists_rotate_onto_every_hop(n, variant, quantized):
-    # The simulator's premise: device d runs device 0's hop lists with every
-    # shard and device shifted by d, and together the n rotations run every
-    # hop of every arc once.
+    # The simulator's premise: it walks shard 0's arcs as device 0's hops.
+    # Shard s's arcs are shard 0's with every device shifted by s, and in
+    # each iteration every device sends on each of its links at most once.
+    # So device 0 sends and receives exactly one hop t in each direction
+    # whose arcs have one, shaped like shard 0's, and device d's hops are
+    # device 0's shifted by d: the n rotations run every hop once.
     units = UNITS[quantized]
-    for sch, arcs in ((rs_schedule(variant, n, units), rs_arcs(variant, n, units)),
-                      (ag_schedule(variant, n, units), ag_arcs(variant, n, units))):
-        arc_of = {(a.shard, a.direction): a for shard in arcs for a in shard}
-        want = sorted((a.shard, a.direction, t) for a in arc_of.values()
-                      for t in range(1, len(a.devices)))
-        sent, received = [], []
-        for t, st in enumerate(sch.steps, 1):
-            for hops, at, rotated in ((st.sends, t - 1, sent), (st.recvs, t, received)):
-                assert [h.arc.direction for h in hops] in ([], [CW], [CCW], [CW, CCW])
-                for h in hops:
-                    a = h.arc
-                    assert h.it == t and a.devices[at] == 0
-                    assert h.last == (t == len(a.devices) - 1)
-                    for d in range(n):
-                        b = arc_of[((a.shard + d) % n, a.direction)]
-                        assert b.devices == tuple((x + d) % n for x in a.devices)
-                        assert (b.units, b.after) == (a.units, a.after)
-                        rotated.append((b.shard, b.direction, t))
-        assert sorted(sent) == want and sorted(received) == want
+    for arcs in (rs_arcs(variant, n, units), ag_arcs(variant, n, units)):
+        assert [a.direction for a in arcs[0]] in ([CW], [CCW], [CW, CCW])
+        for s, shard in enumerate(arcs):
+            assert shard == [replace(a, devices=tuple((d + s) % n for d in a.devices))
+                             for a in arcs[0]]
+        for t in range(1, max(len(a.devices) for a in arcs[0])):
+            hops = [(a.direction, a.devices[t - 1], a.devices[t])
+                    for shard in arcs for a in shard if len(a.devices) > t]
+            assert all((dst - src) % n == STEP[dn] % n for dn, src, dst in hops)
+            links = [(dn, src) for dn, src, _ in hops]
+            assert len(links) == len(set(links))
+            live = sorted(a.direction for a in arcs[0] if len(a.devices) > t)
+            assert sorted(dn for dn, src, _ in hops if src == 0) == live
+            assert sorted(dn for dn, _, dst in hops if dst == 0) == live
