@@ -152,6 +152,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         val = getattr(cfg, name)
         if val is not None and val not in allowed:
             raise ConfigError(f"field '{name}' must be one of {sorted(allowed)}, got {val!r}")
+    if cfg.naive and cfg.variant != Variant.FULL_LOOP.value:  # the naive ring is a full loop
+        raise ConfigError(f"field 'variant' must be 'full_loop' with naive, got {cfg.variant!r}")
     for name, low in _MINIMUM.items():
         val = getattr(cfg, name)
         if val is not None and val < low:

@@ -214,6 +214,20 @@ def test_naive_flavor_via_cli(tmp_path):
     assert rec["mse"] > 0.01  # cast-style ring is far noisier than scaled codecs
 
 
+@pytest.mark.parametrize("command", ["simulate", "timeline"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_naive_semi_loop_exits_2_naming_variant(command, source, tmp_path, capsys):
+    # The naive ring is a full loop; a semi-loop request must not print full-loop results.
+    argv = ["--naive", "--variant", "semi_loop", "--rows", "256", "--cols", "512"]
+    if source == "file":
+        argv = ["--config", write_cfg(tmp_path, dict(SMALL, naive=True, variant="semi_loop"))]
+    assert run([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: field 'variant' must be 'full_loop' with naive, "
+                            "got 'semi_loop'\n")
+
+
 # --- every override flag and every config field lands on its RunConfig field ---
 
 # (flag argv, expected RunConfig fields): each flag alone, all else at default.
