@@ -64,6 +64,56 @@ def test_ag_arcs_deliver_every_shard_to_every_device(variant, n):
 UNITS = {True: 3, False: 8}
 
 
+def _hops(arcs, t):
+    """Hop t of every shard's arcs, as (shard, direction, sender, receiver)."""
+    return sorted((s, a.direction, a.devices[t - 1], a.devices[t])
+                  for s, shard in enumerate(arcs) for a in shard if len(a.devices) > t)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_hop_lists_cover_every_hop_once_and_senders_use_each_link_once(variant, quantized):
+    # Rotated onto every shard, hop t of shard 0's arcs (what the simulator
+    # walks) runs every hop t once; in each iteration every device sends and
+    # receives on each of its links at most once, and every device heads
+    # exactly one arc per direction.
+    n, units = 8, UNITS[quantized]
+    for arcs in (rs_arcs(variant, n, units), ag_arcs(variant, n, units)):
+        want = sorted((s, a.direction, t) for s, shard in enumerate(arcs) for a in shard
+                      for t in range(1, len(a.devices)))
+        got = []
+        for t in range(1, max(len(a.devices) for a in arcs[0])):
+            hops = _hops(arcs, t)
+            rotated = sorted((d, dn, (src + d) % n, (dst + d) % n)
+                             for _, dn, src, dst in _hops(arcs[:1], t) for d in range(n))
+            assert rotated == hops
+            for end in (2, 3):
+                links = [(h[1], h[end]) for h in hops]
+                assert len(links) == len(set(links))
+            got += [(s, dn, t) for s, dn, _, _ in hops]
+        assert sorted(got) == want
+        for dn in {a.direction for a in arcs[0]}:
+            assert sorted(a.devices[0] for shard in arcs for a in shard
+                          if a.direction == dn) == list(range(n))
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_receive_groups_put_cw_before_ccw_in_both_variants(variant, quantized):
+    # Device 0 receives CW hops from device n-1 and CCW hops from device 1,
+    # at most one of each per iteration; every shard lists its arcs CW
+    # first, so the simulator sends and receives shard 0's hops in that order.
+    n, units = 8, UNITS[quantized]
+    for arcs in (rs_arcs(variant, n, units), ag_arcs(variant, n, units)):
+        for shard in arcs:
+            assert [a.direction for a in shard] in ([CW], [CCW], [CW, CCW])
+        for t in range(1, max(len(a.devices) for a in arcs[0])):
+            recvs = [(dn, src) for _, dn, src, dst in _hops(arcs, t) if dst == 0]
+            assert len({dn for dn, _ in recvs}) == len(recvs)
+            for dn, src in recvs:
+                assert src == (n - 1 if dn == CW else 1)
+
+
 @pytest.mark.parametrize("quantized", [False, True])
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
