@@ -257,6 +257,25 @@ def test_simulate_validates_inputs():
         LinkParams(0.0)
 
 
+# total_time, stage_end("rs"), stage_end("ag"), len(events), idle_time at pod
+# scale: N=64, m=64, u=4, 256 MiB, INT8 on both stages. No digest covers N > 32
+# or u > 2.
+POD_SCALE = {
+    Variant.FULL_LOOP: (0.00426955263999832, 0.0026004137599997972, 0.00426955263999832,
+                        7290624, 0.12146003967999555),
+    Variant.SEMI_LOOP: (0.0038576572799985703, 0.00216361472000006, 0.0038576572799985703,
+                        7282560, 0.0652981043199943),
+}
+
+
+@pytest.mark.parametrize("variant", list(POD_SCALE))
+def test_pod_scale_times_are_pinned(variant):
+    cfg = CollectiveConfig(variant, PartitionSpec(64, 64, 4), quantize_rs=True, quantize_ag=True)
+    tl = simulate(cfg, 256 * MIB, LINK, COMP)
+    assert (tl.total_time, tl.stage_end("rs"), tl.stage_end("ag"), len(tl.events),
+            idle_time(tl)) == POD_SCALE[variant]
+
+
 def _ref_idle_time(events) -> float:
     """The per-event form of `idle_time`."""
     windows = {}
