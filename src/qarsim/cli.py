@@ -12,12 +12,15 @@ itself (divisibility, odd-N semi loop, missing or mismatched shards).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 import time
 import typing
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 from .analysis import (
@@ -282,10 +285,15 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 def cmd_timeline(cfg: RunConfig) -> str:
     tl = _timeline(cfg, _partition_spec(cfg), *resolve_params(cfg))
-    if cfg.format == "csv":
-        rows = [dict(zip(TIMELINE_COLUMNS, r)) for r in zip(*tl.columns)]
-        return _render(rows, TIMELINE_COLUMNS, cfg)
-    return tl.to_jsonl()
+    if cfg.format != "csv":
+        return tl.to_jsonl()
+    # The rows `_render` would write, straight from the columns.
+    columns, rows = TIMELINE_COLUMNS, zip(*tl.columns)
+    if cfg.timestamp:
+        columns, rows = (*columns, "timestamp"), zip(*tl.columns, repeat(time.time()))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(chain([columns], rows))
+    return buf.getvalue()
 
 
 def cmd_bounds(cfg: RunConfig) -> str:

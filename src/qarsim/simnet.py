@@ -20,27 +20,30 @@ device 0's hops on shards shifted by d, so its events are device 0's
 exactly, times included. In iteration t device 0 sends hop t of one arc
 per direction and receives hop t of another, and every shard's arcs are
 shard 0's rotated, so the executor emits shard 0's hop t of each
-direction. Dependency keys name a stage, direction, iteration and unit
-but never a shard, so a key is unique on device 0, and the key a
-neighbour's send would produce is done when device 0's own send of that
-(direction, iteration) is; each iteration emits its sends before its
-receives. The overlap check runs on device 0's events, and every other
-device's are copies of them, so it covers every event. A `Timeline` is
-device 0's events plus where each segment of the emission order ends
-(after each stage's prep, each iteration's sends and receives, and each
-stage's end). `_expand` alone lays out devices 1..N-1, repeating every
-segment once per device, device 0 first; only `Timeline.columns` (and so
-`events`) and `to_jsonl` call it.
+direction. Times are handed straight from event to event: each hop kind
+holds, per direction, what hop t hands on (when its data is ready to
+send, then when it arrives), and the reduce-scatter's merge ends cross
+into the all-gather on the scheduler. None of them names a shard, so the
+arrival device 0's send of a (direction, iteration) hands to its own
+receive is the time its neighbour's matching send arrives; each
+iteration emits its sends before its receives. The overlap check runs on
+device 0's events, and every other device's are copies of them, so it
+covers every event. A `Timeline` is device 0's events plus where each
+segment of the emission order ends (after each stage's prep, each
+iteration's sends and receives, and each stage's end). `_expand` alone
+lays out devices 1..N-1, repeating every segment once per device, device
+0 first; only `Timeline.columns` (and so `events`) and `to_jsonl` call it.
 
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
 add follows dequantize; the scale-encode of any microshard in a minishard
 waits for the abs-max scans of all u microshards of that minishard; each
 iteration's metadata is enqueued on the link before its payloads; the next
-iteration's send waits for the receive pass that produced its data.
-Send-side encode of one microshard overlaps the link transfer of the
-previous one (software pipelining), and raw (unquantized) hops carry
-BF16 shards with no compute except the add.
+iteration's send waits for the receive pass that produced its data, and
+an all-gather forward for the arrival of what it forwards. Send-side
+encode of one microshard overlaps the link transfer of the previous one
+(software pipelining), and raw (unquantized) hops carry BF16 shards with
+no compute except the add.
 
 Tensor sizes are given in bytes of the BF16 tensor, so element count is
 bytes / 2; quantized payloads put 1 byte per element on the wire plus
@@ -197,12 +200,15 @@ class Timeline:
         # finite float as float.__repr__ does; it spells out NaN and Infinity.
         num = float.__repr__ if math.isfinite(sum(self.start_s) + sum(self.end_s)) else json.dumps
         enc = encode_basestring_ascii
-        # Format all but the device once per event of device 0.
-        tails = [f'"resource": {enc(r)}, "start_s": {num(s)}, "end_s": {num(e)}, '
-                 f'"label": {enc(lb)}}}\n'
+        # Format device 0's lines once with a NUL for the device number (the
+        # encoder escapes every NUL in a resource or label), join them per
+        # segment, and fill in the device of each copy of a segment.
+        lines = [f'{{"device": \0, "resource": {enc(r)}, "start_s": {num(s)}, '
+                 f'"end_s": {num(e)}, "label": {enc(lb)}}}\n'
                  for r, s, e, lb in zip(self.resource, self.start_s, self.end_s, self.label)]
-        device, tails = _expand(self.n, self.bounds, (tails,))
-        return "".join([f'{{"device": {d}, {t}' for d, t in zip(device, tails)])
+        segs = ["".join(lines[a:b]) for a, b in pairwise(self.bounds)]
+        device, segs = _expand(self.n, range(len(segs) + 1), (segs,))
+        return "".join([seg.replace("\0", str(d)) for d, seg in zip(device, segs)])
 
 
 def idle_time(t: Timeline) -> float:
@@ -254,11 +260,13 @@ def _check_overlap(resource, start_s, end_s, label) -> None:
 
 
 class _Sched:
-    """Static-order list scheduler over device 0's link and VPU resources,
-    keyed device-relatively (see the module docstring).
+    """Static-order list scheduler over device 0's link and VPU resources.
 
     Events go into parallel columns, one append per field. `mark` ends a
-    segment of the emission order.
+    segment of the emission order. `merge` and `rs_done` are what crosses
+    from the reduce-scatter into the all-gather: per direction, when the
+    owner's merges end (per minishard g and microshard j for quantized
+    hops), and when the last of them does.
     """
 
     def __init__(self, n: int, link: LinkParams, compute: ComputeParams):
@@ -266,19 +274,19 @@ class _Sched:
         self.link = link
         self.compute = compute
         self.free: dict[str, float] = {}
-        self.done: dict[tuple, float] = {}
+        self.merge: dict = {}
+        self.rs_done = 0.0
         self.resource: list[str] = []
         self.start_s: list[float] = []
         self.end_s: list[float] = []
         self.label: list[str] = []
         self.bounds = [0]
 
-    def _run(self, resource: str, label: str, dur: float, deps) -> float:
+    def run(self, resource: str, label: str, dur: float, ready: float = 0.0) -> float:
+        """Run an event once resource is free and its inputs are ready; return its end."""
         t0 = self.free.get(resource, 0.0)
-        for d in deps:
-            dt = self.done[d]
-            if dt > t0:
-                t0 = dt
+        if ready > t0:
+            t0 = ready
         t1 = t0 + dur
         self.free[resource] = t1
         self.resource.append(resource)
@@ -287,18 +295,11 @@ class _Sched:
         self.label.append(label)
         return t1
 
-    def vpu(self, keys, label: str, nelems: float, rate: float, deps=()):
-        t1 = self._run(RES_VPU, label, nelems / rate, deps)
-        for k in keys:
-            self.done[k] = t1
-
-    def send(self, direction: str, key, label: str, nbytes: float, deps=()):
-        t1 = self._run(_LINK_OF[direction], label, nbytes / self.link.bandwidth_bytes_per_s, deps)
-        # Receiver-side visibility: one hop latency after the wire drains.
-        self.done[key] = t1 + self.link.hop_latency_s
-
-    def join(self, key, deps):
-        self.done[key] = max((self.done[d] for d in deps), default=0.0)
+    def send(self, direction: str, label: str, nbytes: float, ready: float = 0.0) -> float:
+        """Put nbytes on direction's link; return when the receiver sees them,
+        one hop latency after the wire drains."""
+        end = self.run(_LINK_OF[direction], label, nbytes / self.link.bandwidth_bytes_per_s, ready)
+        return end + self.link.hop_latency_s
 
     def mark(self) -> None:
         if len(self.label) > self.bounds[-1]:
@@ -323,48 +324,19 @@ def _interleave(*seqs):
     return out
 
 
-def _recv_micro(s: _Sched, tag: str, e: float, arrive, add_key, scan_key):
-    """Dq + Add (+ abs-max scan) of one arriving microshard on the VPU.
-
-    With fuse_recv_pass the phases collapse into one pass gated by the
-    slowest participating rate.
-    """
-    c = s.compute
-    if c.fuse_recv_pass:
-        rates = [c.dequant_rate, c.add_rate] + ([c.scan_rate] if scan_key else [])
-        keys = [add_key] + ([scan_key] if scan_key else [])
-        s.vpu(keys, f"rs:fused{tag}", e, min(rates), arrive)
-        return
-    dq_key = ("dq",) + add_key
-    s.vpu([dq_key], f"rs:dq{tag}", e, c.dequant_rate, arrive)
-    s.vpu([add_key], f"rs:add{tag}", e, c.add_rate, [dq_key])
-    if scan_key:
-        s.vpu([scan_key], f"rs:scan{tag}", e, c.scan_rate, [add_key])
-
-
-def _prep_quant(s, tag, gs, u, e_micro, keys, stage, deps=()):
+def _prep_quant(s: _Sched, tag: str, gs: range, u: int, e_micro: int, stage: str,
+                ready: float = 0.0) -> tuple[dict[int, float], dict[int, list[float]]]:
     """Send-side phase-1 scans (all microshards) then phase-2 encodes.
 
-    The joined scans and the encodes are stored under every key prefix in
-    keys: a semi-loop all-gather source encodes once for both directions.
+    Returns the scan join per minishard and the encode ends per microshard.
     """
     c = s.compute
-    scan = keys[0] + ("scan",)
-    for g in gs:
-        for j in range(u):
-            s.vpu([scan + (g, j)], f"{stage}:scan:prep:{tag}:g={g}:j={j}", e_micro,
-                  c.scan_rate, deps)
-    for g in gs:
-        for k in keys:
-            s.join(k + ("scanj", g), [scan + (g, j) for j in range(u)])
-        for j in range(u):
-            s.vpu([k + ("enc", g, j) for k in keys], f"{stage}:enc:prep:{tag}:g={g}:j={j}",
-                  e_micro, c.encode_rate, [keys[0] + ("scanj", g)])
-
-
-def _key(stage: str, a: Arc, t: int) -> tuple:
-    """Key prefix of what hop t in a's direction carries."""
-    return (stage, a.direction, t)
+    scan, enc = e_micro / c.scan_rate, e_micro / c.encode_rate
+    scans = {g: [s.run(RES_VPU, f"{stage}:scan:prep:{tag}:g={g}:j={j}", scan, ready)
+                 for j in range(u)] for g in gs}
+    joined = {g: max(ends) for g, ends in scans.items()}
+    return joined, {g: [s.run(RES_VPU, f"{stage}:enc:prep:{tag}:g={g}:j={j}", enc, joined[g])
+                        for j in range(u)] for g in gs}
 
 
 class _Hops:
@@ -373,10 +345,6 @@ class _Hops:
     def __init__(self, s: _Sched, stage: str):
         self.s = s
         self.stage = stage
-
-    def _join_merges(self, arcs: list[Arc], arc_keys) -> None:
-        # The all-gather starts once every partial merged at the owner.
-        self.s.join(("rs_done",), [k for a in arcs for k in arc_keys(a)])
 
 
 class _Quant(_Hops):
@@ -391,79 +359,91 @@ class _Quant(_Hops):
     def __init__(self, s: _Sched, stage: str, e_micro: int, u: int, whole: bool):
         super().__init__(s, stage)
         self.e, self.u, self.whole = e_micro, u, whole
+        # Per direction, the times hop t hands on: the scan join per minishard
+        # g and the encode ends per microshard (g, j) of what it sends, then
+        # the metadata and payload arrivals.
+        self.scanj: dict[str, dict[int, float]] = {}
+        self.enc: dict[str, dict[int, list[float]]] = {}
+        self.meta: dict[str, float] = {}
+        self.pay: dict[str, dict[int, list[float]]] = {}
 
     def prep(self, arcs: list[Arc]) -> None:
         s, e, u = self.s, self.e, self.u
         if self.stage == "rs":
             for a in arcs:
-                _prep_quant(s, a.direction, a.units, u, e, [_key("rs", a, 1)], "rs")
+                dn = a.direction
+                self.scanj[dn], self.enc[dn] = _prep_quant(s, dn, a.units, u, e, "rs")
             return
         # The source encodes its reduced shard (once for both directions when
         # the arcs carry it whole) and decodes its own codes too, so outputs
         # match everywhere.
         parts = [("", arcs)] if self.whole else [(a.direction, [a]) for a in arcs]
         for dn, pa in parts:
-            _prep_quant(s, dn or "own", pa[0].units, u, e,
-                        [_key("ag", a, 1) for a in pa], "ag", deps=[("rs_done",)])
+            scanj, enc = _prep_quant(s, dn or "own", pa[0].units, u, e, "ag", s.rs_done)
+            for a in pa:
+                self.scanj[a.direction], self.enc[a.direction] = scanj, enc
+        dq = e / s.compute.dequant_rate
         for dn, pa in parts:
-            enc = _key("ag", pa[0], 1) + ("enc",)
+            enc = self.enc[pa[0].direction]
             tag = f":{dn}" if dn else ""
             for g in pa[0].units:
                 for j in range(u):
-                    s.vpu([], f"ag:dq:own{tag}:g={g}:j={j}", e, s.compute.dequant_rate,
-                          [enc + (g, j)])
+                    s.run(RES_VPU, f"ag:dq:own{tag}:g={g}:j={j}", dq, enc[g][j])
 
     def send(self, a: Arc, t: int) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
         dn, gs = a.direction, a.units
-        k = _key(st, a, t)
         if st == "ag" and t > 1:
             # Forward the codes and grids that arrived on the previous hop.
-            src = _key(st, a, t - 1)
-            meta_deps = [src + ("meta",)]
-            pay = src + ("pay",)
+            meta, pay = self.meta[dn], self.pay[dn]
         else:
-            meta_deps = [k + ("scanj", g) for g in gs]
-            pay = k + ("enc",)
-        s.send(dn, k + ("meta",), f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES, meta_deps)
-        for g in gs:
-            for j in range(u):
-                s.send(dn, k + ("pay", g, j), f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e,
-                       [pay + (g, j)])
+            meta, pay = max(self.scanj[dn][g] for g in gs), self.enc[dn]
+        self.meta[dn] = s.send(dn, f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES, meta)
+        self.pay[dn] = {g: [s.send(dn, f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e, pay[g][j])
+                            for j in range(u)] for g in gs}
 
     def recv(self, arcs: list[Arc], t: int) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
         c = s.compute
+        dq, add, scan, enc = (e / r for r in (c.dequant_rate, c.add_rate, c.scan_rate,
+                                             c.encode_rate))
+        # With fuse_recv_pass a microshard's dequantize, add (and scan) are one
+        # pass gated by the slowest participating rate.
+        fused_last = e / min(c.dequant_rate, c.add_rate)
+        fused = e / min(c.dequant_rate, c.add_rate, c.scan_rate)
         for a, g in _interleave(*[[(a, g) for g in a.units] for a in arcs]):
             dn, last = a.direction, t == len(a.devices) - 1
-            k = _key(st, a, t)
+            pay, meta = self.pay[dn][g], self.meta[dn]
             if st == "ag":
                 for j in range(u):
-                    s.vpu([], f"ag:dq:it={t}:{dn}:g={g}:j={j}", e, c.dequant_rate,
-                          [k + ("pay", g, j), k + ("meta",)])
+                    s.run(RES_VPU, f"ag:dq:it={t}:{dn}:g={g}:j={j}", dq, max(pay[j], meta))
                 continue
-            nxt = _key(st, a, t + 1)
+            # Fold into the accumulator the earlier arc's merge made.
+            after = s.merge[a.after][g] if last and a.after else None
+            ends = []
             for j in range(u):
                 tag = f":it={t}:{dn}:g={g}:j={j}"
-                arrive = [k + ("pay", g, j), k + ("meta",)]
-                if last:
-                    if a.after:
-                        # Fold into the accumulator the earlier arc's merge made.
-                        arrive.append(("merge", a.after, g, j))
-                    _recv_micro(s, tag, e, arrive, ("merge", dn, g, j), None)
+                ready = max(pay[j], meta) if after is None else max(pay[j], meta, after[j])
+                if c.fuse_recv_pass:
+                    end = s.run(RES_VPU, f"rs:fused{tag}", fused_last if last else fused, ready)
                 else:
-                    _recv_micro(s, tag, e, arrive, nxt + ("add", g, j), nxt + ("scan", g, j))
-            if not last:
-                s.join(nxt + ("scanj", g), [nxt + ("scan", g, j) for j in range(u)])
-                for j in range(u):
-                    s.vpu([nxt + ("enc", g, j)], f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", e,
-                          c.encode_rate, [nxt + ("scanj", g)])
+                    end = s.run(RES_VPU, f"rs:dq{tag}", dq, ready)
+                    end = s.run(RES_VPU, f"rs:add{tag}", add, end)
+                    if not last:
+                        end = s.run(RES_VPU, f"rs:scan{tag}", scan, end)
+                ends.append(end)
+            if last:
+                s.merge.setdefault(dn, {})[g] = ends
+                continue
+            joined = self.scanj[dn][g] = max(ends)
+            self.enc[dn][g] = [s.run(RES_VPU, f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", enc, joined)
+                               for j in range(u)]
 
     def done(self, arcs: list[Arc]) -> None:
         if self.stage == "rs":
-            u = self.u
-            self._join_merges(arcs, lambda a: [("merge", a.direction, g, j)
-                                              for g in a.units for j in range(u)])
+            # The all-gather starts once every partial merged at the owner.
+            self.s.rs_done = max(end for a in arcs for ends in self.s.merge[a.direction].values()
+                                 for end in ends)
 
 
 class _Plain(_Hops):
@@ -477,59 +457,58 @@ class _Plain(_Hops):
     def __init__(self, s: _Sched, stage: str, eight_bit: bool = False, cast: bool = False):
         super().__init__(s, stage)
         self.eight_bit, self.cast = eight_bit, cast
+        # Per direction, when what hop t sends is ready (unset: at 0, a raw
+        # head's own value), then when it arrives.
+        self.wire: dict[str, float] = {}
 
     def prep(self, arcs: list[Arc]) -> None:
-        if self.stage == "rs" and self.cast:
-            for a in arcs:
-                self.s.vpu([_key("rs", a, 1) + ("red",)], f"rs:cast:prep:{a.direction}",
-                           len(a.units), self.s.compute.cast_rate)
+        s = self.s
+        for a in arcs:
+            dn = a.direction
+            if self.stage == "ag":
+                self.wire[dn] = s.merge[dn] if self.eight_bit else s.rs_done
+            elif self.cast:
+                self.wire[dn] = s.run(RES_VPU, f"rs:cast:prep:{dn}",
+                                      len(a.units) / s.compute.cast_rate)
 
     def send(self, a: Arc, t: int) -> None:
-        st, dn = self.stage, a.direction
-        k = _key(st, a, t)
-        if st == "rs":
-            deps = [k + ("red",)] if t > 1 or self.cast else []
-        elif t > 1:
-            deps = [_key(st, a, t - 1) + ("wire",)]
-        else:
-            deps = [("merge", dn) if self.eight_bit else ("rs_done",)]
+        dn = a.direction
         word, elem_bytes = ("pay", 1) if self.eight_bit else ("raw", 2)
-        self.s.send(dn, k + ("wire",), f"{st}:{word}:it={t}:{dn}", elem_bytes * len(a.units),
-                    deps)
+        self.wire[dn] = self.s.send(dn, f"{self.stage}:{word}:it={t}:{dn}",
+                                    elem_bytes * len(a.units), self.wire.get(dn, 0.0))
 
     def recv(self, arcs: list[Arc], t: int) -> None:
         s, st = self.s, self.stage
         c = s.compute
         for a in arcs:
             dn, elems = a.direction, len(a.units)
-            k = _key(st, a, t)
-            arrive = [k + ("wire",)]
+            arrive = self.wire[dn]
             if st == "ag":
                 if self.cast:
-                    s.vpu([], f"ag:dec:it={t}:{dn}", elems, c.cast_rate, arrive)
+                    s.run(RES_VPU, f"ag:dec:it={t}:{dn}", elems / c.cast_rate, arrive)
                 else:
                     # Zero-cost landing marker: completion includes the final hop latency.
-                    s.vpu([], f"ag:land:it={t}:{dn}", 0.0, 1.0, arrive)
+                    s.run(RES_VPU, f"ag:land:it={t}:{dn}", 0.0, arrive)
                 continue
-            if t == len(a.devices) - 1:
-                out = ("merge", dn)
-                if a.after:
-                    arrive.append(("merge", a.after))
-            else:
-                out = _key(st, a, t + 1) + ("red",)
+            last = t == len(a.devices) - 1
+            if last and a.after:
+                arrive = max(arrive, s.merge[a.after])
+            end = s.run(RES_VPU, f"rs:add:it={t}:{dn}", elems / c.add_rate, arrive)
             if self.cast:
-                s.vpu([k + ("sum",)], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
-                s.vpu([out], f"rs:recode:it={t}:{dn}", elems, c.cast_rate, [k + ("sum",)])
+                end = s.run(RES_VPU, f"rs:recode:it={t}:{dn}", elems / c.cast_rate, end)
+            if last:
+                s.merge[dn] = end
             else:
-                s.vpu([out], f"rs:add:it={t}:{dn}", elems, c.add_rate, arrive)
+                self.wire[dn] = end
 
     def done(self, arcs: list[Arc]) -> None:
+        s = self.s
         if self.stage == "rs":
-            self._join_merges(arcs, lambda a: [("merge", a.direction)])
+            s.rs_done = max(s.merge[a.direction] for a in arcs)
         elif self.cast:
             for a in arcs:
-                self.s.vpu([], f"ag:dec:own:{a.direction}", len(a.units),
-                           self.s.compute.cast_rate, [("merge", a.direction)])
+                s.run(RES_VPU, f"ag:dec:own:{a.direction}", len(a.units) / s.compute.cast_rate,
+                      s.merge[a.direction])
 
 
 def _execute(s: _Sched, *stages: tuple[list[Arc], _Hops]) -> Timeline:

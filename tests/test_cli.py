@@ -151,6 +151,22 @@ def test_timeline_csv_rows_match_jsonl_records(tmp_path):
         assert row == {k: str(v) for k, v in rec.items()}
 
 
+@pytest.mark.parametrize("flags", [[], ["--timestamp"]])
+def test_timeline_csv_is_the_dict_writer_rendering(flags, monkeypatch, capsys):
+    # The CSV rows come straight from the timeline's columns; one dict per
+    # event through `_render`'s DictWriter must give the same bytes.
+    monkeypatch.setattr(cli.time, "time", lambda: 1760000000.123456)
+    argv = ["--rows", "256", "--cols", "512", "--num-devices", "4", "--variant", "semi_loop",
+            "--format", "csv", *flags]
+    assert run(["timeline", *argv]) == 0
+    cfg = _parse(argv)
+    tl = cli._timeline(cfg, cli._partition_spec(cfg), *cli.resolve_params(cfg))
+    rows = [dict(zip(cli.TIMELINE_COLUMNS, r)) for r in zip(*tl.columns)]
+    expected = cli._render(rows, cli.TIMELINE_COLUMNS, cfg)
+    assert ("timestamp" in expected.partition("\n")[0]) == bool(flags)
+    assert capsys.readouterr().out == expected
+
+
 def test_sweep_csv_schema(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["sweep", "--sizes", "1MiB,2MiB", "--num-devices", "8",

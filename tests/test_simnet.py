@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
-from itertools import pairwise
+from itertools import pairwise, product
 from pathlib import Path
 
 import numpy as np
@@ -386,10 +386,12 @@ def test_timeline_rejects_bounds_that_do_not_increase_from_0_to_the_length(bound
 
 
 def test_to_jsonl_escapes_like_json_dumps():
-    labels = ['q"uote', "back\\slash", "caf\u00e9", "tab\tnew\nline", "\U0001f600"]
+    # A NUL stands for the device number while to_jsonl formats; one in a
+    # resource or label must come out escaped.
+    labels = ['q"uote', "back\\slash", "caf\u00e9", "tab\tnew\nline", "\U0001f600", "n\0l"]
     n = len(labels)
-    tl = Timeline(1, [0, n], [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU],
-                  [0.0, 1e-300, 2.5, 1 / 3, 7.0], [0.1, 1e300, 3.5, 2 / 3, 7.0], labels)
+    tl = Timeline(1, [0, n], [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU, "\0"],
+                  [0.0, 1e-300, 2.5, 1 / 3, 7.0, 8.0], [0.1, 1e300, 3.5, 2 / 3, 7.0, 9.0], labels)
     assert tl.to_jsonl().splitlines() == [json.dumps(dataclasses.asdict(e)) for e in tl.events]
     odd = Timeline(1, [0, 3], [RES_VPU] * 3, [0.0, math.inf, -math.inf],
                    [math.nan, math.inf, 0.0], ["a", "b", "c"])
@@ -455,17 +457,21 @@ def test_every_device_runs_device_0s_events(tl):
         assert events == per_device[0], f"device {d}"
 
 
-# Receive-side passes of hop `it` in a direction, and the sends they wait for.
+# Receive-side passes of hop `it` in a direction; the transfers of hop `it`;
+# and the reduce-scatter passes whose results a later hop sends.
 _RECV = re.compile(r"(rs|ag):(?:dq|add|fused|land|dec):it=(\d+):(cw|ccw)(:g=\d+:j=\d+)?$")
-_SEND = re.compile(r"(rs|ag):(?:pay|raw):it=(\d+):(cw|ccw)(:g=\d+:j=\d+)?$")
+_SEND = re.compile(r"(rs|ag):(pay|raw|meta):it=(\d+):(cw|ccw)(:g=\d+:j=\d+)?$")
+_MADE = re.compile(r"rs:(enc|scan|fused|add|recode):it=(\d+):(cw|ccw)(:g=\d+:j=\d+)?$")
 _KINDS = [f"{v.value}-{rs}-{ag}" for v in Variant for rs in ("raw", "quant")
           for ag in ("raw", "quant")] + ["naive", "ideal"]
 
 
 def _timelines(kind: str, n: int):
     spec = PartitionSpec(n, 3, 2)
-    nbytes = 2 * n * 3 * 2 * 1024
-    for fuse in (False, True):
+    # Microshards of 1 Ki and 128 Ki elements: only past about 72 Ki does a
+    # quantized payload's encode or arrival, not the metadata transfer ahead
+    # of it on its link, set when it is sent.
+    for nbytes, fuse in product((2 * n * 3 * 2 * 1024 * k for k in (1, 128)), (False, True)):
         compute = replace(COMP, fuse_recv_pass=fuse)
         if kind == "naive":
             yield simulate_naive(spec, nbytes, LINK, compute)
@@ -478,28 +484,63 @@ def _timelines(kind: str, n: int):
             yield simulate(cfg, nbytes, LINK, compute)
 
 
+def _made(pass_: str, it: str, dn: str, part: str | None):
+    """(payload or metadata, iteration, direction, part) of the reduce-scatter
+    send whose data a pass of iteration `it` on the same device makes, or None.
+
+    A payload microshard is made by its encode for that iteration, the
+    metadata by every scan (or fused pass) of the iteration before, and a
+    raw or 8-bit partial by the add or recode of the iteration before.
+    """
+    if pass_ == "enc":
+        return "data", int(it), dn, part
+    if part is None:
+        return "data", int(it) + 1, dn, None
+    return ("meta", int(it) + 1, dn, None) if pass_ in ("scan", "fused") else None
+
+
 @pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("n", [4, 6, 16])
 def test_derived_devices_wait_for_their_neighbours_sends(n, kind):
-    # Read off the full timeline alone, not the simulator's keys: each
-    # receive pass on device d starts no earlier than the sending
-    # neighbour's matching transfer ends plus the hop latency.
+    # Read off the full timeline alone, not the simulator's ready times. On
+    # every device d, each receive pass starts no earlier than the sending
+    # neighbour's matching transfer ends plus the hop latency; each
+    # all-gather forward, no earlier than what it forwards arrived; and
+    # each later reduce-scatter send, no earlier than the passes that made
+    # its data end.
+    lat = LINK.hop_latency_s
     for tl in _timelines(kind, n):
-        sent = {}
-        for d, _, _, end, label in zip(*tl.columns):
-            m = _SEND.match(label)
-            if m:
-                sent[(d, *m.groups())] = end
+        sends, sent, made = [], {}, {}
+        for d, _, start, end, label in zip(*tl.columns):
+            if m := _SEND.match(label):
+                stage, what, it, dn, part = m.groups()
+                key = (stage, "meta" if what == "meta" else "data", int(it), dn, part)
+                sends.append((d, start, key))
+                sent[(d, *key)] = end
+            elif (m := _MADE.match(label)) and (key := _made(*m.groups())):
+                made[(d, *key)] = max(made.get((d, *key), 0.0), end)
+        upstream = {"cw": -1, "ccw": 1}
         checked = 0
         for d, _, start, _, label in zip(*tl.columns):
             m = _RECV.match(label)
             if m:
                 stage, it, dn, part = m.groups()
-                sender = (d - 1) % n if dn == "cw" else (d + 1) % n
-                assert start >= sent[(sender, stage, it, dn, part)] + LINK.hop_latency_s, \
+                sender = (d + upstream[dn]) % n
+                assert start >= sent[(sender, stage, "data", int(it), dn, part)] + lat, \
                     (d, label)
                 checked += 1
         assert checked >= n
+        later = {"rs": 0, "ag": 0}
+        for d, start, (stage, what, it, dn, part) in sends:
+            if it == 1:
+                continue
+            if stage == "ag":
+                ready = sent[((d + upstream[dn]) % n, stage, what, it - 1, dn, part)] + lat
+            else:
+                ready = made[(d, what, it, dn, part)]
+            assert start >= ready, (d, stage, what, it, dn, part)
+            later[stage] += 1
+        assert min(later.values()) >= n
         _assert_no_overlap(tl)
 
 
