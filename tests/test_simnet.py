@@ -468,9 +468,10 @@ _KINDS = [f"{v.value}-{rs}-{ag}" for v in Variant for rs in ("raw", "quant")
 
 def _timelines(kind: str, n: int):
     spec = PartitionSpec(n, 3, 2)
-    # Microshards of 1 Ki and 128 Ki elements: only past about 72 Ki does a
-    # quantized payload's encode or arrival, not the metadata transfer ahead
-    # of it on its link, set when it is sent.
+    # Microshards of 1 Ki and 128 Ki elements. At 1 Ki the metadata transfer
+    # ahead of a quantized payload on its link always ends after the
+    # payload's own encode or arrival; only larger microshards show that a
+    # payload waits for those.
     for nbytes, fuse in product((2 * n * 3 * 2 * 1024 * k for k in (1, 128)), (False, True)):
         compute = replace(COMP, fuse_recv_pass=fuse)
         if kind == "naive":
