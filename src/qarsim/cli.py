@@ -20,7 +20,6 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from pathlib import Path
 
 from .analysis import (
@@ -287,13 +286,13 @@ def cmd_timeline(cfg: RunConfig) -> str:
     tl = _timeline(cfg, _partition_spec(cfg), *resolve_params(cfg))
     if cfg.format != "csv":
         return tl.to_jsonl()
-    # The rows `_render` would write, straight from the columns.
-    columns, rows = TIMELINE_COLUMNS, zip(*tl.columns)
+    # The rows `_render` would write, straight from device 0's columns.
+    columns, constants = TIMELINE_COLUMNS, ()
     if cfg.timestamp:
-        columns, rows = (*columns, "timestamp"), zip(*tl.columns, repeat(time.time()))
+        columns, constants = (*columns, "timestamp"), (time.time(),)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(chain([columns], rows))
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(columns)
+    return buf.getvalue() + tl.to_csv(*constants)
 
 
 def cmd_bounds(cfg: RunConfig) -> str:

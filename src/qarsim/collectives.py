@@ -83,10 +83,14 @@ class _QuantHop:
         return quantize_shard(blocks, self.codec, local.size // self.unit)
 
     def hop(self, wire, local):
-        return self.send(dequantize_shard(wire).reshape(-1) + local)
+        return self.send(self.merge(local, wire))
 
     def merge(self, acc, wire):
-        return dequantize_shard(wire).reshape(-1) + acc
+        # In place into dequantize's fresh output, the wire operand first as in
+        # `wire + acc`, so the same NaN payload survives.
+        out = dequantize_shard(wire).reshape(-1)
+        out += acc
+        return out
 
 
 class _Bf16Hop:
@@ -166,14 +170,13 @@ def all_gather(
     n = spec.num_devices
     if len(shards) != n or any(b is None for b in shards):
         raise MissingShardError(f"need shard results from all {n} devices")
-    gathered = []
-    for s in range(n):
+    flat = np.empty(sum(b.size for b in shards), np.float32)
+    end = 0
+    for shard in shards:
         if quantize:
-            q = quantize_shard(shards[s], codec, spec.minishards_per_shard)
-            gathered.append(round_to_bf16(dequantize_shard(q)).reshape(-1))
-        else:
-            gathered.append(round_to_bf16(shards[s]).reshape(-1))
-    flat = np.concatenate(gathered)
+            shard = dequantize_shard(quantize_shard(shard, codec, spec.minishards_per_shard))
+        start, end = end, end + shard.size
+        flat[start:end] = round_to_bf16(shard).reshape(-1)
     flat.setflags(write=False)
     return [TensorBuf(flat, rows, cols) for _ in range(n)]
 

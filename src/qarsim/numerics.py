@@ -20,6 +20,15 @@ of two, both exact. Either dtype gives exact round-to-nearest-even of the
 input value, so a value representable in float32 gets the same code both
 ways. No input, signaling NaNs included, makes a kernel raise a
 floating-point warning.
+
+The kernels keep full-array passes few. Each works in place on buffers
+it allocated itself and never writes to its input. Special values are
+found by a whole-array test first and fixed only when present: BF16
+rounding compares a max and a min reduction with the smallest magnitude
+that rounds to inf (NaN carries through both); INT8 looks for NaN lanes
+only when its max is NaN; FP8 rounds its subnormal lanes only at the
+indices where they occur, and looks for inf and NaN lanes only when the
+largest magnitude is one.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ import numpy as np
 
 # Largest finite BF16 value, bit pattern 0x7F7F (exp 0xFE, mantissa 0x7F).
 BF16_MAX = 3.3895313892515355e38
+# Smallest float32 magnitude that rounds to inf in BF16, bit pattern 0x7F7F8000.
+_BF16_INF_FROM = np.uint32(0x7F7F8000).view(np.float32)
 
 
 class Codec(enum.Enum):
@@ -90,6 +101,8 @@ def _as_float(values, dtype) -> np.ndarray:
     the format's range to inf. Both are valid kernel inputs, so the cast
     raises no warning for them.
     """
+    if type(values) is np.ndarray and values.dtype == dtype:
+        return values
     with np.errstate(invalid="ignore", over="ignore"):
         return np.asarray(values, dtype=dtype)
 
@@ -103,7 +116,8 @@ def _int8_encode(x: np.ndarray) -> np.ndarray:
     # Clipping first equals clipping after rint (the bounds are integers);
     # NaN lanes are set to -128 before rint so that no NaN reaches it.
     q = np.clip(x, -127, 127)
-    np.copyto(q, -128, where=np.isnan(q))
+    if np.isnan(q.max(initial=0)):
+        np.copyto(q, -128, where=np.isnan(q))
     np.rint(q, out=q)
     return q.astype(np.int8).view(np.uint8)
 
@@ -112,26 +126,32 @@ def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
     _, man_bits, bias = _FP8_FIELDS[codec]
     fi = np.finfo(x.dtype)
     shift = fi.nmant - man_bits
-    sign_pos = 8 * x.dtype.itemsize - 1
+    width = 8 * x.dtype.itemsize
     bits = x.view(_UINT[x.dtype])
-    mag = bits & ((1 << sign_pos) - 1)
+    mag = bits & ((1 << (width - 1)) - 1)
     special = mag.max(initial=0) >= _bits(np.inf, x.dtype)
-    # Non-negative floats order like their bits, so this saturates at the max.
-    np.minimum(mag, _bits(codec.max_magnitude, x.dtype), out=mag)
-    # FP8-normal lanes: round to nearest even on the dropped bits, then
-    # rebias the exponent. Subnormal lanes wrap here and are replaced below.
-    code = (mag >> shift) & 1
-    code += (1 << (shift - 1)) - 1
+    # Saturate at the max. Non-negative floats order like their bits; NaN
+    # lanes stay NaN here and get their code below.
+    fmag = mag.view(x.dtype)
+    np.minimum(fmag, codec.max_magnitude, out=fmag)
+    # FP8-normal lanes: round to nearest even on the dropped bits and rebias
+    # the exponent in one constant. Rebiasing subtracts a multiple of
+    # 1 << shift, so it commutes with the shift, and modulo 2**width it keeps
+    # the low 8 bits. Subnormal lanes wrap here and are replaced below.
+    rebias = (fi.maxexp - 1 - bias) << fi.nmant
+    code = mag >> shift
+    code &= 1
     code += mag
+    code += ((1 << (shift - 1)) - 1 - rebias) % (1 << width)
     code >>= shift
-    code -= (fi.maxexp - 1 - bias) << man_bits
     out = code.astype(np.uint8)
     # FP8-subnormal lanes: the code counts subnormal steps, and scaling by a
-    # power of two is exact. Clamping keeps every lane in uint8 range.
-    min_normal = _bits(2.0 ** (1 - bias), x.dtype)
-    steps = np.minimum(mag, min_normal).view(x.dtype) * 2.0 ** (bias - 1 + man_bits)
-    np.copyto(out, np.rint(steps).astype(np.uint8), where=mag < min_normal)
-    out |= (bits >> (sign_pos - 7)).astype(np.uint8) & 0x80
+    # power of two is exact.
+    sub = np.flatnonzero(mag < _bits(2.0 ** (1 - bias), x.dtype))
+    out[sub] = np.rint(mag[sub].view(x.dtype) * 2.0 ** (bias - 1 + man_bits)).astype(np.uint8)
+    sign = np.signbit(x).view(np.uint8)
+    sign *= 0x80
+    out |= sign
     if special:
         if codec in _INF_CODE:
             out = np.where(np.isinf(x), (out & 0x80) | _INF_CODE[codec], out)
@@ -157,7 +177,7 @@ def decode(codes, codec: Codec) -> np.ndarray:
     c = np.asarray(codes, dtype=np.uint8)
     if codec is Codec.INT8:
         return c.view(np.int8).astype(np.float32)
-    return _DECODE[codec][c]
+    return np.take(_DECODE[codec], c, mode="wrap")  # every uint8 code is in range
 
 
 def round_to_bf16(x):
@@ -169,16 +189,19 @@ def round_to_bf16(x):
     arr = _as_float(x, np.float32)
     flat = arr.reshape(-1)
     bits = flat.view(np.uint32)
-    out = (bits >> 16) & 1
+    out = bits >> 16
+    out &= 1
     out += bits
     out += 0x7FFF
     out &= 0xFFFF0000
     res = out.view(np.float32)
-    # Only lanes with a non-finite input or output need fixing. The input's
-    # finiteness counts too: NaN patterns from 0xFFFF8000 up wrap to finite.
-    ok = np.isfinite(flat)
-    ok &= np.isfinite(res)
-    if not ok.all():
+    # Only a magnitude of at least _BF16_INF_FROM, or a NaN, can give a
+    # non-finite input or output; NaN carries through both reductions. The
+    # input's finiteness counts too: NaN patterns from 0xFFFF8000 up wrap to
+    # finite.
+    if not (flat.max(initial=0) < _BF16_INF_FROM and flat.min(initial=0) > -_BF16_INF_FROM):
+        ok = np.isfinite(flat)
+        ok &= np.isfinite(res)
         bad = np.flatnonzero(~ok)
         a = flat[bad]
         res[bad] = np.where(np.isfinite(a), np.copysign(np.float32(BF16_MAX), a), a)

@@ -78,6 +78,7 @@ def quantize_shard(blocks: np.ndarray, codec: Codec, minishards: int = 1) -> Qua
 def dequantize_shard(q: QuantizedShard) -> np.ndarray:
     """Restore float32 chunks: decode(code) * scale at every position."""
     c = q.payload.shape[0]
+    # decode returns a fresh float32 array, so the scales multiply in place.
     grouped = decode(q.payload, q.codec).reshape(q.minishards, -1, CHUNK_ROWS, CHUNK_COLS)
-    out = (grouped * q.grids[:, None]).astype(np.float32)
-    return out.reshape(c, CHUNK_ROWS, CHUNK_COLS)
+    grouped *= q.grids[:, None]
+    return grouped.reshape(c, CHUNK_ROWS, CHUNK_COLS)

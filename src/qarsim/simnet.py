@@ -32,7 +32,8 @@ covers every event. A `Timeline` is device 0's events plus where each
 segment of the emission order ends (after each stage's prep, each
 iteration's sends and receives, and each stage's end). `_expand` alone
 lays out devices 1..N-1, repeating every segment once per device, device
-0 first; only `Timeline.columns` (and so `events`) and `to_jsonl` call it.
+0 first; only `Timeline.columns` (and so `events`), `to_jsonl` and `to_csv`
+call it.
 
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
@@ -52,13 +53,15 @@ bytes / 2; quantized payloads put 1 byte per element on the wire plus
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise, zip_longest
+from itertools import pairwise, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .collectives import CollectiveConfig
 from .layout import DivisibilityError, PartitionSpec
@@ -157,8 +160,8 @@ class Timeline:
     the column length. Across devices the emission order is each segment
     once per device, device 0 first (see `_expand`). `total_time`,
     `stage_end`, `len(events)` and `idle_time` read device 0's columns;
-    `to_jsonl` expands its lines; `columns` and `events` are the n
-    devices' events, built on first read.
+    `to_jsonl` and `to_csv` expand their lines; `columns` and `events` are
+    the n devices' events, built on first read.
     """
 
     n: int
@@ -209,6 +212,19 @@ class Timeline:
         segs = ["".join(lines[a:b]) for a, b in pairwise(self.bounds)]
         device, segs = _expand(self.n, range(len(segs) + 1), (segs,))
         return "".join([seg.replace("\0", str(d)) for d, seg in zip(device, segs)])
+
+    def to_csv(self, *constants) -> str:
+        """`csv.writer`'s rows, with no header, of the n devices' events: each
+        event's fields in `TimelineEvent` order, then `constants`."""
+        # Format device 0's rows once without the device field (the writer
+        # hands `write` one row at a time), then put each copy's device and a
+        # comma ahead of every row of its segment.
+        rows: list[str] = []
+        csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(
+            zip(self.resource, self.start_s, self.end_s, self.label, *map(repeat, constants)))
+        segs = [rows[a:b] for a, b in pairwise(self.bounds)]
+        device, segs = _expand(self.n, range(len(segs) + 1), (segs,))
+        return "".join([f"{d}," + f"{d},".join(seg) for d, seg in zip(device, segs)])
 
 
 def idle_time(t: Timeline) -> float:

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qarsim.layout import CHUNK_ELEMS
 from qarsim.numerics import BF16_MAX, Codec, decode, encode, round_to_bf16
+from qarsim.quant import dequantize_shard, quantize_shard
 
 
 def fp8_oracle_value(code: int, codec: Codec):
@@ -382,3 +384,93 @@ def test_kernels_raise_no_warning_on_any_input():
             round_to_bf16(x)
             for codec in Codec:
                 encode(x, codec)
+
+
+# The kernels look for special lanes (non-finite, BF16 overflow, FP8
+# subnormal, NaN) with a whole-array test first and fix only when it fires.
+# One planted lane in a large array of ordinary values must still fire it.
+
+GUARD_N = 1 << 16
+
+
+def _plant(dtype, value, clear_below=0.0):
+    """GUARD_N N(0,1) values of `dtype`, magnitudes under `clear_below` moved
+    above it, with `value` planted at lane GUARD_N // 3."""
+    x = np.random.default_rng(11).standard_normal(GUARD_N)
+    x[np.abs(x) < clear_below] += np.copysign(2 * clear_below, x[np.abs(x) < clear_below])
+    x = x.astype(dtype)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN payloads and overflow narrow silently
+        x[GUARD_N // 3] = np.asarray(value).astype(dtype)
+    return x
+
+
+BF16_GUARD_LANES = [0x7F7F7FFF, 0x7F7F8000, 0xFF7F7FFF, 0xFF7F8000, 0x7F800000, 0xFF800000,
+                    0x7FC00000, 0xFFFF8000, 0xFFFFFFFF]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("lane", BF16_GUARD_LANES, ids=hex)
+def test_round_to_bf16_fixes_a_single_special_lane(lane, dtype):
+    x = _plant(dtype, _from_bits(lane, np.float32))
+    _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
+
+
+_FP8_BIAS = {Codec.F8E4M3: 7, Codec.F8E5M2: 15}
+
+
+def _fp8_guard_lanes(codec, dtype):
+    top = dtype(codec.max_magnitude)
+    past = np.nextafter(top, dtype(np.inf))  # one ulp of `dtype` past the max
+    return {"subnormal": 0.375 * 2.0 ** (1 - _FP8_BIAS[codec]), "max": top, "past_max": past,
+            "-past_max": -past, "inf": np.inf, "-inf": -np.inf, "nan": np.nan}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("codec", [Codec.F8E4M3, Codec.F8E5M2], ids=lambda c: c.value)
+@pytest.mark.parametrize("lane", ["subnormal", "max", "past_max", "-past_max", "inf", "-inf", "nan"])
+def test_fp8_encode_fixes_a_single_special_lane(lane, codec, dtype):
+    # Ordinary lanes stay above 1/16, so the planted lane is the only FP8-subnormal one.
+    x = _plant(dtype, _fp8_guard_lanes(codec, dtype)[lane], clear_below=1 / 16)
+    assert (np.abs(x) < 2.0 ** (1 - _FP8_BIAS[codec])).sum() == (lane == "subnormal")
+    _assert_same_bits(encode(x, codec), _reference(ref_encode, x, codec), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_int8_encode_fixes_a_single_nan_lane(dtype):
+    x = _plant(dtype, np.nan)
+    got = encode(x, Codec.INT8)
+    _assert_same_bits(got, _reference(ref_encode, x, Codec.INT8), x)
+    assert np.flatnonzero(got == 0x80).tolist() == [GUARD_N // 3]
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 8, 128)], ids=str)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_kernels_take_empty_inputs(dtype, shape):
+    x = np.zeros(shape, dtype=dtype)
+    _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
+    for codec in Codec:
+        codes = encode(x, codec)
+        _assert_same_bits(codes, _reference(ref_encode, x, codec), x)
+        values = decode(codes, codec)
+        assert (values.dtype, values.shape) == (np.dtype(np.float32), shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
+def test_kernels_leave_their_inputs_unchanged(codec, dtype):
+    # The kernels work in place on buffers of their own; a caller's array
+    # must keep its bytes, special values and all.
+    x = np.concatenate([_plant(dtype, 0.5), edge_values(dtype)])
+    x = np.resize(x, (len(x) // CHUNK_ELEMS * CHUNK_ELEMS)).reshape(-1, 8, 128)
+    kept = x.copy()
+    round_to_bf16(x)
+    codes = encode(x, codec)
+    codes_kept = codes.copy()
+    decode(codes, codec)
+    with np.errstate(invalid="ignore", over="ignore"):  # as all_reduce runs them
+        q = quantize_shard(x, codec, minishards=2)
+        payload, grids = q.payload.copy(), q.grids.copy()
+        dequantize_shard(q)
+    assert x.tobytes() == kept.tobytes()
+    assert codes.tobytes() == codes_kept.tobytes()
+    assert (q.payload.tobytes(), q.grids.tobytes()) == (payload.tobytes(), grids.tobytes())

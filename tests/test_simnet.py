@@ -1,6 +1,8 @@
 """Event-driven performance model: schedule structure, determinism, bounds."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import operator
@@ -9,7 +11,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
-from itertools import pairwise, product
+from itertools import pairwise, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +399,29 @@ def test_to_jsonl_escapes_like_json_dumps():
                    [math.nan, math.inf, 0.0], ["a", "b", "c"])
     assert odd.to_jsonl() == _ref_jsonl(odd.events)
     assert Timeline(1, [0], [], [], [], []).to_jsonl() == ""
+
+
+def test_to_csv_is_the_csv_writer_rendering_of_the_columns(monkeypatch):
+    # Device 0's rows are formatted once and each copy gets its device put
+    # ahead; quoting, a NUL, an empty first field and constants must come
+    # out as csv.writer writes the n devices' rows.
+    args = (3, [0, 2, 3, 6], [RES_VPU, RES_LINK_CW, "\0", "r,s", RES_VPU, ""],
+            [0.0, 1e-300, 2.5, 1 / 3, math.inf, 8.0], [0.1, 1e300, 3.5, 2 / 3, math.nan, 9.0],
+            ['q"uote', "com,ma", "tab\tnew\nline", "caf\u00e9", "n\0l", ""])
+    expected = {}
+    for constants in [(), (1760000000.123456,), ("x,y", 7)]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            zip(*Timeline(*args).columns, *map(repeat, constants)))
+        expected[constants] = buf.getvalue()
+
+    def forbidden(*args):
+        raise AssertionError("columns built")
+
+    monkeypatch.setattr(Timeline, "columns", property(forbidden))
+    for constants, text in expected.items():
+        assert Timeline(*args).to_csv(*constants) == text
+    assert Timeline(2, [0], [], [], [], []).to_csv() == ""
 
 
 def _filled_sched(rows) -> simnet._Sched:
