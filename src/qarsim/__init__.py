@@ -18,6 +18,7 @@ from .collectives import (
     all_reduce,
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
+    reduce_scatter,
 )
 from .layout import (
     CHUNK_COLS,

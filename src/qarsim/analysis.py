@@ -22,6 +22,7 @@ from .collectives import (
     all_reduce,
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
+    reduce_scatter,
 )
 from .layout import CHUNK_ELEMS, PartitionSpec, ShapeMismatchError, TensorBuf
 from .numerics import Codec
@@ -133,14 +134,21 @@ def tradeoff_study(
     link: LinkParams | None = None,
     compute: ComputeParams | None = None,
 ) -> list[FlavorResult]:
-    """Run all 8 flavors on identical inputs; MSE vs baseline plus predicted speedup."""
+    """Run all 8 flavors on identical inputs; MSE vs baseline plus predicted speedup.
+
+    Flavors that agree on (variant, quantize_rs) share one reduce-scatter:
+    the baseline and full_ag share the BF16 full loop, full_rs and full_both
+    the quantized full loop, semi_rs and semi_both the quantized semi loop.
+    The work runs group by group, and each shared result is dropped after
+    its last flavor's collective, before that flavor's MSE, so at most one
+    is live. Rows come out in FLAVORS order.
+    """
     link, compute = _fill_params(link, compute)
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
     spec = PartitionSpec(num_devices, m, microshards)
     inputs = device_inputs(rows, cols, num_devices, seed)
     tensor_bytes = rows * cols * 2
 
-    base_out = baseline_allreduce_bf16(inputs, spec)[0]
     base_cfg = CollectiveConfig(Variant.FULL_LOOP, spec)
     t_base = simulate(base_cfg, tensor_bytes, link, compute).total_time
 
@@ -150,21 +158,34 @@ def tradeoff_study(
             m, microshards, seed, err, t_base / t_flavor,
         )
 
-    out = [result("baseline", Variant.FULL_LOOP, "none", "bf16", 0.0, t_base)]
+    out = {"baseline": result("baseline", Variant.FULL_LOOP, "none", "bf16", 0.0, t_base)}
+    cfgs = {flavor: CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
+            for flavor, (variant, q_rs, q_ag) in _FLAVOR_DEFS.items()}
+    # The baseline's group runs first: every MSE compares with its output.
+    groups = {(Variant.FULL_LOOP, False): ["baseline"]}
+    for flavor, cfg in cfgs.items():
+        groups.setdefault((cfg.variant, cfg.quantize_rs), []).append(flavor)
+
+    for (variant, q_rs), flavors in groups.items():
+        reduced = reduce_scatter(inputs, CollectiveConfig(variant, spec, quantize_rs=q_rs,
+                                                          codec=codec))
+        for flavor in flavors:
+            if flavor == "baseline":
+                base_out = baseline_allreduce_bf16(inputs, spec, reduced=reduced)[0]
+                continue
+            cfg = cfgs[flavor]
+            flavor_out = all_reduce(inputs, cfg, reduced=reduced)[0]
+            if flavor == flavors[-1]:
+                reduced = None  # freed before the MSE's float64 buffer
+            t_flavor = simulate(cfg, tensor_bytes, link, compute).total_time
+            out[flavor] = result(flavor, variant, stages_tag(q_rs, cfg.quantize_ag), codec.value,
+                                 mse(base_out, flavor_out), t_flavor)
 
     naive_out = naive_lowp_allreduce(inputs, Codec.F8E5M2, spec)[0]
     t_naive = simulate_naive(spec, tensor_bytes, link, compute).total_time
-    out.append(
-        result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value, mse(base_out, naive_out), t_naive)
-    )
-
-    for flavor, (variant, q_rs, q_ag) in _FLAVOR_DEFS.items():
-        cfg = CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
-        flavor_out = all_reduce(inputs, cfg)[0]
-        t_flavor = simulate(cfg, tensor_bytes, link, compute).total_time
-        out.append(result(flavor, variant, stages_tag(q_rs, q_ag), codec.value,
-                          mse(base_out, flavor_out), t_flavor))
-    return out
+    out["naive"] = result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value,
+                          mse(base_out, naive_out), t_naive)
+    return [out[flavor] for flavor in FLAVORS]
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,27 @@ One loop walks every arc; only the hop kind (the wire format) differs:
              no scaling; each receiver decodes, adds in FP32 and
              re-encodes, saturating at the codec's range.
 
-Inputs are read in place: each device's part of an arc is rounded to BF16
+The ring walks one minishard-sized tile at a time: each arc's part of a
+shard is cut at minishard boundaries (and where the arc starts or ends, as
+at the full loop's CW/CCW element midpoint), and every tile runs all of the
+arc's hops before the next starts, so a hop's arrays stay cache-sized. The
+kernels are elementwise and quantization keeps one scale grid per
+minishard, so tiling only reorders work: every output bit is the same for
+every minishard count the unquantized rings can take. Each shard's result
+is written into one preallocated buffer; in the semi loop the CCW arc's
+owner merge reads the CW result from there.
+
+Inputs are read in place: each device's part of a tile is rounded to BF16
 where the arc reads it, so every element is rounded exactly once. The
-all-gather quantizes each shard once at its source (or forwards it raw)
-and every device, the source included, decodes the same codes, so outputs
-are bit-identical across devices. Final outputs are BF16-rounded.
+all-gather quantizes each shard once at its source (or forwards it raw),
+one minishard at a time, and every device, the source included, decodes
+the same codes, so outputs are bit-identical across devices. Final outputs
+are BF16-rounded.
+
+`reduce_scatter` is the first stage on its own. Its result depends only on
+the variant, `quantize_rs` and the codec, so collectives that agree on
+those can share it: `all_reduce` and `baseline_allreduce_bf16` take it as
+`reduced=` and then run only the all-gather.
 """
 
 from __future__ import annotations
@@ -73,14 +89,16 @@ def _check(inputs: Sequence[TensorBuf], spec: PartitionSpec) -> None:
 
 
 class _QuantHop:
-    """Codes plus one scale grid per minishard; a unit is a minishard of `unit` elements."""
+    """Codes plus one scale grid per minishard; a unit is a minishard of `unit` elements.
+
+    `_reduce_scatter` hands every hop one whole minishard, so each wire holds one grid.
+    """
 
     def __init__(self, codec: Codec, unit: int):
         self.codec, self.unit = codec, unit
 
     def send(self, local):
-        blocks = local.reshape(-1, CHUNK_ROWS, CHUNK_COLS)
-        return quantize_shard(blocks, self.codec, local.size // self.unit)
+        return quantize_shard(local.reshape(-1, CHUNK_ROWS, CHUNK_COLS), self.codec)
 
     def hop(self, wire, local):
         return self.send(self.merge(local, wire))
@@ -121,35 +139,46 @@ class _CastHop:
 
     def hop(self, wire, local):
         c = self.codec
-        return encode(decode(wire, c) + decode(encode(local, c), c), c)
+        # In place into the wire's fresh decode, the wire operand first as in
+        # `decode(wire) + decode(encode(local))`, so the same NaN payload survives.
+        acc = decode(wire, c)
+        acc += decode(encode(local, c), c)
+        return encode(acc, c)
 
     def merge(self, acc, wire):
         return decode(self.hop(wire, acc), self.codec)
 
 
 def _reduce_scatter(inputs: Sequence[TensorBuf], variant: Variant,
-                    kind: _QuantHop | _Bf16Hop | _CastHop) -> list[np.ndarray]:
+                    kind: _QuantHop | _Bf16Hop | _CastHop, minishards: int) -> list[np.ndarray]:
     """Run every shard's arcs through one hop kind; result[s] is shard s at its owner.
 
-    Each device's part of an arc is read from its input and BF16-rounded
-    there, so every element is rounded exactly once and no copy is staged.
+    Arcs are walked one tile of `shard // minishards` elements at a time, cut
+    where an arc starts or ends inside a tile. Each device's part of a tile is
+    read from its input and BF16-rounded there; no copy is staged. An arc that
+    merges `after` another reads that arc's result from the output buffer.
     """
     n, u = len(inputs), kind.unit
     shard = inputs[0].data.size // n
-    out = []
+    tile = shard // minishards
+    flat = np.empty(n * shard, np.float32)
     for s, arcs in enumerate(schedule.rs_arcs(variant, n, shard // u)):
-        merged: dict[str, np.ndarray] = {}
+        base = s * shard
+        result = flat[base:base + shard]
         for arc in arcs:
-            part = slice(s * shard + arc.units.start * u, s * shard + arc.units.stop * u)
-            local = lambda d, part=part: round_to_bf16(inputs[d].data[part])
             head, *mid, owner = arc.devices
-            wire = kind.send(local(head))
-            for dev in mid:
-                wire = kind.hop(wire, local(dev))
-            acc = merged.pop(arc.after) if arc.after else local(owner)
-            merged[arc.direction] = kind.merge(acc, wire)
-        out.append(np.concatenate(list(merged.values())).reshape(-1, CHUNK_ROWS, CHUNK_COLS))
-    return out
+            lo, stop = arc.units.start * u, arc.units.stop * u
+            while lo < stop:
+                hi = min((lo // tile + 1) * tile, stop)
+                part = slice(base + lo, base + hi)
+                local = lambda d, part=part: round_to_bf16(inputs[d].data[part])
+                wire = kind.send(local(head))
+                for dev in mid:
+                    wire = kind.hop(wire, local(dev))
+                acc = result[lo:hi] if arc.after else local(owner)
+                result[lo:hi] = kind.merge(acc, wire)
+                lo = hi
+    return [b.reshape(-1, CHUNK_ROWS, CHUNK_COLS) for b in np.split(flat, n)]
 
 
 def all_gather(
@@ -164,47 +193,70 @@ def all_gather(
 
     With quantize set each shard is encoded once at its source and forwarded
     unchanged, so every device (the source included) decodes identical codes.
-    All returned TensorBufs share one read-only buffer; outputs are
-    bit-identical across devices by construction.
+    Each shard is handled one minishard at a time. All returned TensorBufs
+    share one read-only buffer; outputs are bit-identical across devices by
+    construction.
     """
-    n = spec.num_devices
+    n, m = spec.num_devices, spec.minishards_per_shard
     if len(shards) != n or any(b is None for b in shards):
         raise MissingShardError(f"need shard results from all {n} devices")
     flat = np.empty(sum(b.size for b in shards), np.float32)
     end = 0
     for shard in shards:
-        if quantize:
-            shard = dequantize_shard(quantize_shard(shard, codec, spec.minishards_per_shard))
-        start, end = end, end + shard.size
-        flat[start:end] = round_to_bf16(shard).reshape(-1)
+        for block in np.split(shard, m):
+            if quantize:
+                block = dequantize_shard(quantize_shard(block, codec))
+            start, end = end, end + block.size
+            flat[start:end] = round_to_bf16(block).reshape(-1)
     flat.setflags(write=False)
     return [TensorBuf(flat, rows, cols) for _ in range(n)]
 
 
-def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[TensorBuf]:
-    """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized."""
+def reduce_scatter(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[np.ndarray]:
+    """The reduce-scatter stage of `all_reduce`: result[s] is shard s reduced at device s.
+
+    The result depends on cfg.variant, cfg.quantize_rs and cfg.codec only,
+    so collectives that agree on those can share it through `reduced=`.
+    """
     spec = cfg.spec
     _check(inputs, spec)
+    m = spec.minishards_per_shard
     if cfg.quantize_rs:
-        minishard = inputs[0].data.size // (spec.num_devices * spec.minishards_per_shard)
-        kind = _QuantHop(cfg.codec, minishard)
+        kind = _QuantHop(cfg.codec, inputs[0].data.size // (spec.num_devices * m))
     else:
         kind = _Bf16Hop()
     # NaN and inf inputs have defined results (README "Non-finite values"), so the
     # invalid/overflow flags of their adds, scale divisions and multiplies are expected.
     with np.errstate(invalid="ignore", over="ignore"):
-        rs = _reduce_scatter(inputs, cfg.variant, kind)
-        return all_gather(rs, cfg.quantize_ag, cfg.codec, spec, inputs[0].rows, inputs[0].cols)
+        return _reduce_scatter(inputs, cfg.variant, kind, m)
 
 
-def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec):
-    """Full-loop AllReduce with no quantization: the MSE reference."""
-    return all_reduce(inputs, CollectiveConfig(Variant.FULL_LOOP, spec))
+def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig,
+               reduced: Sequence[np.ndarray] | None = None) -> list[TensorBuf]:
+    """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized.
+
+    `reduced`, if given, is this collective's `reduce_scatter(inputs, cfg)`,
+    already computed; only the all-gather then runs.
+    """
+    if reduced is None:
+        reduced = reduce_scatter(inputs, cfg)
+    with np.errstate(invalid="ignore", over="ignore"):  # as in reduce_scatter
+        return all_gather(reduced, cfg.quantize_ag, cfg.codec, cfg.spec,
+                          inputs[0].rows, inputs[0].cols)
+
+
+def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec,
+                            reduced: Sequence[np.ndarray] | None = None):
+    """Full-loop AllReduce with no quantization: the MSE reference.
+
+    `reduced` is as in `all_reduce`: the BF16 full-loop reduce-scatter.
+    """
+    return all_reduce(inputs, CollectiveConfig(Variant.FULL_LOOP, spec), reduced)
 
 
 def naive_lowp_allreduce(inputs: Sequence[TensorBuf], codec: Codec, spec: PartitionSpec):
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
     _check(inputs, spec)
-    with np.errstate(invalid="ignore", over="ignore"):  # as in all_reduce
-        rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec))
+    with np.errstate(invalid="ignore", over="ignore"):  # as in reduce_scatter
+        rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec), spec.minishards_per_shard)
         return all_gather(rs, False, codec, spec, inputs[0].rows, inputs[0].cols)

@@ -14,7 +14,7 @@ Kalamkar et al. (2019) for BF16 and Micikevicius et al. (2022) for FP8:
 add half an output ulp minus one plus the lowest kept bit, then drop the
 low bits. BF16 rounding works on float32 (other inputs are cast to float32
 first). `encode` keeps float32 input in float32 (uint32 bits) and converts
-anything else to float64 (uint64 bits); INT8 is `rint` and `clip` in that
+anything else to float64 (uint64 bits); INT8 is `rint` and a clamp in that
 dtype, and FP8-subnormal lanes are `rint` of the magnitude times a power
 of two, both exact. Either dtype gives exact round-to-nearest-even of the
 input value, so a value representable in float32 gets the same code both
@@ -113,9 +113,11 @@ def _bits(value: float, dtype) -> int:
 
 
 def _int8_encode(x: np.ndarray) -> np.ndarray:
-    # Clipping first equals clipping after rint (the bounds are integers);
+    # Clamping first equals clamping after rint (the bounds are integers);
     # NaN lanes are set to -128 before rint so that no NaN reaches it.
-    q = np.clip(x, -127, 127)
+    # minimum and maximum carry NaN through, as clip does.
+    q = np.minimum(x, 127)
+    np.maximum(q, -127, out=q)
     if np.isnan(q.max(initial=0)):
         np.copyto(q, -128, where=np.isnan(q))
     np.rint(q, out=q)

@@ -14,6 +14,7 @@ from qarsim.collectives import (
     all_reduce,
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
+    reduce_scatter,
 )
 from qarsim.layout import CHUNK_ELEMS, MissingShardError, PartitionSpec, TensorBuf
 from qarsim.numerics import BF16_MAX, Codec
@@ -143,6 +144,49 @@ def test_baseline_is_the_shared_unquantized_path():
     base = baseline_allreduce_bf16(inputs, spec)
     for a, b in zip(via_flags, base):
         assert np.array_equal(a.data, b.data)
+
+
+RING_CASES = [CollectiveConfig(v, PartitionSpec(4, 2, 1), quantize_rs=q_rs, quantize_ag=q_ag,
+                               codec=codec)
+              for v in Variant for q_rs in (False, True) for q_ag in (False, True)
+              for codec in Codec]
+
+
+@pytest.mark.parametrize("cfg", RING_CASES, ids=lambda c: f"{c.variant.value}-rs={c.quantize_rs}"
+                         f"-ag={c.quantize_ag}-{c.codec.value}")
+def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
+    inputs = device_inputs(64, 256, 4, seed=17)
+    inputs[2].data[[7, 4000]] = [np.nan, np.inf]
+    whole = all_reduce(inputs, cfg)[0].data
+    assert all_reduce(inputs, cfg, reduce_scatter(inputs, cfg))[0].data.tobytes() == whole.tobytes()
+    if not (cfg.quantize_rs or cfg.quantize_ag) and cfg.variant is Variant.FULL_LOOP:
+        base = baseline_allreduce_bf16(inputs, cfg.spec, reduce_scatter(inputs, cfg))[0].data
+        assert base.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("name", UNQUANTIZED)
+def test_unquantized_rings_do_not_depend_on_the_minishard_tiles(name, monkeypatch):
+    # 12 chunks per shard: every m in (1, 2, 3, 4, 6, 12) divides it, and an odd
+    # m puts the full loop's CW/CCW element midpoint inside a tile. Fresh
+    # buffers start as NaN, so an element no tile writes cannot pass for the
+    # value a previous run left in reused memory.
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    inputs = device_inputs(384, 128, 4, seed=23)
+    for d, bits in enumerate((0x7FC10000, 0xFFC20000)):  # NaNs with distinct payloads
+        inputs[d].data[[d, 9000 + d]] = np.array(bits, np.uint32).view(np.float32)
+    inputs[3].data[20000] = np.inf
+    run = COLLECTIVES[name]
+    want = run(inputs, PartitionSpec(4, 1, 1))[0].data.tobytes()
+    for m in (2, 3, 4, 6, 12):
+        assert run(inputs, PartitionSpec(4, m, 1))[0].data.tobytes() == want, m
 
 
 def test_bf16_rounds_after_every_addition():
