@@ -12,8 +12,9 @@ quantize/dequantize pairs on any path. `schedule` defines the arcs.
 
 One loop walks every arc; only the hop kind (the wire format) differs:
 
-  quantized  codes plus a scale grid per minishard: each receiver
-             dequantizes to FP32, adds its local part and re-quantizes.
+  quantized  one message per minishard, its scale grid ahead of its codes
+             (`quant`): each receiver dequantizes to FP32, adds its local
+             part and re-quantizes.
   BF16       raw partials, rounded to BF16 after every addition (the
              baseline).
   cast       the naive low-precision strawman: codes cast elementwise with
@@ -89,10 +90,7 @@ def _check(inputs: Sequence[TensorBuf], spec: PartitionSpec) -> None:
 
 
 class _QuantHop:
-    """Codes plus one scale grid per minishard; a unit is a minishard of `unit` elements.
-
-    `_reduce_scatter` hands every hop one whole minishard, so each wire holds one grid.
-    """
+    """One quantized message (`quant.QuantizedShard`) per minishard of `unit` elements."""
 
     def __init__(self, codec: Codec, unit: int):
         self.codec, self.unit = codec, unit

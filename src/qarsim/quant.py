@@ -1,6 +1,12 @@
-"""Two-phase block-wise symmetric quantization over minishards.
+"""Two-phase block-wise symmetric quantization of one minishard.
 
-Phase 1 scans a minishard's chunks into one 8x128 scale grid: the abs-max
+A quantized wire message is one minishard: its float32 8x128 scale grid
+(GRID_BYTES) goes ahead of its codes, 1 byte per element, so a receiver
+has the scales before the data arrives. The functional ring and the
+simulator both send one such message per minishard per hop;
+`tests/test_cross_half.py` holds the two byte accounts equal.
+
+Phase 1 scans the minishard's chunks into the scale grid: the abs-max
 over the chunk axis at each (i, j), divided by the codec's max magnitude.
 Phase 2 divides every chunk by the grid and encodes. Scales stay float32
 end to end; a position whose abs-max is exactly 0 gets scale 1.0 (its
@@ -36,49 +42,36 @@ def scales_from_absmax(absmax: np.ndarray, codec: Codec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizedShard:
-    """One shard's codes plus its per-minishard scale grids.
+    """One minishard's wire message: its scale grid, then its codes.
 
-    payload: uint8 (chunks, 8, 128); grids: float32 (m, 8, 128). On the
-    wire the metadata (all grids, in minishard order) precedes the payload
-    (microshards in order): receivers need scales before data arrives.
+    grid: float32 (8, 128), sent first; payload: uint8 (chunks, 8, 128),
+    1 byte per element, microshards in order.
     """
 
     codec: Codec
     payload: np.ndarray
-    grids: np.ndarray
+    grid: np.ndarray
 
     def __post_init__(self):
         if self.payload.dtype != np.uint8 or self.payload.shape[1:] != (CHUNK_ROWS, CHUNK_COLS):
             raise ValueError(f"bad payload shape/dtype: {self.payload.shape} {self.payload.dtype}")
-        if self.grids.shape[1:] != (CHUNK_ROWS, CHUNK_COLS) or self.grids.dtype != np.float32:
-            raise ValueError(f"bad grids shape/dtype: {self.grids.shape} {self.grids.dtype}")
-        if self.payload.shape[0] % self.grids.shape[0]:
-            raise ValueError("chunk count must divide evenly across minishard grids")
-
-    @property
-    def minishards(self) -> int:
-        return self.grids.shape[0]
+        if self.grid.shape != (CHUNK_ROWS, CHUNK_COLS) or self.grid.dtype != np.float32:
+            raise ValueError(f"bad grid shape/dtype: {self.grid.shape} {self.grid.dtype}")
 
     @property
     def wire_bytes(self) -> int:
-        return self.payload.size + self.grids.shape[0] * GRID_BYTES
+        return self.payload.size + GRID_BYTES
 
 
-def quantize_shard(blocks: np.ndarray, codec: Codec, minishards: int = 1) -> QuantizedShard:
-    """Scan and encode a whole shard, one scale grid per minishard."""
-    c = blocks.shape[0]
-    if c % minishards:
-        raise ValueError(f"{c} chunks do not split across {minishards} minishards")
-    grouped = blocks.reshape(minishards, c // minishards, CHUNK_ROWS, CHUNK_COLS)
-    grids = scales_from_absmax(absmax_grid(grouped), codec)
-    codes = encode(grouped / grids[:, None], codec)
-    return QuantizedShard(codec, codes.reshape(c, CHUNK_ROWS, CHUNK_COLS), grids)
+def quantize_shard(blocks: np.ndarray, codec: Codec) -> QuantizedShard:
+    """Scan and encode one minishard's chunks under one scale grid."""
+    grid = scales_from_absmax(absmax_grid(blocks), codec)
+    return QuantizedShard(codec, encode(blocks / grid, codec), grid)
 
 
 def dequantize_shard(q: QuantizedShard) -> np.ndarray:
     """Restore float32 chunks: decode(code) * scale at every position."""
-    c = q.payload.shape[0]
-    # decode returns a fresh float32 array, so the scales multiply in place.
-    grouped = decode(q.payload, q.codec).reshape(q.minishards, -1, CHUNK_ROWS, CHUNK_COLS)
-    grouped *= q.grids[:, None]
-    return grouped.reshape(c, CHUNK_ROWS, CHUNK_COLS)
+    # decode returns a fresh float32 array, so the scale multiplies in place.
+    out = decode(q.payload, q.codec)
+    out *= q.grid
+    return out

@@ -47,8 +47,8 @@ encode of one microshard overlaps the link transfer of the previous one
 no compute except the add.
 
 Tensor sizes are given in bytes of the BF16 tensor, so element count is
-bytes / 2; quantized payloads put 1 byte per element on the wire plus
-4 KiB of float32 scales per minishard grid per hop.
+bytes / 2. Quantized hops send `quant`'s wire message, one per minishard;
+`tests/test_cross_half.py` holds these link bytes to the functional ring's.
 """
 
 from __future__ import annotations

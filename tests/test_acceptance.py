@@ -199,10 +199,10 @@ def test_criterion_7_quantization_guarantees():
     bound_ok = True
     max_ratio = 0.0
     for _ in range(10):
-        blocks = (rng.standard_normal((10_000 * 2, 8, 128)) * 3.0).astype(np.float32)
-        q = quantize_shard(blocks, Codec.INT8, minishards=10_000)
-        back = dequantize_shard(q)
-        scales = np.repeat(q.grids, 2, axis=0)
+        blocks = (rng.standard_normal((10_000, 2, 8, 128)) * 3.0).astype(np.float32)
+        qs = [quantize_shard(b, Codec.INT8) for b in blocks]  # one grid per message
+        back = np.stack([dequantize_shard(q) for q in qs])
+        scales = np.stack([q.grid for q in qs])[:, None]
         ratio = np.abs(back - blocks) / scales
         # allow one f32 rounding of the quotient on top of the exact half-scale bound
         bound_ok &= bool(np.all(ratio <= 0.5 + 1e-5))
@@ -210,7 +210,7 @@ def test_criterion_7_quantization_guarantees():
     # partial scans merged by running max reproduce the full scan exactly
     chunks = (rng.standard_normal((16, 8, 128)) * 10).astype(np.float32)
     chunks[:, 4, :] = 0.0
-    full = quantize_shard(chunks, Codec.INT8).grids[0]
+    full = quantize_shard(chunks, Codec.INT8).grid
     merge_ok = True
     for split in (1, 5, 8, 15):
         merged = scales_from_absmax(

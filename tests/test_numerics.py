@@ -468,9 +468,9 @@ def test_kernels_leave_their_inputs_unchanged(codec, dtype):
     codes_kept = codes.copy()
     decode(codes, codec)
     with np.errstate(invalid="ignore", over="ignore"):  # as all_reduce runs them
-        q = quantize_shard(x, codec, minishards=2)
-        payload, grids = q.payload.copy(), q.grids.copy()
+        q = quantize_shard(x, codec)
+        payload, grid = q.payload.copy(), q.grid.copy()
         dequantize_shard(q)
     assert x.tobytes() == kept.tobytes()
     assert codes.tobytes() == codes_kept.tobytes()
-    assert (q.payload.tobytes(), q.grids.tobytes()) == (payload.tobytes(), grids.tobytes())
+    assert (q.payload.tobytes(), q.grid.tobytes()) == (payload.tobytes(), grid.tobytes())

@@ -1,7 +1,6 @@
 """Block-wise scale grids and shard quantization."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +20,8 @@ def test_two_chunk_shared_scale_example():
     chunks = np.zeros((2, 8, 128), dtype=np.float32)
     chunks[0, 0, 0] = -2.0
     chunks[1, 0, 0] = 1.0
-    q = quantize_shard(chunks, Codec.INT8, minishards=1)
-    scale = q.grids[0, 0, 0]
+    q = quantize_shard(chunks, Codec.INT8)
+    scale = q.grid[0, 0]
     assert scale == np.float32(2.0 / 127.0)
     codes = q.payload.view(np.int8)
     assert codes[0, 0, 0] == -127
@@ -35,7 +34,7 @@ def test_two_chunk_shared_scale_example():
 def test_all_ones_scale():
     chunks = np.ones((4, 8, 128), dtype=np.float32)
     q = quantize_shard(chunks, Codec.INT8)
-    assert np.all(q.grids[0] == np.float32(1.0 / 127.0))
+    assert np.all(q.grid == np.float32(1.0 / 127.0))
     assert np.all(q.payload.view(np.int8) == 127)
 
 
@@ -43,7 +42,7 @@ def test_zero_column_scale_is_one():
     chunks = np.zeros((2, 8, 128), dtype=np.float32)
     chunks[:, :, 64:] = 3.0
     q = quantize_shard(chunks, Codec.INT8)
-    grid = q.grids[0]
+    grid = q.grid
     assert np.all(grid[:, :64] == 1.0)  # empty positions quantize as identity
     assert np.all(grid[:, 64:] == np.float32(3.0 / 127.0))
     codes = q.payload.view(np.int8)
@@ -55,7 +54,7 @@ def test_64_chunk_scan_example():
     # chunk c carries value c at position (0,0): absmax there is 63
     chunks = np.zeros((64, 8, 128), dtype=np.float32)
     chunks[:, 0, 0] = np.arange(64, dtype=np.float32)
-    grid = quantize_shard(chunks, Codec.INT8).grids[0]
+    grid = quantize_shard(chunks, Codec.INT8).grid
     assert grid[0, 0] == np.float32(63.0 / 127.0)
     assert np.all(grid.reshape(-1)[1:] == 1.0)
 
@@ -64,7 +63,7 @@ def test_partial_scan_merge_matches_full_scan():
     rng = np.random.default_rng(3)
     chunks = rng.standard_normal((8, 8, 128)).astype(np.float32)
     chunks[:, 2, :] = 0.0  # a position that stays empty in every partial scan
-    full = quantize_shard(chunks, Codec.INT8).grids[0]
+    full = quantize_shard(chunks, Codec.INT8).grid
     partial = np.maximum(absmax_grid(chunks[:3]), absmax_grid(chunks[3:]))
     merged = scales_from_absmax(partial, Codec.INT8)
     assert np.array_equal(full, merged)
@@ -81,10 +80,10 @@ def test_partial_scan_merge_matches_full_scan():
 def test_int8_error_within_half_scale(seed):
     rng = np.random.default_rng(seed)
     chunks = (rng.standard_normal((4, 8, 128)) * rng.uniform(0.01, 100)).astype(np.float32)
-    q = quantize_shard(chunks, Codec.INT8, minishards=1)
+    q = quantize_shard(chunks, Codec.INT8)
     back = dequantize_shard(q)
     # one f32 rounding of the quotient can push past the exact half-scale bound
-    bound = q.grids[0] * (0.5 + 1e-5)
+    bound = q.grid * (0.5 + 1e-5)
     assert np.all(np.abs(back - chunks) <= bound)
 
 
@@ -94,8 +93,10 @@ def test_finer_blocks_do_not_hurt():
     chunks = (rng.standard_normal((8, 8, 128)) ** 3).astype(np.float32)
     e = {}
     for m in (1, 2, 4):
-        q = quantize_shard(chunks, Codec.INT8, minishards=m)
-        e[m] = float(np.mean((dequantize_shard(q) - chunks) ** 2))
+        # one message, so one scale grid, per minishard
+        back = np.concatenate([dequantize_shard(quantize_shard(mini, Codec.INT8))
+                               for mini in np.split(chunks, m)])
+        e[m] = float(np.mean((back - chunks) ** 2))
     assert e[2] <= e[1]
     assert e[4] <= e[2]
 
@@ -103,32 +104,26 @@ def test_finer_blocks_do_not_hurt():
 def test_block_independence():
     rng = np.random.default_rng(5)
     chunks = rng.standard_normal((4, 8, 128)).astype(np.float32)
-    q1 = quantize_shard(chunks, Codec.INT8, minishards=2)
     bumped = chunks.copy()
     bumped[0, 0, 0] = 1e4  # only minishard 0 sees this
-    q2 = quantize_shard(bumped, Codec.INT8, minishards=2)
-    assert np.array_equal(q1.payload[2:], q2.payload[2:])
-    assert np.array_equal(q1.grids[1], q2.grids[1])
-    assert not np.array_equal(q1.grids[0], q2.grids[0])
+    q1, q2 = ([quantize_shard(mini, Codec.INT8) for mini in np.split(x, 2)]
+              for x in (chunks, bumped))
+    assert np.array_equal(q1[1].payload, q2[1].payload)
+    assert np.array_equal(q1[1].grid, q2[1].grid)
+    assert not np.array_equal(q1[0].grid, q2[0].grid)
 
 
 def test_wire_bytes_counts_payload_plus_grids():
     chunks = np.zeros((4, 8, 128), dtype=np.float32)
-    q = quantize_shard(chunks, Codec.INT8, minishards=2)
+    q = quantize_shard(chunks, Codec.INT8)
     assert GRID_BYTES == 8 * 128 * 4
-    assert q.wire_bytes == 4 * 1024 + 2 * GRID_BYTES
-
-
-def test_quantize_shard_divisibility():
-    chunks = np.zeros((3, 8, 128), dtype=np.float32)
-    with pytest.raises(ValueError):
-        quantize_shard(chunks, Codec.INT8, minishards=2)
+    assert q.wire_bytes == 4 * 1024 + GRID_BYTES
 
 
 def test_fp8_grid_scales_normalize_to_codec_max():
     chunks = np.full((1, 8, 128), 7.0, dtype=np.float32)
     q = quantize_shard(chunks, Codec.F8E4M3)
-    assert np.all(q.grids[0] == np.float32(7.0 / 448.0))
+    assert np.all(q.grid == np.float32(7.0 / 448.0))
     assert np.all(decode(q.payload, Codec.F8E4M3) == 448.0)
     back = dequantize_shard(q)
     assert np.allclose(back, 7.0, rtol=1e-6)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import qarsim.simnet as simnet
 from qarsim.collectives import CollectiveConfig, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
+from qarsim.presets import load_preset
 from qarsim.simnet import (
     RES_LINK_CCW,
     RES_LINK_CW,
@@ -114,6 +115,90 @@ def test_total_time_monotone_in_bandwidth_and_rates():
     assert ts >= tf
     t0 = simulate(cfg, nbytes, LinkParams(4.5e10, 0.0), COMP).total_time
     assert tf >= t0  # removing latency can only help
+
+
+_RATES = ("dequant_rate", "add_rate", "scan_rate", "encode_rate", "cast_rate")
+_RINGS = [f"{v.value}-{rs}-{ag}" for v in Variant
+          for rs in ("raw", "quant") for ag in ("raw", "quant")] + ["naive", "ideal"]
+
+
+@st.composite
+def sim_setups(draw, latency=True):
+    """(ring, spec, chunks per microshard, link, compute): either variant with
+    any stage pair, or the naive or ideal ring; N <= 8, m and u <= 4; rates
+    and bandwidth from 1e9 to 1e12; `fuse_recv_pass` on or off."""
+    ring = draw(st.sampled_from(_RINGS))
+    semi = ring.startswith(Variant.SEMI_LOOP.value)
+    n = draw(st.sampled_from([2, 4, 6, 8] if semi else range(2, 9)))
+    spec = PartitionSpec(n, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    rate = st.floats(1e9, 1e12)
+    link = LinkParams(draw(rate), draw(st.floats(0.0, 1e-4)) if latency else 0.0)
+    compute = ComputeParams(*(draw(rate) for _ in _RATES), fuse_recv_pass=draw(st.booleans()))
+    return ring, spec, draw(st.integers(1, 3)), link, compute
+
+
+def _sim(ring, spec, chunks, link, compute):
+    nbytes = (2 * spec.num_devices * spec.minishards_per_shard
+              * spec.microshards_per_minishard * chunks * 1024)
+    if ring == "naive":
+        return simulate_naive(spec, nbytes, link, compute)
+    if ring == "ideal":
+        return simulate_ideal_2to1(spec, nbytes, link, compute)
+    variant, rs, ag = ring.split("-")
+    cfg = CollectiveConfig(Variant(variant), spec, quantize_rs=rs == "quant",
+                           quantize_ag=ag == "quant")
+    return simulate(cfg, nbytes, link, compute)
+
+
+@settings(max_examples=800, deadline=None)
+@given(sim_setups(), st.sampled_from(("bandwidth", "latency", "bytes") + _RATES),
+       st.floats(1.1, 4.0))
+def test_total_time_is_monotone_in_every_parameter(setup, knob, factor):
+    # A static order never inverts: raising bandwidth or one rate, or cutting
+    # latency, by `factor` never adds time; more tensor bytes never save any.
+    ring, spec, chunks, link, compute = setup
+    base = _sim(*setup).total_time
+    if knob == "bytes":
+        assert _sim(ring, spec, math.ceil(chunks * factor), link, compute).total_time >= base
+        return
+    if knob == "bandwidth":
+        link = replace(link, bandwidth_bytes_per_s=link.bandwidth_bytes_per_s * factor)
+    elif knob == "latency":
+        link = replace(link, hop_latency_s=link.hop_latency_s / factor)
+    else:
+        compute = replace(compute, **{knob: getattr(compute, knob) * factor})
+    assert _sim(ring, spec, chunks, link, compute).total_time <= base
+
+
+@settings(max_examples=300, deadline=None)
+@given(sim_setups(latency=False))
+def test_doubling_bandwidth_and_rates_halves_every_event_time(setup):
+    # Halving is exact in binary floating point, and every time is a sum or
+    # max of durations.
+    ring, spec, chunks, link, compute = setup
+    tl = _sim(*setup)
+    fast = _sim(ring, spec, chunks,
+                replace(link, bandwidth_bytes_per_s=2 * link.bandwidth_bytes_per_s),
+                replace(compute, **{r: 2 * getattr(compute, r) for r in _RATES}))
+    assert (fast.resource, fast.label) == (tl.resource, tl.label)
+    assert fast.start_s == [t / 2 for t in tl.start_s]
+    assert fast.end_s == [t / 2 for t in tl.end_s]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_raw_rings_meet_their_link_bound_closed_forms(variant, n):
+    # With compute free, a raw hop is its bytes at B plus L: the full loop
+    # runs 2(N-1) hops of D/2N bytes, the semi loop N hops of D/N bytes.
+    link, _ = load_preset("v5e-like")
+    b, lat, d = link.bandwidth_bytes_per_s, link.hop_latency_s, 64 * MIB
+    tl = simulate(CollectiveConfig(variant, PartitionSpec(n, 1, 1)), d, link,
+                  ComputeParams(*[1e18] * len(_RATES)))
+    if variant is Variant.FULL_LOOP:
+        expected = 2 * (n - 1) * (d / (2 * n * b) + lat)
+    else:
+        expected = n * (d / (n * b) + lat)
+    assert tl.total_time == pytest.approx(expected, rel=1e-6)
 
 
 def test_finer_microshards_never_slower():
