@@ -3,7 +3,8 @@
 Per-device inputs are standard normal, generated by numpy's PCG64
 (np.random.default_rng) with seed = base_seed + device_index, so every
 reported number is exactly reproducible from (seed, shape, N, flavor).
-MSE against the BF16 baseline accumulates in float64.
+MSE against the BF16 baseline accumulates in float64 in a fixed order (see
+`mse`).
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ CSV_COLUMNS = (
 
 SWEEP_COLUMNS = ("size_bytes", "flavor_time_s", "baseline_time_s", "ratio")
 
+# mse's one float64 buffer (128 Ki elements, 1 MiB) and its summation lanes.
+_MSE_BUF_ELEMS = 128 * 1024
+_MSE_LANES = 1024
+
 
 def stages_tag(quantize_rs: bool, quantize_ag: bool) -> str:
     """Which ring stages are quantized: none, rs, ag or both."""
@@ -66,17 +71,48 @@ def stages_tag(quantize_rs: bool, quantize_ag: bool) -> str:
 
 
 def mse(a, b) -> float:
-    """Mean squared elementwise difference, accumulated in float64."""
+    """Mean squared elementwise difference, summed in float64 in a fixed order.
+
+    The inputs stream through one float64 buffer of _MSE_BUF_ELEMS, so
+    the memory does not grow with their size. Element k's square
+    (a[k] - b[k])**2, computed in float64, goes to lane k % _MSE_LANES; each
+    lane adds its squares in index order, and `math.fsum` adds the lanes
+    exactly. No step depends on the build's SIMD paths, so the result is
+    the same on every NumPy build.
+
+    A NaN difference (a NaN input, or the same infinity in both) gives NaN;
+    otherwise an infinite difference, or a square or sum past the float64
+    range, gives inf. No NumPy warning is raised. Empty inputs raise
+    ValueError.
+    """
     da = a.data if isinstance(a, TensorBuf) else np.asarray(a)
     db = b.data if isinstance(b, TensorBuf) else np.asarray(b)
     if da.shape != db.shape:
         raise ShapeMismatchError(f"shapes {da.shape} and {db.shape} differ")
-    # One float64 buffer, updated in place: the same values as a - b and
-    # diff * diff, without two more tensor-sized temporaries.
-    diff = da.astype(np.float64)
-    diff -= db
-    diff *= diff
-    return float(np.mean(diff))
+    n = da.size
+    if n == 0:
+        raise ValueError("mse of empty inputs")
+    da, db = da.reshape(-1), db.reshape(-1)
+    # Row 0 carries the lane sums; each pass fills rows 1.. with the next
+    # squares and adds the rows down each lane, row 0 first.
+    buf = np.empty((_MSE_BUF_ELEMS // _MSE_LANES, _MSE_LANES))
+    buf[0] = 0.0
+    flat = buf[1:].reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, flat.size):
+            c = min(flat.size, n - i)
+            np.subtract(da[i:i + c], db[i:i + c], out=flat[:c], dtype=np.float64)
+            rows = -(-c // _MSE_LANES)
+            flat[c:rows * _MSE_LANES] = 0.0
+            sq = flat[:rows * _MSE_LANES]
+            sq *= sq
+            buf[0] = np.add.reduce(buf[:rows + 1], axis=0)
+    lanes = buf[0].tolist()
+    try:
+        total = math.fsum(lanes)
+    except OverflowError:  # an exact partial sum is past float64; NaN lanes still win
+        total = math.nan if any(map(math.isnan, lanes)) else math.inf
+    return total / n
 
 
 def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[TensorBuf]:
@@ -141,7 +177,10 @@ def tradeoff_study(
     the quantized full loop, semi_rs and semi_both the quantized semi loop.
     The work runs group by group, and each shared result is dropped after
     its last flavor's collective, before that flavor's MSE, so at most one
-    is live. Rows come out in FLAVORS order.
+    is live; each flavor's output is dropped right after its MSE. Beyond the
+    inputs, the study holds at most three tensors at once (the baseline's
+    output, one shared reduce-scatter and one flavor's output) plus the
+    MSE's fixed buffer. Rows come out in FLAVORS order.
     """
     link, compute = _fill_params(link, compute)
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
@@ -176,15 +215,16 @@ def tradeoff_study(
             cfg = cfgs[flavor]
             flavor_out = all_reduce(inputs, cfg, reduced=reduced)[0]
             if flavor == flavors[-1]:
-                reduced = None  # freed before the MSE's float64 buffer
+                reduced = None  # freed before the MSE
+            err = mse(base_out, flavor_out)
+            del flavor_out  # freed before the next collective
             t_flavor = simulate(cfg, tensor_bytes, link, compute).total_time
             out[flavor] = result(flavor, variant, stages_tag(q_rs, cfg.quantize_ag), codec.value,
-                                 mse(base_out, flavor_out), t_flavor)
+                                 err, t_flavor)
 
-    naive_out = naive_lowp_allreduce(inputs, Codec.F8E5M2, spec)[0]
+    err = mse(base_out, naive_lowp_allreduce(inputs, Codec.F8E5M2, spec)[0])
     t_naive = simulate_naive(spec, tensor_bytes, link, compute).total_time
-    out["naive"] = result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value,
-                          mse(base_out, naive_out), t_naive)
+    out["naive"] = result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value, err, t_naive)
     return [out[flavor] for flavor in FLAVORS]
 
 

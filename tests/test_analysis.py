@@ -1,6 +1,7 @@
 """Study harness: flavor table, PRNG contract, sweep shape, rendering."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,84 @@ def test_mse_basics():
     assert mse(a, a) == 0.0
     with pytest.raises(ShapeMismatchError):
         mse(np.zeros(4), np.zeros(5))
+
+
+_LANES = qarsim.analysis._MSE_LANES
+# Elements one pass of mse's buffer takes: every row but the lane sums'.
+_CHUNK = qarsim.analysis._MSE_BUF_ELEMS - _LANES
+
+
+def _lane_order_mse(a, b) -> float:
+    """mse's order spelled out: element k's float64 square goes to lane
+    k % 1024, each lane adds in index order, and the lanes add exactly."""
+    xs, ys = np.ravel(a).tolist(), np.ravel(b).tolist()
+    lanes = [0.0] * _LANES
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        d = x - y
+        lanes[k % _LANES] += d * d
+    return math.fsum(lanes) / len(xs)
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1025, _CHUNK + 1, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mse_matches_the_lane_order_reference_bit_for_bit(n, dtype):
+    rng = np.random.default_rng(n)
+    a, b = (rng.standard_normal(n).astype(dtype) for _ in range(2))
+    assert mse(a, b) == _lane_order_mse(a, b)
+
+
+def test_mse_of_2d_tensor_bufs_matches_the_lane_order_reference():
+    rng = np.random.default_rng(5)
+    rows, cols = 24, 3 * _CHUNK // 24 + 8
+    a, b = (TensorBuf(rng.standard_normal(rows * cols, dtype=np.float32), rows, cols)
+            for _ in range(2))
+    assert mse(a, b) == _lane_order_mse(a.data, b.data)
+    assert mse(a, b) == mse(a.data.reshape(rows, cols), b.data.reshape(rows, cols))
+
+
+def test_mse_non_finite_and_empty_semantics():
+    # README "Non-finite values": no NumPy warning escapes (Tier-1 makes
+    # RuntimeWarning an error).
+    zeros = np.zeros(2048)
+    nan = zeros.copy()
+    nan[7] = np.nan
+    assert math.isnan(mse(nan, zeros))
+    both_inf = zeros.copy()
+    both_inf[3] = np.inf
+    assert math.isnan(mse(both_inf, both_inf))  # inf - inf is a NaN difference
+    assert mse(both_inf, zeros) == math.inf
+    assert mse(-both_inf.astype(np.float32), zeros.astype(np.float32)) == math.inf
+    # Every lane is finite (one 1e308 square each); their sum is not, and a
+    # NaN lane still makes the result NaN.
+    big = np.full(_LANES, 1e154)
+    assert mse(big, np.zeros(_LANES)) == math.inf
+    big_nan = np.concatenate([big, big])
+    big_nan[-1] = np.nan
+    assert math.isnan(mse(big_nan, np.zeros(2 * _LANES)))
+    # float64 squares and differences past the float64 range
+    assert mse(np.array([1e200, 0.0]), np.zeros(2)) == math.inf
+    assert mse(np.array([1.7e308]), np.array([-1.7e308])) == math.inf
+    with pytest.raises(ValueError, match="empty"):
+        mse(np.zeros(0, np.float32), np.zeros(0, np.float32))
+
+
+def test_mse_memory_is_one_fixed_buffer():
+    def peak(n):
+        a = np.ones(n, np.float32)
+        b = np.zeros(n, np.float32)
+        tracemalloc.start()
+        try:
+            assert mse(a, b) == 1.0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The margin holds the ufuncs' own cast buffers (128 KiB for the
+    # float32-to-float64 subtract) and the lane list.
+    buf_bytes = qarsim.analysis._MSE_BUF_ELEMS * 8
+    small, large = peak(1 << 20), peak(4 << 20)
+    assert large < buf_bytes + 256 * 1024
+    assert large - small < 4 * 1024  # not O(n)
 
 
 def test_device_inputs_prng_contract():
@@ -119,17 +198,39 @@ def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
     assert digests == STUDY_DIGESTS
 
 
+def test_tradeoff_study_mses_are_the_exact_mean_to_an_ulp(monkeypatch):
+    # Each MSE the study reports is math.fsum of the float64 squares over n,
+    # or within one ulp of it.
+    seen = []
+
+    def checked_mse(a, b):
+        err = mse(a, b)
+        d = a.data.astype(np.float64) - b.data
+        exact = math.fsum((d * d).tolist()) / d.size
+        seen.append(err)
+        assert abs(err - exact) <= math.ulp(exact)
+        return err
+
+    monkeypatch.setattr(qarsim.analysis, "mse", checked_mse)
+    results = tradeoff_study(512, 1024, 8)
+    assert sorted(seen) == sorted(r.mse for r in results[1:])  # every flavor but the baseline
+
+
 def test_tradeoff_study_keeps_at_most_one_shared_reduce_scatter_alive():
-    # The inputs plus six tensors: the baseline output, one flavor output, the
-    # mse's float64 buffer (two), one reduce-scatter result and a margin.
+    # The inputs plus three tensors (the baseline output, one reduce-scatter
+    # result and one flavor output, which is dropped after its MSE) plus the
+    # mse's 1 MiB buffer and a 1 MiB margin. The peak, about 11.6 tensors,
+    # is a non-last flavor's MSE; run alone, the first PCG64 draw's import of
+    # numpy.random adds 0.36 and it reads 11.9.
     tensor_bytes = 512 * 1024 * 4
+    mse_buffer = qarsim.analysis._MSE_BUF_ELEMS * 8
     tracemalloc.start()
     try:
         tradeoff_study(512, 1024, 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (8 + 6) * tensor_bytes
+    assert peak < (8 + 3) * tensor_bytes + mse_buffer + MIB
 
 
 def test_tradeoff_study_deterministic():

@@ -123,11 +123,12 @@ _RINGS = [f"{v.value}-{rs}-{ag}" for v in Variant
 
 
 @st.composite
-def sim_setups(draw, latency=True):
-    """(ring, spec, chunks per microshard, link, compute): either variant with
-    any stage pair, or the naive or ideal ring; N <= 8, m and u <= 4; rates
+def sim_setups(draw, latency=True, rings=_RINGS):
+    """(ring, spec, chunks per microshard, link, compute): a ring from `rings`
+    (by default either variant with any stage pair, or the naive or ideal
+    ring); N <= 8, m and u <= 4; rates
     and bandwidth from 1e9 to 1e12; `fuse_recv_pass` on or off."""
-    ring = draw(st.sampled_from(_RINGS))
+    ring = draw(st.sampled_from(rings))
     semi = ring.startswith(Variant.SEMI_LOOP.value)
     n = draw(st.sampled_from([2, 4, 6, 8] if semi else range(2, 9)))
     spec = PartitionSpec(n, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
@@ -199,6 +200,20 @@ def test_raw_rings_meet_their_link_bound_closed_forms(variant, n):
     else:
         expected = n * (d / (n * b) + lat)
     assert tl.total_time == pytest.approx(expected, rel=1e-6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sim_setups(rings=["naive", "ideal"]))
+def test_8_bit_rings_are_never_faster_than_their_byte_bound(setup):
+    # Each direction carries half of every shard at 1 byte per element along
+    # a chain of 2(N-1) hops: N-1 to reduce and N-1 to gather, each sent no
+    # earlier than the previous one arrived. Compute only adds time.
+    ring, spec, chunks, link, compute = setup
+    tl = _sim(*setup)
+    n = spec.num_devices
+    half = spec.minishards_per_shard * spec.microshards_per_minishard * chunks * 1024 // 2
+    bound = 2 * (n - 1) * (half / link.bandwidth_bytes_per_s + link.hop_latency_s)
+    assert tl.total_time >= bound * (1 - 1e-12)
 
 
 def test_finer_microshards_never_slower():
