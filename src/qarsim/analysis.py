@@ -134,7 +134,8 @@ def _fill_params(link: LinkParams | None,
 
 
 def auto_minishards(total_elems: int, num_devices: int) -> int:
-    """Largest minishard count that keeps blocks at ~64 chunks per scale grid."""
+    """gcd(p, max(1, p // 64)) for p chunks per shard: equal minishards of at
+    least 64 chunks when p >= 64, but not the most of them (p = 200 gives 1)."""
     per_shard = total_elems // CHUNK_ELEMS // num_devices
     return math.gcd(per_shard, max(1, per_shard // 64))
 

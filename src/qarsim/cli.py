@@ -54,6 +54,7 @@ from .simnet import (
     ComputeParams,
     LinkParams,
     Timeline,
+    TimelineEvent,
     idle_time,
     lower_bound,
     simulate,
@@ -62,7 +63,7 @@ from .simnet import (
 
 MIB = 1 << 20
 
-TIMELINE_COLUMNS = ("device", "resource", "start_s", "end_s", "label")
+TIMELINE_COLUMNS = tuple(f.name for f in dataclasses.fields(TimelineEvent))
 
 
 class ConfigError(ValueError):

@@ -30,10 +30,9 @@ iteration emits its sends before its receives. The overlap check runs on
 device 0's events, and every other device's are copies of them, so it
 covers every event. A `Timeline` is device 0's events plus where each
 segment of the emission order ends (after each stage's prep, each
-iteration's sends and receives, and each stage's end). `_expand` alone
-lays out devices 1..N-1, repeating every segment once per device, device
-0 first; only `Timeline.columns` (and so `events`), `to_jsonl` and `to_csv`
-call it.
+iteration's sends and receives, and each stage's end). Only
+`Timeline._per_device` lays out devices 1..N-1: every segment once per
+device, device 0 first; its callers say how to render one copy.
 
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
@@ -56,10 +55,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise, repeat, zip_longest
+from itertools import chain, pairwise, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -135,19 +134,13 @@ class _Events(Sequence[TimelineEvent]):
         return map(TimelineEvent, *self._tl.columns)
 
 
-def _expand(n: int, bounds: Sequence[int], cols: tuple[Sequence, ...]) -> tuple[list, ...]:
-    """The device column and all n devices' `cols` from device 0's: each
-    segment of device 0's events (between consecutive bounds) repeats once
-    per device, device 0 first.
-    """
-    device: list[int] = []
-    out: tuple[list, ...] = tuple([] for _ in cols)
-    for a, b in pairwise(bounds):
-        for d in range(n):
-            device += [d] * (b - a)
-        for full, col in zip(out, cols):
-            full += col[a:b] * n
-    return (device, *out)
+def _lead_rows(lead: Callable[[int], str]) -> Callable[[int, Sequence[str]], list[str]]:
+    """A `Timeline._per_device` copy: device d's rows, each after `lead(d)`."""
+    def copy(d, seg):
+        items = [lead(d)] * (2 * len(seg))
+        items[1::2] = seg
+        return items
+    return copy
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +151,10 @@ class Timeline:
     parallel columns (entry i of each is a field of its event i), and
     `bounds` are where each segment of the emission order ends, from 0 to
     the column length. Across devices the emission order is each segment
-    once per device, device 0 first (see `_expand`). `total_time`,
-    `stage_end`, `len(events)` and `idle_time` read device 0's columns;
-    `to_jsonl` and `to_csv` expand their lines; `columns` and `events` are
-    the n devices' events, built on first read.
+    once per device, device 0 first, as `_per_device` lays it out.
+    `total_time`, `stage_end`, `len(events)` and `idle_time` read device
+    0's columns; `columns` and `events` are the n devices' events, built on
+    first read.
     """
 
     n: int
@@ -179,10 +172,19 @@ class Timeline:
                 and all(x < y for x, y in pairwise(b))):
             raise ValueError("timeline bounds must increase from 0 to the column length")
 
+    def _per_device(self, rows: Sequence, copy: Callable[[int, Sequence], Iterable]) -> Iterator:
+        """The items of `copy(d, seg)` for each segment `seg` of device 0's
+        `rows` (one per event), sliced once, and each device d, device 0 first:
+        one stream, so an export joins rows into its result, no string per copy."""
+        segs = (rows[a:b] for a, b in pairwise(self.bounds))
+        return chain.from_iterable(copy(d, seg) for seg in segs for d in range(self.n))
+
     @cached_property
     def columns(self) -> tuple[list, ...]:
         """The n devices' columns in `TimelineEvent` field order."""
-        return _expand(self.n, self.bounds, (self.resource, self.start_s, self.end_s, self.label))
+        return (list(self._per_device(self.label, lambda d, seg: repeat(d, len(seg)))),
+                *(list(self._per_device(col, lambda d, seg: seg))
+                  for col in (self.resource, self.start_s, self.end_s, self.label)))
 
     @property
     def events(self) -> Sequence[TimelineEvent]:
@@ -203,28 +205,22 @@ class Timeline:
         # finite float as float.__repr__ does; it spells out NaN and Infinity.
         num = float.__repr__ if math.isfinite(sum(self.start_s) + sum(self.end_s)) else json.dumps
         enc = encode_basestring_ascii
-        # Format device 0's lines once with a NUL for the device number (the
-        # encoder escapes every NUL in a resource or label), join them per
-        # segment, and fill in the device of each copy of a segment.
-        lines = [f'{{"device": \0, "resource": {enc(r)}, "start_s": {num(s)}, '
-                 f'"end_s": {num(e)}, "label": {enc(lb)}}}\n'
+        # Format device 0's lines once from the resource on; each copy leads
+        # each line with `{"device": d`.
+        lines = [f', "resource": {enc(r)}, "start_s": {num(s)}, "end_s": {num(e)}, '
+                 f'"label": {enc(lb)}}}\n'
                  for r, s, e, lb in zip(self.resource, self.start_s, self.end_s, self.label)]
-        segs = ["".join(lines[a:b]) for a, b in pairwise(self.bounds)]
-        device, segs = _expand(self.n, range(len(segs) + 1), (segs,))
-        return "".join([seg.replace("\0", str(d)) for d, seg in zip(device, segs)])
+        return "".join(self._per_device(lines, _lead_rows(lambda d: f'{{"device": {d}')))
 
     def to_csv(self, *constants) -> str:
         """`csv.writer`'s rows, with no header, of the n devices' events: each
         event's fields in `TimelineEvent` order, then `constants`."""
         # Format device 0's rows once without the device field (the writer
-        # hands `write` one row at a time), then put each copy's device and a
-        # comma ahead of every row of its segment.
+        # hands `write` one row at a time); each copy leads each row with `d,`.
         rows: list[str] = []
         csv.writer(SimpleNamespace(write=rows.append), lineterminator="\n").writerows(
             zip(self.resource, self.start_s, self.end_s, self.label, *map(repeat, constants)))
-        segs = [rows[a:b] for a, b in pairwise(self.bounds)]
-        device, segs = _expand(self.n, range(len(segs) + 1), (segs,))
-        return "".join([f"{d}," + f"{d},".join(seg) for d, seg in zip(device, segs)])
+        return "".join(self._per_device(rows, _lead_rows(lambda d: f"{d},")))
 
 
 def idle_time(t: Timeline) -> float:
@@ -252,7 +248,9 @@ def idle_time(t: Timeline) -> float:
 
 
 def lower_bound(variant: Variant, num_devices: int, d_bytes: float, bandwidth: float) -> float:
-    """Bandwidth lower bound on reduce-scatter time for d_bytes moved at bandwidth B."""
+    """Bandwidth lower bound on reduce-scatter time for d_bytes on the wire at
+    bandwidth B: the BF16 tensor's bytes for a raw stage, but half of them
+    plus one scale grid per minishard of each shard for a quantized one."""
     if num_devices < 2:
         raise ValueError("need at least 2 devices")
     if variant is Variant.SEMI_LOOP:

@@ -135,6 +135,11 @@ def test_auto_minishards_targets_64_chunk_blocks():
     assert auto_minishards(2 * MIB // 2, 8) == 2
     # non power-of-two chunk counts still divide evenly
     assert (8 * 96 * 1024) // 1024 // 8 % auto_minishards(8 * 96 * 1024, 8) == 0
+    # gcd(p, p // 64), not the largest divisor of p keeping 64 chunks: 200
+    # chunks per shard get one grid although 2 divides 200, and 194 get one
+    # rather than 2 grids of 97.
+    assert auto_minishards(8 * 200 * 1024, 8) == 1
+    assert auto_minishards(8 * 194 * 1024, 8) == 1
 
 
 def test_tradeoff_study_table():

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import pairwise, product, repeat
 from pathlib import Path
@@ -23,6 +24,7 @@ import qarsim.simnet as simnet
 from qarsim.collectives import CollectiveConfig, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
 from qarsim.presets import load_preset
+from qarsim.quant import GRID_BYTES
 from qarsim.simnet import (
     RES_LINK_CCW,
     RES_LINK_CW,
@@ -200,6 +202,63 @@ def test_raw_rings_meet_their_link_bound_closed_forms(variant, n):
     else:
         expected = n * (d / (n * b) + lat)
     assert tl.total_time == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("chunks", [1, 64])
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_quantized_reduce_scatter_meets_its_link_bound_closed_form(variant, n, chunks):
+    # With compute free, a quantized hop of k minishards is k scale grids
+    # plus k minishards of E elements at 1 byte each, at B, plus L. The
+    # slower arc sets the stage: the full loop's CW ring carries ceil(m/2)
+    # minishards over N-1 hops; the semi loop's longer (CCW) arc carries all
+    # m over N/2 hops.
+    link, _ = load_preset("v5e-like")
+    b, lat = link.bandwidth_bytes_per_s, link.hop_latency_s
+    for m, u in product(range(1, 5), (1, 2, 4)):
+        cfg = small_cfg(n, m, u, variant, rs=True, ag=False)
+        tl = simulate(cfg, small_bytes(cfg, chunks), link, ComputeParams(*[1e18] * len(_RATES)))
+        e = u * chunks * 1024
+        hops, k = (n - 1, -(-m // 2)) if variant is Variant.FULL_LOOP else (n // 2, m)
+        assert tl.stage_end("rs") == pytest.approx(hops * (k * (GRID_BYTES + e) / b + lat),
+                                                   rel=1e-6), (m, u)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_quantized_reduce_scatter_meets_its_vpu_bound_closed_form(variant, n):
+    # With the links free, the reduce-scatter is the VPU's work on E
+    # elements (a shard) per arc of h hops: the first hop's scan and encode,
+    # all four passes for each of the h-1 hops that pass the partial on, and
+    # the owner's dequantize and add, so h times all four. The full loop's
+    # two arcs split the shard over N-1 hops; the semi loop's carry all of it
+    # over N/2-1 and N/2 hops. Either way, N-1 times all four on E.
+    rng = np.random.default_rng(n)
+    for m, u, _ in product(range(1, 5), range(1, 5), range(3)):
+        dq, add, scan, enc = 10.0 ** rng.uniform(9, 12, size=4)
+        cfg = small_cfg(n, m, u, variant, rs=True, ag=False)
+        tl = simulate(cfg, small_bytes(cfg), LinkParams(1e18, 0.0),
+                      ComputeParams(dq, add, scan, enc, 1e12))
+        expected = (n - 1) * m * u * 1024 * (1 / dq + 1 / add + 1 / scan + 1 / enc)
+        assert tl.stage_end("rs") == pytest.approx(expected, rel=1e-6), (m, u)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(Variant)), st.sampled_from([2, 4, 6, 8, 16]), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 3), st.booleans(), st.floats(1e9, 1e12),
+       st.floats(0.0, 1e-4), st.lists(st.floats(1e9, 1e12), min_size=5, max_size=5),
+       st.booleans())
+def test_reduce_scatter_is_never_faster_than_the_bound_on_its_wire_bytes(
+        variant, n, m, u, chunks, quantized, bandwidth, latency, rates, fuse):
+    # A raw stage sends the D bytes of the BF16 tensor; a quantized one sends
+    # half of them (1 byte per element) plus one scale grid per minishard of
+    # each of the N shards. BF16 bytes do not bound a quantized stage.
+    cfg = small_cfg(n, m, u, variant, rs=quantized, ag=False)
+    d = small_bytes(cfg, chunks)
+    tl = simulate(cfg, d, LinkParams(bandwidth, latency),
+                  ComputeParams(*rates, fuse_recv_pass=fuse))
+    wire = d / 2 + n * m * GRID_BYTES if quantized else d
+    assert tl.stage_end("rs") >= lower_bound(variant, n, wire, bandwidth) * (1 - 1e-12)
 
 
 @settings(max_examples=400, deadline=None)
@@ -488,8 +547,8 @@ def test_timeline_rejects_bounds_that_do_not_increase_from_0_to_the_length(bound
 
 
 def test_to_jsonl_escapes_like_json_dumps():
-    # A NUL stands for the device number while to_jsonl formats; one in a
-    # resource or label must come out escaped.
+    # Quoting, control characters (a NUL among them), non-ASCII and
+    # non-finite times must come out as json.dumps writes them.
     labels = ['q"uote', "back\\slash", "caf\u00e9", "tab\tnew\nline", "\U0001f600", "n\0l"]
     n = len(labels)
     tl = Timeline(1, [0, n], [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU, "\0"],
@@ -502,9 +561,10 @@ def test_to_jsonl_escapes_like_json_dumps():
 
 
 def test_to_csv_is_the_csv_writer_rendering_of_the_columns(monkeypatch):
-    # Device 0's rows are formatted once and each copy gets its device put
-    # ahead; quoting, a NUL, an empty first field and constants must come
-    # out as csv.writer writes the n devices' rows.
+    # Device 0's rows are formatted once and each copy leads every row with
+    # its device; quoting, control characters (a NUL among them), an empty
+    # first field and constants must come out as csv.writer writes the n
+    # devices' rows.
     args = (3, [0, 2, 3, 6], [RES_VPU, RES_LINK_CW, "\0", "r,s", RES_VPU, ""],
             [0.0, 1e-300, 2.5, 1 / 3, math.inf, 8.0], [0.1, 1e300, 3.5, 2 / 3, math.nan, 9.0],
             ['q"uote', "com,ma", "tab\tnew\nline", "caf\u00e9", "n\0l", ""])
@@ -522,6 +582,21 @@ def test_to_csv_is_the_csv_writer_rendering_of_the_columns(monkeypatch):
     for constants, text in expected.items():
         assert Timeline(*args).to_csv(*constants) == text
     assert Timeline(2, [0], [], [], [], []).to_csv() == ""
+
+
+@pytest.mark.parametrize("export", [Timeline.to_jsonl, Timeline.to_csv])
+def test_exports_build_no_string_per_device_copy(export):
+    # At N=16 device 0's rows and the row pointers add under half the
+    # result's size; a string per device copy adds one more result.
+    cfg = small_cfg(n=16, m=2)
+    tl = simulate(cfg, small_bytes(cfg, chunks_per_micro=8), LINK, COMP)
+    tracemalloc.start()
+    try:
+        text = export(tl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * len(text)
 
 
 def _filled_sched(rows) -> simnet._Sched:
@@ -686,19 +761,19 @@ def test_total_time_stage_end_and_len_leave_the_columns_unbuilt(monkeypatch):
     def forbidden(*args):
         raise AssertionError("columns built")
 
-    expand, expanded = simnet._expand, []
+    per_device, laid_out = Timeline._per_device, []
 
-    def recorded(n, bounds, cols):
-        expanded.append(len(cols))
-        return expand(n, bounds, cols)
+    def recorded(self, rows, copy):
+        laid_out.append(len(rows))
+        return per_device(self, rows, copy)
 
     monkeypatch.setattr(Timeline, "columns", property(forbidden))
-    monkeypatch.setattr(simnet, "_expand", recorded)
+    monkeypatch.setattr(Timeline, "_per_device", recorded)
     tl = _derived()
     reads = (tl.total_time, tl.stage_end("rs"), tl.stage_end("ag"), len(tl.events), idle_time(tl))
-    assert not expanded
+    assert not laid_out
     assert reads + (tl.to_jsonl(),) == expected
-    assert expanded == [1]  # to_jsonl expands its formatted lines alone
+    assert laid_out == [len(tl.label)]  # to_jsonl lays out device 0's formatted lines alone
     with pytest.raises(AssertionError, match="columns built"):
         tl.columns
 
