@@ -24,13 +24,14 @@ from .layout import (
     CHUNK_COLS,
     CHUNK_ELEMS,
     CHUNK_ROWS,
+    Bf16Tensor,
     DivisibilityError,
     MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
     TensorBuf,
 )
-from .numerics import BF16_MAX, Codec, decode, encode, round_to_bf16
+from .numerics import BF16_MAX, Codec, bf16_bits, decode, encode, round_to_bf16
 from .quant import (
     GRID_BYTES,
     QuantizedShard,

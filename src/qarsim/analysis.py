@@ -1,8 +1,11 @@
 """Experiment harnesses: error/speedup trade-off studies and size sweeps.
 
-Per-device inputs are standard normal, generated by numpy's PCG64
-(np.random.default_rng) with seed = base_seed + device_index, so every
-reported number is exactly reproducible from (seed, shape, N, flavor).
+Per-device inputs are BF16 tensors: device d's are the BF16 roundings
+(`numerics.bf16_bits`) of float32 standard normals from numpy's PCG64
+(np.random.default_rng) with seed = base_seed + d, so every reported
+number is exactly reproducible from (seed, shape, N, flavor). They are
+drawn and rounded one tile at a time, so no float32 copy of an input is
+ever made.
 MSE against the BF16 baseline accumulates in float64 in a fixed order (see
 `mse`).
 """
@@ -25,8 +28,8 @@ from .collectives import (
     naive_lowp_allreduce,
     reduce_scatter,
 )
-from .layout import CHUNK_ELEMS, PartitionSpec, ShapeMismatchError, TensorBuf
-from .numerics import Codec
+from .layout import CHUNK_ELEMS, Bf16Tensor, PartitionSpec, ShapeMismatchError, TensorBuf
+from .numerics import Codec, bf16_bits
 from .presets import DEFAULT_PRESET, load_preset
 from .simnet import ComputeParams, LinkParams, simulate, simulate_naive
 
@@ -62,6 +65,8 @@ SWEEP_COLUMNS = ("size_bytes", "flavor_time_s", "baseline_time_s", "ratio")
 # mse's one float64 buffer (128 Ki elements, 1 MiB) and its summation lanes.
 _MSE_BUF_ELEMS = 128 * 1024
 _MSE_LANES = 1024
+# device_inputs draws and rounds this many elements at a time.
+_INGEST_TILE = 64 * 1024
 
 
 def stages_tag(quantize_rs: bool, quantize_ag: bool) -> str:
@@ -80,13 +85,14 @@ def mse(a, b) -> float:
     exactly. No step depends on the build's SIMD paths, so the result is
     the same on every NumPy build.
 
-    A NaN difference (a NaN input, or the same infinity in both) gives NaN;
-    otherwise an infinite difference, or a square or sum past the float64
-    range, gives inf. No NumPy warning is raised. Empty inputs raise
-    ValueError.
+    Each input is a TensorBuf, a Bf16Tensor (widened to float32, a copy)
+    or an array. A NaN difference (a NaN input, or the same infinity in
+    both) gives NaN; otherwise an infinite difference, or a square or sum
+    past the float64 range, gives inf. No NumPy warning is raised. Empty
+    inputs raise ValueError.
     """
-    da = a.data if isinstance(a, TensorBuf) else np.asarray(a)
-    db = b.data if isinstance(b, TensorBuf) else np.asarray(b)
+    da, db = (x.data if isinstance(x, TensorBuf) else
+              x.values() if isinstance(x, Bf16Tensor) else np.asarray(x) for x in (a, b))
     if da.shape != db.shape:
         raise ShapeMismatchError(f"shapes {da.shape} and {db.shape} differ")
     n = da.size
@@ -115,12 +121,28 @@ def mse(a, b) -> float:
     return total / n
 
 
-def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[TensorBuf]:
-    """Standard-normal float32 tensors; device d draws from PCG64(seed + d)."""
+def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[Bf16Tensor]:
+    """BF16 standard-normal tensors; device d's are the BF16 roundings of the
+    float32 normals PCG64(seed + d) draws.
+
+    Each device's normals are drawn _INGEST_TILE at a time into one reused
+    float32 buffer, the same stream as one draw of them all, and each tile
+    is rounded straight into that device's bits. The devices' bits are rows
+    of one array: one large allocation, which NumPy backs with huge pages
+    where the OS allows, so writing it first costs fewer page faults.
+    """
+    n = rows * cols
+    buf = np.empty(min(n, _INGEST_TILE), np.float32)
+    scratch = np.empty(buf.size, np.uint32)
+    block = np.empty((num_devices, n), np.uint16)
     out = []
-    for d in range(num_devices):
+    for d, bits in enumerate(block):
         rng = np.random.default_rng(seed + d)
-        out.append(TensorBuf(rng.standard_normal(rows * cols, dtype=np.float32), rows, cols))
+        for i in range(0, n, _INGEST_TILE):
+            c = min(_INGEST_TILE, n - i)
+            rng.standard_normal(dtype=np.float32, out=buf[:c])
+            bf16_bits(buf[:c], bits[i:i + c], scratch[:c])
+        out.append(Bf16Tensor(bits, rows, cols))
     return out
 
 

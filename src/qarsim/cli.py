@@ -50,6 +50,7 @@ from .layout import (
 )
 from .numerics import Codec
 from .presets import DEFAULT_PRESET, available_presets, load_preset
+from .quant import GRID_BYTES
 from .simnet import (
     ComputeParams,
     LinkParams,
@@ -297,16 +298,21 @@ def cmd_timeline(cfg: RunConfig) -> str:
 
 
 def cmd_bounds(cfg: RunConfig) -> str:
+    """Each variant's reduce-scatter bound on its wire bytes: the BF16 tensor's
+    for a raw stage; half of them plus one scale grid per minishard of each
+    shard for a quantized one."""
     link, _ = resolve_params(cfg)
+    n, bandwidth = cfg.num_devices, link.bandwidth_bytes_per_s
     d_bytes = cfg.rows * cfg.cols * 2
+    quant_bytes = d_bytes / 2 + n * _partition_spec(cfg).minishards_per_shard * GRID_BYTES
     row = {
-        "N": cfg.num_devices,
+        "N": n,
         "tensor_bytes": d_bytes,
-        "bandwidth_bytes_per_s": link.bandwidth_bytes_per_s,
-        "full_loop_bound_s": lower_bound(Variant.FULL_LOOP, cfg.num_devices,
-                                         d_bytes, link.bandwidth_bytes_per_s),
-        "semi_loop_bound_s": lower_bound(Variant.SEMI_LOOP, cfg.num_devices,
-                                         d_bytes, link.bandwidth_bytes_per_s),
+        "bandwidth_bytes_per_s": bandwidth,
+        "full_loop_bound_s": lower_bound(Variant.FULL_LOOP, n, d_bytes, bandwidth),
+        "semi_loop_bound_s": lower_bound(Variant.SEMI_LOOP, n, d_bytes, bandwidth),
+        "full_loop_quant_bound_s": lower_bound(Variant.FULL_LOOP, n, quant_bytes, bandwidth),
+        "semi_loop_quant_bound_s": lower_bound(Variant.SEMI_LOOP, n, quant_bytes, bandwidth),
     }
     return _render([row], tuple(row), cfg)
 
@@ -348,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("timeline", parents=[common],
                    help="per-event schedule of one simulated run (JSONL by default)")
     sub.add_parser("bounds", parents=[common],
-                   help="bandwidth lower bounds for both ring variants")
+                   help="bandwidth lower bounds on both ring variants' reduce-scatter, "
+                        "raw and quantized")
     return parser
 
 

@@ -31,12 +31,15 @@ every minishard count the unquantized rings can take. Each shard's result
 is written into one preallocated buffer; in the semi loop the CCW arc's
 owner merge reads the CW result from there.
 
-Inputs are read in place: each device's part of a tile is rounded to BF16
-where the arc reads it, so every element is rounded exactly once. The
-all-gather quantizes each shard once at its source (or forwards it raw),
-one minishard at a time, and every device, the source included, decodes
-the same codes, so outputs are bit-identical across devices. Final outputs
-are BF16-rounded.
+Inputs are BF16 (`layout.Bf16Tensor`); the ring widens each tile. A
+float32 `TensorBuf` input is rounded to BF16 once, on entry, by
+`numerics.bf16_bits`. Each device's part of a tile is widened to float32
+where the arc reads it, into a fresh array, so a hop adds into it in place
+and no input is ever written or rounded again. The all-gather quantizes
+each shard once at its source (or forwards it raw), one minishard at a
+time, and every device, the source included, decodes the same codes, so
+outputs are bit-identical across devices. Final outputs are BF16-rounded
+float32 `TensorBuf`s.
 
 `reduce_scatter` is the first stage on its own. Its result depends only on
 the variant, `quantize_rs` and the codec, so collectives that agree on
@@ -52,8 +55,15 @@ from typing import Sequence
 import numpy as np
 
 from . import schedule
-from .layout import CHUNK_COLS, CHUNK_ROWS, MissingShardError, PartitionSpec, TensorBuf
-from .numerics import Codec, decode, encode, round_to_bf16
+from .layout import (
+    CHUNK_COLS,
+    CHUNK_ROWS,
+    Bf16Tensor,
+    MissingShardError,
+    PartitionSpec,
+    TensorBuf,
+)
+from .numerics import Codec, bf16_bits, decode, encode, round_to_bf16
 from .quant import dequantize_shard, quantize_shard
 from .schedule import Variant
 
@@ -77,16 +87,22 @@ class CollectiveConfig:
             )
 
 
-def _check(inputs: Sequence[TensorBuf], spec: PartitionSpec) -> None:
-    """Reject inputs that do not cover every device with one layout-legal shape."""
+Inputs = Sequence[Bf16Tensor | TensorBuf]
+
+
+def _check(inputs: Inputs, spec: PartitionSpec) -> list[Bf16Tensor]:
+    """Reject inputs that do not cover every device with one layout-legal shape;
+    return them as BF16, each float32 `TensorBuf` rounded once."""
     n = spec.num_devices
     if len(inputs) != n:
         raise ValueError(f"expected {n} device inputs, got {len(inputs)}")
     rows, cols = inputs[0].rows, inputs[0].cols
-    spec.validate_element_count(inputs[0].data.size)
+    spec.validate_element_count(rows * cols)
     for d, t in enumerate(inputs):
         if (t.rows, t.cols) != (rows, cols):
             raise ValueError(f"device {d} input shape {(t.rows, t.cols)} != {(rows, cols)}")
+    return [t if isinstance(t, Bf16Tensor) else Bf16Tensor(bf16_bits(t.data), rows, cols)
+            for t in inputs]
 
 
 class _QuantHop:
@@ -118,10 +134,13 @@ class _Bf16Hop:
         return local
 
     def hop(self, wire, local):
-        return round_to_bf16(wire + local)
+        return self.merge(local, wire)
 
     def merge(self, acc, wire):
-        return round_to_bf16(wire + acc)
+        # In place into the accumulator (a fresh widened input, or the owner's
+        # result tile it is written back to), the wire operand first as in
+        # `wire + acc`, so the same NaN payload survives.
+        return round_to_bf16(np.add(wire, acc, out=acc))
 
 
 class _CastHop:
@@ -147,17 +166,17 @@ class _CastHop:
         return decode(self.hop(wire, acc), self.codec)
 
 
-def _reduce_scatter(inputs: Sequence[TensorBuf], variant: Variant,
+def _reduce_scatter(inputs: Sequence[Bf16Tensor], variant: Variant,
                     kind: _QuantHop | _Bf16Hop | _CastHop, minishards: int) -> list[np.ndarray]:
     """Run every shard's arcs through one hop kind; result[s] is shard s at its owner.
 
     Arcs are walked one tile of `shard // minishards` elements at a time, cut
     where an arc starts or ends inside a tile. Each device's part of a tile is
-    read from its input and BF16-rounded there; no copy is staged. An arc that
-    merges `after` another reads that arc's result from the output buffer.
+    widened from its input where the arc reads it; no copy is staged. An arc
+    that merges `after` another reads that arc's result from the output buffer.
     """
     n, u = len(inputs), kind.unit
-    shard = inputs[0].data.size // n
+    shard = inputs[0].bits.size // n
     tile = shard // minishards
     flat = np.empty(n * shard, np.float32)
     for s, arcs in enumerate(schedule.rs_arcs(variant, n, shard // u)):
@@ -169,7 +188,7 @@ def _reduce_scatter(inputs: Sequence[TensorBuf], variant: Variant,
             while lo < stop:
                 hi = min((lo // tile + 1) * tile, stop)
                 part = slice(base + lo, base + hi)
-                local = lambda d, part=part: round_to_bf16(inputs[d].data[part])
+                local = lambda d, part=part: inputs[d].values(part)
                 wire = kind.send(local(head))
                 for dev in mid:
                     wire = kind.hop(wire, local(dev))
@@ -210,17 +229,17 @@ def all_gather(
     return [TensorBuf(flat, rows, cols) for _ in range(n)]
 
 
-def reduce_scatter(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[np.ndarray]:
+def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> list[np.ndarray]:
     """The reduce-scatter stage of `all_reduce`: result[s] is shard s reduced at device s.
 
     The result depends on cfg.variant, cfg.quantize_rs and cfg.codec only,
     so collectives that agree on those can share it through `reduced=`.
     """
     spec = cfg.spec
-    _check(inputs, spec)
+    inputs = _check(inputs, spec)
     m = spec.minishards_per_shard
     if cfg.quantize_rs:
-        kind = _QuantHop(cfg.codec, inputs[0].data.size // (spec.num_devices * m))
+        kind = _QuantHop(cfg.codec, inputs[0].bits.size // (spec.num_devices * m))
     else:
         kind = _Bf16Hop()
     # NaN and inf inputs have defined results (README "Non-finite values"), so the
@@ -229,7 +248,7 @@ def reduce_scatter(inputs: Sequence[TensorBuf], cfg: CollectiveConfig) -> list[n
         return _reduce_scatter(inputs, cfg.variant, kind, m)
 
 
-def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig,
+def all_reduce(inputs: Inputs, cfg: CollectiveConfig,
                reduced: Sequence[np.ndarray] | None = None) -> list[TensorBuf]:
     """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized.
 
@@ -243,7 +262,7 @@ def all_reduce(inputs: Sequence[TensorBuf], cfg: CollectiveConfig,
                           inputs[0].rows, inputs[0].cols)
 
 
-def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec,
+def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec,
                             reduced: Sequence[np.ndarray] | None = None):
     """Full-loop AllReduce with no quantization: the MSE reference.
 
@@ -252,9 +271,9 @@ def baseline_allreduce_bf16(inputs: Sequence[TensorBuf], spec: PartitionSpec,
     return all_reduce(inputs, CollectiveConfig(Variant.FULL_LOOP, spec), reduced)
 
 
-def naive_lowp_allreduce(inputs: Sequence[TensorBuf], codec: Codec, spec: PartitionSpec):
+def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec):
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
-    _check(inputs, spec)
+    inputs = _check(inputs, spec)
     with np.errstate(invalid="ignore", over="ignore"):  # as in reduce_scatter
         rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec), spec.minishards_per_shard)
         return all_gather(rs, False, codec, spec, inputs[0].rows, inputs[0].cols)

@@ -6,6 +6,10 @@ into m minishards (the quantization-block granularity: one scale grid per
 minishard, so one scale covers position (i, j) of every chunk in it) and
 each minishard into u microshards (the pipelining granularity). Shapes
 that do not divide evenly are rejected, never padded.
+
+A device's input to a collective is BF16 (`Bf16Tensor`), as in the
+paper's BF16 AllReduce; outputs are float32 `TensorBuf`s holding BF16
+values.
 """
 
 from __future__ import annotations
@@ -84,3 +88,32 @@ class TensorBuf:
             raise ShapeMismatchError(
                 f"data length {self.data.size} != rows*cols = {self.rows * self.cols}"
             )
+
+
+@dataclass(frozen=True)
+class Bf16Tensor:
+    """Flat BF16 tensor held as its uint16 bit patterns, with a nominal (rows, cols) shape.
+
+    `numerics.bf16_bits` makes the bits. The one read is `values`, which
+    widens to float32 (exactly: a BF16 value is a float32 with its low 16
+    bits zero) into a fresh array, so writing to what it returns never
+    changes the tensor.
+    """
+
+    bits: np.ndarray
+    rows: int
+    cols: int
+
+    def __post_init__(self):
+        if self.bits.ndim != 1 or self.bits.dtype != np.uint16:
+            raise ValueError("Bf16Tensor.bits must be a flat uint16 array")
+        if self.bits.size != self.rows * self.cols:
+            raise ShapeMismatchError(
+                f"bits length {self.bits.size} != rows*cols = {self.rows * self.cols}"
+            )
+
+    def values(self, part: slice = slice(None)) -> np.ndarray:
+        """The elements in `part` as a new float32 array."""
+        out = self.bits[part].astype(np.uint32)
+        out <<= 16
+        return out.view(np.float32)

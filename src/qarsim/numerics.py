@@ -1,8 +1,10 @@
 """Scalar formats used on the wire and in the accumulator.
 
 Three 8-bit codecs (symmetric INT8, FP8 E4M3, FP8 E5M2) plus software
-BF16 rounding. E4M3 follows the common convention with no infinities,
-a single NaN mantissa pattern and max finite 448; E5M2 is IEEE-like
+BF16 rounding, to float32 values (`round_to_bf16`) or to BF16 bit
+patterns (`bf16_bits`, the ingest of a BF16 tensor). E4M3 follows the
+common convention with no infinities, a single NaN mantissa pattern and
+max finite 448; E5M2 is IEEE-like
 (inf at exponent-all-ones/mantissa-zero, max finite 57344). Encoding
 is round-to-nearest-even; magnitudes past the format max saturate to
 the max finite value. NaN always survives encoding: FP8 NaN patterns
@@ -22,9 +24,10 @@ ways. No input, signaling NaNs included, makes a kernel raise a
 floating-point warning.
 
 The kernels keep full-array passes few. Each works in place on buffers
-it allocated itself and never writes to its input. Special values are
-found by a whole-array test first and fixed only when present: BF16
-rounding compares a max and a min reduction with the smallest magnitude
+it allocated itself (or, for `bf16_bits`, that its caller passed) and
+never writes to its input. Special values are
+found by a whole-array test first and fixed only when present: both BF16
+roundings compare a max and a min reduction with the smallest magnitude
 that rounds to inf (NaN carries through both); INT8 looks for NaN lanes
 only when its max is NaN; FP8 rounds its subnormal lanes only at the
 indices where they occur, and looks for inf and NaN lanes only when the
@@ -182,6 +185,27 @@ def decode(codes, codec: Codec) -> np.ndarray:
     return np.take(_DECODE[codec], c, mode="wrap")  # every uint8 code is in range
 
 
+def _rne_carry(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`bits` plus the round-to-nearest-even carry into bit 16, into uint32 `out`:
+    0x7FFF plus the lowest kept bit. Its high 16 bits are the rounded BF16."""
+    np.right_shift(bits, 16, out=out)
+    out &= 1
+    out += bits
+    out += 0x7FFF
+    return out
+
+
+def _rounds_finite(flat: np.ndarray) -> bool:
+    """Whether every float32 value of `flat` is finite and rounds to a finite BF16.
+
+    Only a magnitude of at least _BF16_INF_FROM, or a NaN, can give a
+    non-finite input or output; NaN carries through both reductions. The
+    input's finiteness counts too: NaN patterns from 0xFFFF8000 up wrap to
+    finite.
+    """
+    return bool(flat.max(initial=0) < _BF16_INF_FROM and flat.min(initial=0) > -_BF16_INF_FROM)
+
+
 def round_to_bf16(x):
     """Round float32 values to the nearest BF16-representable value (ties to even).
 
@@ -190,18 +214,10 @@ def round_to_bf16(x):
     """
     arr = _as_float(x, np.float32)
     flat = arr.reshape(-1)
-    bits = flat.view(np.uint32)
-    out = bits >> 16
-    out &= 1
-    out += bits
-    out += 0x7FFF
+    out = _rne_carry(flat.view(np.uint32), np.empty(flat.size, np.uint32))
     out &= 0xFFFF0000
     res = out.view(np.float32)
-    # Only a magnitude of at least _BF16_INF_FROM, or a NaN, can give a
-    # non-finite input or output; NaN carries through both reductions. The
-    # input's finiteness counts too: NaN patterns from 0xFFFF8000 up wrap to
-    # finite.
-    if not (flat.max(initial=0) < _BF16_INF_FROM and flat.min(initial=0) > -_BF16_INF_FROM):
+    if not _rounds_finite(flat):
         ok = np.isfinite(flat)
         ok &= np.isfinite(res)
         bad = np.flatnonzero(~ok)
@@ -210,3 +226,36 @@ def round_to_bf16(x):
     if arr.ndim == 0:
         return res[0]
     return res.reshape(arr.shape)
+
+
+def bf16_bits(x, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """BF16 bit patterns (uint16) of float32 values: the one ingest of a BF16 tensor.
+
+    Finite values and infinities round as `round_to_bf16` rounds them, so
+    the widened result (`bits << 16`) is `round_to_bf16`'s bit for bit. A
+    NaN keeps its sign and its high 16 bits; if those would read as +-inf
+    (its payload sat only in the low 16 bits, which BF16 cannot hold), the
+    quiet bit 0x0040 is set so that it stays NaN. `out` (uint16) and
+    `scratch` (uint32), each contiguous and of x's size, are written in
+    place when given, so a caller that ingests tile by tile allocates
+    nothing per tile. Returns `out`, or a new uint16 array of x's shape.
+    """
+    arr = _as_float(x, np.float32)
+    flat = arr.reshape(-1)
+    if out is None:
+        out = np.empty(arr.shape, np.uint16)
+    if scratch is None:
+        scratch = np.empty(flat.size, np.uint32)
+    bits = flat.view(np.uint32)
+    res = out.reshape(-1)
+    np.right_shift(_rne_carry(bits, scratch), 16, out=res)
+    if not _rounds_finite(flat):
+        ok = np.isfinite(flat)
+        ok &= (res & 0x7F80) != 0x7F80
+        bad = np.flatnonzero(~ok)
+        a = flat[bad]
+        high = (bits[bad] >> 16).astype(np.uint16)
+        nan = high | np.where((high & 0x7FFF) == 0x7F80, np.uint16(0x0040), np.uint16(0))
+        big = (high & 0x8000) | np.uint16(0x7F7F)  # +-BF16_MAX
+        res[bad] = np.where(np.isnan(a), nan, np.where(np.isinf(a), high, big))
+    return out

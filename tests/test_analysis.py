@@ -21,8 +21,8 @@ from qarsim.analysis import (
     tradeoff_study,
 )
 from qarsim.collectives import Variant
-from qarsim.layout import ShapeMismatchError, TensorBuf
-from qarsim.numerics import Codec
+from qarsim.layout import Bf16Tensor, ShapeMismatchError, TensorBuf
+from qarsim.numerics import Codec, bf16_bits, round_to_bf16
 
 MIB = 1 << 20
 
@@ -74,6 +74,12 @@ def test_mse_of_2d_tensor_bufs_matches_the_lane_order_reference():
     assert mse(a, b) == mse(a.data.reshape(rows, cols), b.data.reshape(rows, cols))
 
 
+def test_mse_reads_bf16_inputs_as_their_float32_values():
+    a, b = device_inputs(24, 1024, 2, seed=8)
+    assert mse(a, b) == mse(a.values(), b.values())
+    assert mse(a, TensorBuf(b.values(), 24, 1024)) == mse(a.values(), b.values())
+
+
 def test_mse_non_finite_and_empty_semantics():
     # README "Non-finite values": no NumPy warning escapes (Tier-1 makes
     # RuntimeWarning an error).
@@ -120,12 +126,40 @@ def test_mse_memory_is_one_fixed_buffer():
 
 
 def test_device_inputs_prng_contract():
+    # Device d's bits are the BF16 rounding of PCG64(seed + d)'s float32 normals.
     inputs = device_inputs(8, 128, 3, seed=42)
     assert len(inputs) == 3
     for d, t in enumerate(inputs):
         want = np.random.default_rng(42 + d).standard_normal(8 * 128, dtype=np.float32)
-        assert np.array_equal(t.data, want)
-        assert (t.rows, t.cols) == (8, 128)
+        assert isinstance(t, Bf16Tensor) and (t.rows, t.cols) == (8, 128)
+        assert np.array_equal(t.bits, bf16_bits(want))
+        assert t.values().tobytes() == round_to_bf16(want).tobytes()
+
+
+def test_device_inputs_draw_in_tiles_the_stream_of_one_draw():
+    # Two and a half tiles and a few elements: the last tile is partial.
+    tile = qarsim.analysis._INGEST_TILE
+    n = 2 * tile + tile // 2 + 3
+    for d, t in enumerate(device_inputs(1, n, 2, seed=3)):
+        want = np.random.default_rng(3 + d).standard_normal(n, dtype=np.float32)
+        assert np.array_equal(t.bits, bf16_bits(want))
+
+
+def test_device_inputs_traced_peak_is_its_result_plus_one_tile():
+    # The uint16 results plus one tile of float32 normals and one of uint32
+    # scratch, and 64 KiB for the generators and the list: no float32 copy
+    # of an input. A warm-up call first, so numpy.random's import is not traced.
+    rows, cols, n = 256, 1024, 4
+    device_inputs(8, 128, 1, seed=0)
+    tracemalloc.start()
+    try:
+        inputs = device_inputs(rows, cols, n, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = sum(t.bits.nbytes for t in inputs)
+    assert result == n * rows * cols * 2
+    assert peak < result + qarsim.analysis._INGEST_TILE * (4 + 4) + 64 * 1024
 
 
 def test_auto_minishards_targets_64_chunk_blocks():
@@ -222,11 +256,10 @@ def test_tradeoff_study_mses_are_the_exact_mean_to_an_ulp(monkeypatch):
 
 
 def test_tradeoff_study_keeps_at_most_one_shared_reduce_scatter_alive():
-    # The inputs plus three tensors (the baseline output, one reduce-scatter
-    # result and one flavor output, which is dropped after its MSE) plus the
-    # mse's 1 MiB buffer and a 1 MiB margin. The peak, about 11.6 tensors,
-    # is a non-last flavor's MSE; run alone, the first PCG64 draw's import of
-    # numpy.random adds 0.36 and it reads 11.9.
+    # The 8 BF16 inputs (half a float32 tensor each) plus three tensors (the
+    # baseline output, one reduce-scatter result and one flavor output, which
+    # is dropped after its MSE) plus the mse's 1 MiB buffer and a 1 MiB
+    # margin.
     tensor_bytes = 512 * 1024 * 4
     mse_buffer = qarsim.analysis._MSE_BUF_ELEMS * 8
     tracemalloc.start()
@@ -235,7 +268,7 @@ def test_tradeoff_study_keeps_at_most_one_shared_reduce_scatter_alive():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (8 + 3) * tensor_bytes + mse_buffer + MIB
+    assert peak < (8 / 2 + 3) * tensor_bytes + mse_buffer + MIB
 
 
 def test_tradeoff_study_deterministic():

@@ -12,8 +12,10 @@ import pytest
 import qarsim.cli as cli
 from qarsim.cli import RunConfig, _build_parser, build_config, main
 from qarsim.presets import DEFAULT_PRESET, available_presets, load_preset
+from qarsim.quant import GRID_BYTES
 from qarsim.simnet import ComputeParams, LinkParams
 
+MIB = 1 << 20
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 SMALL = {"rows": 256, "cols": 512, "num_devices": 4, "seed": 7}
 
@@ -102,6 +104,26 @@ def test_link_override_reaches_bounds(tmp_path):
     rec = json.loads(out.read_text())[0]
     assert rec["full_loop_bound_s"] == pytest.approx(0.003145728, rel=1e-12)
     assert rec["semi_loop_bound_s"] == pytest.approx(8 * 2**20 / 2e9, rel=1e-12)
+
+
+def test_bounds_quantized_columns_bound_a_quantized_reduce_scatter(tmp_path, capsys):
+    # Semi loop, N=8, m=4, u=4, 16 MiB, 45 GB/s, 15 us, free compute: the INT8
+    # reduce-scatter ends at 154.7 us. The raw (BF16 bytes) bound, 186.4 us,
+    # does not bound it; the bound on its wire bytes, 94.7 us, does.
+    argv = ["--variant", "semi_loop", "--num-devices", "8", "--rows", "2048", "--cols", "4096",
+            "--minishards", "4", "--microshards", "4", "--bandwidth", "45e9",
+            "--hop-latency", "15e-6", *(x for flag, _ in PARAM_FLAGS[2:] for x in (flag, "1e18"))]
+    out = tmp_path / "b.json"
+    assert run(["bounds", *argv, "--format", "json", "--output", str(out)]) == 0
+    rec = json.loads(out.read_text())[0]
+    assert run(["timeline", *argv, "--quantize-rs"]) == 0
+    events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    rs_end = max(e["end_s"] for e in events if e["label"].startswith("rs"))
+    assert rs_end == pytest.approx(154.7e-6, abs=0.05e-6)
+    assert rec["semi_loop_quant_bound_s"] == pytest.approx((8 * MIB + 8 * 4 * GRID_BYTES) / 90e9)
+    assert rec["semi_loop_quant_bound_s"] <= rs_end < rec["semi_loop_bound_s"]
+    assert rec["full_loop_quant_bound_s"] == pytest.approx(
+        7 * (8 * MIB + 8 * 4 * GRID_BYTES) / (16 * 45e9))
 
 
 def test_tradeoff_reruns_byte_identical(tmp_path):

@@ -21,6 +21,11 @@ from qarsim.numerics import BF16_MAX, Codec
 from qarsim.quant import absmax_grid, scales_from_absmax
 
 
+def float_inputs(rows, cols, n, seed):
+    """`device_inputs` as float32 TensorBufs, writable, so a test can plant values."""
+    return [TensorBuf(t.values(), rows, cols) for t in device_inputs(rows, cols, n, seed)]
+
+
 def int_inputs(n, elems, seed=0, lo=-16, hi=16):
     rng = np.random.default_rng(seed)
     return [
@@ -61,28 +66,33 @@ COLLECTIVES = {
 
 @pytest.mark.parametrize("name", list(COLLECTIVES))
 def test_inputs_are_left_unchanged(name):
-    # the ring reads the callers' buffers in place, so it must never write them
+    # the ring widens BF16 inputs where it reads them and rounds a float32
+    # input into a copy, so it must never write either
     spec = PartitionSpec(4, 2, 1)
-    inputs = device_inputs(64, 256, 4, seed=9)
-    before = [t.data.tobytes() for t in inputs]
-    COLLECTIVES[name](inputs, spec)
-    assert [t.data.tobytes() for t in inputs] == before
+    bf16 = device_inputs(64, 256, 4, seed=9)
+    rng = np.random.default_rng(9)
+    f32 = [TensorBuf(rng.standard_normal(64 * 256, dtype=np.float32), 64, 256) for _ in range(4)]
+    for inputs, buf in ((bf16, "bits"), (f32, "data")):
+        before = [getattr(t, buf).tobytes() for t in inputs]
+        COLLECTIVES[name](inputs, spec)
+        assert [getattr(t, buf).tobytes() for t in inputs] == before
 
 
 @pytest.mark.parametrize("name", list(COLLECTIVES))
 def test_traced_peak_stays_below_half_the_input_bytes(name):
     # no staged copy of the inputs: what one call allocates is the reduced
-    # shards and the gathered output, each 1/N of the inputs, plus one arc
+    # shards and the gathered output, each 1/N of the float32 input bytes,
+    # plus one arc's tile. Half the float32 bytes is the BF16 inputs' bytes.
     spec = PartitionSpec(8, 2, 1)
     inputs = device_inputs(256, 1024, 8, seed=4)
-    input_bytes = sum(t.data.nbytes for t in inputs)
+    float32_bytes = sum(4 * t.bits.size for t in inputs)
     tracemalloc.start()
     try:
         COLLECTIVES[name](inputs, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * input_bytes
+    assert peak < 0.5 * float32_bytes
 
 
 # Non-finite semantics (README "Non-finite values"). One element P of shard 0
@@ -94,7 +104,7 @@ UNQUANTIZED = [name for name in COLLECTIVES if name not in QUANTIZED]
 
 def _planted(values: dict[int, float]) -> dict[str, np.ndarray]:
     """Every collective's output with values[d] planted at P on device d (N=4, m=1)."""
-    inputs = device_inputs(32, 256, 4, seed=0)
+    inputs = float_inputs(32, 256, 4, seed=0)
     for d, v in values.items():
         inputs[d].data[P] = v
     return {name: run(inputs, PartitionSpec(4, 1, 1))[0].data for name, run in COLLECTIVES.items()}
@@ -155,7 +165,7 @@ RING_CASES = [CollectiveConfig(v, PartitionSpec(4, 2, 1), quantize_rs=q_rs, quan
 @pytest.mark.parametrize("cfg", RING_CASES, ids=lambda c: f"{c.variant.value}-rs={c.quantize_rs}"
                          f"-ag={c.quantize_ag}-{c.codec.value}")
 def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
-    inputs = device_inputs(64, 256, 4, seed=17)
+    inputs = float_inputs(64, 256, 4, seed=17)
     inputs[2].data[[7, 4000]] = [np.nan, np.inf]
     whole = all_reduce(inputs, cfg)[0].data
     assert all_reduce(inputs, cfg, reduce_scatter(inputs, cfg))[0].data.tobytes() == whole.tobytes()
@@ -179,7 +189,7 @@ def test_unquantized_rings_do_not_depend_on_the_minishard_tiles(name, monkeypatc
         return out
 
     monkeypatch.setattr(np, "empty", poisoned)
-    inputs = device_inputs(384, 128, 4, seed=23)
+    inputs = float_inputs(384, 128, 4, seed=23)
     for d, bits in enumerate((0x7FC10000, 0xFFC20000)):  # NaNs with distinct payloads
         inputs[d].data[[d, 9000 + d]] = np.array(bits, np.uint32).view(np.float32)
     inputs[3].data[20000] = np.inf
@@ -205,7 +215,7 @@ def test_semi_loop_n2_equals_full_loop_n2():
     # At N=2 both variants add the same pairs, and both owner merges put the
     # arriving partial first, so even the surviving NaN payloads agree.
     spec = PartitionSpec(2, 2, 1)
-    inputs = device_inputs(64, 64, 2, seed=5)
+    inputs = float_inputs(64, 64, 2, seed=5)
     nans = np.arange(3, inputs[0].data.size, 97)
     for d, bits in enumerate((0x7FC10000, 0xFFC20000)):  # NaNs with distinct payloads
         inputs[d].data[nans] = np.array(bits, np.uint32).view(np.float32)
@@ -246,7 +256,7 @@ def test_power_of_two_scaling_homogeneity():
     # the quantized result scales by exactly 2
     spec = PartitionSpec(4, 2, 2)
     inputs = device_inputs(128, 128, 4, seed=7)
-    doubled = [TensorBuf(t.data * np.float32(2.0), t.rows, t.cols) for t in inputs]
+    doubled = [TensorBuf(t.values() * np.float32(2.0), t.rows, t.cols) for t in inputs]
     cfg = CollectiveConfig(Variant.FULL_LOOP, spec, quantize_rs=True, quantize_ag=True)
     out1 = all_reduce(inputs, cfg)[0]
     out2 = all_reduce(doubled, cfg)[0]

@@ -143,7 +143,7 @@ def _functional(variant, nmu, kind, monkeypatch):
     n, m, u = nmu
     rows, cols = _tensor(n, m, u)
     inputs = device_inputs(rows, cols, n, seed=n + m + u)
-    shard = inputs[0].data.size // n
+    shard = inputs[0].bits.size // n
     passes, messages = Counter(), []
     _count_kernels(monkeypatch, passes, messages)
     hop = {"quant": lambda: collectives._QuantHop(Codec.INT8, shard // m),

@@ -7,6 +7,7 @@ from qarsim.layout import (
     CHUNK_COLS,
     CHUNK_ELEMS,
     CHUNK_ROWS,
+    Bf16Tensor,
     DivisibilityError,
     PartitionSpec,
     ShapeMismatchError,
@@ -49,3 +50,22 @@ def test_partition_spec_validation():
 def test_tensorbuf_size_check():
     with pytest.raises(ShapeMismatchError):
         TensorBuf(np.zeros(10, dtype=np.float32), 4, 4)
+
+
+def test_bf16_tensor_checks_its_bits():
+    with pytest.raises(ValueError, match="uint16"):
+        Bf16Tensor(np.zeros(16, dtype=np.float32), 4, 4)
+    with pytest.raises(ShapeMismatchError):
+        Bf16Tensor(np.zeros(10, dtype=np.uint16), 4, 4)
+
+
+def test_bf16_tensor_values_widen_into_a_fresh_array():
+    # 1.0, -2.5, the smallest subnormal, +inf and a NaN payload, widened exactly
+    bits = np.array([0x3F80, 0xC020, 0x0001, 0x7F80, 0xFFC1], np.uint16)
+    t = Bf16Tensor(bits, 1, 5)
+    want = np.array([0x3F800000, 0xC0200000, 0x00010000, 0x7F800000, 0xFFC10000], np.uint32)
+    assert t.values().view(np.uint32).tolist() == want.tolist()
+    assert t.values(slice(1, 3)).view(np.uint32).tolist() == want[1:3].tolist()
+    part = t.values(slice(0, 2))
+    part[:] = 7.0
+    assert t.bits.tolist() == [0x3F80, 0xC020, 0x0001, 0x7F80, 0xFFC1]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarsim.layout import CHUNK_ELEMS
-from qarsim.numerics import BF16_MAX, Codec, decode, encode, round_to_bf16
+from qarsim.numerics import BF16_MAX, Codec, bf16_bits, decode, encode, round_to_bf16
 from qarsim.quant import dequantize_shard, quantize_shard
 
 
@@ -214,6 +214,49 @@ def test_round_to_bf16_preserves_exact_bf16(upper):
         assert float(round_to_bf16(x)) == float(x)
 
 
+# The BF16 ingest. A NaN keeps its sign and high 16 bits (quieted if they
+# read as inf); everything else is round_to_bf16's high half. Patterns are
+# drawn from the whole uint32 range and from the ranges that matter: NaN
+# payloads (high bits, low bits or both), infinities, the BF16 overflow
+# threshold, subnormals.
+_SPECIAL_PATTERNS = st.one_of(
+    st.integers(0x7F800001, 0x7FFFFFFF),  # NaN
+    st.integers(0x7F800001, 0x7F80FFFF),  # NaN with its payload in the low 16 bits only
+    st.integers(0, 0x1FF).map(lambda k: 0x7F800000 | k << 16),  # NaN or inf, low 16 bits zero
+    st.integers(0x7F7F0000, 0x7F7FFFFF),  # around BF16_MAX and its rounding threshold
+    st.integers(0, 0x007FFFFF),  # zero and subnormals
+)
+_PATTERNS = st.one_of(st.integers(0, 2**32 - 1),
+                      st.tuples(_SPECIAL_PATTERNS, st.booleans()).map(
+                          lambda p: p[0] | (0x80000000 if p[1] else 0)))
+
+
+@given(st.lists(_PATTERNS, min_size=1, max_size=64))
+@settings(max_examples=500)
+def test_bf16_bits_widen_to_round_to_bf16_but_for_low_nan_payloads(patterns):
+    x = np.array(patterns, np.uint32).view(np.float32)
+    wide = bf16_bits(x).astype(np.uint32) << 16
+    want = round_to_bf16(x).view(np.uint32)
+    nan = np.isnan(x)
+    assert np.array_equal(wide[~nan], want[~nan])
+    # A NaN keeps its sign and high 16 bits, and the quiet bit if they read as inf.
+    high = x.view(np.uint32)[nan] & 0xFFFF0000
+    quieted = np.where(high & 0x7FFF0000 == 0x7F800000, high | 0x00400000, high)
+    assert np.array_equal(wide[nan], quieted)
+    assert np.isnan(wide.view(np.float32)[nan]).all()
+    # Only a NaN with a payload in its low 16 bits comes out different.
+    same = ~nan | (x.view(np.uint32) & 0xFFFF == 0)
+    assert np.array_equal(wide[same], want[same])
+
+
+def test_bf16_bits_writes_into_the_buffers_it_is_given():
+    x = np.random.default_rng(1).standard_normal(3000, dtype=np.float32)
+    out, scratch = np.empty(3000, np.uint16), np.empty(3000, np.uint32)
+    assert bf16_bits(x, out, scratch) is out
+    assert np.array_equal(out, bf16_bits(x))
+    assert bf16_bits(x.reshape(30, 100)).shape == (30, 100)
+
+
 # Differential oracle: the float64 kernels that the integer kernels replaced,
 # kept verbatim as references. Every live kernel must match them bit for bit.
 
@@ -330,6 +373,15 @@ def _assert_same_bits(got, want, inputs):
                              f"got {got.reshape(-1)[i]!r}, want {want.reshape(-1)[i]!r}")
 
 
+def ref_bf16_bits(x):
+    """ref_round_to_bf16's high half; a NaN's own high half, quieted if it reads as inf."""
+    arr = np.asarray(x, dtype=np.float32)
+    high = (arr.view(np.uint32) >> 16).astype(np.uint16)
+    rounded = (np.asarray(ref_round_to_bf16(arr)).view(np.uint32) >> 16).astype(np.uint16)
+    nan = np.where(high & 0x7FFF == 0x7F80, high | np.uint16(0x0040), high)
+    return np.where(np.isnan(arr), nan, rounded)
+
+
 def _reference(fn, *args):
     with np.errstate(all="ignore"):  # the references warn on signaling NaNs and overflow
         return fn(*args)
@@ -339,6 +391,11 @@ def _reference(fn, *args):
 def test_round_to_bf16_matches_reference_bit_for_bit(dtype):
     x = oracle_inputs(dtype)
     _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
+
+
+def test_bf16_bits_matches_reference_bit_for_bit():
+    x = oracle_inputs(np.float32)
+    _assert_same_bits(bf16_bits(x), _reference(ref_bf16_bits, x), x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
@@ -382,6 +439,7 @@ def test_kernels_raise_no_warning_on_any_input():
         warnings.simplefilter("error")
         for x in inputs:
             round_to_bf16(x)
+            bf16_bits(x)
             for codec in Codec:
                 encode(x, codec)
 
@@ -413,6 +471,12 @@ BF16_GUARD_LANES = [0x7F7F7FFF, 0x7F7F8000, 0xFF7F7FFF, 0xFF7F8000, 0x7F800000, 
 def test_round_to_bf16_fixes_a_single_special_lane(lane, dtype):
     x = _plant(dtype, _from_bits(lane, np.float32))
     _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
+
+
+@pytest.mark.parametrize("lane", [*BF16_GUARD_LANES, 0x7F800001, 0xFF80FFFF], ids=hex)
+def test_bf16_bits_fixes_a_single_special_lane(lane):
+    x = _plant(np.float32, _from_bits(lane, np.float32))
+    _assert_same_bits(bf16_bits(x), _reference(ref_bf16_bits, x), x)
 
 
 _FP8_BIAS = {Codec.F8E4M3: 7, Codec.F8E5M2: 15}
@@ -448,6 +512,7 @@ def test_int8_encode_fixes_a_single_nan_lane(dtype):
 def test_kernels_take_empty_inputs(dtype, shape):
     x = np.zeros(shape, dtype=dtype)
     _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
+    _assert_same_bits(bf16_bits(x), _reference(ref_bf16_bits, x), x)
     for codec in Codec:
         codes = encode(x, codec)
         _assert_same_bits(codes, _reference(ref_encode, x, codec), x)
@@ -464,6 +529,7 @@ def test_kernels_leave_their_inputs_unchanged(codec, dtype):
     x = np.resize(x, (len(x) // CHUNK_ELEMS * CHUNK_ELEMS)).reshape(-1, 8, 128)
     kept = x.copy()
     round_to_bf16(x)
+    bf16_bits(x)
     codes = encode(x, codec)
     codes_kept = codes.copy()
     decode(codes, codec)

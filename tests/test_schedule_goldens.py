@@ -105,7 +105,7 @@ def nonfinite_inputs(rows: int, cols: int, n: int, seed: int):
     owner alone (it flushes its grid position); and +-BF16_MAX alternating
     over the devices.
     """
-    data = [t.data.copy() for t in device_inputs(rows, cols, n, seed)]
+    data = [t.values() for t in device_inputs(rows, cols, n, seed)]
     shard = data[0].size // n
     pairs = list(itertools.combinations(range(n), 2))
     step = CHUNK_ELEMS // (len(pairs) + 5)

@@ -25,6 +25,7 @@ from qarsim.collectives import CollectiveConfig, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
 from qarsim.presets import load_preset
 from qarsim.quant import GRID_BYTES
+from qarsim.schedule import ag_arcs
 from qarsim.simnet import (
     RES_LINK_CCW,
     RES_LINK_CW,
@@ -222,6 +223,35 @@ def test_quantized_reduce_scatter_meets_its_link_bound_closed_form(variant, n, c
         hops, k = (n - 1, -(-m // 2)) if variant is Variant.FULL_LOOP else (n // 2, m)
         assert tl.stage_end("rs") == pytest.approx(hops * (k * (GRID_BYTES + e) / b + lat),
                                                    rel=1e-6), (m, u)
+
+
+@pytest.mark.parametrize("latency", [0.0, 1.5e-5])
+@pytest.mark.parametrize("chunks", [1, 64])
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_quantized_all_gather_meets_its_link_bound_closed_form(variant, n, chunks, latency):
+    # With compute free, each all-gather arc of H hops and k minishards puts
+    # one frame per hop on its link: the k scale grids (one message), then
+    # k*u microshards of e bytes. A forward waits only for the message it
+    # forwards, so frames pipeline: after the first frame (F seconds) each
+    # hop adds F, or, when the wire drains faster than the chain of one
+    # message, that message's time plus L. The last message lands L later:
+    # F + (H-1)*max(F, max(grids, microshard) + L) + L. Both directions run
+    # on links of their own, so the slower arc sets the stage.
+    b = 4.5e10
+    link = LinkParams(b, latency)
+    for m, u in product(range(1, 5), (1, 2, 4)):
+        cfg = small_cfg(n, m, u, variant, rs=False, ag=True)
+        tl = simulate(cfg, small_bytes(cfg, chunks), link, ComputeParams(*[1e18] * len(_RATES)))
+        pay = chunks * 1024 / b  # one microshard: chunks of 1024 codes, 1 byte each
+        expected = 0.0
+        for arc in ag_arcs(variant, n, m)[0]:
+            k, hops = len(arc.units), len(arc.devices) - 1
+            grids = k * GRID_BYTES / b
+            frame = grids + k * u * pay
+            expected = max(expected, frame + (hops - 1) * max(frame, max(grids, pay) + latency)
+                           + latency)
+        assert tl.total_time - tl.stage_end("rs") == pytest.approx(expected, rel=1e-6), (m, u)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16])
