@@ -5,7 +5,9 @@ Per-device inputs are BF16 tensors: device d's are the BF16 roundings
 (np.random.default_rng) with seed = base_seed + d, so every reported
 number is exactly reproducible from (seed, shape, N, flavor). They are
 drawn and rounded one tile at a time, so no float32 copy of an input is
-ever made.
+ever made, and the devices are drawn on one thread per usable CPU (at
+most N, started and joined within the call). A device's bits depend on
+its own stream alone, so they are the same whatever the thread count.
 MSE against the BF16 baseline accumulates in float64 in a fixed order (see
 `mse`).
 """
@@ -16,6 +18,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -121,29 +125,63 @@ def mse(a, b) -> float:
     return total / n
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[Bf16Tensor]:
     """BF16 standard-normal tensors; device d's are the BF16 roundings of the
     float32 normals PCG64(seed + d) draws.
 
-    Each device's normals are drawn _INGEST_TILE at a time into one reused
-    float32 buffer, the same stream as one draw of them all, and each tile
-    is rounded straight into that device's bits. The devices' bits are rows
-    of one array: one large allocation, which NumPy backs with huge pages
-    where the OS allows, so writing it first costs fewer page faults.
+    The devices are dealt round-robin to k = min(num_devices, usable CPUs)
+    threads, the calling thread among them; PCG64's fill and the rounding
+    release the GIL, so the threads draw at once. Each thread draws its
+    devices' normals _INGEST_TILE at a time into its own reused float32
+    buffer, the same stream as one draw of them all, and rounds each tile
+    straight into that device's bits. A device's bits depend only on
+    PCG64(seed + d), so they are the same for every k. The devices' bits
+    are rows of one array: one large allocation, which NumPy backs with
+    huge pages where the OS allows, so writing it first costs fewer page
+    faults. Every thread is joined before the call returns, and then the
+    first error a drawing thread raised is raised here.
     """
     n = rows * cols
-    buf = np.empty(min(n, _INGEST_TILE), np.float32)
-    scratch = np.empty(buf.size, np.uint32)
     block = np.empty((num_devices, n), np.uint16)
-    out = []
-    for d, bits in enumerate(block):
-        rng = np.random.default_rng(seed + d)
-        for i in range(0, n, _INGEST_TILE):
-            c = min(_INGEST_TILE, n - i)
-            rng.standard_normal(dtype=np.float32, out=buf[:c])
-            bf16_bits(buf[:c], bits[i:i + c], scratch[:c])
-        out.append(Bf16Tensor(bits, rows, cols))
-    return out
+    k = max(1, min(num_devices, _usable_cpus()))  # one thread even for no devices
+
+    errors = []
+
+    def draw(first: int) -> None:
+        try:
+            buf = np.empty(min(n, _INGEST_TILE), np.float32)
+            scratch = np.empty(buf.size, np.uint32)
+            for d in range(first, num_devices, k):
+                bits = block[d]
+                rng = np.random.default_rng(seed + d)
+                for i in range(0, n, _INGEST_TILE):
+                    c = min(_INGEST_TILE, n - i)
+                    rng.standard_normal(dtype=np.float32, out=buf[:c])
+                    bf16_bits(buf[:c], bits[i:i + c], scratch[:c])
+        except BaseException as e:  # raised in the caller once every thread is joined
+            errors.append(e)
+
+    workers = []
+    try:
+        for first in range(1, k):
+            t = threading.Thread(target=draw, args=(first,))
+            t.start()
+            workers.append(t)
+        draw(0)
+    finally:
+        for t in workers:
+            t.join()
+    if errors:
+        raise errors[0]
+    return [Bf16Tensor(bits, rows, cols) for bits in block]
 
 
 def _fill_params(link: LinkParams | None,

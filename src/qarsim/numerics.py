@@ -37,6 +37,7 @@ largest magnitude is one.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -91,6 +92,16 @@ def _fp8_decode_table(codec: Codec) -> np.ndarray:
 
 
 _DECODE = {k: _fp8_decode_table(k) for k in _FP8_FIELDS}
+
+
+@functools.cache
+def _fp8_pair_table(codec: Codec) -> np.ndarray:
+    """65,536-entry table of float32 pairs, read as uint64: entry v holds the
+    values of the two codes whose bytes, in memory order, make uint16 v.
+    Built on a codec's first decode (512 KiB), so a process that never
+    decodes it holds none."""
+    pairs = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+    return _DECODE[codec][pairs].view(np.uint64).reshape(-1)
 
 
 # Unsigned integer type of the same width, for each float dtype a kernel runs in.
@@ -178,11 +189,22 @@ def encode(values, codec: Codec) -> np.ndarray:
 
 
 def decode(codes, codec: Codec) -> np.ndarray:
-    """Map uint8 codes back to float32 values."""
+    """Map uint8 codes back to float32 values.
+
+    FP8 codes are looked up two at a time, as uint16, in a table of float32
+    pairs, and an odd last code in the 256-entry table.
+    """
     c = np.asarray(codes, dtype=np.uint8)
     if codec is Codec.INT8:
         return c.view(np.int8).astype(np.float32)
-    return np.take(_DECODE[codec], c, mode="wrap")  # every uint8 code is in range
+    flat = np.ascontiguousarray(c).reshape(-1)
+    out = np.empty(flat.size, np.float32)
+    even = flat.size & ~1
+    np.take(_fp8_pair_table(codec), flat[:even].view(np.uint16), out=out[:even].view(np.uint64),
+            mode="wrap")  # every uint16 is in range
+    if even < flat.size:
+        out[-1] = _DECODE[codec][flat[-1]]
+    return out.reshape(c.shape) if c.ndim else out[0]
 
 
 def _rne_carry(bits: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -2,7 +2,12 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +139,7 @@ def test_device_inputs_prng_contract():
         assert isinstance(t, Bf16Tensor) and (t.rows, t.cols) == (8, 128)
         assert np.array_equal(t.bits, bf16_bits(want))
         assert t.values().tobytes() == round_to_bf16(want).tobytes()
+    assert device_inputs(8, 128, 0, seed=42) == []
 
 
 def test_device_inputs_draw_in_tiles_the_stream_of_one_draw():
@@ -145,11 +151,72 @@ def test_device_inputs_draw_in_tiles_the_stream_of_one_draw():
         assert np.array_equal(t.bits, bf16_bits(want))
 
 
-def test_device_inputs_traced_peak_is_its_result_plus_one_tile():
-    # The uint16 results plus one tile of float32 normals and one of uint32
-    # scratch, and 64 KiB for the generators and the list: no float32 copy
-    # of an input. A warm-up call first, so numpy.random's import is not traced.
+def _drawn_on(monkeypatch, k: int, fail_on=None) -> list[threading.Thread]:
+    """Give device_inputs k usable CPUs, and round each tile through a
+    bf16_bits that raises on the threads `fail_on` picks. Returns the list
+    that collects each rounding thread (objects, since ids are reused)."""
+    threads = []
+
+    def recording_bf16_bits(*args):
+        threads.append(threading.current_thread())
+        if fail_on is not None and fail_on(threads[-1]):
+            raise FloatingPointError("planted")
+        return bf16_bits(*args)
+
+    monkeypatch.setattr(qarsim.analysis, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(qarsim.analysis, "bf16_bits", recording_bf16_bits)
+    return threads
+
+
+@pytest.mark.parametrize("n_dev", [1, 2, 5, 8])
+def test_device_inputs_bits_do_not_depend_on_the_thread_count(monkeypatch, n_dev):
+    # A tile and a bit per device, so each ends on a partial tile; k from one
+    # thread to one more than there are devices.
+    n = qarsim.analysis._INGEST_TILE + 1003
+    want = [bf16_bits(np.random.default_rng(5 + d).standard_normal(n, dtype=np.float32)).tobytes()
+            for d in range(n_dev)]
+    for k in sorted({1, 2, 3, n_dev, n_dev + 1}):
+        threads = _drawn_on(monkeypatch, k)
+        got = device_inputs(1, n, n_dev, seed=5)
+        assert [t.bits.tobytes() for t in got] == want, k
+        assert len(set(threads)) == min(k, n_dev)
+        assert threading.current_thread() in threads
+
+
+@pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "worker"])
+def test_device_inputs_raises_a_drawing_threads_error_and_joins_the_rest(monkeypatch, on_caller):
+    # Three threads for five devices: the caller draws devices 0 and 3, and
+    # the workers the rest. Every thread is joined before the error reaches
+    # the caller.
+    caller = threading.current_thread()
+    _drawn_on(monkeypatch, 3, fail_on=lambda t: (t is caller) == on_caller)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="planted"):
+        device_inputs(2, 1024, 5, seed=0)
+    assert threading.active_count() == before
+
+
+def test_importing_qarsim_starts_no_thread_and_no_executor():
+    # Drawing threads start per call; an import-time pool, or the import of
+    # concurrent.futures, would cost every workload's set-up.
+    code = ("import sys, threading\n"
+            "import qarsim\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+    src = str(Path(qarsim.analysis.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_device_inputs_traced_peak_is_its_result_plus_one_tile_per_thread(monkeypatch, k):
+    # The uint16 results plus, per drawing thread, one tile of float32
+    # normals, one of uint32 scratch and 64 KiB for its generator and the
+    # 32 KiB cast buffer of bf16_bits' uint32-to-uint16 shift (the threads
+    # can hold theirs at once): no float32 copy of an input. A warm-up call
+    # first, so numpy.random's import is not traced.
     rows, cols, n = 256, 1024, 4
+    monkeypatch.setattr(qarsim.analysis, "_usable_cpus", lambda: k)
     device_inputs(8, 128, 1, seed=0)
     tracemalloc.start()
     try:
@@ -159,7 +226,7 @@ def test_device_inputs_traced_peak_is_its_result_plus_one_tile():
         tracemalloc.stop()
     result = sum(t.bits.nbytes for t in inputs)
     assert result == n * rows * cols * 2
-    assert peak < result + qarsim.analysis._INGEST_TILE * (4 + 4) + 64 * 1024
+    assert peak < result + k * (qarsim.analysis._INGEST_TILE * (4 + 4) + 64 * 1024)
 
 
 def test_auto_minishards_targets_64_chunk_blocks():

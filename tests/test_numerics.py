@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qarsim import numerics
 from qarsim.layout import CHUNK_ELEMS
 from qarsim.numerics import BF16_MAX, Codec, bf16_bits, decode, encode, round_to_bf16
 from qarsim.quant import dequantize_shard, quantize_shard
@@ -68,6 +69,26 @@ def test_fp8_round_trip_all_codes(codec):
     back = encode(vals[finite_or_inf], codec)
     # bit-for-bit, including the sign of -0.0
     assert np.array_equal(back, codes[finite_or_inf])
+
+
+@pytest.mark.parametrize("codec", [Codec.F8E4M3, Codec.F8E5M2])
+def test_fp8_decode_of_every_code_pair_is_each_codes_value(codec):
+    # decode looks codes up two at a time; every pair, NaN payloads
+    # included, must give the 256-entry table's bits for each code, and so
+    # must odd lengths, a misaligned start, 0-d and non-contiguous codes.
+    table = numerics._DECODE[codec]
+    codes = np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
+    cases = [codes, codes[1:], codes[:1], codes[:3], codes[1:258],
+             codes[:3 * 257].reshape(3, 257), codes[:3 * 257].reshape(3, 257)[:, 5],
+             codes[::3], codes[:0]]
+    for c in cases:
+        got = decode(c, codec)
+        assert (got.dtype, got.shape) == (np.dtype(np.float32), c.shape)
+        assert got.tobytes() == table[c].tobytes()
+    for code in (0x00, 0x01, 0x7F, 0xFF):
+        got = decode(np.uint8(code), codec)
+        assert type(got) is np.float32
+        assert got.tobytes() == table[code].tobytes()
 
 
 @pytest.mark.parametrize("codec", [Codec.F8E4M3, Codec.F8E5M2])
