@@ -89,14 +89,12 @@ def mse(a, b) -> float:
     exactly. No step depends on the build's SIMD paths, so the result is
     the same on every NumPy build.
 
-    Each input is a TensorBuf, a Bf16Tensor (widened to float32, a copy)
-    or an array. A NaN difference (a NaN input, or the same infinity in
-    both) gives NaN; otherwise an infinite difference, or a square or sum
-    past the float64 range, gives inf. No NumPy warning is raised. Empty
-    inputs raise ValueError.
+    Each input is a TensorBuf or an array. A NaN difference (a NaN input,
+    or the same infinity in both) gives NaN; otherwise an infinite
+    difference, or a square or sum past the float64 range, gives inf. No
+    NumPy warning is raised. Empty inputs raise ValueError.
     """
-    da, db = (x.data if isinstance(x, TensorBuf) else
-              x.values() if isinstance(x, Bf16Tensor) else np.asarray(x) for x in (a, b))
+    da, db = (x.data if isinstance(x, TensorBuf) else np.asarray(x) for x in (a, b))
     if da.shape != db.shape:
         raise ShapeMismatchError(f"shapes {da.shape} and {db.shape} differ")
     n = da.size

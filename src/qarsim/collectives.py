@@ -31,15 +31,13 @@ every minishard count the unquantized rings can take. Each shard's result
 is written into one preallocated buffer; in the semi loop the CCW arc's
 owner merge reads the CW result from there.
 
-Inputs are BF16 (`layout.Bf16Tensor`); the ring widens each tile. A
-float32 `TensorBuf` input is rounded to BF16 once, on entry, by
-`numerics.bf16_bits`. Each device's part of a tile is widened to float32
-where the arc reads it, into a fresh array, so a hop adds into it in place
-and no input is ever written or rounded again. The all-gather quantizes
-each shard once at its source (or forwards it raw), one minishard at a
-time, and every device, the source included, decodes the same codes, so
-outputs are bit-identical across devices. Final outputs are BF16-rounded
-float32 `TensorBuf`s.
+Inputs are BF16 (`layout.Bf16Tensor`), made by `numerics.bf16_bits`. Each
+device's part of a tile is widened to float32 where the arc reads it, into
+a fresh array, so a hop adds into it in place and no input is ever written
+or rounded again. The all-gather quantizes each shard once at its source
+(or forwards it raw), one minishard at a time, and every device, the
+source included, decodes the same codes, so outputs are bit-identical
+across devices. Final outputs are BF16-rounded float32 `TensorBuf`s.
 
 `reduce_scatter` is the first stage on its own. Its result depends only on
 the variant, `quantize_rs` and the codec, so collectives that agree on
@@ -61,9 +59,10 @@ from .layout import (
     Bf16Tensor,
     MissingShardError,
     PartitionSpec,
+    ShapeMismatchError,
     TensorBuf,
 )
-from .numerics import Codec, bf16_bits, decode, encode, round_to_bf16
+from .numerics import Codec, decode, encode, round_to_bf16
 from .quant import dequantize_shard, quantize_shard
 from .schedule import Variant
 
@@ -87,22 +86,23 @@ class CollectiveConfig:
             )
 
 
-Inputs = Sequence[Bf16Tensor | TensorBuf]
+Inputs = Sequence[Bf16Tensor]
 
 
-def _check(inputs: Inputs, spec: PartitionSpec) -> list[Bf16Tensor]:
-    """Reject inputs that do not cover every device with one layout-legal shape;
-    return them as BF16, each float32 `TensorBuf` rounded once."""
+def _check(inputs: Inputs, spec: PartitionSpec) -> None:
+    """Reject inputs that are not one layout-legal BF16 tensor per device, all one shape."""
     n = spec.num_devices
     if len(inputs) != n:
         raise ValueError(f"expected {n} device inputs, got {len(inputs)}")
+    for d, t in enumerate(inputs):
+        if not isinstance(t, Bf16Tensor):
+            raise TypeError(f"device {d} input is a {type(t).__name__}, not a Bf16Tensor")
     rows, cols = inputs[0].rows, inputs[0].cols
     spec.validate_element_count(rows * cols)
     for d, t in enumerate(inputs):
         if (t.rows, t.cols) != (rows, cols):
-            raise ValueError(f"device {d} input shape {(t.rows, t.cols)} != {(rows, cols)}")
-    return [t if isinstance(t, Bf16Tensor) else Bf16Tensor(bf16_bits(t.data), rows, cols)
-            for t in inputs]
+            raise ShapeMismatchError(
+                f"device {d} input shape {(t.rows, t.cols)} != {(rows, cols)}")
 
 
 class _QuantHop:
@@ -236,7 +236,7 @@ def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> list[np.ndarray]:
     so collectives that agree on those can share it through `reduced=`.
     """
     spec = cfg.spec
-    inputs = _check(inputs, spec)
+    _check(inputs, spec)
     m = spec.minishards_per_shard
     if cfg.quantize_rs:
         kind = _QuantHop(cfg.codec, inputs[0].bits.size // (spec.num_devices * m))
@@ -273,7 +273,7 @@ def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec,
 
 def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec):
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
-    inputs = _check(inputs, spec)
+    _check(inputs, spec)
     with np.errstate(invalid="ignore", over="ignore"):  # as in reduce_scatter
         rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec), spec.minishards_per_shard)
         return all_gather(rs, False, codec, spec, inputs[0].rows, inputs[0].cols)

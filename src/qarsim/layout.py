@@ -7,9 +7,9 @@ minishard, so one scale covers position (i, j) of every chunk in it) and
 each minishard into u microshards (the pipelining granularity). Shapes
 that do not divide evenly are rejected, never padded.
 
-A device's input to a collective is BF16 (`Bf16Tensor`), as in the
-paper's BF16 AllReduce; outputs are float32 `TensorBuf`s holding BF16
-values.
+A device's input to a collective is BF16 (`Bf16Tensor`, made by
+`numerics.bf16_bits`), as in the paper's BF16 AllReduce; a collective's
+output is a float32 `TensorBuf` holding BF16 values.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class TensorBuf:
-    """Flat float32 buffer with a nominal (rows, cols) shape."""
+    """A collective's output: flat float32 holding BF16 values, nominal shape (rows, cols)."""
 
     data: np.ndarray
     rows: int

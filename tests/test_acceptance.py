@@ -19,8 +19,8 @@ from qarsim.collectives import (
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
 )
-from qarsim.layout import CHUNK_ELEMS, PartitionSpec, TensorBuf
-from qarsim.numerics import Codec, decode, encode
+from qarsim.layout import CHUNK_ELEMS, Bf16Tensor, PartitionSpec
+from qarsim.numerics import Codec, bf16_bits, decode, encode
 from qarsim.presets import load_preset
 from qarsim.quant import dequantize_shard, quantize_shard, absmax_grid, scales_from_absmax
 from qarsim.simnet import ComputeParams, LinkParams, idle_time, lower_bound, simulate, simulate_ideal_2to1, simulate_naive
@@ -43,9 +43,9 @@ def test_criterion_1_unquantized_variants_bit_exact():
     for n in (2, 4, 8):
         elems = n * 4 * CHUNK_ELEMS
         rng = np.random.default_rng(100 + n)
-        inputs = [TensorBuf(rng.integers(-16, 16, elems).astype(np.float32), 1, elems)
-                  for _ in range(n)]
-        exact = np.sum([t.data for t in inputs], axis=0, dtype=np.float32)
+        ints = (rng.integers(-16, 16, elems).astype(np.float32) for _ in range(n))
+        inputs = [Bf16Tensor(bf16_bits(x), 1, elems) for x in ints]
+        exact = np.sum([t.values() for t in inputs], axis=0, dtype=np.float32)
         spec = PartitionSpec(n, 2, 2)
         for variant in (Variant.FULL_LOOP, Variant.SEMI_LOOP):
             outs = all_reduce(inputs, CollectiveConfig(variant, spec))

@@ -79,12 +79,6 @@ def test_mse_of_2d_tensor_bufs_matches_the_lane_order_reference():
     assert mse(a, b) == mse(a.data.reshape(rows, cols), b.data.reshape(rows, cols))
 
 
-def test_mse_reads_bf16_inputs_as_their_float32_values():
-    a, b = device_inputs(24, 1024, 2, seed=8)
-    assert mse(a, b) == mse(a.values(), b.values())
-    assert mse(a, TensorBuf(b.values(), 24, 1024)) == mse(a.values(), b.values())
-
-
 def test_mse_non_finite_and_empty_semantics():
     # README "Non-finite values": no NumPy warning escapes (Tier-1 makes
     # RuntimeWarning an error).

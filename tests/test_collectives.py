@@ -16,20 +16,22 @@ from qarsim.collectives import (
     naive_lowp_allreduce,
     reduce_scatter,
 )
-from qarsim.layout import CHUNK_ELEMS, MissingShardError, PartitionSpec, TensorBuf
-from qarsim.numerics import BF16_MAX, Codec
+from qarsim.layout import (
+    CHUNK_ELEMS,
+    Bf16Tensor,
+    MissingShardError,
+    PartitionSpec,
+    ShapeMismatchError,
+    TensorBuf,
+)
+from qarsim.numerics import BF16_MAX, Codec, bf16_bits
 from qarsim.quant import absmax_grid, scales_from_absmax
-
-
-def float_inputs(rows, cols, n, seed):
-    """`device_inputs` as float32 TensorBufs, writable, so a test can plant values."""
-    return [TensorBuf(t.values(), rows, cols) for t in device_inputs(rows, cols, n, seed)]
 
 
 def int_inputs(n, elems, seed=0, lo=-16, hi=16):
     rng = np.random.default_rng(seed)
     return [
-        TensorBuf(rng.integers(lo, hi, elems).astype(np.float32), 1, elems)
+        Bf16Tensor(bf16_bits(rng.integers(lo, hi, elems).astype(np.float32)), 1, elems)
         for _ in range(n)
     ]
 
@@ -40,7 +42,7 @@ def test_unquantized_integer_inputs_bit_exact(n, variant):
     elems = n * 4 * CHUNK_ELEMS
     spec = PartitionSpec(n, 2, 2)
     inputs = int_inputs(n, elems, seed=n)
-    exact = np.sum([t.data for t in inputs], axis=0, dtype=np.float32)
+    exact = np.sum([t.values() for t in inputs], axis=0, dtype=np.float32)
     outs = all_reduce(inputs, CollectiveConfig(variant, spec))
     assert len(outs) == n
     for o in outs:
@@ -66,16 +68,32 @@ COLLECTIVES = {
 
 @pytest.mark.parametrize("name", list(COLLECTIVES))
 def test_inputs_are_left_unchanged(name):
-    # the ring widens BF16 inputs where it reads them and rounds a float32
-    # input into a copy, so it must never write either
+    # the ring widens BF16 inputs into fresh arrays where it reads them, so
+    # it must never write them
     spec = PartitionSpec(4, 2, 1)
-    bf16 = device_inputs(64, 256, 4, seed=9)
-    rng = np.random.default_rng(9)
-    f32 = [TensorBuf(rng.standard_normal(64 * 256, dtype=np.float32), 64, 256) for _ in range(4)]
-    for inputs, buf in ((bf16, "bits"), (f32, "data")):
-        before = [getattr(t, buf).tobytes() for t in inputs]
-        COLLECTIVES[name](inputs, spec)
-        assert [getattr(t, buf).tobytes() for t in inputs] == before
+    inputs = device_inputs(64, 256, 4, seed=9)
+    before = [t.bits.tobytes() for t in inputs]
+    COLLECTIVES[name](inputs, spec)
+    assert [t.bits.tobytes() for t in inputs] == before
+
+
+@pytest.mark.parametrize("run", [
+    lambda inputs, spec: reduce_scatter(inputs, CollectiveConfig(Variant.FULL_LOOP, spec)),
+    lambda inputs, spec: all_reduce(inputs, CollectiveConfig(Variant.SEMI_LOOP, spec)),
+    baseline_allreduce_bf16,
+    lambda inputs, spec: naive_lowp_allreduce(inputs, Codec.F8E5M2, spec),
+], ids=["reduce_scatter", "all_reduce", "baseline_allreduce_bf16", "naive_lowp_allreduce"])
+def test_collectives_reject_bad_inputs(run):
+    spec = PartitionSpec(4, 1, 1)
+    inputs = device_inputs(8, 512, 4, seed=1)
+    with pytest.raises(ValueError, match="expected 4 device inputs, got 3"):
+        run(inputs[:3], spec)
+    other = device_inputs(16, 256, 1, seed=1)[0]
+    with pytest.raises(ShapeMismatchError, match=r"device 2 input shape \(16, 256\)"):
+        run(inputs[:2] + [other] + inputs[3:], spec)
+    f32 = TensorBuf(inputs[1].values(), 8, 512)
+    with pytest.raises(TypeError, match="device 1 input is a TensorBuf, not a Bf16Tensor"):
+        run(inputs[:1] + [f32] + inputs[2:], spec)
 
 
 @pytest.mark.parametrize("name", list(COLLECTIVES))
@@ -104,9 +122,9 @@ UNQUANTIZED = [name for name in COLLECTIVES if name not in QUANTIZED]
 
 def _planted(values: dict[int, float]) -> dict[str, np.ndarray]:
     """Every collective's output with values[d] planted at P on device d (N=4, m=1)."""
-    inputs = float_inputs(32, 256, 4, seed=0)
+    inputs = device_inputs(32, 256, 4, seed=0)
     for d, v in values.items():
-        inputs[d].data[P] = v
+        inputs[d].bits[P] = bf16_bits(v)
     return {name: run(inputs, PartitionSpec(4, 1, 1))[0].data for name, run in COLLECTIVES.items()}
 
 
@@ -165,8 +183,8 @@ RING_CASES = [CollectiveConfig(v, PartitionSpec(4, 2, 1), quantize_rs=q_rs, quan
 @pytest.mark.parametrize("cfg", RING_CASES, ids=lambda c: f"{c.variant.value}-rs={c.quantize_rs}"
                          f"-ag={c.quantize_ag}-{c.codec.value}")
 def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
-    inputs = float_inputs(64, 256, 4, seed=17)
-    inputs[2].data[[7, 4000]] = [np.nan, np.inf]
+    inputs = device_inputs(64, 256, 4, seed=17)
+    inputs[2].bits[[7, 4000]] = bf16_bits([np.nan, np.inf])
     whole = all_reduce(inputs, cfg)[0].data
     assert all_reduce(inputs, cfg, reduce_scatter(inputs, cfg))[0].data.tobytes() == whole.tobytes()
     if not (cfg.quantize_rs or cfg.quantize_ag) and cfg.variant is Variant.FULL_LOOP:
@@ -189,10 +207,10 @@ def test_unquantized_rings_do_not_depend_on_the_minishard_tiles(name, monkeypatc
         return out
 
     monkeypatch.setattr(np, "empty", poisoned)
-    inputs = float_inputs(384, 128, 4, seed=23)
+    inputs = device_inputs(384, 128, 4, seed=23)
     for d, bits in enumerate((0x7FC10000, 0xFFC20000)):  # NaNs with distinct payloads
-        inputs[d].data[[d, 9000 + d]] = np.array(bits, np.uint32).view(np.float32)
-    inputs[3].data[20000] = np.inf
+        inputs[d].bits[[d, 9000 + d]] = bf16_bits(np.array(bits, np.uint32).view(np.float32))
+    inputs[3].bits[20000] = bf16_bits(np.inf)
     run = COLLECTIVES[name]
     want = run(inputs, PartitionSpec(4, 1, 1))[0].data.tobytes()
     for m in (2, 3, 4, 6, 12):
@@ -204,7 +222,7 @@ def test_bf16_rounds_after_every_addition():
     spec = PartitionSpec(2, 1, 1)
     x0 = np.full(2 * CHUNK_ELEMS, 1.0, dtype=np.float32)
     x1 = np.full(2 * CHUNK_ELEMS, 2.0**-9, dtype=np.float32)
-    inputs = [TensorBuf(x0, 2, CHUNK_ELEMS), TensorBuf(x1, 2, CHUNK_ELEMS)]
+    inputs = [Bf16Tensor(bf16_bits(x), 2, CHUNK_ELEMS) for x in (x0, x1)]
     out = baseline_allreduce_bf16(inputs, spec)[0]
     assert np.all(out.data == 1.0)
     fp32 = np.float32(1.0) + np.float32(2.0**-9)
@@ -215,10 +233,10 @@ def test_semi_loop_n2_equals_full_loop_n2():
     # At N=2 both variants add the same pairs, and both owner merges put the
     # arriving partial first, so even the surviving NaN payloads agree.
     spec = PartitionSpec(2, 2, 1)
-    inputs = float_inputs(64, 64, 2, seed=5)
-    nans = np.arange(3, inputs[0].data.size, 97)
+    inputs = device_inputs(64, 64, 2, seed=5)
+    nans = np.arange(3, inputs[0].bits.size, 97)
     for d, bits in enumerate((0x7FC10000, 0xFFC20000)):  # NaNs with distinct payloads
-        inputs[d].data[nans] = np.array(bits, np.uint32).view(np.float32)
+        inputs[d].bits[nans] = bf16_bits(np.array(bits, np.uint32).view(np.float32))
     for rs in (False, True):
         for ag in (False, True):
             full, semi = (all_reduce(inputs, CollectiveConfig(v, spec, quantize_rs=rs,
@@ -256,7 +274,8 @@ def test_power_of_two_scaling_homogeneity():
     # the quantized result scales by exactly 2
     spec = PartitionSpec(4, 2, 2)
     inputs = device_inputs(128, 128, 4, seed=7)
-    doubled = [TensorBuf(t.values() * np.float32(2.0), t.rows, t.cols) for t in inputs]
+    doubled = [Bf16Tensor(bf16_bits(t.values() * np.float32(2.0)), t.rows, t.cols)
+               for t in inputs]
     cfg = CollectiveConfig(Variant.FULL_LOOP, spec, quantize_rs=True, quantize_ag=True)
     out1 = all_reduce(inputs, cfg)[0]
     out2 = all_reduce(doubled, cfg)[0]
@@ -266,7 +285,8 @@ def test_power_of_two_scaling_homogeneity():
 def test_naive_int8_saturates_on_large_uniform_input():
     spec = PartitionSpec(4, 1, 1)
     elems = 4 * CHUNK_ELEMS
-    inputs = [TensorBuf(np.full(elems, 100.0, dtype=np.float32), 1, elems) for _ in range(4)]
+    inputs = [Bf16Tensor(bf16_bits(np.full(elems, 100.0, dtype=np.float32)), 1, elems)
+              for _ in range(4)]
     outs = naive_lowp_allreduce(inputs, Codec.INT8, spec)
     # true sum is 400 but the cast-to-int8 ring can never exceed the top code
     for o in outs:
@@ -276,11 +296,13 @@ def test_naive_int8_saturates_on_large_uniform_input():
 def test_naive_exact_when_sums_stay_on_codec_grid():
     spec = PartitionSpec(4, 1, 1)
     elems = 4 * CHUNK_ELEMS
-    inputs = [TensorBuf(np.full(elems, 2.0, dtype=np.float32), 1, elems) for _ in range(4)]
+    inputs = [Bf16Tensor(bf16_bits(np.full(elems, 2.0, dtype=np.float32)), 1, elems)
+              for _ in range(4)]
     outs = naive_lowp_allreduce(inputs, Codec.F8E5M2, spec)
     for o in outs:
         assert np.all(o.data == 8.0)
-    zero_in = [TensorBuf(np.zeros(elems, dtype=np.float32), 1, elems) for _ in range(4)]
+    zero_in = [Bf16Tensor(bf16_bits(np.zeros(elems, dtype=np.float32)), 1, elems)
+               for _ in range(4)]
     outs = naive_lowp_allreduce(zero_in, Codec.INT8, spec)
     for o in outs:
         assert np.all(o.data == 0.0)

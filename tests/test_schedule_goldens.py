@@ -43,8 +43,8 @@ from qarsim.collectives import (
     baseline_allreduce_bf16,
     naive_lowp_allreduce,
 )
-from qarsim.layout import CHUNK_ELEMS, PartitionSpec, TensorBuf
-from qarsim.numerics import BF16_MAX, Codec
+from qarsim.layout import CHUNK_ELEMS, Bf16Tensor, PartitionSpec
+from qarsim.numerics import BF16_MAX, Codec, bf16_bits
 from qarsim.simnet import (
     ComputeParams,
     LinkParams,
@@ -127,7 +127,7 @@ def nonfinite_inputs(rows: int, cols: int, n: int, seed: int):
         p = next(pos)
         for d in range(n):
             data[d][p] = big if d % 2 else -big
-    return [TensorBuf(x, rows, cols) for x in data]
+    return [Bf16Tensor(bf16_bits(x), rows, cols) for x in data]
 
 
 def large_sim_digest(case: str) -> str:
