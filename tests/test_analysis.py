@@ -298,6 +298,24 @@ def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
     assert digests == STUDY_DIGESTS
 
 
+# repr of each MSE tradeoff_study(512, 1024, 8) reports, recorded while the
+# study still built every flavor's output whole.
+STUDY_MSES = {
+    "baseline": "0.0",
+    "naive": "0.13138079609619704",
+    "full_rs": "0.0011102130167459595",
+    "full_ag": "0.00031101632723776196",
+    "full_both": "0.0013929337081459991",
+    "semi_rs": "0.0006915006823167689",
+    "semi_ag": "0.00048587664364377336",
+    "semi_both": "0.0009718464286048445",
+}
+
+
+def test_tradeoff_study_mses_are_pinned():
+    assert {r.flavor: repr(r.mse) for r in tradeoff_study(512, 1024, 8)} == STUDY_MSES
+
+
 def test_tradeoff_study_mses_are_the_exact_mean_to_an_ulp(monkeypatch):
     # Each MSE the study reports is math.fsum of the float64 squares over n,
     # or within one ulp of it.
