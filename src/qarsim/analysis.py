@@ -21,14 +21,18 @@ import math
 import os
 import threading
 from dataclasses import asdict, astuple, dataclass
+from itertools import starmap
 
 import numpy as np
 
-from .collectives import (
+# all_reduce and baseline_allreduce_bf16 are not called here, but stay bound
+# in this module: perfbench/harness.py binds its output checks to them here.
+from .collectives import (  # noqa: F401
     CollectiveConfig,
     Variant,
     all_reduce,
     baseline_allreduce_bf16,
+    gather_blocks,
     naive_lowp_allreduce,
     reduce_scatter,
 )
@@ -82,39 +86,56 @@ def stages_tag(quantize_rs: bool, quantize_ag: bool) -> str:
 def mse(a, b) -> float:
     """Mean squared elementwise difference, summed in float64 in a fixed order.
 
-    The inputs stream through one float64 buffer of _MSE_BUF_ELEMS, so
-    the memory does not grow with their size. Element k's square
+    Each input is a TensorBuf or an array; this is `blockwise_mse` of the
+    one pair (a, b).
+    """
+    return blockwise_mse([tuple(x.data if isinstance(x, TensorBuf) else np.asarray(x)
+                                for x in (a, b))])
+
+
+def blockwise_mse(pairs) -> float:
+    """`mse` of two arrays given as consecutive block pairs (a_k, b_k), in order.
+
+    The blocks stream through one float64 buffer of _MSE_BUF_ELEMS, so the
+    memory does not grow with their size. Element k's square
     (a[k] - b[k])**2, computed in float64, goes to lane k % _MSE_LANES; each
     lane adds its squares in index order, and `math.fsum` adds the lanes
-    exactly. No step depends on the build's SIMD paths, so the result is
-    the same on every NumPy build.
+    exactly. Every block but the last holds a whole number of _MSE_LANES
+    elements, so the lanes and their order, and with them the result, do not
+    depend on where the blocks split. No step depends on the build's SIMD
+    paths, so the result is the same on every NumPy build.
 
-    Each input is a TensorBuf or an array. A NaN difference (a NaN input,
-    or the same infinity in both) gives NaN; otherwise an infinite
-    difference, or a square or sum past the float64 range, gives inf. No
-    NumPy warning is raised. Empty inputs raise ValueError.
+    A NaN difference (a NaN input, or the same infinity in both) gives NaN;
+    otherwise an infinite difference, or a square or sum past the float64
+    range, gives inf. No NumPy warning is raised. Empty inputs raise
+    ValueError.
     """
-    da, db = (x.data if isinstance(x, TensorBuf) else np.asarray(x) for x in (a, b))
-    if da.shape != db.shape:
-        raise ShapeMismatchError(f"shapes {da.shape} and {db.shape} differ")
-    n = da.size
-    if n == 0:
-        raise ValueError("mse of empty inputs")
-    da, db = da.reshape(-1), db.reshape(-1)
     # Row 0 carries the lane sums; each pass fills rows 1.. with the next
     # squares and adds the rows down each lane, row 0 first.
     buf = np.empty((_MSE_BUF_ELEMS // _MSE_LANES, _MSE_LANES))
     buf[0] = 0.0
     flat = buf[1:].reshape(-1)
+    n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n, flat.size):
-            c = min(flat.size, n - i)
-            np.subtract(da[i:i + c], db[i:i + c], out=flat[:c], dtype=np.float64)
-            rows = -(-c // _MSE_LANES)
-            flat[c:rows * _MSE_LANES] = 0.0
-            sq = flat[:rows * _MSE_LANES]
-            sq *= sq
-            buf[0] = np.add.reduce(buf[:rows + 1], axis=0)
+        for a, b in pairs:
+            if a.shape != b.shape:
+                raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} differ")
+            if n % _MSE_LANES:
+                raise ValueError(f"a block of {n % _MSE_LANES} elements past a whole lane row "
+                                 f"is not the last")
+            a, b = a.reshape(-1), b.reshape(-1)
+            for i in range(0, a.size, flat.size):
+                c = min(flat.size, a.size - i)
+                np.subtract(a[i:i + c], b[i:i + c], out=flat[:c], dtype=np.float64)
+                rows = -(-c // _MSE_LANES)
+                flat[c:rows * _MSE_LANES] = 0.0
+                sq = flat[:rows * _MSE_LANES]
+                sq *= sq
+                buf[0] = np.add.reduce(buf[:rows + 1], axis=0)
+            n += a.size
+            del a, b  # dropped before the next pair is made
+    if n == 0:
+        raise ValueError("mse of empty inputs")
     lanes = buf[0].tolist()
     try:
         total = math.fsum(lanes)
@@ -218,6 +239,14 @@ class FlavorResult:
         return dict(zip(CSV_COLUMNS, astuple(self)))
 
 
+def _bf16_tensor(blocks, rows: int, cols: int) -> Bf16Tensor:
+    """The BF16 bits of gathered (part, values) blocks, each written where it goes."""
+    bits = np.empty(rows * cols, np.uint16)
+    for part, block in blocks:
+        bf16_bits(block, bits[part])
+    return Bf16Tensor(bits, rows, cols)
+
+
 def tradeoff_study(
     rows: int,
     cols: int,
@@ -235,11 +264,15 @@ def tradeoff_study(
     the baseline and full_ag share the BF16 full loop, full_rs and full_both
     the quantized full loop, semi_rs and semi_both the quantized semi loop.
     The work runs group by group, and each shared result is dropped after
-    its last flavor's collective, before that flavor's MSE, so at most one
-    is live; each flavor's output is dropped right after its MSE. Beyond the
-    inputs, the study holds at most three tensors at once (the baseline's
-    output, one shared reduce-scatter and one flavor's output) plus the
-    MSE's fixed buffer. Rows come out in FLAVORS order.
+    its group. The baseline's all-gather is kept as BF16 bits (a
+    `Bf16Tensor`); every other flavor's all-gather streams one minishard at
+    a time (`gather_blocks`) into `blockwise_mse` against it, so no flavor
+    output is built. The naive ring runs last, through
+    `naive_lowp_allreduce`, whose all-gather overwrites its own
+    reduce-scatter, and its output streams the same way. Beyond the inputs,
+    the study holds at most one reduce-scatter (or the naive output), the
+    baseline's bits (half a float32 tensor) and the MSE's fixed buffer.
+    Rows come out in FLAVORS order.
     """
     link, compute = _fill_params(link, compute)
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
@@ -256,6 +289,9 @@ def tradeoff_study(
             m, microshards, seed, err, t_base / t_flavor,
         )
 
+    def error(blocks) -> float:
+        return blockwise_mse(starmap(lambda part, block: (baseline.values(part), block), blocks))
+
     out = {"baseline": result("baseline", Variant.FULL_LOOP, "none", "bf16", 0.0, t_base)}
     cfgs = {flavor: CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
             for flavor, (variant, q_rs, q_ag) in _FLAVOR_DEFS.items()}
@@ -269,19 +305,18 @@ def tradeoff_study(
                                                           codec=codec))
         for flavor in flavors:
             if flavor == "baseline":
-                base_out = baseline_allreduce_bf16(inputs, spec, reduced=reduced)[0]
+                baseline = _bf16_tensor(gather_blocks(reduced, False, codec, spec), rows, cols)
                 continue
             cfg = cfgs[flavor]
-            flavor_out = all_reduce(inputs, cfg, reduced=reduced)[0]
-            if flavor == flavors[-1]:
-                reduced = None  # freed before the MSE
-            err = mse(base_out, flavor_out)
-            del flavor_out  # freed before the next collective
+            err = error(gather_blocks(reduced, cfg.quantize_ag, codec, spec))
             t_flavor = simulate(cfg, tensor_bytes, link, compute).total_time
             out[flavor] = result(flavor, variant, stages_tag(q_rs, cfg.quantize_ag), codec.value,
                                  err, t_flavor)
+        del reduced  # freed before the next reduce-scatter
 
-    err = mse(base_out, naive_lowp_allreduce(inputs, Codec.F8E5M2, spec)[0])
+    naive = naive_lowp_allreduce(inputs, Codec.F8E5M2, spec)[0].data
+    parts = (slice(i, i + _MSE_BUF_ELEMS) for i in range(0, naive.size, _MSE_BUF_ELEMS))
+    err = error((part, naive[part]) for part in parts)
     t_naive = simulate_naive(spec, tensor_bytes, link, compute).total_time
     out["naive"] = result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value, err, t_naive)
     return [out[flavor] for flavor in FLAVORS]

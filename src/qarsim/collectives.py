@@ -48,7 +48,7 @@ those can share it: `all_reduce` and `baseline_allreduce_bf16` take it as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .layout import (
     ShapeMismatchError,
     TensorBuf,
 )
-from .numerics import Codec, decode, encode, round_to_bf16
+from .numerics import Codec, cast_add_table, decode, encode, round_to_bf16
 from .quant import dequantize_shard, quantize_shard
 from .schedule import Variant
 
@@ -144,31 +144,36 @@ class _Bf16Hop:
 
 
 class _CastHop:
-    """Unscaled codes: each hop decodes, adds in FP32 and re-encodes (saturating)."""
+    """Unscaled codes: each hop decodes, adds in FP32 and re-encodes (saturating).
+
+    The re-encoded sum depends only on the wire code and the local value's
+    code, so a hop encodes its local part and looks the sum up in
+    `numerics.cast_add_table`, with the wire operand first as in
+    `decode(wire) + decode(encode(local))`.
+    """
 
     unit = 1
 
     def __init__(self, codec: Codec):
-        self.codec = codec
+        self.codec, self.table = codec, cast_add_table(codec)
 
     def send(self, local):
         return encode(local, self.codec)
 
     def hop(self, wire, local):
-        c = self.codec
-        # In place into the wire's fresh decode, the wire operand first as in
-        # `decode(wire) + decode(encode(local))`, so the same NaN payload survives.
-        acc = decode(wire, c)
-        acc += decode(encode(local, c), c)
-        return encode(acc, c)
+        index = wire.astype(np.uint16)
+        index <<= 8
+        index |= encode(local, self.codec)
+        return np.take(self.table, index, mode="wrap")  # every uint16 is in range
 
     def merge(self, acc, wire):
         return decode(self.hop(wire, acc), self.codec)
 
 
 def _reduce_scatter(inputs: Sequence[Bf16Tensor], variant: Variant,
-                    kind: _QuantHop | _Bf16Hop | _CastHop, minishards: int) -> list[np.ndarray]:
-    """Run every shard's arcs through one hop kind; result[s] is shard s at its owner.
+                    kind: _QuantHop | _Bf16Hop | _CastHop, minishards: int) -> np.ndarray:
+    """Run every shard's arcs through one hop kind into one flat buffer; shard s
+    at its owner is `_shards` of it, the buffer's s-th of N equal parts.
 
     Arcs are walked one tile of `shard // minishards` elements at a time, cut
     where an arc starts or ends inside a tile. Each device's part of a tile is
@@ -195,7 +200,53 @@ def _reduce_scatter(inputs: Sequence[Bf16Tensor], variant: Variant,
                 acc = result[lo:hi] if arc.after else local(owner)
                 result[lo:hi] = kind.merge(acc, wire)
                 lo = hi
+    return flat
+
+
+def _shards(flat: np.ndarray, n: int) -> list[np.ndarray]:
+    """The N shards of a flat reduce-scatter buffer, as (chunks, 8, 128) views."""
     return [b.reshape(-1, CHUNK_ROWS, CHUNK_COLS) for b in np.split(flat, n)]
+
+
+def gather_blocks(shards: Sequence[np.ndarray], quantize: bool, codec: Codec,
+                  spec: PartitionSpec) -> Iterator[tuple[slice, np.ndarray]]:
+    """The all-gather's output one minishard at a time: (part, values) in output order.
+
+    `values` are the BF16-rounded float32 elements at `part` of the flat
+    output. With quantize set each minishard is encoded once at its source
+    and every device, the source included, decodes the same codes, so every
+    device's output is these blocks. Block k is made from minishard k of
+    `shards` alone. The shards are checked here; each block is made when it
+    is taken.
+    """
+    n = spec.num_devices
+    if len(shards) != n or any(b is None for b in shards):
+        raise MissingShardError(f"need shard results from all {n} devices")
+    return _gathered(shards, quantize, codec, spec.minishards_per_shard)
+
+
+def _gathered(shards, quantize, codec, m):
+    end = 0
+    for shard in shards:
+        for block in np.split(shard, m):
+            # NaN and inf inputs have defined results (README "Non-finite
+            # values"), so the invalid/overflow flags of their scale divisions
+            # and multiplies are expected.
+            with np.errstate(invalid="ignore", over="ignore"):
+                if quantize:
+                    block = dequantize_shard(quantize_shard(block, codec))
+                block = round_to_bf16(block).reshape(-1)
+            start, end = end, end + block.size
+            yield slice(start, end), block
+
+
+def _broadcast(flat: np.ndarray, blocks, spec: PartitionSpec,
+               rows: int, cols: int) -> list[TensorBuf]:
+    """Write the gathered blocks into `flat` and give it to every device, read-only."""
+    for part, block in blocks:
+        flat[part] = block
+    flat.setflags(write=False)
+    return [TensorBuf(flat, rows, cols) for _ in range(spec.num_devices)]
 
 
 def all_gather(
@@ -208,33 +259,28 @@ def all_gather(
 ) -> list[TensorBuf]:
     """Broadcast shard s from device s to everyone; outputs are BF16-rounded.
 
-    With quantize set each shard is encoded once at its source and forwarded
-    unchanged, so every device (the source included) decodes identical codes.
-    Each shard is handled one minishard at a time. All returned TensorBufs
-    share one read-only buffer; outputs are bit-identical across devices by
-    construction.
+    The output is `gather_blocks`, written into one new buffer that every
+    returned TensorBuf shares, read-only; outputs are bit-identical across
+    devices by construction. The shards are left as they are.
     """
-    n, m = spec.num_devices, spec.minishards_per_shard
-    if len(shards) != n or any(b is None for b in shards):
-        raise MissingShardError(f"need shard results from all {n} devices")
-    flat = np.empty(sum(b.size for b in shards), np.float32)
-    end = 0
-    for shard in shards:
-        for block in np.split(shard, m):
-            if quantize:
-                block = dequantize_shard(quantize_shard(block, codec))
-            start, end = end, end + block.size
-            flat[start:end] = round_to_bf16(block).reshape(-1)
-    flat.setflags(write=False)
-    return [TensorBuf(flat, rows, cols) for _ in range(n)]
+    blocks = gather_blocks(shards, quantize, codec, spec)
+    return _broadcast(np.empty(sum(b.size for b in shards), np.float32), blocks, spec, rows, cols)
 
 
-def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> list[np.ndarray]:
-    """The reduce-scatter stage of `all_reduce`: result[s] is shard s reduced at device s.
+def _gather_in_place(flat: np.ndarray, quantize: bool, codec: Codec, spec: PartitionSpec,
+                     inputs: Inputs) -> list[TensorBuf]:
+    """`all_gather` of a reduce-scatter buffer no one else holds, written over it
+    and shaped as the inputs.
 
-    The result depends on cfg.variant, cfg.quantize_rs and cfg.codec only,
-    so collectives that agree on those can share it through `reduced=`.
+    Output block k is made from block k of the buffer alone before it is
+    written back there, so the gather needs no second tensor.
     """
+    blocks = gather_blocks(_shards(flat, spec.num_devices), quantize, codec, spec)
+    return _broadcast(flat, blocks, spec, inputs[0].rows, inputs[0].cols)
+
+
+def _reduced(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
+    """`reduce_scatter` as its one flat buffer."""
     spec = cfg.spec
     _check(inputs, spec)
     m = spec.minishards_per_shard
@@ -248,18 +294,31 @@ def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> list[np.ndarray]:
         return _reduce_scatter(inputs, cfg.variant, kind, m)
 
 
+def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> list[np.ndarray]:
+    """The reduce-scatter stage of `all_reduce`: result[s] is shard s reduced at device s.
+
+    The result depends on cfg.variant, cfg.quantize_rs and cfg.codec only,
+    so collectives that agree on those can share it through `reduced=`, or
+    stream its all-gather through `gather_blocks`.
+    """
+    return _shards(_reduced(inputs, cfg), cfg.spec.num_devices)
+
+
 def all_reduce(inputs: Inputs, cfg: CollectiveConfig,
                reduced: Sequence[np.ndarray] | None = None) -> list[TensorBuf]:
     """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized.
 
     `reduced`, if given, is this collective's `reduce_scatter(inputs, cfg)`,
-    already computed; only the all-gather then runs.
+    already computed; the inputs are still checked, and only the all-gather
+    runs, into a new buffer. Otherwise the all-gather is written over the
+    reduce-scatter's own buffer.
     """
     if reduced is None:
-        reduced = reduce_scatter(inputs, cfg)
-    with np.errstate(invalid="ignore", over="ignore"):  # as in reduce_scatter
-        return all_gather(reduced, cfg.quantize_ag, cfg.codec, cfg.spec,
-                          inputs[0].rows, inputs[0].cols)
+        return _gather_in_place(_reduced(inputs, cfg), cfg.quantize_ag, cfg.codec, cfg.spec,
+                                inputs)
+    _check(inputs, cfg.spec)
+    return all_gather(reduced, cfg.quantize_ag, cfg.codec, cfg.spec,
+                      inputs[0].rows, inputs[0].cols)
 
 
 def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec,
@@ -272,8 +331,13 @@ def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec,
 
 
 def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec):
-    """Cast-without-scaling strawman: saturating adds in the codec's range."""
+    """Cast-without-scaling strawman: saturating adds in the codec's range.
+
+    The all-gather is written over the reduce-scatter's buffer, as in
+    `all_reduce` without `reduced=`.
+    """
     _check(inputs, spec)
-    with np.errstate(invalid="ignore", over="ignore"):  # as in reduce_scatter
-        rs = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec), spec.minishards_per_shard)
-        return all_gather(rs, False, codec, spec, inputs[0].rows, inputs[0].cols)
+    with np.errstate(invalid="ignore", over="ignore"):  # as in _reduced
+        flat = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec),
+                               spec.minishards_per_shard)
+    return _gather_in_place(flat, False, codec, spec, inputs)

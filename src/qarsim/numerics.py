@@ -207,6 +207,21 @@ def decode(codes, codec: Codec) -> np.ndarray:
     return out.reshape(c.shape) if c.ndim else out[0]
 
 
+@functools.cache
+def cast_add_table(codec: Codec) -> np.ndarray:
+    """65,536 uint8 codes: entry (w << 8) | l is encode(decode(w) + decode(l)).
+
+    The sum is the one float32 add of the two decoded values, the first
+    operand first, so a hop that decodes, adds and re-encodes two codes is
+    one lookup here. Built on a codec's first use (64 KiB).
+    """
+    codes = np.arange(256, dtype=np.uint8)
+    acc = decode(np.repeat(codes, 256), codec)
+    with np.errstate(invalid="ignore"):  # inf + -inf is a NaN code like any other
+        acc += decode(np.tile(codes, 256), codec)
+    return encode(acc, codec)
+
+
 def _rne_carry(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`bits` plus the round-to-nearest-even carry into bit 16, into uint32 `out`:
     0x7FFF plus the lowest kept bit. Its high 16 bits are the rounded BF16."""

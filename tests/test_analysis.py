@@ -18,6 +18,7 @@ from qarsim.analysis import (
     FLAVORS,
     SWEEP_COLUMNS,
     auto_minishards,
+    blockwise_mse,
     device_inputs,
     mse,
     render_csv,
@@ -25,7 +26,7 @@ from qarsim.analysis import (
     size_sweep,
     tradeoff_study,
 )
-from qarsim.collectives import Variant
+from qarsim.collectives import Variant, gather_blocks, naive_lowp_allreduce, reduce_scatter
 from qarsim.layout import Bf16Tensor, ShapeMismatchError, TensorBuf
 from qarsim.numerics import Codec, bf16_bits, round_to_bf16
 
@@ -278,22 +279,35 @@ STUDY_DIGESTS = {
 
 
 def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
-    # Observed at the three names the study calls, as the benchmark's checks are.
+    # Observed where the study takes them: each all-gather's streamed blocks,
+    # hashed in output order (the bytes of the output they would make), and
+    # the naive ring's output. A gather is the flavor of the reduce-scatter
+    # it reads and its quantize flag; the baseline is the BF16 full loop's
+    # unquantized one.
     flavor_of = {(v, q_rs, q_ag): f for f, (v, q_rs, q_ag) in qarsim.analysis._FLAVOR_DEFS.items()}
-    digests = {}
+    flavor_of[Variant.FULL_LOOP, False, False] = "baseline"
+    stage_of, digests = {}, {}
 
-    def observe(name, fn, flavor):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            digests[flavor(args)] = hashlib.sha256(out[0].data.tobytes()).hexdigest()
-            return out
-        monkeypatch.setattr(qarsim.analysis, name, wrapper)
+    def observed_reduce_scatter(inputs, cfg):
+        shards = reduce_scatter(inputs, cfg)
+        stage_of[id(shards)] = (cfg.variant, cfg.quantize_rs)
+        return shards
 
-    observe("baseline_allreduce_bf16", qarsim.analysis.baseline_allreduce_bf16,
-            lambda a: "baseline")
-    observe("naive_lowp_allreduce", qarsim.analysis.naive_lowp_allreduce, lambda a: "naive")
-    observe("all_reduce", qarsim.analysis.all_reduce,
-            lambda a: flavor_of[a[1].variant, a[1].quantize_rs, a[1].quantize_ag])
+    def observed_gather_blocks(shards, quantize, codec, spec):
+        h = hashlib.sha256()
+        for part, block in gather_blocks(shards, quantize, codec, spec):
+            h.update(block.tobytes())
+            yield part, block
+        digests[flavor_of[(*stage_of[id(shards)], quantize)]] = h.hexdigest()
+
+    def observed_naive(*args):
+        out = naive_lowp_allreduce(*args)
+        digests["naive"] = hashlib.sha256(out[0].data.tobytes()).hexdigest()
+        return out
+
+    monkeypatch.setattr(qarsim.analysis, "reduce_scatter", observed_reduce_scatter)
+    monkeypatch.setattr(qarsim.analysis, "gather_blocks", observed_gather_blocks)
+    monkeypatch.setattr(qarsim.analysis, "naive_lowp_allreduce", observed_naive)
     tradeoff_study(512, 1024, 8)
     assert digests == STUDY_DIGESTS
 
@@ -321,33 +335,38 @@ def test_tradeoff_study_mses_are_the_exact_mean_to_an_ulp(monkeypatch):
     # or within one ulp of it.
     seen = []
 
-    def checked_mse(a, b):
-        err = mse(a, b)
-        d = a.data.astype(np.float64) - b.data
+    def checked_mse(pairs):
+        pairs = list(pairs)
+        err = blockwise_mse(pairs)
+        d = np.concatenate([a.astype(np.float64) - b for a, b in pairs])
         exact = math.fsum((d * d).tolist()) / d.size
         seen.append(err)
         assert abs(err - exact) <= math.ulp(exact)
         return err
 
-    monkeypatch.setattr(qarsim.analysis, "mse", checked_mse)
+    monkeypatch.setattr(qarsim.analysis, "blockwise_mse", checked_mse)
     results = tradeoff_study(512, 1024, 8)
     assert sorted(seen) == sorted(r.mse for r in results[1:])  # every flavor but the baseline
 
 
-def test_tradeoff_study_keeps_at_most_one_shared_reduce_scatter_alive():
-    # The 8 BF16 inputs (half a float32 tensor each) plus three tensors (the
-    # baseline output, one reduce-scatter result and one flavor output, which
-    # is dropped after its MSE) plus the mse's 1 MiB buffer and a 1 MiB
-    # margin.
+def test_tradeoff_study_holds_one_reduce_scatter_and_half_a_baseline():
+    # The 8 BF16 inputs (half a float32 tensor each) plus one reduce-scatter
+    # result (or the naive ring's output, gathered over its own
+    # reduce-scatter) plus the baseline's BF16 bits (half a tensor) plus the
+    # mse's 1 MiB buffer and a 1 MiB margin for one minishard's transients
+    # (a whole 64Ki-element shard here, at m=1). No flavor output is built.
+    # A small study first, so the decode and cast tables each process builds
+    # once are not traced.
     tensor_bytes = 512 * 1024 * 4
     mse_buffer = qarsim.analysis._MSE_BUF_ELEMS * 8
+    tradeoff_study(128, 128, 8)
     tracemalloc.start()
     try:
         tradeoff_study(512, 1024, 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (8 / 2 + 3) * tensor_bytes + mse_buffer + MIB
+    assert peak < (8 / 2 + 1 + 1 / 2) * tensor_bytes + mse_buffer + MIB
 
 
 def test_tradeoff_study_deterministic():

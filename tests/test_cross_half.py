@@ -150,7 +150,7 @@ def _functional(variant, nmu, kind, monkeypatch):
            "raw": collectives._Bf16Hop,
            "naive": lambda: collectives._CastHop(Codec.F8E5M2)}[kind]()
     recorder = _Recorder(hop, passes)
-    reduced = collectives._reduce_scatter(inputs, variant, recorder, m)
+    reduced = collectives._shards(collectives._reduce_scatter(inputs, variant, recorder, m), n)
     units, unit = (m, shard // m) if kind == "quant" else (shard, 1)
 
     wire, work = Counter(), Counter()
