@@ -9,7 +9,9 @@ ever made, and the devices are drawn on one thread per usable CPU (at
 most N, started and joined within the call). A device's bits depend on
 its own stream alone, so they are the same whatever the thread count.
 MSE against the BF16 baseline accumulates in float64 in a fixed order (see
-`mse`).
+`blockwise_mse`), the same wherever its input is split into blocks of whole
+lane rows, so the tradeoff study streams each flavor's all-gather into it
+one minishard at a time against the baseline, which it keeps as BF16 bits.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ def blockwise_mse(pairs) -> float:
             if a.shape != b.shape:
                 raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} differ")
             if n % _MSE_LANES:
-                raise ValueError(f"a block of {n % _MSE_LANES} elements past a whole lane row "
-                                 f"is not the last")
+                raise ValueError(f"only the last block may end inside a lane row; one ended "
+                                 f"{n % _MSE_LANES} elements into row {n // _MSE_LANES}")
             a, b = a.reshape(-1), b.reshape(-1)
             for i in range(0, a.size, flat.size):
                 c = min(flat.size, a.size - i)

@@ -19,7 +19,9 @@ One loop walks every arc; only the hop kind (the wire format) differs:
              baseline).
   cast       the naive low-precision strawman: codes cast elementwise with
              no scaling; each receiver decodes, adds in FP32 and
-             re-encodes, saturating at the codec's range.
+             re-encodes, saturating at the codec's range. That sum depends
+             only on the two codes, so a hop encodes its local part and
+             looks the sum up (`numerics.cast_add_table`).
 
 The ring walks one minishard-sized tile at a time: each arc's part of a
 shard is cut at minishard boundaries (and where the arc starts or ends, as
@@ -42,7 +44,13 @@ across devices. Final outputs are BF16-rounded float32 `TensorBuf`s.
 `reduce_scatter` is the first stage on its own. Its result depends only on
 the variant, `quantize_rs` and the codec, so collectives that agree on
 those can share it: `all_reduce` and `baseline_allreduce_bf16` take it as
-`reduced=` and then run only the all-gather.
+`reduced=` and then run only the all-gather, into a new buffer.
+`gather_blocks` is the one all-gather: it yields the output one BF16-rounded
+minishard at a time, in output order, each made from its own minishard of
+the reduce-scatter alone. `all_gather` writes those blocks into a new
+buffer; a collective that ran its own reduce-scatter writes them over it,
+so it never holds a second tensor; and a caller that only reads the output
+once can take the blocks as they come and build none.
 """
 
 from __future__ import annotations

@@ -3,14 +3,18 @@
 import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qarsim.analysis
 from qarsim.analysis import (
@@ -104,6 +108,50 @@ def test_mse_non_finite_and_empty_semantics():
     assert mse(np.array([1.7e308]), np.array([-1.7e308])) == math.inf
     with pytest.raises(ValueError, match="empty"):
         mse(np.zeros(0, np.float32), np.zeros(0, np.float32))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blockwise_mse_does_not_depend_on_where_the_blocks_split(data):
+    # Any split into blocks of whole lane rows (the last block may be
+    # ragged, and empty blocks are allowed) gives mse of the whole arrays
+    # bit for bit, with NaN, infinities and near-max values planted. One
+    # 1e8 in the first row makes its lane's sum, and with it the result,
+    # depend on the order of that lane's adds: a later square of about 1 is
+    # half an ulp of 1e16.
+    n = data.draw(st.integers(1, 4 * _LANES) | st.integers(_CHUNK - _LANES, 2 * _CHUNK + 3 * _LANES),
+                  label="n")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a, b = (rng.standard_normal(n).astype(dtype) for _ in range(2))
+    if data.draw(st.booleans(), label="loud lane"):
+        a[data.draw(st.integers(0, min(n, _LANES) - 1))] = 1e8
+    big = np.finfo(dtype).max
+    specials = st.sampled_from([np.nan, np.inf, -np.inf, big, -big, big / 2, np.sqrt(big), 1e8])
+    for _ in range(data.draw(st.integers(0, 4), label="planted")):
+        k = data.draw(st.integers(0, 2 * n - 1))
+        (a, b)[k // n][k % n] = data.draw(specials)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n // _LANES), max_size=6), label="cuts"))
+    bounds = [0, *(c * _LANES for c in cuts), n]
+    pairs = [(a[lo:hi], b[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bits(blockwise_mse(pairs)) == _bits(mse(a, b))
+
+
+def test_blockwise_mse_takes_a_ragged_block_only_last():
+    a = np.arange(3 * _LANES, dtype=np.float32)
+    assert blockwise_mse(iter([(a[:_LANES], a[:_LANES] + 1), (a[_LANES:], a[_LANES:] + 1)])) == 1.0
+    with pytest.raises(ValueError, match="last"):
+        blockwise_mse([(a[:5], a[:5]), (a[5:], a[5:])])
+    with pytest.raises(ShapeMismatchError):
+        blockwise_mse([(a, a[:-1])])
+    with pytest.raises(ValueError, match="empty"):
+        blockwise_mse([])
 
 
 def test_mse_memory_is_one_fixed_buffer():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qarsim.collectives as collectives
 from qarsim.analysis import device_inputs, mse
 from qarsim.collectives import (
     CollectiveConfig,
@@ -13,6 +14,7 @@ from qarsim.collectives import (
     all_gather,
     all_reduce,
     baseline_allreduce_bf16,
+    gather_blocks,
     naive_lowp_allreduce,
     reduce_scatter,
 )
@@ -24,7 +26,7 @@ from qarsim.layout import (
     ShapeMismatchError,
     TensorBuf,
 )
-from qarsim.numerics import BF16_MAX, Codec, bf16_bits
+from qarsim.numerics import BF16_MAX, Codec, bf16_bits, decode, encode
 from qarsim.quant import absmax_grid, scales_from_absmax
 
 
@@ -77,12 +79,24 @@ def test_inputs_are_left_unchanged(name):
     assert [t.bits.tobytes() for t in inputs] == before
 
 
+def _given_reduced(run, variant):
+    """`run` handed a valid reduce-scatter of the test's shape through `reduced=`."""
+    def with_reduced(inputs, spec):
+        cfg = CollectiveConfig(variant, spec)
+        return run(inputs, spec, reduce_scatter(device_inputs(8, 512, 4, seed=1), cfg))
+    return with_reduced
+
+
 @pytest.mark.parametrize("run", [
     lambda inputs, spec: reduce_scatter(inputs, CollectiveConfig(Variant.FULL_LOOP, spec)),
     lambda inputs, spec: all_reduce(inputs, CollectiveConfig(Variant.SEMI_LOOP, spec)),
     baseline_allreduce_bf16,
     lambda inputs, spec: naive_lowp_allreduce(inputs, Codec.F8E5M2, spec),
-], ids=["reduce_scatter", "all_reduce", "baseline_allreduce_bf16", "naive_lowp_allreduce"])
+    _given_reduced(lambda inputs, spec, reduced: all_reduce(
+        inputs, CollectiveConfig(Variant.SEMI_LOOP, spec), reduced), Variant.SEMI_LOOP),
+    _given_reduced(baseline_allreduce_bf16, Variant.FULL_LOOP),
+], ids=["reduce_scatter", "all_reduce", "baseline_allreduce_bf16", "naive_lowp_allreduce",
+        "all_reduce-reduced", "baseline_allreduce_bf16-reduced"])
 def test_collectives_reject_bad_inputs(run):
     spec = PartitionSpec(4, 1, 1)
     inputs = device_inputs(8, 512, 4, seed=1)
@@ -192,6 +206,25 @@ def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
         assert base.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("cfg", RING_CASES, ids=lambda c: f"{c.variant.value}-rs={c.quantize_rs}"
+                         f"-ag={c.quantize_ag}-{c.codec.value}")
+def test_streamed_gather_blocks_are_the_all_reduce_output(cfg):
+    # gather_blocks' parts tile the output in order, and their values are
+    # all_reduce's output bit for bit; a shared reduce-scatter is only read.
+    inputs = device_inputs(64, 256, 4, seed=17)
+    inputs[2].bits[[7, 4000]] = bf16_bits([np.nan, np.inf])
+    reduced = reduce_scatter(inputs, cfg)
+    before = [r.tobytes() for r in reduced]
+    blocks = list(gather_blocks(reduced, cfg.quantize_ag, cfg.codec, cfg.spec))
+    ends = [0] + [part.stop for part, _ in blocks]
+    assert [(part.start, part.stop) for part, _ in blocks] == list(zip(ends, ends[1:]))
+    assert len(blocks) == cfg.spec.num_devices * cfg.spec.minishards_per_shard
+    streamed = np.concatenate([block for _, block in blocks])
+    assert streamed.tobytes() == all_reduce(inputs, cfg)[0].data.tobytes()
+    assert all_reduce(inputs, cfg, reduced)[0].data.tobytes() == streamed.tobytes()
+    assert [r.tobytes() for r in reduced] == before
+
+
 @pytest.mark.parametrize("name", UNQUANTIZED)
 def test_unquantized_rings_do_not_depend_on_the_minishard_tiles(name, monkeypatch):
     # 12 chunks per shard: every m in (1, 2, 3, 4, 6, 12) divides it, and an odd
@@ -280,6 +313,26 @@ def test_power_of_two_scaling_homogeneity():
     out1 = all_reduce(inputs, cfg)[0]
     out2 = all_reduce(doubled, cfg)[0]
     assert np.array_equal(out2.data, out1.data * np.float32(2.0))
+
+
+@pytest.mark.parametrize("codec", list(Codec))
+def test_cast_hop_is_decode_add_encode(codec):
+    # One table lookup per element gives the hop's four passes bit for bit:
+    # decode the wire, encode and decode the local value, add, encode; the
+    # owner merge decodes that. Every wire code meets finite, saturating,
+    # tiny and non-finite local values.
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, -0.0, 1e-30, -3.0, 1e6, -1e6, BF16_MAX, np.inf, -np.inf, np.nan],
+                        np.float32)
+    local = np.concatenate([rng.standard_normal(4096).astype(np.float32) * 100, specials])
+    wire = rng.integers(0, 256, local.size).astype(np.uint8)
+    wire[:256] = np.arange(256)
+    with np.errstate(invalid="ignore", over="ignore"):
+        acc = decode(wire, codec)
+        acc += decode(encode(local, codec), codec)
+        hop = collectives._CastHop(codec)
+        assert hop.hop(wire, local).tobytes() == encode(acc, codec).tobytes()
+        assert hop.merge(local, wire).tobytes() == decode(encode(acc, codec), codec).tobytes()
 
 
 def test_naive_int8_saturates_on_large_uniform_input():

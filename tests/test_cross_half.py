@@ -238,9 +238,10 @@ def test_device_0_passes_match_vpu_events(case, kind, monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "FOUND in CHANGES.md: per middle hop _CastHop.hop decodes the wire, encodes and "
-    "decodes the local value, adds and encodes (four cast passes), where simnet "
-    "charges rs:add and one rs:recode"))
+    "FOUND in CHANGES.md: the functional naive ring runs N+1 cast passes per shard "
+    "element, all in the reduce-scatter (the head's encode, one encode of the local "
+    "value per middle hop with the recode a table lookup, and the owner's encode and "
+    "decode), where simnet charges N there and N more in the all-gather"))
 @pytest.mark.parametrize("nmu", [(4, 2, 2), (7, 1, 1)])
 def test_naive_ring_passes_match_vpu_events(nmu, monkeypatch):
     (_, work), (_, sim_work) = _run(Variant.FULL_LOOP, nmu, "naive", monkeypatch)

@@ -91,6 +91,23 @@ def test_fp8_decode_of_every_code_pair_is_each_codes_value(codec):
         assert got.tobytes() == table[code].tobytes()
 
 
+@pytest.mark.parametrize("codec", list(Codec))
+def test_cast_add_table_is_the_decoded_sum_of_every_code_pair(codec):
+    # The four-pass hop on every (wire, local) code pair, NaN codes included:
+    # decode both, add, encode. The add runs in float64, exact for two
+    # decoded 8-bit values, and rounds once to float32, which is what a
+    # correctly rounded float32 add gives.
+    codes = np.arange(256, dtype=np.uint8)
+    w, loc = np.repeat(codes, 256), np.tile(codes, 256)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        exact = decode(w, codec).astype(np.float64) + decode(loc, codec)
+    want = encode(exact.astype(np.float32), codec)
+    table = numerics.cast_add_table(codec)
+    assert (table.dtype, table.shape) == (np.dtype(np.uint8), (1 << 16,))
+    assert table.tobytes() == want.tobytes()
+    assert numerics.cast_add_table(codec) is table  # built once per codec
+
+
 @pytest.mark.parametrize("codec", [Codec.F8E4M3, Codec.F8E5M2])
 def test_fp8_encode_ties_to_even_at_exact_midpoints(codec):
     codes = np.arange(256, dtype=np.uint8)
