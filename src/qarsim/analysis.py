@@ -292,6 +292,7 @@ def tradeoff_study(
         )
 
     def error(blocks) -> float:
+        # starmap keeps no block alive while it makes the next pair.
         return blockwise_mse(starmap(lambda part, block: (baseline.values(part), block), blocks))
 
     out = {"baseline": result("baseline", Variant.FULL_LOOP, "none", "bf16", 0.0, t_base)}

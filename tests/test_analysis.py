@@ -397,7 +397,7 @@ def test_tradeoff_study_mses_are_the_exact_mean_to_an_ulp(monkeypatch):
     assert sorted(seen) == sorted(r.mse for r in results[1:])  # every flavor but the baseline
 
 
-def test_tradeoff_study_holds_one_reduce_scatter_and_half_a_baseline():
+def test_tradeoff_study_keeps_at_most_one_shared_reduce_scatter_alive():
     # The 8 BF16 inputs (half a float32 tensor each) plus one reduce-scatter
     # result (or the naive ring's output, gathered over its own
     # reduce-scatter) plus the baseline's BF16 bits (half a tensor) plus the
