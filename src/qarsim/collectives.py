@@ -237,10 +237,7 @@ def _gathered(shards, quantize, codec, m):
     end = 0
     for shard in shards:
         for block in np.split(shard, m):
-            # NaN and inf inputs have defined results (README "Non-finite
-            # values"), so the invalid/overflow flags of their scale divisions
-            # and multiplies are expected.
-            with np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):  # as in _reduced
                 if quantize:
                     block = dequantize_shard(quantize_shard(block, codec))
                 block = round_to_bf16(block).reshape(-1)
