@@ -14,7 +14,6 @@ from .collectives import (
     CollectiveConfig,
     SemiLoopOddNError,
     Variant,
-    all_gather,
     all_reduce,
     baseline_allreduce_bf16,
     naive_lowp_allreduce,

@@ -43,19 +43,18 @@ across devices. Final outputs are BF16-rounded float32 `TensorBuf`s.
 
 `reduce_scatter` is the first stage on its own. Its result depends only on
 the variant, `quantize_rs` and the codec, so collectives that agree on
-those can share it: `all_reduce` and `baseline_allreduce_bf16` take it as
-`reduced=` and then run only the all-gather, into a new buffer.
-`gather_blocks` is the one all-gather: it yields the output one BF16-rounded
-minishard at a time, in output order, each made from its own minishard of
-the reduce-scatter alone. `all_gather` writes those blocks into a new
-buffer; a collective that ran its own reduce-scatter writes them over it,
-so it never holds a second tensor; and a caller that only reads the output
-once can take the blocks as they come and build none.
+those can share it. `gather_blocks` is the all-gather: it yields the output
+one BF16-rounded minishard at a time, in output order, each made from its
+own minishard of the reduce-scatter alone, so a caller that reads the
+output once can take the blocks as they come and build none. A collective
+writes those blocks over its own reduce-scatter's buffer, so it never holds
+a second tensor, and hands that one read-only buffer to every device.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,6 +64,7 @@ from .layout import (
     CHUNK_COLS,
     CHUNK_ROWS,
     Bf16Tensor,
+    DivisibilityError,
     MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
@@ -224,13 +224,21 @@ def gather_blocks(shards: Sequence[np.ndarray], quantize: bool, codec: Codec,
     output. With quantize set each minishard is encoded once at its source
     and every device, the source included, decodes the same codes, so every
     device's output is these blocks. Block k is made from minishard k of
-    `shards` alone. The shards are checked here; each block is made when it
-    is taken.
+    `shards` alone. The shards, one (chunks, 8, 128) shape per device with
+    chunks a multiple of the minishard count, are checked here; each block
+    is made when it is taken.
     """
-    n = spec.num_devices
+    n, m = spec.num_devices, spec.minishards_per_shard
     if len(shards) != n or any(b is None for b in shards):
         raise MissingShardError(f"need shard results from all {n} devices")
-    return _gathered(shards, quantize, codec, spec.minishards_per_shard)
+    shape = shards[0].shape
+    if shape[1:] != (CHUNK_ROWS, CHUNK_COLS) or any(b.shape != shape for b in shards):
+        raise ShapeMismatchError(f"shards need one (chunks, {CHUNK_ROWS}, {CHUNK_COLS}) shape, "
+                                 f"got {[b.shape for b in shards]}")
+    if shape[0] % m:
+        raise DivisibilityError(
+            f"{shape[0]} chunks per shard do not split across minishards_per_shard={m}")
+    return _gathered(shards, quantize, codec, m)
 
 
 def _gathered(shards, quantize, codec, m):
@@ -245,104 +253,59 @@ def _gathered(shards, quantize, codec, m):
             yield slice(start, end), block
 
 
-def _broadcast(flat: np.ndarray, blocks, spec: PartitionSpec,
-               rows: int, cols: int) -> list[TensorBuf]:
-    """Write the gathered blocks into `flat` and give it to every device, read-only."""
-    for part, block in blocks:
+def _gather_over(flat: np.ndarray, quantize: bool, codec: Codec, spec: PartitionSpec,
+                 inputs: Inputs) -> list[TensorBuf]:
+    """`gather_blocks` of a reduce-scatter buffer no one else holds, written over it
+    and given to every device, read-only, shaped as the inputs. Block k is made
+    from block k of the buffer alone before it is written back there."""
+    for part, block in gather_blocks(_shards(flat, spec.num_devices), quantize, codec, spec):
         flat[part] = block
     flat.setflags(write=False)
-    return [TensorBuf(flat, rows, cols) for _ in range(spec.num_devices)]
+    return [TensorBuf(flat, inputs[0].rows, inputs[0].cols) for _ in range(spec.num_devices)]
 
 
-def all_gather(
-    shards: Sequence[np.ndarray],
-    quantize: bool,
-    codec: Codec,
-    spec: PartitionSpec,
-    rows: int,
-    cols: int,
-) -> list[TensorBuf]:
-    """Broadcast shard s from device s to everyone; outputs are BF16-rounded.
-
-    The output is `gather_blocks`, written into one new buffer that every
-    returned TensorBuf shares, read-only; outputs are bit-identical across
-    devices by construction. The shards are left as they are.
-    """
-    blocks = gather_blocks(shards, quantize, codec, spec)
-    return _broadcast(np.empty(sum(b.size for b in shards), np.float32), blocks, spec, rows, cols)
-
-
-def _gather_in_place(flat: np.ndarray, quantize: bool, codec: Codec, spec: PartitionSpec,
-                     inputs: Inputs) -> list[TensorBuf]:
-    """`all_gather` of a reduce-scatter buffer no one else holds, written over it
-    and shaped as the inputs.
-
-    Output block k is made from block k of the buffer alone before it is
-    written back there, so the gather needs no second tensor.
-    """
-    blocks = gather_blocks(_shards(flat, spec.num_devices), quantize, codec, spec)
-    return _broadcast(flat, blocks, spec, inputs[0].rows, inputs[0].cols)
-
-
-def _reduced(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
-    """`reduce_scatter` as its one flat buffer."""
-    spec = cfg.spec
+def _reduced(inputs: Inputs, spec: PartitionSpec, variant: Variant, kind) -> np.ndarray:
+    """Check the inputs, then `_reduce_scatter` them into one flat buffer through
+    the hop kind `kind(unit)` makes from the minishard size in elements."""
     _check(inputs, spec)
     m = spec.minishards_per_shard
-    if cfg.quantize_rs:
-        kind = _QuantHop(cfg.codec, inputs[0].bits.size // (spec.num_devices * m))
-    else:
-        kind = _Bf16Hop()
     # NaN and inf inputs have defined results (README "Non-finite values"), so the
     # invalid/overflow flags of their adds, scale divisions and multiplies are expected.
     with np.errstate(invalid="ignore", over="ignore"):
-        return _reduce_scatter(inputs, cfg.variant, kind, m)
+        return _reduce_scatter(inputs, variant,
+                               kind(inputs[0].bits.size // (spec.num_devices * m)), m)
+
+
+def _rs_buffer(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
+    """`_reduced` through cfg's reduce-scatter hop kind: its one flat buffer."""
+    kind = partial(_QuantHop, cfg.codec) if cfg.quantize_rs else lambda _: _Bf16Hop()
+    return _reduced(inputs, cfg.spec, cfg.variant, kind)
 
 
 def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> list[np.ndarray]:
     """The reduce-scatter stage of `all_reduce`: result[s] is shard s reduced at device s.
 
     The result depends on cfg.variant, cfg.quantize_rs and cfg.codec only,
-    so collectives that agree on those can share it through `reduced=`, or
-    stream its all-gather through `gather_blocks`.
+    so collectives that agree on those can share it and stream each one's
+    all-gather through `gather_blocks`.
     """
-    return _shards(_reduced(inputs, cfg), cfg.spec.num_devices)
+    return _shards(_rs_buffer(inputs, cfg), cfg.spec.num_devices)
 
 
-def all_reduce(inputs: Inputs, cfg: CollectiveConfig,
-               reduced: Sequence[np.ndarray] | None = None) -> list[TensorBuf]:
+def all_reduce(inputs: Inputs, cfg: CollectiveConfig) -> list[TensorBuf]:
     """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized.
 
-    `reduced`, if given, is this collective's `reduce_scatter(inputs, cfg)`,
-    already computed; the inputs are still checked, and only the all-gather
-    runs, into a new buffer. Otherwise the all-gather is written over the
-    reduce-scatter's own buffer.
+    The all-gather is written over the reduce-scatter's own buffer.
     """
-    if reduced is None:
-        return _gather_in_place(_reduced(inputs, cfg), cfg.quantize_ag, cfg.codec, cfg.spec,
-                                inputs)
-    _check(inputs, cfg.spec)
-    return all_gather(reduced, cfg.quantize_ag, cfg.codec, cfg.spec,
-                      inputs[0].rows, inputs[0].cols)
+    return _gather_over(_rs_buffer(inputs, cfg), cfg.quantize_ag, cfg.codec, cfg.spec, inputs)
 
 
-def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec,
-                            reduced: Sequence[np.ndarray] | None = None):
-    """Full-loop AllReduce with no quantization: the MSE reference.
-
-    `reduced` is as in `all_reduce`: the BF16 full-loop reduce-scatter.
-    """
-    return all_reduce(inputs, CollectiveConfig(Variant.FULL_LOOP, spec), reduced)
+def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec) -> list[TensorBuf]:
+    """Full-loop AllReduce with no quantization: the MSE reference."""
+    return all_reduce(inputs, CollectiveConfig(Variant.FULL_LOOP, spec))
 
 
-def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec):
-    """Cast-without-scaling strawman: saturating adds in the codec's range.
-
-    The all-gather is written over the reduce-scatter's buffer, as in
-    `all_reduce` without `reduced=`.
-    """
-    _check(inputs, spec)
-    with np.errstate(invalid="ignore", over="ignore"):  # as in _reduced
-        flat = _reduce_scatter(inputs, Variant.FULL_LOOP, _CastHop(codec),
-                               spec.minishards_per_shard)
-    return _gather_in_place(flat, False, codec, spec, inputs)
+def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec) -> list[TensorBuf]:
+    """Cast-without-scaling strawman: saturating adds in the codec's range."""
+    flat = _reduced(inputs, spec, Variant.FULL_LOOP, lambda _: _CastHop(codec))
+    return _gather_over(flat, False, codec, spec, inputs)

@@ -28,7 +28,8 @@ class DivisibilityError(ValueError):
 
 
 class MissingShardError(ValueError):
-    """A collective was handed shard results that do not cover every device."""
+    """`collectives.gather_blocks` was handed shard results that do not cover
+    every device: too few, too many, or one of them None."""
 
 
 class ShapeMismatchError(ValueError):

@@ -8,8 +8,8 @@ counted where `collectives` calls them, and each hop or merge folds one
 operand in: one add per element). Calls are attributed to devices in
 `schedule.rs_arcs` walk order: per shard, per arc, per tile, the head
 sends hop 1, device k of the arc sends hop k+1, and the owner merges.
-The all-gather's quantized messages are counted in one `all_gather` run
-and forwarded along each `schedule.ag_arcs` arc.
+The all-gather's quantized messages are counted while one `gather_blocks`
+run is taken, and forwarded along each `schedule.ag_arcs` arc.
 
 Device 0's bytes per (stage, direction, hop) must equal its link events in
 the simulator (duration x bandwidth), and its elements per (stage, pass)
@@ -165,7 +165,8 @@ def _functional(variant, nmu, kind, monkeypatch):
         # encodes the m messages of shard 0, its own.
         passes.clear()
         messages.clear()
-        collectives.all_gather(reduced, True, Codec.INT8, PartitionSpec(n, m, u), rows, cols)
+        for _ in collectives.gather_blocks(reduced, True, Codec.INT8, PartitionSpec(n, m, u)):
+            pass
         assert len(messages) == n * m
         work["ag", "dq"] += passes["dq"]
         work["ag", "scan"] = work["ag", "enc"] = sum(e for e, _ in messages[:m])
