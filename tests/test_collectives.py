@@ -1,6 +1,7 @@
 """Functional AllReduce variants: exactness, ordering, and error structure."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,29 @@ RING_CASES = [CollectiveConfig(v, PartitionSpec(4, 2, 1), quantize_rs=q_rs, quan
                                codec=codec)
               for v in Variant for q_rs in (False, True) for q_ag in (False, True)
               for codec in Codec]
+
+
+def _sibling(cfg):
+    """A config whose reduce-scatter cfg may share: the other quantize_ag, and,
+    when the reduce-scatter is unquantized, the next codec too."""
+    codecs = list(Codec)
+    codec = cfg.codec if cfg.quantize_rs else codecs[(codecs.index(cfg.codec) + 1) % len(codecs)]
+    return replace(cfg, quantize_ag=not cfg.quantize_ag, codec=codec)
+
+
+@pytest.mark.parametrize("cfg", RING_CASES, ids=lambda c: f"{c.variant.value}-rs={c.quantize_rs}"
+                         f"-ag={c.quantize_ag}-{c.codec.value}")
+def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
+    # The reduce-scatter depends on the variant, quantize_rs and (if quantized)
+    # the codec only, so one made for a sibling config, as the study shares it,
+    # gathered with cfg's quantize_ag and codec is all_reduce's output bit for bit.
+    inputs = device_inputs(64, 256, 4, seed=17)
+    inputs[2].bits[[7, 4000]] = bf16_bits([np.nan, np.inf])
+    given = reduce_scatter(inputs, _sibling(cfg))
+    assert [r.tobytes() for r in given] == [r.tobytes() for r in reduce_scatter(inputs, cfg)]
+    streamed = np.concatenate([b for _, b in gather_blocks(given, cfg.quantize_ag, cfg.codec,
+                                                           cfg.spec)])
+    assert streamed.tobytes() == all_reduce(inputs, cfg)[0].data.tobytes()
 
 
 @pytest.mark.parametrize("cfg", RING_CASES, ids=lambda c: f"{c.variant.value}-rs={c.quantize_rs}"
