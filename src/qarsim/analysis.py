@@ -10,8 +10,9 @@ most N, started and joined within the call). A device's bits depend on
 its own stream alone, so they are the same whatever the thread count.
 MSE against the BF16 baseline accumulates in float64 in a fixed order (see
 `blockwise_mse`), the same wherever its input is split into blocks of whole
-lane rows, so the tradeoff study streams each flavor's all-gather into it
-one minishard at a time against the baseline, which it keeps as BF16 bits.
+lane rows, so `flavor_mses`, through which both the tradeoff study and
+`qarsim simulate` measure, streams each all-gather into it one minishard at
+a time against the baseline, which it keeps as BF16 bits.
 """
 
 from __future__ import annotations
@@ -241,12 +242,51 @@ class FlavorResult:
         return dict(zip(CSV_COLUMNS, astuple(self)))
 
 
-def _bf16_tensor(blocks, rows: int, cols: int) -> Bf16Tensor:
-    """The BF16 bits of gathered (part, values) blocks, each written where it goes."""
-    bits = np.empty(rows * cols, np.uint16)
-    for part, block in blocks:
-        bf16_bits(block, bits[part])
-    return Bf16Tensor(bits, rows, cols)
+def flavor_mses(inputs: list[Bf16Tensor], spec: PartitionSpec, cfgs: list[CollectiveConfig],
+                naive: Codec | None = None) -> list[float]:
+    """Each config's MSE against the baseline (the BF16 full loop over `spec`), in
+    `cfgs` order; with `naive` a codec, the naive ring's MSE in it comes last.
+
+    Configs that agree on variant and quantize_rs, and on codec when
+    quantize_rs is set, share one reduce-scatter. These run one at a time,
+    the baseline's first, and each is dropped after its group. The
+    baseline's all-gather is kept as BF16 bits; every other all-gather
+    streams one minishard at a time (`gather_blocks`) into `blockwise_mse`
+    against it, so no output is built. The naive ring runs last, as `naive_lowp_allreduce`, whose
+    all-gather overwrites its own reduce-scatter, and streams the same way.
+    Beyond the inputs, this holds at most one reduce-scatter (or the naive
+    output), the baseline's bits (half a float32 tensor) and the MSE's
+    fixed buffer.
+    """
+    base = CollectiveConfig(Variant.FULL_LOOP, spec)
+    groups = {base: [None]}  # None is the baseline: every MSE compares with its output
+    for i, cfg in enumerate(cfgs):
+        rs_cfg = CollectiveConfig(cfg.variant, cfg.spec, quantize_rs=cfg.quantize_rs,
+                                  codec=cfg.codec if cfg.quantize_rs else base.codec)
+        groups.setdefault(rs_cfg, []).append(i)
+
+    def error(blocks) -> float:
+        # starmap keeps no block alive while it makes the next pair.
+        return blockwise_mse(starmap(lambda part, block: (baseline.values(part), block), blocks))
+
+    errs = [0.0] * len(cfgs)
+    for rs_cfg, members in groups.items():
+        reduced = reduce_scatter(inputs, rs_cfg)
+        for i in members:
+            if i is None:  # each block's bits written where it goes
+                bits = np.empty(inputs[0].bits.size, np.uint16)
+                for part, block in gather_blocks(reduced, False, base.codec, spec):
+                    bf16_bits(block, bits[part])
+                baseline = Bf16Tensor(bits, inputs[0].rows, inputs[0].cols)
+            else:
+                cfg = cfgs[i]
+                errs[i] = error(gather_blocks(reduced, cfg.quantize_ag, cfg.codec, cfg.spec))
+        del reduced  # freed before the next reduce-scatter
+    if naive is not None:
+        out = naive_lowp_allreduce(inputs, naive, spec)[0].data
+        parts = (slice(i, i + _MSE_BUF_ELEMS) for i in range(0, out.size, _MSE_BUF_ELEMS))
+        errs.append(error((part, out[part]) for part in parts))
+    return errs
 
 
 def tradeoff_study(
@@ -262,67 +302,31 @@ def tradeoff_study(
 ) -> list[FlavorResult]:
     """Run all 8 flavors on identical inputs; MSE vs baseline plus predicted speedup.
 
-    Flavors that agree on (variant, quantize_rs) share one reduce-scatter:
-    the baseline and full_ag share the BF16 full loop, full_rs and full_both
-    the quantized full loop, semi_rs and semi_both the quantized semi loop.
-    The work runs group by group, and each shared result is dropped after
-    its group. The baseline's all-gather is kept as BF16 bits (a
-    `Bf16Tensor`); every other flavor's all-gather streams one minishard at
-    a time (`gather_blocks`) into `blockwise_mse` against it, so no flavor
-    output is built. The naive ring runs last, through
-    `naive_lowp_allreduce`, whose all-gather overwrites its own
-    reduce-scatter, and its output streams the same way. Beyond the inputs,
-    the study holds at most one reduce-scatter (or the naive output), the
-    baseline's bits (half a float32 tensor) and the MSE's fixed buffer.
-    Rows come out in FLAVORS order.
+    The MSEs come from one `flavor_mses` call, the naive ring's in F8E5M2,
+    so no flavor output is built. Rows come out in FLAVORS order.
     """
     link, compute = _fill_params(link, compute)
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
     spec = PartitionSpec(num_devices, m, microshards)
-    inputs = device_inputs(rows, cols, num_devices, seed)
-    tensor_bytes = rows * cols * 2
+    cfgs = [CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
+            for variant, q_rs, q_ag in _FLAVOR_DEFS.values()]
+    *errs, naive_err = flavor_mses(device_inputs(rows, cols, num_devices, seed), spec, cfgs,
+                                   naive=Codec.F8E5M2)
 
-    base_cfg = CollectiveConfig(Variant.FULL_LOOP, spec)
-    t_base = simulate(base_cfg, tensor_bytes, link, compute).total_time
+    tensor_bytes = rows * cols * 2
+    t_base = simulate(CollectiveConfig(Variant.FULL_LOOP, spec), tensor_bytes, link,
+                      compute).total_time
 
     def result(flavor, variant, stages, codec_name, err, t_flavor):
-        return FlavorResult(
-            flavor, variant.value, stages, codec_name, num_devices, rows, cols,
-            m, microshards, seed, err, t_base / t_flavor,
-        )
+        return FlavorResult(flavor, variant.value, stages, codec_name, num_devices, rows, cols,
+                            m, microshards, seed, err, t_base / t_flavor)
 
-    def error(blocks) -> float:
-        # starmap keeps no block alive while it makes the next pair.
-        return blockwise_mse(starmap(lambda part, block: (baseline.values(part), block), blocks))
-
-    out = {"baseline": result("baseline", Variant.FULL_LOOP, "none", "bf16", 0.0, t_base)}
-    cfgs = {flavor: CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
-            for flavor, (variant, q_rs, q_ag) in _FLAVOR_DEFS.items()}
-    # The baseline's group runs first: every MSE compares with its output.
-    groups = {(Variant.FULL_LOOP, False): ["baseline"]}
-    for flavor, cfg in cfgs.items():
-        groups.setdefault((cfg.variant, cfg.quantize_rs), []).append(flavor)
-
-    for (variant, q_rs), flavors in groups.items():
-        reduced = reduce_scatter(inputs, CollectiveConfig(variant, spec, quantize_rs=q_rs,
-                                                          codec=codec))
-        for flavor in flavors:
-            if flavor == "baseline":
-                baseline = _bf16_tensor(gather_blocks(reduced, False, codec, spec), rows, cols)
-                continue
-            cfg = cfgs[flavor]
-            err = error(gather_blocks(reduced, cfg.quantize_ag, codec, spec))
-            t_flavor = simulate(cfg, tensor_bytes, link, compute).total_time
-            out[flavor] = result(flavor, variant, stages_tag(q_rs, cfg.quantize_ag), codec.value,
-                                 err, t_flavor)
-        del reduced  # freed before the next reduce-scatter
-
-    naive = naive_lowp_allreduce(inputs, Codec.F8E5M2, spec)[0].data
-    parts = (slice(i, i + _MSE_BUF_ELEMS) for i in range(0, naive.size, _MSE_BUF_ELEMS))
-    err = error((part, naive[part]) for part in parts)
     t_naive = simulate_naive(spec, tensor_bytes, link, compute).total_time
-    out["naive"] = result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value, err, t_naive)
-    return [out[flavor] for flavor in FLAVORS]
+    return [result("baseline", Variant.FULL_LOOP, "none", "bf16", 0.0, t_base),
+            result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value, naive_err, t_naive),
+            *(result(flavor, cfg.variant, stages_tag(cfg.quantize_rs, cfg.quantize_ag),
+                     codec.value, err, simulate(cfg, tensor_bytes, link, compute).total_time)
+              for flavor, cfg, err in zip(_FLAVOR_DEFS, cfgs, errs))]
 
 
 @dataclass(frozen=True)

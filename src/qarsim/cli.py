@@ -5,7 +5,8 @@ config-file fields, which override the named preset. Unknown keys anywhere in
 the config are rejected rather than ignored.
 
 Exit codes: 0 success, 2 config/validation problems (bad JSON, unknown or
-ill-typed fields, bad enum values), 3 domain errors from the collective
+ill-typed fields, bad enum values, a config file that cannot be read or an
+output file that cannot be written), 3 domain errors from the collective
 itself (divisibility, odd-N semi loop, missing or mismatched shards).
 """
 
@@ -27,21 +28,14 @@ from .analysis import (
     SWEEP_COLUMNS,
     auto_minishards,
     device_inputs,
-    mse,
+    flavor_mses,
     render_csv,
     render_json,
     size_sweep,
     stages_tag,
     tradeoff_study,
 )
-from .collectives import (
-    CollectiveConfig,
-    SemiLoopOddNError,
-    Variant,
-    all_reduce,
-    baseline_allreduce_bf16,
-    naive_lowp_allreduce,
-)
+from .collectives import CollectiveConfig, SemiLoopOddNError, Variant
 from .layout import (
     DivisibilityError,
     MissingShardError,
@@ -107,9 +101,9 @@ _SHORT_FLAGS = {"minishards_per_shard": "--minishards",
                 "bandwidth_bytes_per_s": "--bandwidth", "hop_latency_s": "--hop-latency"}
 _HELP = {"output": "result file path (default: stdout)",
          "sizes": "comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'"}
-# Smallest legal value of each count field; an unset minishard count is chosen later.
+# Smallest legal value of each integer field; an unset minishard count is chosen later.
 _MINIMUM = {"num_devices": 2, "rows": 1, "cols": 1, "minishards_per_shard": 1,
-            "microshards_per_minishard": 1}
+            "microshards_per_minishard": 1, "seed": 0}
 
 
 def parse_size(token) -> int:
@@ -171,8 +165,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
 def load_config_file(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config JSON parse error at line {e.lineno}: {e.msg}") from None
     if not isinstance(doc, dict):
@@ -181,6 +175,13 @@ def load_config_file(path: str) -> dict:
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"unknown config field '{key}'")
     return doc
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write output file {path}: {e.strerror or e}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -240,11 +241,10 @@ def cmd_simulate(cfg: RunConfig) -> str:
     link, compute = resolve_params(cfg)
     spec = _partition_spec(cfg)
     inputs = device_inputs(cfg.rows, cfg.cols, cfg.num_devices, cfg.seed)
-    base_out = baseline_allreduce_bf16(inputs, spec)[0]
     if cfg.naive:
-        out = naive_lowp_allreduce(inputs, Codec(cfg.codec), spec)[0]
+        (err,) = flavor_mses(inputs, spec, [], naive=Codec(cfg.codec))
     else:
-        out = all_reduce(inputs, _collective_config(cfg, spec))[0]
+        (err,) = flavor_mses(inputs, spec, [_collective_config(cfg, spec)])
     tl = _timeline(cfg, spec, link, compute)
     row = {
         "variant": cfg.variant,
@@ -256,7 +256,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
         "m": spec.minishards_per_shard,
         "u": spec.microshards_per_minishard,
         "seed": cfg.seed,
-        "mse": mse(base_out, out),
+        "mse": err,
         "total_time_s": tl.total_time,
         "idle_time_s": idle_time(tl),
     }
@@ -370,16 +370,16 @@ def main(argv=None) -> int:
         if cfg.format is None:
             cfg.format = "json" if args.command == "timeline" else "csv"
         text = COMMANDS[args.command](cfg)
+        if cfg.output:
+            _write_output(cfg.output, text)
+        else:
+            print(text, end="")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DivisibilityError, SemiLoopOddNError, MissingShardError, ShapeMismatchError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    if cfg.output:
-        Path(cfg.output).write_text(text)
-    else:
-        print(text, end="")
     return 0
 
 

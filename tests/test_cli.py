@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import runpy
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -61,6 +62,20 @@ def test_bad_json_reports_line(tmp_path, capsys):
     assert run(["simulate", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    assert run(["simulate", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+def test_output_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run(["simulate", "--config", write_cfg(tmp_path, SMALL), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("config error: ") and str(out) in captured.err
 
 
 def test_wrong_type_exits_2(tmp_path, capsys):
@@ -400,6 +415,9 @@ OUT_OF_RANGE_CASES = [
     ("bounds", ["--hop-latency=-1"], {"link": {"hop_latency_s": -1}}, "hop_latency_s"),
     ("bounds", ["--add-rate", "0"], {"compute": {"add_rate": 0}}, "add_rate"),
     ("simulate", ["--minishards", "0"], {"minishards_per_shard": 0}, "minishards_per_shard"),
+    ("simulate", ["--seed=-1"], {"seed": -1}, "seed"),
+    ("tradeoff", ["--seed=-3"], {"seed": -3}, "seed"),
+    ("sweep", ["--seed=-1"], {"seed": -1}, "seed"),
     ("sweep", ["--sizes=-4MiB"], {"sizes": [-4 << 20]}, "sizes"),
     ("sweep", ["--sizes", "1MiB,0"], {"sizes": ["1MiB", 0]}, "sizes"),
 ]
@@ -445,3 +463,58 @@ def test_int_config_value_accepted_for_float_field(tmp_path):
     out = tmp_path / "b.json"
     assert run(["bounds", "--config", cfg, "--format", "json", "--output", str(out)]) == 0
     assert json.loads(out.read_text())[0]["bandwidth_bytes_per_s"] == 1e9
+
+
+# `qarsim simulate` flags for each `qarsim tradeoff` row but the baseline's.
+TRADEOFF_ROW_FLAGS = {
+    "naive": ["--naive", "--codec", "f8e5m2"],
+    "full_rs": ["--no-quantize-ag"],
+    "full_ag": ["--no-quantize-rs"],
+    "full_both": [],
+    "semi_rs": ["--variant", "semi_loop", "--no-quantize-ag"],
+    "semi_ag": ["--variant", "semi_loop", "--no-quantize-rs"],
+    "semi_both": ["--variant", "semi_loop"],
+}
+# N is even, so the semi loop runs.
+AGREE_ARGS = ["--rows", "256", "--cols", "512", "--num-devices", "4", "--minishards", "2",
+              "--seed", "5"]
+
+
+@pytest.fixture(scope="module")
+def tradeoff_rows(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tradeoff") / "t.csv"
+    assert run(["tradeoff", *AGREE_ARGS, "--output", str(out)]) == 0
+    return {row["flavor"]: row for row in csv.DictReader(out.open())}
+
+
+@pytest.mark.parametrize("flavor", list(TRADEOFF_ROW_FLAGS))
+def test_simulate_mse_is_the_tradeoff_rows(flavor, tradeoff_rows, tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["simulate", *AGREE_ARGS, *TRADEOFF_ROW_FLAGS[flavor], "--output", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    assert float(row["mse"]) > 0.0
+    assert row["mse"] == tradeoff_rows[flavor]["mse"]  # the same repr: the same bits
+
+
+@pytest.mark.parametrize("flags", [[], ["--variant", "semi_loop"], ["--naive"],
+                                   ["--no-quantize-rs", "--no-quantize-ag"]],
+                         ids=["default", "semi_loop", "naive", "unquantized"])
+def test_simulate_builds_no_output(flags, tmp_path):
+    # Beyond the 8 BF16 inputs: one reduce-scatter (or the naive ring's
+    # output, gathered over its own reduce-scatter), the baseline's BF16 bits
+    # (half a float32 tensor), the MSE's 1 MiB buffer and a 2 MiB margin for
+    # one minishard's transients. A second float32 tensor, such as a built
+    # baseline or flavor output, does not fit. A warm-up call first, so the
+    # tables each process builds once are not traced.
+    rows, cols, n = 1024, 2048, 8
+    argv = ["simulate", "--rows", str(rows), "--cols", str(cols), "--num-devices", str(n),
+            *flags, "--output", str(tmp_path / "s.csv")]
+    assert run(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    input_bytes, tensor_bytes = n * rows * cols * 2, rows * cols * 4
+    assert peak - input_bytes <= 1.5 * tensor_bytes + 3 * MIB
