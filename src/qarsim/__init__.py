@@ -25,7 +25,6 @@ from .layout import (
     CHUNK_ROWS,
     Bf16Tensor,
     DivisibilityError,
-    MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
     TensorBuf,

@@ -7,7 +7,7 @@ the config are rejected rather than ignored.
 Exit codes: 0 success, 2 config/validation problems (bad JSON, unknown or
 ill-typed fields, bad enum values, a config file that cannot be read or an
 output file that cannot be written), 3 domain errors from the collective
-itself (divisibility, odd-N semi loop, missing or mismatched shards).
+itself (divisibility, odd-N semi loop, mismatched shapes).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .analysis import (
 from .collectives import CollectiveConfig, SemiLoopOddNError, Variant
 from .layout import (
     DivisibilityError,
-    MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
 )
@@ -369,6 +368,9 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         if cfg.format is None:
             cfg.format = "json" if args.command == "timeline" else "csv"
+        if cfg.output and not Path(cfg.output).parent.is_dir():  # checked before the command runs
+            raise ConfigError(f"cannot write output file {cfg.output}: "
+                              f"{Path(cfg.output).parent} is not a directory")
         text = COMMANDS[args.command](cfg)
         if cfg.output:
             _write_output(cfg.output, text)
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DivisibilityError, SemiLoopOddNError, MissingShardError, ShapeMismatchError) as e:
+    except (DivisibilityError, SemiLoopOddNError, ShapeMismatchError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
     return 0

@@ -41,20 +41,19 @@ or rounded again. The all-gather quantizes each shard once at its source
 source included, decodes the same codes, so outputs are bit-identical
 across devices. Final outputs are BF16-rounded float32 `TensorBuf`s.
 
-`reduce_scatter` is the first stage on its own. Its result depends only on
-the variant, `quantize_rs` and the codec, so collectives that agree on
-those can share it. `gather_blocks` is the all-gather: it yields the output
-one BF16-rounded minishard at a time, in output order, each made from its
-own minishard of the reduce-scatter alone, so a caller that reads the
-output once can take the blocks as they come and build none. A collective
-writes those blocks over its own reduce-scatter's buffer, so it never holds
-a second tensor, and hands that one read-only buffer to every device.
+`reduce_scatter` is the first stage on its own: one flat float32 buffer
+whose s-th of N equal parts is shard s. It depends only on the variant,
+`quantize_rs` and the codec, so collectives that agree on those can share
+it. `gather_blocks`, the all-gather, reads that buffer as it is and yields
+the output one BF16-rounded minishard at a time, in output order, each
+made from its own minishard of the buffer alone, so a caller that reads
+the output once builds none. A collective writes the blocks over its own
+reduce-scatter's buffer and hands that one read-only buffer to every device.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -64,8 +63,6 @@ from .layout import (
     CHUNK_COLS,
     CHUNK_ROWS,
     Bf16Tensor,
-    DivisibilityError,
-    MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
     TensorBuf,
@@ -114,10 +111,12 @@ def _check(inputs: Inputs, spec: PartitionSpec) -> None:
 
 
 class _QuantHop:
-    """One quantized message (`quant.QuantizedShard`) per minishard of `unit` elements."""
+    """One quantized message (`quant.QuantizedShard`) per minishard, so arcs run in minishards."""
 
-    def __init__(self, codec: Codec, unit: int):
-        self.codec, self.unit = codec, unit
+    per_minishard = True
+
+    def __init__(self, codec: Codec):
+        self.codec = codec
 
     def send(self, local):
         return quantize_shard(local.reshape(-1, CHUNK_ROWS, CHUNK_COLS), self.codec)
@@ -136,7 +135,7 @@ class _QuantHop:
 class _Bf16Hop:
     """BF16 partials, rounded after every addition; a unit is one element."""
 
-    unit = 1
+    per_minishard = False
 
     def send(self, local):
         return local
@@ -160,7 +159,7 @@ class _CastHop:
     `decode(wire) + decode(encode(local))`.
     """
 
-    unit = 1
+    per_minishard = False
 
     def __init__(self, codec: Codec):
         self.codec, self.table = codec, cast_add_table(codec)
@@ -178,79 +177,71 @@ class _CastHop:
         return decode(self.hop(wire, acc), self.codec)
 
 
-def _reduce_scatter(inputs: Sequence[Bf16Tensor], variant: Variant,
-                    kind: _QuantHop | _Bf16Hop | _CastHop, minishards: int) -> np.ndarray:
-    """Run every shard's arcs through one hop kind into one flat buffer; shard s
-    at its owner is `_shards` of it, the buffer's s-th of N equal parts.
+def _reduce_scatter(inputs: Inputs, spec: PartitionSpec, variant: Variant,
+                    kind: _QuantHop | _Bf16Hop | _CastHop) -> np.ndarray:
+    """Check the inputs, then run every shard's arcs through one hop kind into one
+    flat float32 buffer, shard s at its owner the buffer's s-th of N equal parts.
 
-    Arcs are walked one tile of `shard // minishards` elements at a time, cut
-    where an arc starts or ends inside a tile. Each device's part of a tile is
-    widened from its input where the arc reads it; no copy is staged. An arc
-    that merges `after` another reads that arc's result from the output buffer.
+    Arcs (in minishards if `kind.per_minishard`, else elements) are walked one
+    minishard tile at a time, cut where an arc starts or ends inside a tile.
+    Each device's part of a tile is widened from its input where the arc reads
+    it. An arc that merges `after` another reads that arc's result from the buffer.
     """
-    n, u = len(inputs), kind.unit
+    _check(inputs, spec)
+    n = spec.num_devices
     shard = inputs[0].bits.size // n
-    tile = shard // minishards
+    tile = shard // spec.minishards_per_shard
+    u = tile if kind.per_minishard else 1
     flat = np.empty(n * shard, np.float32)
-    for s, arcs in enumerate(schedule.rs_arcs(variant, n, shard // u)):
-        base = s * shard
-        result = flat[base:base + shard]
-        for arc in arcs:
-            head, *mid, owner = arc.devices
-            lo, stop = arc.units.start * u, arc.units.stop * u
-            while lo < stop:
-                hi = min((lo // tile + 1) * tile, stop)
-                part = slice(base + lo, base + hi)
-                local = lambda d, part=part: inputs[d].values(part)
-                wire = kind.send(local(head))
-                for dev in mid:
-                    wire = kind.hop(wire, local(dev))
-                acc = result[lo:hi] if arc.after else local(owner)
-                result[lo:hi] = kind.merge(acc, wire)
-                lo = hi
+    # NaN and inf inputs have defined results (README "Non-finite values"), so the
+    # invalid/overflow flags of their adds, scale divisions and multiplies are expected.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s, arcs in enumerate(schedule.rs_arcs(variant, n, shard // u)):
+            base = s * shard
+            result = flat[base:base + shard]
+            for arc in arcs:
+                head, *mid, owner = arc.devices
+                lo, stop = arc.units.start * u, arc.units.stop * u
+                while lo < stop:
+                    hi = min((lo // tile + 1) * tile, stop)
+                    part = slice(base + lo, base + hi)
+                    local = lambda d, part=part: inputs[d].values(part)
+                    wire = kind.send(local(head))
+                    for dev in mid:
+                        wire = kind.hop(wire, local(dev))
+                    acc = result[lo:hi] if arc.after else local(owner)
+                    result[lo:hi] = kind.merge(acc, wire)
+                    lo = hi
     return flat
 
 
-def _shards(flat: np.ndarray, n: int) -> list[np.ndarray]:
-    """The N shards of a flat reduce-scatter buffer, as (chunks, 8, 128) views."""
-    return [b.reshape(-1, CHUNK_ROWS, CHUNK_COLS) for b in np.split(flat, n)]
-
-
-def gather_blocks(shards: Sequence[np.ndarray], quantize: bool, codec: Codec,
+def gather_blocks(reduced: np.ndarray, quantize: bool, codec: Codec,
                   spec: PartitionSpec) -> Iterator[tuple[slice, np.ndarray]]:
     """The all-gather's output one minishard at a time: (part, values) in output order.
 
-    `values` are the BF16-rounded float32 elements at `part` of the flat
-    output. With quantize set each minishard is encoded once at its source
-    and every device, the source included, decodes the same codes, so every
-    device's output is these blocks. Block k is made from minishard k of
-    `shards` alone. The shards, one (chunks, 8, 128) shape per device with
-    chunks a multiple of the minishard count, are checked here; each block
-    is made when it is taken.
+    `reduced` is `reduce_scatter`'s flat float32 buffer, checked here. Block k
+    is the BF16-rounded float32 output at `part`, made when it is taken from
+    minishard k of the N·m in `reduced` alone. With quantize set each
+    minishard is encoded once at its source and every device, the source
+    included, decodes the same codes, so every device's output is these blocks.
     """
-    n, m = spec.num_devices, spec.minishards_per_shard
-    if len(shards) != n or any(b is None for b in shards):
-        raise MissingShardError(f"need shard results from all {n} devices")
-    shape = shards[0].shape
-    if shape[1:] != (CHUNK_ROWS, CHUNK_COLS) or any(b.shape != shape for b in shards):
-        raise ShapeMismatchError(f"shards need one (chunks, {CHUNK_ROWS}, {CHUNK_COLS}) shape, "
-                                 f"got {[b.shape for b in shards]}")
-    if shape[0] % m:
-        raise DivisibilityError(
-            f"{shape[0]} chunks per shard do not split across minishards_per_shard={m}")
-    return _gathered(shards, quantize, codec, m)
+    if reduced.ndim != 1 or reduced.dtype != np.float32:
+        raise ShapeMismatchError(f"a reduce-scatter is one flat float32 buffer, got "
+                                 f"{reduced.dtype} of shape {reduced.shape}")
+    spec.validate_element_count(reduced.size)
+    return _gathered(reduced, quantize, codec,
+                     reduced.size // (spec.num_devices * spec.minishards_per_shard))
 
 
-def _gathered(shards, quantize, codec, m):
-    end = 0
-    for shard in shards:
-        for block in np.split(shard, m):
-            with np.errstate(invalid="ignore", over="ignore"):  # as in _reduced
-                if quantize:
-                    block = dequantize_shard(quantize_shard(block, codec))
-                block = round_to_bf16(block).reshape(-1)
-            start, end = end, end + block.size
-            yield slice(start, end), block
+def _gathered(reduced, quantize, codec, tile):
+    for lo in range(0, reduced.size, tile):
+        block = reduced[lo:lo + tile]
+        with np.errstate(invalid="ignore", over="ignore"):  # as in _reduce_scatter
+            if quantize:
+                block = dequantize_shard(
+                    quantize_shard(block.reshape(-1, CHUNK_ROWS, CHUNK_COLS), codec)).reshape(-1)
+            block = round_to_bf16(block)
+        yield slice(lo, lo + tile), block
 
 
 def _gather_over(flat: np.ndarray, quantize: bool, codec: Codec, spec: PartitionSpec,
@@ -258,38 +249,22 @@ def _gather_over(flat: np.ndarray, quantize: bool, codec: Codec, spec: Partition
     """`gather_blocks` of a reduce-scatter buffer no one else holds, written over it
     and given to every device, read-only, shaped as the inputs. Block k is made
     from block k of the buffer alone before it is written back there."""
-    for part, block in gather_blocks(_shards(flat, spec.num_devices), quantize, codec, spec):
+    for part, block in gather_blocks(flat, quantize, codec, spec):
         flat[part] = block
     flat.setflags(write=False)
     return [TensorBuf(flat, inputs[0].rows, inputs[0].cols) for _ in range(spec.num_devices)]
 
 
-def _reduced(inputs: Inputs, spec: PartitionSpec, variant: Variant, kind) -> np.ndarray:
-    """Check the inputs, then `_reduce_scatter` them into one flat buffer through
-    the hop kind `kind(unit)` makes from the minishard size in elements."""
-    _check(inputs, spec)
-    m = spec.minishards_per_shard
-    # NaN and inf inputs have defined results (README "Non-finite values"), so the
-    # invalid/overflow flags of their adds, scale divisions and multiplies are expected.
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _reduce_scatter(inputs, variant,
-                               kind(inputs[0].bits.size // (spec.num_devices * m)), m)
-
-
-def _rs_buffer(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
-    """`_reduced` through cfg's reduce-scatter hop kind: its one flat buffer."""
-    kind = partial(_QuantHop, cfg.codec) if cfg.quantize_rs else lambda _: _Bf16Hop()
-    return _reduced(inputs, cfg.spec, cfg.variant, kind)
-
-
-def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> list[np.ndarray]:
-    """The reduce-scatter stage of `all_reduce`: result[s] is shard s reduced at device s.
+def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
+    """The reduce-scatter stage of `all_reduce`: one flat float32 buffer whose
+    s-th of N equal parts is shard s, reduced at device s.
 
     The result depends on cfg.variant, cfg.quantize_rs and cfg.codec only,
     so collectives that agree on those can share it and stream each one's
     all-gather through `gather_blocks`.
     """
-    return _shards(_rs_buffer(inputs, cfg), cfg.spec.num_devices)
+    kind = _QuantHop(cfg.codec) if cfg.quantize_rs else _Bf16Hop()
+    return _reduce_scatter(inputs, cfg.spec, cfg.variant, kind)
 
 
 def all_reduce(inputs: Inputs, cfg: CollectiveConfig) -> list[TensorBuf]:
@@ -297,7 +272,7 @@ def all_reduce(inputs: Inputs, cfg: CollectiveConfig) -> list[TensorBuf]:
 
     The all-gather is written over the reduce-scatter's own buffer.
     """
-    return _gather_over(_rs_buffer(inputs, cfg), cfg.quantize_ag, cfg.codec, cfg.spec, inputs)
+    return _gather_over(reduce_scatter(inputs, cfg), cfg.quantize_ag, cfg.codec, cfg.spec, inputs)
 
 
 def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec) -> list[TensorBuf]:
@@ -307,5 +282,5 @@ def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec) -> list[TensorB
 
 def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec) -> list[TensorBuf]:
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
-    flat = _reduced(inputs, spec, Variant.FULL_LOOP, lambda _: _CastHop(codec))
+    flat = _reduce_scatter(inputs, spec, Variant.FULL_LOOP, _CastHop(codec))
     return _gather_over(flat, False, codec, spec, inputs)

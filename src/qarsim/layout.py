@@ -27,11 +27,6 @@ class DivisibilityError(ValueError):
     """Element count does not divide across chunks/devices/minishards/microshards."""
 
 
-class MissingShardError(ValueError):
-    """`collectives.gather_blocks` was handed shard results that do not cover
-    every device: too few, too many, or one of them None."""
-
-
 class ShapeMismatchError(ValueError):
     """Tensor data disagrees with the shape it is declared or compared with."""
 

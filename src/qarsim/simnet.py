@@ -353,15 +353,7 @@ def _prep_quant(s: _Sched, tag: str, gs: range, u: int, e_micro: int, stage: str
                         for j in range(u)] for g in gs}
 
 
-class _Hops:
-    """How one stage's hops turn into events; `_execute` walks shard 0's arcs."""
-
-    def __init__(self, s: _Sched, stage: str):
-        self.s = s
-        self.stage = stage
-
-
-class _Quant(_Hops):
+class _Quant:
     """Block-quantized hops: one metadata transfer (a scale grid per minishard),
     then the payload microshards.
 
@@ -371,7 +363,7 @@ class _Quant(_Hops):
     """
 
     def __init__(self, s: _Sched, stage: str, e_micro: int, u: int, whole: bool):
-        super().__init__(s, stage)
+        self.s, self.stage = s, stage
         self.e, self.u, self.whole = e_micro, u, whole
         # Per direction, the times hop t hands on: the scan join per minishard
         # g and the encode ends per microshard (g, j) of what it sends, then
@@ -460,7 +452,7 @@ class _Quant(_Hops):
                                  for end in ends)
 
 
-class _Plain(_Hops):
+class _Plain:
     """Unquantized hops: BF16 partials (raw hops, 2 bytes per element), or
     with `eight_bit` the 8-bit codes of the naive and ideal 2:1 rings (1 byte
     per element), where `cast` adds the naive ring's cast, recode and decode
@@ -469,7 +461,7 @@ class _Plain(_Hops):
     """
 
     def __init__(self, s: _Sched, stage: str, eight_bit: bool = False, cast: bool = False):
-        super().__init__(s, stage)
+        self.s, self.stage = s, stage
         self.eight_bit, self.cast = eight_bit, cast
         # Per direction, when what hop t sends is ready (unset: at 0, a raw
         # head's own value), then when it arrives.
@@ -525,7 +517,7 @@ class _Plain(_Hops):
                       s.merge[a.direction])
 
 
-def _execute(s: _Sched, *stages: tuple[list[Arc], _Hops]) -> Timeline:
+def _execute(s: _Sched, *stages: tuple[list[Arc], _Quant | _Plain]) -> Timeline:
     """Walk each stage's shard-0 arcs in order, emitting device 0's events
     through its hop kind: in iteration t, hop t of every arc that has one is
     sent, then received, CW before CCW. A segment ends after each stage's
@@ -562,7 +554,7 @@ def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
     e_shard = _elements(tensor_bytes, spec) // n
     s = _Sched(n, link, compute)
 
-    def hops(stage: str, quantized: bool) -> _Hops:
+    def hops(stage: str, quantized: bool) -> _Quant | _Plain:
         if quantized:
             return _Quant(s, stage, e_shard // (m * u), u, cfg.variant is Variant.SEMI_LOOP)
         return _Plain(s, stage)

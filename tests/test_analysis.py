@@ -337,16 +337,16 @@ def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
     stage_of, digests = {}, {}
 
     def observed_reduce_scatter(inputs, cfg):
-        shards = reduce_scatter(inputs, cfg)
-        stage_of[id(shards)] = (cfg.variant, cfg.quantize_rs)
-        return shards
+        reduced = reduce_scatter(inputs, cfg)
+        stage_of[id(reduced)] = (cfg.variant, cfg.quantize_rs)
+        return reduced
 
-    def observed_gather_blocks(shards, quantize, codec, spec):
+    def observed_gather_blocks(reduced, quantize, codec, spec):
         h = hashlib.sha256()
-        for part, block in gather_blocks(shards, quantize, codec, spec):
+        for part, block in gather_blocks(reduced, quantize, codec, spec):
             h.update(block.tobytes())
             yield part, block
-        digests[flavor_of[(*stage_of[id(shards)], quantize)]] = h.hexdigest()
+        digests[flavor_of[(*stage_of[id(reduced)], quantize)]] = h.hexdigest()
 
     def observed_naive(*args):
         out = naive_lowp_allreduce(*args)

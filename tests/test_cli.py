@@ -78,6 +78,20 @@ def test_output_in_missing_directory_exits_2(tmp_path, capsys):
     assert captured.err.startswith("config error: ") and str(out) in captured.err
 
 
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_unwritable_output_exits_2_before_the_command_runs(parent, tmp_path, capsys, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the command ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, "tradeoff_study", not_called)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "x.csv"
+    assert run(["tradeoff", "--config", write_cfg(tmp_path, SMALL), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"config error: cannot write output file {out}")
+
+
 def test_wrong_type_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, dict(SMALL, rows="many"))
     assert run(["simulate", "--config", cfg]) == 2

@@ -22,7 +22,6 @@ from qarsim.layout import (
     CHUNK_ELEMS,
     Bf16Tensor,
     DivisibilityError,
-    MissingShardError,
     PartitionSpec,
     ShapeMismatchError,
     TensorBuf,
@@ -213,7 +212,7 @@ def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
     inputs = device_inputs(64, 256, 4, seed=17)
     inputs[2].bits[[7, 4000]] = bf16_bits([np.nan, np.inf])
     given = reduce_scatter(inputs, _sibling(cfg))
-    assert [r.tobytes() for r in given] == [r.tobytes() for r in reduce_scatter(inputs, cfg)]
+    assert given.tobytes() == reduce_scatter(inputs, cfg).tobytes()
     streamed = np.concatenate([b for _, b in gather_blocks(given, cfg.quantize_ag, cfg.codec,
                                                            cfg.spec)])
     assert streamed.tobytes() == all_reduce(inputs, cfg)[0].data.tobytes()
@@ -228,14 +227,14 @@ def test_streamed_gather_blocks_are_the_all_reduce_output(cfg):
     inputs = device_inputs(64, 256, 4, seed=17)
     inputs[2].bits[[7, 4000]] = bf16_bits([np.nan, np.inf])
     reduced = reduce_scatter(inputs, cfg)
-    before = [r.tobytes() for r in reduced]
+    before = reduced.tobytes()
     blocks = list(gather_blocks(reduced, cfg.quantize_ag, cfg.codec, cfg.spec))
     ends = [0] + [part.stop for part, _ in blocks]
     assert [(part.start, part.stop) for part, _ in blocks] == list(zip(ends, ends[1:]))
     assert len(blocks) == cfg.spec.num_devices * cfg.spec.minishards_per_shard
     streamed = np.concatenate([block for _, block in blocks])
     assert streamed.tobytes() == all_reduce(inputs, cfg)[0].data.tobytes()
-    assert [r.tobytes() for r in reduced] == before
+    assert reduced.tobytes() == before
     if not (cfg.quantize_rs or cfg.quantize_ag) and cfg.variant is Variant.FULL_LOOP:
         assert baseline_allreduce_bf16(inputs, cfg.spec)[0].data.tobytes() == streamed.tobytes()
 
@@ -299,28 +298,30 @@ def test_semi_loop_rejects_odd_ring():
         CollectiveConfig(Variant.SEMI_LOOP, PartitionSpec(5, 1, 1))
 
 
-# gather_blocks checks its shards when called, before any block is taken.
-def test_all_gather_rejects_missing_shard():
-    spec = PartitionSpec(4, 1, 1)
-    shards = [np.zeros((1, 8, 128), dtype=np.float32)] * 4
-    for bad in (shards[:3], shards[:3] + [None], shards + shards[:1]):
-        with pytest.raises(MissingShardError, match="all 4 devices"):
-            gather_blocks(bad, True, Codec.INT8, spec)
+# gather_blocks checks the buffer when called: no block is taken below.
+@pytest.mark.parametrize("bad", [np.zeros((4, 1024), np.float32), np.zeros(4096, np.float64)],
+                         ids=["2-D", "float64"])
+def test_gather_blocks_rejects_a_buffer_that_is_not_a_reduce_scatter(bad):
+    with pytest.raises(ShapeMismatchError, match="one flat float32 buffer"):
+        gather_blocks(bad, False, Codec.INT8, PartitionSpec(4, 1, 1))
 
 
-def test_gather_blocks_rejects_shards_of_unequal_or_non_chunk_shape():
-    spec = PartitionSpec(4, 1, 1)
-    shards = [np.zeros((2, 8, 128), dtype=np.float32)] * 4
-    for bad in (shards[:3] + [np.zeros((1, 8, 128), np.float32)],
-                [s.reshape(-1) for s in shards], [s.reshape(2, 16, 64) for s in shards]):
-        with pytest.raises(ShapeMismatchError, match=r"one \(chunks, 8, 128\) shape"):
-            gather_blocks(bad, False, Codec.INT8, spec)
+def test_gather_blocks_rejects_a_size_the_minishards_do_not_divide():
+    with pytest.raises(DivisibilityError, match="minishards_per_shard=2"):
+        gather_blocks(np.zeros(4 * 3 * CHUNK_ELEMS, np.float32), False, Codec.INT8,
+                      PartitionSpec(4, 2, 1))
 
 
-def test_gather_blocks_rejects_chunks_the_minishards_do_not_divide():
-    shards = [np.zeros((3, 8, 128), dtype=np.float32)] * 4
-    with pytest.raises(DivisibilityError, match="3 chunks per shard"):
-        gather_blocks(shards, False, Codec.INT8, PartitionSpec(4, 2, 1))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_reduce_scatter_buffer_holds_shard_s_in_its_s_th_part(variant):
+    # Small integers add exactly in BF16, so each part is the exact sum of its shard.
+    n = 4
+    inputs = int_inputs(n, n * 6 * CHUNK_ELEMS, seed=29)
+    exact = np.sum([t.values() for t in inputs], axis=0, dtype=np.float32)
+    reduced = reduce_scatter(inputs, CollectiveConfig(variant, PartitionSpec(n, 3, 1)))
+    assert reduced.dtype == np.float32 and reduced.shape == exact.shape
+    for s, (part, want) in enumerate(zip(np.split(reduced, n), np.split(exact, n))):
+        assert np.array_equal(part, want), s
 
 
 def test_outputs_identical_across_devices():

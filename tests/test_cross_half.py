@@ -73,7 +73,8 @@ class _Recorder:
     """A hop kind that logs each call with its message bytes and its passes."""
 
     def __init__(self, kind, passes: Counter):
-        self.kind, self.unit, self.passes, self.calls = kind, kind.unit, passes, []
+        self.kind, self.per_minishard = kind, kind.per_minishard
+        self.passes, self.calls = passes, []
 
     def _log(self, name, elems, out):
         # A hop or merge folds one operand in: one add per element.
@@ -146,11 +147,12 @@ def _functional(variant, nmu, kind, monkeypatch):
     shard = inputs[0].bits.size // n
     passes, messages = Counter(), []
     _count_kernels(monkeypatch, passes, messages)
-    hop = {"quant": lambda: collectives._QuantHop(Codec.INT8, shard // m),
+    hop = {"quant": lambda: collectives._QuantHop(Codec.INT8),
            "raw": collectives._Bf16Hop,
            "naive": lambda: collectives._CastHop(Codec.F8E5M2)}[kind]()
     recorder = _Recorder(hop, passes)
-    reduced = collectives._shards(collectives._reduce_scatter(inputs, variant, recorder, m), n)
+    spec = PartitionSpec(n, m, u)
+    reduced = collectives._reduce_scatter(inputs, spec, variant, recorder)
     units, unit = (m, shard // m) if kind == "quant" else (shard, 1)
 
     wire, work = Counter(), Counter()
@@ -165,7 +167,7 @@ def _functional(variant, nmu, kind, monkeypatch):
         # encodes the m messages of shard 0, its own.
         passes.clear()
         messages.clear()
-        for _ in collectives.gather_blocks(reduced, True, Codec.INT8, PartitionSpec(n, m, u)):
+        for _ in collectives.gather_blocks(reduced, True, Codec.INT8, spec):
             pass
         assert len(messages) == n * m
         work["ag", "dq"] += passes["dq"]
