@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import runpy
 import tracemalloc
@@ -234,6 +235,83 @@ def test_shipped_size_sweep_regenerates_byte_for_byte(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--sizes", sizes, "--num-devices", "8", "--output", str(out)]) == 0
     assert out.read_bytes() == (SCRIPTS / "size_sweep_n8.csv").read_bytes()
+
+
+# A small run of each table command, for the pinned output bytes below.
+_SMALL_ARGV = ["--rows", "256", "--cols", "512", "--num-devices", "4", "--seed", "7"]
+TABLE_ARGV = {
+    "simulate": ["simulate", *_SMALL_ARGV],
+    "simulate-naive": ["simulate", *_SMALL_ARGV, "--naive", "--codec", "f8e5m2"],
+    "tradeoff": ["tradeoff", *_SMALL_ARGV],
+    "sweep": ["sweep", "--sizes", "1MiB,4MiB,64MiB", "--num-devices", "8"],
+    "sweep-no-sizes": ["sweep", "--sizes", ","],
+    "bounds": ["bounds"],
+    "timeline": ["timeline", *_SMALL_ARGV, "--variant", "semi_loop"],
+}
+# sha256 of the stdout of each TABLE_ARGV command by (command, format, --timestamp),
+# with the clock fixed. Recorded before the result dataclasses became the CSV schemas.
+OUTPUT_SHA256 = {
+    ("simulate", "csv", False):
+        "0f9df910a959ec381fabc6ff29975cbe9ff96cafe7821ebbbc4b7ddbf88916eb",
+    ("simulate", "csv", True):
+        "d32ba7f5c7ceec9fd90fd40bfbde0cef182bb394d3e50eb9a27e9696ab5f00da",
+    ("simulate", "json", False):
+        "07c9d613f833ef2888fa0d8dec1b7cb3eae5482ddc5f97f4e5a79a94181ce1b8",
+    ("simulate", "json", True):
+        "93dd893edc02df8aa0a1be34db38a6f89c43ae0cefd4436eead0e3ac2c33043e",
+    ("simulate-naive", "csv", False):
+        "ebb827fa8a39029e0e22097a6bd34479d19119d610293132165cb6abe1bcf387",
+    ("simulate-naive", "csv", True):
+        "b3305b7d3a91bf3f9b63a1438320d32272279e3933c666df35e233fd965cc5e8",
+    ("simulate-naive", "json", False):
+        "2718eccb27018ad929606547a0618e38562863adcb9277c1c31bc38c99a849cb",
+    ("simulate-naive", "json", True):
+        "b31beac22ee36cb5cc3ac65de18c6daed37ed16f8d2b6751cf66e7611c6ddb81",
+    ("tradeoff", "csv", False):
+        "9a1d227dd1770263a9b7b07344582c19044c4c58d70bd54b97dd77b1abd18bd4",
+    ("tradeoff", "csv", True):
+        "bf7e71fa2a591287607b1b901f102156de7260a65ae05f06ecce2dccd084bb84",
+    ("tradeoff", "json", False):
+        "a52c7778609391da01caad96531179c7a8aade2b2852593932f94baa02dac96d",
+    ("tradeoff", "json", True):
+        "c376a443f1b93cec763bd109c9899b8dc7a9c186ab752046147a7e6c62b523ad",
+    ("sweep", "csv", False):
+        "5ec1d8f56e7e7153e9bcae1e5dbd6be58ce2ae7b373e0889c8256c6b5287e558",
+    ("sweep", "csv", True):
+        "1654d730320c8be72ffe814657f2831114ea0f41c27cf59aa2e5d835baa9bd56",
+    ("sweep", "json", False):
+        "66b41b976b7e941c98f55d1eee6fd17d7bbfe28def233e2cf174078021974959",
+    ("sweep", "json", True):
+        "ceccae4f1c04cfff3e3791667912b309f5cee4de5a353b57593f1ebe19328503",
+    ("sweep-no-sizes", "csv", False):
+        "35636844e182cba55ef3c23baf2057381b5df9d4cb5cd0e0fdc4b49dfe78efad",
+    ("sweep-no-sizes", "csv", True):
+        "058ebc5f4955d2abd46d803eedac46559f64527dbf0469530839ac18a2eb0831",
+    ("sweep-no-sizes", "json", False):
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ("sweep-no-sizes", "json", True):
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ("bounds", "csv", False):
+        "c1fdb63d335aa618fee1d7181918a327e79036e43a62ddb4652265fee71486a9",
+    ("bounds", "csv", True):
+        "74f0d3b6f7740424746ff7717e1770081e97cda8e57651b0926af0d6b95073d3",
+    ("bounds", "json", False):
+        "e9af58705f40bf36c72d16ccfdd20f0f4fb5fa25bc532f53aa9c2da820692dda",
+    ("bounds", "json", True):
+        "c9a757dcda39dd8830df96ec8f2083eb041279e7b3176a93fdd50cd3c2d246ed",
+    ("timeline", "csv", False):
+        "b19e0a5f149c804dadb0dbef3dc2fd63421c3c8815812ce88f5989f181bad9ea",
+    ("timeline", "csv", True):
+        "bf8e38550a07c34de6fb88fcba2e3a01cfd8b4a1e4102ceb87a1c0611bed0d93",
+}
+
+
+@pytest.mark.parametrize("name, fmt, timestamp", list(OUTPUT_SHA256))
+def test_table_output_bytes_are_pinned(name, fmt, timestamp, monkeypatch, capsys):
+    monkeypatch.setattr(cli.time, "time", lambda: 1760000000.123456)
+    assert run([*TABLE_ARGV[name], "--format", fmt, *["--timestamp"] * timestamp]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == OUTPUT_SHA256[name, fmt, timestamp]
 
 
 def test_bad_size_token_exits_2(capsys):
