@@ -1,5 +1,9 @@
 """Experiment harnesses: error/speedup trade-off studies and size sweeps.
 
+Each returns one dataclass per table row (`FlavorResult`, `SweepPoint`),
+whose fields are the table's columns in order; `qarsim.cli` writes the rows
+as CSV or JSON.
+
 Per-device inputs are BF16 tensors: device d's are the BF16 roundings
 (`numerics.bf16_bits`) of float32 standard normals from numpy's PCG64
 (np.random.default_rng) with seed = base_seed + d, so every reported
@@ -17,13 +21,10 @@ a time against the baseline, which it keeps as BF16 bits.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import os
 import threading
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
@@ -56,22 +57,7 @@ _FLAVOR_DEFS = {
 
 FLAVORS = ("baseline", "naive", *_FLAVOR_DEFS)
 
-CSV_COLUMNS = (
-    "flavor",
-    "variant",
-    "stages",
-    "codec",
-    "N",
-    "rows",
-    "cols",
-    "m",
-    "u",
-    "seed",
-    "mse",
-    "predicted_speedup",
-)
-
-SWEEP_COLUMNS = ("size_bytes", "flavor_time_s", "baseline_time_s", "ratio")
+_DEFAULT_LINK, _DEFAULT_COMPUTE = load_preset(DEFAULT_PRESET)
 
 # mse's one float64 buffer (128 Ki elements, 1 MiB) and its summation lanes.
 _MSE_BUF_ELEMS = 128 * 1024
@@ -206,15 +192,6 @@ def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[Bf1
     return [Bf16Tensor(bits, rows, cols) for bits in block]
 
 
-def _fill_params(link: LinkParams | None,
-                 compute: ComputeParams | None) -> tuple[LinkParams, ComputeParams]:
-    """Take a missing link or compute model from DEFAULT_PRESET."""
-    if link is None or compute is None:
-        p_link, p_compute = load_preset(DEFAULT_PRESET)
-        link, compute = link or p_link, compute or p_compute
-    return link, compute
-
-
 def auto_minishards(total_elems: int, num_devices: int) -> int:
     """gcd(p, max(1, p // 64)) for p chunks per shard: equal minishards of at
     least 64 chunks when p >= 64, but not the most of them (p = 200 gives 1)."""
@@ -224,22 +201,20 @@ def auto_minishards(total_elems: int, num_devices: int) -> int:
 
 @dataclass(frozen=True)
 class FlavorResult:
-    # The fields are in CSV_COLUMNS order.
+    """One row of the tradeoff table; its fields are the table's columns, in order."""
+
     flavor: str
     variant: str
     stages: str
     codec: str
-    num_devices: int
+    N: int
     rows: int
     cols: int
-    minishards: int
-    microshards: int
+    m: int
+    u: int
     seed: int
     mse: float
     predicted_speedup: float
-
-    def to_row(self) -> dict:
-        return dict(zip(CSV_COLUMNS, astuple(self)))
 
 
 def flavor_mses(inputs: list[Bf16Tensor], spec: PartitionSpec, cfgs: list[CollectiveConfig],
@@ -297,15 +272,14 @@ def tradeoff_study(
     seed: int = 0,
     minishards: int | None = None,
     microshards: int = 2,
-    link: LinkParams | None = None,
-    compute: ComputeParams | None = None,
+    link: LinkParams = _DEFAULT_LINK,
+    compute: ComputeParams = _DEFAULT_COMPUTE,
 ) -> list[FlavorResult]:
     """Run all 8 flavors on identical inputs; MSE vs baseline plus predicted speedup.
 
     The MSEs come from one `flavor_mses` call, the naive ring's in F8E5M2,
     so no flavor output is built. Rows come out in FLAVORS order.
     """
-    link, compute = _fill_params(link, compute)
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
     spec = PartitionSpec(num_devices, m, microshards)
     cfgs = [CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
@@ -331,13 +305,12 @@ def tradeoff_study(
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One row of the size sweep; its fields are the sweep's columns, in order."""
+
     size_bytes: int
     flavor_time_s: float
     baseline_time_s: float
     ratio: float
-
-    def to_row(self) -> dict:
-        return asdict(self)
 
 
 def size_sweep(
@@ -349,15 +322,14 @@ def size_sweep(
     quantize_ag: bool = True,
     minishards: int | None = None,
     microshards: int = 2,
-    link: LinkParams | None = None,
-    compute: ComputeParams | None = None,
+    link: LinkParams = _DEFAULT_LINK,
+    compute: ComputeParams = _DEFAULT_COMPUTE,
 ) -> list[SweepPoint]:
     """Predicted flavor-vs-baseline time ratio per tensor size (BF16 bytes).
 
     With minishards unset each size picks its own block-preserving count, the
     same rule tradeoff_study uses.
     """
-    link, compute = _fill_params(link, compute)
     out = []
     for size in sizes:
         elems = size // 2
@@ -370,14 +342,3 @@ def size_sweep(
         out.append(SweepPoint(size, t_flavor, t_base, t_flavor / t_base))
     return out
 
-
-def render_csv(rows: list[dict], columns) -> str:
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
-    return buf.getvalue()
-
-
-def render_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"

@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import (
-    CSV_COLUMNS,
-    SWEEP_COLUMNS,
+    FlavorResult,
+    SweepPoint,
     auto_minishards,
     device_inputs,
     flavor_mses,
-    render_csv,
-    render_json,
     size_sweep,
     stages_tag,
     tradeoff_study,
@@ -232,8 +230,12 @@ def _render(rows: list[dict], columns, cfg: RunConfig) -> str:
         rows = [dict(r, timestamp=now) for r in rows]
         columns = (*columns, "timestamp")
     if cfg.format == "json":
-        return render_json(rows)
-    return render_csv(rows, columns)
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def cmd_simulate(cfg: RunConfig) -> str:
@@ -269,7 +271,8 @@ def cmd_tradeoff(cfg: RunConfig) -> str:
         minishards=cfg.minishards_per_shard, microshards=cfg.microshards_per_minishard,
         link=link, compute=compute,
     )
-    return _render([r.to_row() for r in results], CSV_COLUMNS, cfg)
+    return _render([dataclasses.asdict(r) for r in results],
+                   [f.name for f in dataclasses.fields(FlavorResult)], cfg)
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
@@ -280,20 +283,17 @@ def cmd_sweep(cfg: RunConfig) -> str:
         minishards=cfg.minishards_per_shard, microshards=cfg.microshards_per_minishard,
         link=link, compute=compute,
     )
-    return _render([p.to_row() for p in points], SWEEP_COLUMNS, cfg)
+    return _render([dataclasses.asdict(p) for p in points],
+                   [f.name for f in dataclasses.fields(SweepPoint)], cfg)
 
 
 def cmd_timeline(cfg: RunConfig) -> str:
     tl = _timeline(cfg, _partition_spec(cfg), *resolve_params(cfg))
     if cfg.format != "csv":
         return tl.to_jsonl()
-    # The rows `_render` would write, straight from device 0's columns.
-    columns, constants = TIMELINE_COLUMNS, ()
-    if cfg.timestamp:
-        columns, constants = (*columns, "timestamp"), (time.time(),)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(columns)
-    return buf.getvalue() + tl.to_csv(*constants)
+    # `_render`'s header, then the rows it would write, straight from device 0's columns.
+    constants = [time.time()] if cfg.timestamp else []
+    return _render([], TIMELINE_COLUMNS, cfg) + tl.to_csv(*constants)
 
 
 def cmd_bounds(cfg: RunConfig) -> str:
@@ -302,8 +302,10 @@ def cmd_bounds(cfg: RunConfig) -> str:
     shard for a quantized one."""
     link, _ = resolve_params(cfg)
     n, bandwidth = cfg.num_devices, link.bandwidth_bytes_per_s
+    spec = _partition_spec(cfg)
+    spec.validate_element_count(cfg.rows * cfg.cols)
     d_bytes = cfg.rows * cfg.cols * 2
-    quant_bytes = d_bytes / 2 + n * _partition_spec(cfg).minishards_per_shard * GRID_BYTES
+    quant_bytes = d_bytes / 2 + n * spec.minishards_per_shard * GRID_BYTES
     row = {
         "N": n,
         "tensor_bytes": d_bytes,
@@ -368,9 +370,11 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         if cfg.format is None:
             cfg.format = "json" if args.command == "timeline" else "csv"
-        if cfg.output and not Path(cfg.output).parent.is_dir():  # checked before the command runs
-            raise ConfigError(f"cannot write output file {cfg.output}: "
-                              f"{Path(cfg.output).parent} is not a directory")
+        out = cfg.output and Path(cfg.output)  # checked before the command runs
+        if out and out.is_dir():
+            raise ConfigError(f"cannot write output file {out}: it is a directory")
+        if out and not out.parent.is_dir():
+            raise ConfigError(f"cannot write output file {out}: {out.parent} is not a directory")
         text = COMMANDS[args.command](cfg)
         if cfg.output:
             _write_output(cfg.output, text)

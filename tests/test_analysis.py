@@ -1,4 +1,4 @@
-"""Study harness: flavor table, PRNG contract, sweep shape, rendering."""
+"""Study harness: flavor table, PRNG contract, sweep shape."""
 
 import hashlib
 import math
@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,13 @@ from hypothesis import strategies as st
 
 import qarsim.analysis
 from qarsim.analysis import (
-    CSV_COLUMNS,
     FLAVORS,
-    SWEEP_COLUMNS,
+    FlavorResult,
+    SweepPoint,
     auto_minishards,
     blockwise_mse,
     device_inputs,
     mse,
-    render_csv,
-    render_json,
     size_sweep,
     tradeoff_study,
 )
@@ -301,12 +300,12 @@ def test_tradeoff_study_table():
     assert by_name["full_rs"].stages == "rs"
     assert by_name["full_ag"].stages == "ag"
     for r in results:
-        assert (r.num_devices, r.rows, r.cols, r.seed) == (4, 512, 512, 3)
-        assert r.minishards == 1 and r.microshards == 2
+        assert (r.N, r.rows, r.cols, r.seed) == (4, 512, 512, 3)
+        assert r.m == 1 and r.u == 2
         assert r.predicted_speedup > 0.0
-        row = r.to_row()
-        assert tuple(row) == CSV_COLUMNS
-        assert row["N"] == 4 and row["m"] == 1 and row["u"] == 2
+    assert [f.name for f in fields(FlavorResult)] == [
+        "flavor", "variant", "stages", "codec", "N", "rows", "cols", "m", "u", "seed", "mse",
+        "predicted_speedup"]
     # quantizing both stages hurts accuracy at least as much as one stage
     assert by_name["full_both"].mse >= by_name["full_ag"].mse
     assert by_name["full_both"].mse < by_name["naive"].mse
@@ -438,7 +437,8 @@ def test_size_sweep_ratio_shape():
     assert [p.size_bytes for p in points] == sizes
     for p in points:
         assert p.ratio == pytest.approx(p.flavor_time_s / p.baseline_time_s, rel=1e-12)
-        assert tuple(p.to_row()) == SWEEP_COLUMNS
+    assert [f.name for f in fields(SweepPoint)] == [
+        "size_bytes", "flavor_time_s", "baseline_time_s", "ratio"]
     ratios = [p.ratio for p in points]
     assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))  # non-increasing
     assert ratios[0] > 0.9  # latency-bound small end sits near parity
@@ -451,11 +451,3 @@ def test_size_sweep_respects_variant():
     assert points[0].baseline_time_s == full[0].baseline_time_s  # shared baseline
     assert points[0].flavor_time_s != full[0].flavor_time_s
 
-
-def test_render_csv_and_json():
-    rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": float(np.float32(1.1))}]
-    text = render_csv(rows, ("a", "b"))
-    assert text.split("\n")[0] == "a,b"
-    assert text == render_csv(rows, ("a", "b"))  # byte-stable
-    parsed = __import__("json").loads(render_json(rows))
-    assert parsed == rows

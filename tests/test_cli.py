@@ -79,17 +79,19 @@ def test_output_in_missing_directory_exits_2(tmp_path, capsys):
     assert captured.err.startswith("config error: ") and str(out) in captured.err
 
 
-@pytest.mark.parametrize("parent", ["missing", "file"])
-def test_unwritable_output_exits_2_before_the_command_runs(parent, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("output", ["missing/x.csv", "file/x.csv", "directory"],
+                         ids=["missing", "file", "directory"])
+def test_unwritable_output_exits_2_before_the_command_runs(output, tmp_path, capsys, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("the command ran although its output cannot be written")
 
     monkeypatch.setattr(cli, "tradeoff_study", not_called)
     (tmp_path / "file").write_text("")
-    out = tmp_path / parent / "x.csv"
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / output
     assert run(["tradeoff", "--config", write_cfg(tmp_path, SMALL), "--output", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
+    assert captured.out == "" and not out.is_file()
     assert captured.err.startswith(f"config error: cannot write output file {out}")
 
 
@@ -108,6 +110,17 @@ def test_bad_enum_exits_2(tmp_path, capsys):
 def test_divisibility_exits_3(capsys):
     assert run(["simulate", "--rows", "100", "--cols", "100"]) == 3
     assert "DivisibilityError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rows", "100", "--cols", "100"],
+    ["--rows", "64", "--cols", "128", "--num-devices", "3", "--minishards", "5"],
+    ["--rows", "1024", "--cols", "1024", "--minishards", "3"],
+], ids=["chunks", "devices", "minishards"])
+def test_bounds_rejects_a_shape_no_collective_can_partition(argv, capsys):
+    assert run(["bounds", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("DivisibilityError: ")
 
 
 def test_semi_loop_odd_ring_exits_3(capsys):
@@ -170,11 +183,15 @@ def test_tradeoff_reruns_byte_identical(tmp_path):
 
 def test_tradeoff_json_equivalent(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
-    out = tmp_path / "t.json"
+    out, csv_out = tmp_path / "t.json", tmp_path / "t.csv"
     assert run(["tradeoff", "--config", cfg, "--format", "json", "--output", str(out)]) == 0
     rows = json.loads(out.read_text())
     assert [r["flavor"] for r in rows] == ["baseline", "naive", "full_rs", "full_ag",
                                            "full_both", "semi_rs", "semi_ag", "semi_both"]
+    # Every JSON value reads back as the CSV writes it: the same columns and floats.
+    assert run(["tradeoff", "--config", cfg, "--output", str(csv_out)]) == 0
+    with csv_out.open(newline="") as f:
+        assert list(csv.DictReader(f)) == [{k: str(v) for k, v in r.items()} for r in rows]
 
 
 def test_timeline_jsonl_schema(tmp_path):
