@@ -341,4 +341,3 @@ def size_sweep(
         t_flavor = simulate(cfg, size, link, compute).total_time
         out.append(SweepPoint(size, t_flavor, t_base, t_flavor / t_base))
     return out
-
