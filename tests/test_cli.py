@@ -129,6 +129,21 @@ def test_semi_loop_odd_ring_exits_3(capsys):
     assert "SemiLoopOddNError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_leaves_the_semi_loop_cells_empty_on_an_odd_ring(fmt, capsys):
+    # `simulate --variant semi_loop` exits 3 on this shape; its bounds are blank, not numbers.
+    argv = ["--rows", "24", "--cols", "128", "--num-devices", "3", "--microshards", "1"]
+    assert run(["simulate", "--variant", "semi_loop", *argv]) == 3
+    capsys.readouterr()
+    assert run(["bounds", *argv, "--bandwidth", "1e9", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    (rec,) = json.loads(out) if fmt == "json" else csv.DictReader(out.splitlines())
+    empty = None if fmt == "json" else ""
+    assert rec["semi_loop_bound_s"] == rec["semi_loop_quant_bound_s"] == empty
+    assert float(rec["full_loop_bound_s"]) == pytest.approx(2 * 24 * 128 * 2 / 6e9)
+    assert float(rec["full_loop_quant_bound_s"]) > 0
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     out = tmp_path / "r.json"

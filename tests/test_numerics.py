@@ -482,6 +482,45 @@ def test_kernels_raise_no_warning_on_any_input():
                 encode(x, codec)
 
 
+# The input contract: encode, round_to_bf16 and bf16_bits take float32 arrays
+# and decode takes uint8 arrays, of any shape, 0-d included. Anything else is
+# a TypeError, not a silent cast, and a 0-d array comes back as a 0-d array.
+
+NOT_FLOAT32 = {"f64": np.zeros(3), "f16": np.zeros(3, np.float16), "i64": np.arange(3),
+               "list": [0.5, -1.5], "float": 0.5, "np.float32": np.float32(0.5)}
+NOT_UINT8 = {"i16": np.arange(3, dtype=np.int16), "f32": np.zeros(3, np.float32),
+             "list": [1, 2], "int": 1}
+
+
+@pytest.mark.parametrize("x", NOT_FLOAT32.values(), ids=list(NOT_FLOAT32))
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
+def test_float_kernels_reject_anything_but_a_float32_array(codec, x):
+    for kernel in (functools.partial(encode, codec=codec), round_to_bf16, bf16_bits):
+        with pytest.raises(TypeError):
+            kernel(x)
+
+
+@pytest.mark.parametrize("codes", NOT_UINT8.values(), ids=list(NOT_UINT8))
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
+def test_decode_rejects_anything_but_a_uint8_array(codec, codes):
+    with pytest.raises(TypeError):
+        decode(codes, codec)
+
+
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
+def test_kernels_map_a_0d_array_to_a_0d_array_with_the_1_element_bits(codec):
+    def check(kernel, x0):
+        got, want = kernel(x0), kernel(x0.reshape(1))
+        assert type(got) is np.ndarray and got.shape == ()
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    for x in edge_values(np.float32)[::7]:
+        for kernel in (functools.partial(encode, codec=codec), round_to_bf16, bf16_bits):
+            check(kernel, np.asarray(x))
+    for code in np.arange(256, dtype=np.uint8):
+        check(functools.partial(decode, codec=codec), np.asarray(code))
+
+
 # The kernels look for special lanes (non-finite, BF16 overflow, FP8
 # subnormal, NaN) with a whole-array test first and fix only when it fires.
 # One planted lane in a large array of ordinary values must still fire it.

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qarsim.simnet as simnet
-from qarsim.collectives import CollectiveConfig, Variant
+from qarsim.collectives import CollectiveConfig, SemiLoopOddNError, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
 from qarsim.presets import load_preset
 from qarsim.quant import GRID_BYTES
@@ -91,6 +91,13 @@ def test_no_resource_overlap(variant, quant):
 def test_lower_bound_worked_example():
     assert lower_bound(Variant.FULL_LOOP, 4, 8 * MIB, 1e9) == pytest.approx(0.003145728, rel=1e-12)
     assert lower_bound(Variant.SEMI_LOOP, 4, 8 * MIB, 1e9) == pytest.approx(8 * MIB / (2 * 1e9), rel=1e-12)
+
+
+def test_semi_loop_lower_bound_needs_an_even_ring():
+    # The semi loop pairs the ring into two arcs, so on an odd ring it has no bound to give.
+    with pytest.raises(SemiLoopOddNError):
+        lower_bound(Variant.SEMI_LOOP, 3, 8 * MIB, 1e9)
+    assert lower_bound(Variant.FULL_LOOP, 3, 8 * MIB, 1e9) == pytest.approx(8 * MIB / 3e9, rel=1e-12)
 
 
 @pytest.mark.parametrize("variant", [Variant.FULL_LOOP, Variant.SEMI_LOOP])
