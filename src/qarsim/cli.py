@@ -299,21 +299,29 @@ def cmd_timeline(cfg: RunConfig) -> str:
 def cmd_bounds(cfg: RunConfig) -> str:
     """Each variant's reduce-scatter bound on its wire bytes: the BF16 tensor's
     for a raw stage; half of them plus one scale grid per minishard of each
-    shard for a quantized one."""
+    shard for a quantized one. On an odd ring, where the semi loop cannot run,
+    both semi-loop cells are empty (CSV) or null (JSON)."""
     link, _ = resolve_params(cfg)
     n, bandwidth = cfg.num_devices, link.bandwidth_bytes_per_s
     spec = _partition_spec(cfg)
     spec.validate_element_count(cfg.rows * cfg.cols)
     d_bytes = cfg.rows * cfg.cols * 2
     quant_bytes = d_bytes / 2 + n * spec.minishards_per_shard * GRID_BYTES
+
+    def bound(variant: Variant, nbytes: float) -> float | None:
+        try:
+            return lower_bound(variant, n, nbytes, bandwidth)
+        except SemiLoopOddNError:
+            return None
+
     row = {
         "N": n,
         "tensor_bytes": d_bytes,
         "bandwidth_bytes_per_s": bandwidth,
-        "full_loop_bound_s": lower_bound(Variant.FULL_LOOP, n, d_bytes, bandwidth),
-        "semi_loop_bound_s": lower_bound(Variant.SEMI_LOOP, n, d_bytes, bandwidth),
-        "full_loop_quant_bound_s": lower_bound(Variant.FULL_LOOP, n, quant_bytes, bandwidth),
-        "semi_loop_quant_bound_s": lower_bound(Variant.SEMI_LOOP, n, quant_bytes, bandwidth),
+        "full_loop_bound_s": bound(Variant.FULL_LOOP, d_bytes),
+        "semi_loop_bound_s": bound(Variant.SEMI_LOOP, d_bytes),
+        "full_loop_quant_bound_s": bound(Variant.FULL_LOOP, quant_bytes),
+        "semi_loop_quant_bound_s": bound(Variant.SEMI_LOOP, quant_bytes),
     }
     return _render([row], tuple(row), cfg)
 

@@ -11,17 +11,17 @@ the max finite value. NaN always survives encoding: FP8 NaN patterns
 propagate, and INT8 maps NaN onto the otherwise unused code -128 so
 corruption stays loud after decode instead of turning into a zero.
 
+The kernels take NumPy arrays of any shape, 0-d included, and return
+arrays of that shape: `encode`, `round_to_bf16` and `bf16_bits` take
+float32, `decode` takes uint8. Any other input is a TypeError.
+
 The kernels round in integer arithmetic on the input's own bits, as in
 Kalamkar et al. (2019) for BF16 and Micikevicius et al. (2022) for FP8:
 add half an output ulp minus one plus the lowest kept bit, then drop the
-low bits. BF16 rounding works on float32 (other inputs are cast to float32
-first). `encode` keeps float32 input in float32 (uint32 bits) and converts
-anything else to float64 (uint64 bits); INT8 is `rint` and a clamp in that
-dtype, and FP8-subnormal lanes are `rint` of the magnitude times a power
-of two, both exact. Either dtype gives exact round-to-nearest-even of the
-input value, so a value representable in float32 gets the same code both
-ways. No input, signaling NaNs included, makes a kernel raise a
-floating-point warning.
+low bits. INT8 is `rint` and a clamp in float32, and FP8-subnormal lanes
+are `rint` of the magnitude times a power of two, both exact, so every
+codec gives exact round-to-nearest-even of the input value. No input,
+signaling NaNs included, makes a kernel raise a floating-point warning.
 
 The kernels keep full-array passes few. Each works in place on buffers
 it allocated itself (or, for `bf16_bits`, that its caller passed) and
@@ -104,26 +104,11 @@ def _fp8_pair_table(codec: Codec) -> np.ndarray:
     return _DECODE[codec][pairs].view(np.uint64).reshape(-1)
 
 
-# Unsigned integer type of the same width, for each float dtype a kernel runs in.
-_UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
-
-
-def _as_float(values, dtype) -> np.ndarray:
-    """`values` as an array of `dtype`, narrowing silently.
-
-    A cast to a narrower float maps a signaling NaN to NaN and a value past
-    the format's range to inf. Both are valid kernel inputs, so the cast
-    raises no warning for them.
-    """
-    if type(values) is np.ndarray and values.dtype == dtype:
-        return values
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.asarray(values, dtype=dtype)
-
-
-def _bits(value: float, dtype) -> int:
-    """Bit pattern of `value` in float `dtype`."""
-    return int(np.asarray(value, dtype=dtype).view(_UINT[np.dtype(dtype)]))
+def _check(arr, dtype) -> None:
+    """Raise TypeError unless `arr` is a NumPy array of `dtype`."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+        got = f"{arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
+        raise TypeError(f"expected a {np.dtype(dtype)} array, got {got}")
 
 
 def _int8_encode(x: np.ndarray) -> np.ndarray:
@@ -140,31 +125,29 @@ def _int8_encode(x: np.ndarray) -> np.ndarray:
 
 def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
     _, man_bits, bias = _FP8_FIELDS[codec]
-    fi = np.finfo(x.dtype)
-    shift = fi.nmant - man_bits
-    width = 8 * x.dtype.itemsize
-    bits = x.view(_UINT[x.dtype])
-    mag = bits & ((1 << (width - 1)) - 1)
-    special = mag.max(initial=0) >= _bits(np.inf, x.dtype)
+    shift = 23 - man_bits
+    bits = x.view(np.uint32)
+    mag = bits & 0x7FFFFFFF
+    special = mag.max(initial=0) >= 0x7F800000  # inf or NaN
     # Saturate at the max. Non-negative floats order like their bits; NaN
     # lanes stay NaN here and get their code below.
-    fmag = mag.view(x.dtype)
+    fmag = mag.view(np.float32)
     np.minimum(fmag, codec.max_magnitude, out=fmag)
     # FP8-normal lanes: round to nearest even on the dropped bits and rebias
     # the exponent in one constant. Rebiasing subtracts a multiple of
-    # 1 << shift, so it commutes with the shift, and modulo 2**width it keeps
+    # 1 << shift, so it commutes with the shift, and modulo 2**32 it keeps
     # the low 8 bits. Subnormal lanes wrap here and are replaced below.
-    rebias = (fi.maxexp - 1 - bias) << fi.nmant
+    rebias = (127 - bias) << 23
     code = mag >> shift
     code &= 1
     code += mag
-    code += ((1 << (shift - 1)) - 1 - rebias) % (1 << width)
+    code += ((1 << (shift - 1)) - 1 - rebias) % (1 << 32)
     code >>= shift
     out = code.astype(np.uint8)
     # FP8-subnormal lanes: the code counts subnormal steps, and scaling by a
     # power of two is exact.
-    sub = np.flatnonzero(mag < _bits(2.0 ** (1 - bias), x.dtype))
-    out[sub] = np.rint(mag[sub].view(x.dtype) * 2.0 ** (bias - 1 + man_bits)).astype(np.uint8)
+    sub = np.flatnonzero(mag < (128 - bias) << 23)  # the bits of 2.0 ** (1 - bias)
+    out[sub] = np.rint(fmag[sub] * 2.0 ** (bias - 1 + man_bits)).astype(np.uint8)
     sign = np.signbit(x).view(np.uint8)
     sign *= 0x80
     out |= sign
@@ -175,36 +158,32 @@ def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
     return out
 
 
-def encode(values, codec: Codec) -> np.ndarray:
-    """Quantize float values to uint8 codes of the given codec (RNE, saturating).
-
-    float32 input is encoded in float32; any other input is converted to
-    float64 first. Returns an array of the input's shape.
-    """
-    x = np.asarray(values)
-    x = _as_float(x, np.float32 if x.dtype == np.float32 else np.float64)
-    flat = x.reshape(-1)  # 0-d too: integer wrap-around stays a silent array op
+def encode(values: np.ndarray, codec: Codec) -> np.ndarray:
+    """Quantize float32 values to uint8 codes of the given codec (RNE, saturating),
+    in an array of the input's shape."""
+    _check(values, np.float32)
+    flat = values.reshape(-1)  # 0-d too: integer wrap-around stays a silent array op
     out = _int8_encode(flat) if codec is Codec.INT8 else _fp8_encode(flat, codec)
-    return out.reshape(x.shape)
+    return out.reshape(values.shape)
 
 
-def decode(codes, codec: Codec) -> np.ndarray:
+def decode(codes: np.ndarray, codec: Codec) -> np.ndarray:
     """Map uint8 codes back to float32 values.
 
     FP8 codes are looked up two at a time, as uint16, in a table of float32
     pairs, and an odd last code in the 256-entry table.
     """
-    c = np.asarray(codes, dtype=np.uint8)
+    _check(codes, np.uint8)
     if codec is Codec.INT8:
-        return c.view(np.int8).astype(np.float32)
-    flat = np.ascontiguousarray(c).reshape(-1)
+        return codes.view(np.int8).astype(np.float32)
+    flat = np.ascontiguousarray(codes).reshape(-1)
     out = np.empty(flat.size, np.float32)
     even = flat.size & ~1
     np.take(_fp8_pair_table(codec), flat[:even].view(np.uint16), out=out[:even].view(np.uint64),
             mode="wrap")  # every uint16 is in range
     if even < flat.size:
         out[-1] = _DECODE[codec][flat[-1]]
-    return out.reshape(c.shape) if c.ndim else out[0]
+    return out.reshape(codes.shape)
 
 
 @functools.cache
@@ -243,14 +222,14 @@ def _rounds_finite(flat: np.ndarray) -> bool:
     return bool(flat.max(initial=0) < _BF16_INF_FROM and flat.min(initial=0) > -_BF16_INF_FROM)
 
 
-def round_to_bf16(x):
+def round_to_bf16(x: np.ndarray) -> np.ndarray:
     """Round float32 values to the nearest BF16-representable value (ties to even).
 
     Result stays float32. Finite overflow saturates to +/-BF16_MAX; NaN and
     inf pass through unchanged.
     """
-    arr = _as_float(x, np.float32)
-    flat = arr.reshape(-1)
+    _check(x, np.float32)
+    flat = x.reshape(-1)
     out = _rne_carry(flat.view(np.uint32), np.empty(flat.size, np.uint32))
     out &= 0xFFFF0000
     res = out.view(np.float32)
@@ -260,9 +239,7 @@ def round_to_bf16(x):
         bad = np.flatnonzero(~ok)
         a = flat[bad]
         res[bad] = np.where(np.isfinite(a), np.copysign(np.float32(BF16_MAX), a), a)
-    if arr.ndim == 0:
-        return res[0]
-    return res.reshape(arr.shape)
+    return res.reshape(x.shape)
 
 
 def bf16_bits(x, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -277,10 +254,10 @@ def bf16_bits(x, out: np.ndarray | None = None, scratch: np.ndarray | None = Non
     place when given, so a caller that ingests tile by tile allocates
     nothing per tile. Returns `out`, or a new uint16 array of x's shape.
     """
-    arr = _as_float(x, np.float32)
-    flat = arr.reshape(-1)
+    _check(x, np.float32)
+    flat = x.reshape(-1)
     if out is None:
-        out = np.empty(arr.shape, np.uint16)
+        out = np.empty(x.shape, np.uint16)
     if scratch is None:
         scratch = np.empty(flat.size, np.uint32)
     bits = flat.view(np.uint32)

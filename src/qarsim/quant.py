@@ -64,7 +64,7 @@ class QuantizedShard:
 
 
 def quantize_shard(blocks: np.ndarray, codec: Codec) -> QuantizedShard:
-    """Scan and encode one minishard's chunks under one scale grid."""
+    """Scan and encode one minishard's float32 chunks under one scale grid."""
     grid = scales_from_absmax(absmax_grid(blocks), codec)
     return QuantizedShard(codec, encode(blocks / grid, codec), grid)
 

@@ -62,7 +62,7 @@ from itertools import chain, pairwise, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .collectives import CollectiveConfig
+from .collectives import CollectiveConfig, SemiLoopOddNError
 from .layout import DivisibilityError, PartitionSpec
 from .quant import GRID_BYTES
 from .schedule import Arc, Variant, ag_arcs, rs_arcs
@@ -250,10 +250,13 @@ def idle_time(t: Timeline) -> float:
 def lower_bound(variant: Variant, num_devices: int, d_bytes: float, bandwidth: float) -> float:
     """Bandwidth lower bound on reduce-scatter time for d_bytes on the wire at
     bandwidth B: the BF16 tensor's bytes for a raw stage, but half of them
-    plus one scale grid per minishard of each shard for a quantized one."""
+    plus one scale grid per minishard of each shard for a quantized one. The
+    semi loop has none on an odd ring, where it cannot run."""
     if num_devices < 2:
         raise ValueError("need at least 2 devices")
     if variant is Variant.SEMI_LOOP:
+        if num_devices % 2:
+            raise SemiLoopOddNError(f"semi-loop requires an even ring, got num_devices={num_devices}")
         return d_bytes / (2.0 * bandwidth)
     return (num_devices - 1) * d_bytes / (2.0 * num_devices * bandwidth)
 

@@ -139,7 +139,7 @@ def _planted(values: dict[int, float]) -> dict[str, np.ndarray]:
     """Every collective's output with values[d] planted at P on device d (N=4, m=1)."""
     inputs = device_inputs(32, 256, 4, seed=0)
     for d, v in values.items():
-        inputs[d].bits[P] = bf16_bits(v)
+        inputs[d].bits[P] = bf16_bits(np.asarray(v, np.float32))
     return {name: run(inputs, PartitionSpec(4, 1, 1))[0].data for name, run in COLLECTIVES.items()}
 
 
@@ -210,7 +210,7 @@ def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
     # the codec only, so one made for a sibling config, as the study shares it,
     # gathered with cfg's quantize_ag and codec is all_reduce's output bit for bit.
     inputs = device_inputs(64, 256, 4, seed=17)
-    inputs[2].bits[[7, 4000]] = bf16_bits([np.nan, np.inf])
+    inputs[2].bits[[7, 4000]] = bf16_bits(np.array([np.nan, np.inf], np.float32))
     given = reduce_scatter(inputs, _sibling(cfg))
     assert given.tobytes() == reduce_scatter(inputs, cfg).tobytes()
     streamed = np.concatenate([b for _, b in gather_blocks(given, cfg.quantize_ag, cfg.codec,
@@ -225,7 +225,7 @@ def test_streamed_gather_blocks_are_the_all_reduce_output(cfg):
     # all_reduce's output bit for bit; a shared reduce-scatter is only read.
     # The baseline is the full-loop unquantized all_reduce, NaN and inf included.
     inputs = device_inputs(64, 256, 4, seed=17)
-    inputs[2].bits[[7, 4000]] = bf16_bits([np.nan, np.inf])
+    inputs[2].bits[[7, 4000]] = bf16_bits(np.array([np.nan, np.inf], np.float32))
     reduced = reduce_scatter(inputs, cfg)
     before = reduced.tobytes()
     blocks = list(gather_blocks(reduced, cfg.quantize_ag, cfg.codec, cfg.spec))
@@ -257,7 +257,7 @@ def test_unquantized_rings_do_not_depend_on_the_minishard_tiles(name, monkeypatc
     inputs = device_inputs(384, 128, 4, seed=23)
     for d, bits in enumerate((0x7FC10000, 0xFFC20000)):  # NaNs with distinct payloads
         inputs[d].bits[[d, 9000 + d]] = bf16_bits(np.array(bits, np.uint32).view(np.float32))
-    inputs[3].bits[20000] = bf16_bits(np.inf)
+    inputs[3].bits[20000] = bf16_bits(np.asarray(np.inf, np.float32))
     run = COLLECTIVES[name]
     want = run(inputs, PartitionSpec(4, 1, 1))[0].data.tobytes()
     for m in (2, 3, 4, 6, 12):

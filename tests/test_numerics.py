@@ -16,6 +16,16 @@ from qarsim.numerics import BF16_MAX, Codec, bf16_bits, decode, encode, round_to
 from qarsim.quant import dequantize_shard, quantize_shard
 
 
+def f32(value) -> np.ndarray:
+    """`value` as a 0-d float32 array, the kernels' form of one value."""
+    return np.asarray(value, np.float32)
+
+
+def u8(code) -> np.ndarray:
+    """`code` as a 0-d uint8 array."""
+    return np.asarray(code, np.uint8)
+
+
 def fp8_oracle_value(code: int, codec: Codec):
     """Decode one FP8 byte from first principles with exact rationals.
 
@@ -86,8 +96,8 @@ def test_fp8_decode_of_every_code_pair_is_each_codes_value(codec):
         assert (got.dtype, got.shape) == (np.dtype(np.float32), c.shape)
         assert got.tobytes() == table[c].tobytes()
     for code in (0x00, 0x01, 0x7F, 0xFF):
-        got = decode(np.uint8(code), codec)
-        assert type(got) is np.float32
+        got = decode(u8(code), codec)
+        assert type(got) is np.ndarray and got.shape == ()
         assert got.tobytes() == table[code].tobytes()
 
 
@@ -114,40 +124,41 @@ def test_fp8_encode_ties_to_even_at_exact_midpoints(codec):
     vals = decode(codes, codec)
     finite = np.isfinite(vals) & (vals >= 0)
     grid = np.unique(vals[finite].astype(np.float64))
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        mid = (lo + hi) / 2  # exact in f64: same exponent window or power of two
-        lo_code = int(encode(np.float32(lo), codec)[()])
-        hi_code = int(encode(np.float32(hi), codec)[()])
-        got = int(encode(np.float64(mid), codec)[()])
-        want = lo_code if lo_code % 2 == 0 else hi_code
-        assert got == want, (lo, hi, mid)
-        # strictly nearer values pick their neighbor
-        assert int(encode(np.nextafter(mid, 0.0), codec)[()]) == lo_code
-        assert int(encode(np.nextafter(mid, np.inf), codec)[()]) == hi_code
+    lo, hi = grid[:-1], grid[1:]
+    mid = ((lo + hi) / 2).astype(np.float32)
+    # exact in float32: same exponent window or power of two, a few significant bits
+    assert np.array_equal(mid, (lo + hi) / 2)
+    lo_code = encode(lo.astype(np.float32), codec)
+    hi_code = encode(hi.astype(np.float32), codec)
+    want = np.where(lo_code % 2 == 0, lo_code, hi_code)
+    assert np.array_equal(encode(mid, codec), want)
+    # strictly nearer values pick their neighbor
+    assert np.array_equal(encode(np.nextafter(mid, np.float32(0)), codec), lo_code)
+    assert np.array_equal(encode(np.nextafter(mid, np.float32(np.inf)), codec), hi_code)
 
 
 def test_fp8_saturation_and_specials():
     # magnitudes beyond the top code saturate instead of becoming inf
-    assert decode(encode(np.float32(1e6), Codec.F8E5M2), Codec.F8E5M2) == 57344.0
-    assert int(encode(np.float32(1e6), Codec.F8E5M2)[()]) == 0x7B
-    assert decode(encode(np.float32(1e6), Codec.F8E4M3), Codec.F8E4M3) == 448.0
-    assert decode(encode(np.float32(-1e6), Codec.F8E4M3), Codec.F8E4M3) == -448.0
+    assert decode(encode(f32(1e6), Codec.F8E5M2), Codec.F8E5M2) == 57344.0
+    assert int(encode(f32(1e6), Codec.F8E5M2)) == 0x7B
+    assert decode(encode(f32(1e6), Codec.F8E4M3), Codec.F8E4M3) == 448.0
+    assert decode(encode(f32(-1e6), Codec.F8E4M3), Codec.F8E4M3) == -448.0
     # E5M2 keeps real infinities on the wire
-    assert int(encode(np.float32(np.inf), Codec.F8E5M2)[()]) == 0x7C
-    assert int(encode(np.float32(-np.inf), Codec.F8E5M2)[()]) == 0xFC
+    assert int(encode(f32(np.inf), Codec.F8E5M2)) == 0x7C
+    assert int(encode(f32(-np.inf), Codec.F8E5M2)) == 0xFC
     # E4M3 has no inf code: infinite input saturates like any huge magnitude
-    assert decode(encode(np.float32(np.inf), Codec.F8E4M3), Codec.F8E4M3) == 448.0
+    assert decode(encode(f32(np.inf), Codec.F8E4M3), Codec.F8E4M3) == 448.0
     # NaN encodes to the canonical NaN code and decodes back to NaN
     for codec in (Codec.F8E4M3, Codec.F8E5M2):
-        nan_code = encode(np.float32(np.nan), codec)
+        nan_code = encode(f32(np.nan), codec)
         assert np.isnan(decode(nan_code, codec))
 
 
 def test_fp8_subnormals_decode_exactly():
     # smallest positive subnormal: man=1, exp field 0
-    tiny_e4m3 = decode(np.uint8(1), Codec.F8E4M3)
+    tiny_e4m3 = decode(u8(1), Codec.F8E4M3)
     assert Fraction(float(tiny_e4m3)) == Fraction(1, 8) * Fraction(2) ** -6
-    tiny_e5m2 = decode(np.uint8(1), Codec.F8E5M2)
+    tiny_e5m2 = decode(u8(1), Codec.F8E5M2)
     assert Fraction(float(tiny_e5m2)) == Fraction(1, 4) * Fraction(2) ** -14
 
 
@@ -160,8 +171,8 @@ def test_int8_encode_basics():
 
 
 def test_int8_nan_is_loud_not_zero():
-    code = encode(np.float32(np.nan), Codec.INT8)
-    assert int(code[()]) == 0x80  # the one bit pattern plain encoding never emits
+    code = encode(f32(np.nan), Codec.INT8)
+    assert int(code) == 0x80  # the one bit pattern plain encoding never emits
     assert decode(code, Codec.INT8) == -128.0
 
 
@@ -181,8 +192,8 @@ def test_codec_max_magnitude():
 def test_fp8_encode_monotone(x, y):
     lo, hi = sorted((x, y))
     for codec in (Codec.F8E4M3, Codec.F8E5M2):
-        dl = decode(encode(np.float32(lo), codec), codec)
-        dh = decode(encode(np.float32(hi), codec), codec)
+        dl = decode(encode(f32(lo), codec), codec)
+        dh = decode(encode(f32(hi), codec), codec)
         assert dl <= dh
 
 
@@ -193,7 +204,7 @@ def test_fp8_nearest_within_half_gap(x):
     codec = Codec.F8E4M3
     grid = np.unique(decode(np.arange(256, dtype=np.uint8), codec))
     grid = grid[np.isfinite(grid)].astype(np.float64)
-    got = float(decode(encode(np.float32(x), codec), codec))
+    got = float(decode(encode(f32(x), codec), codec))
     xe = float(np.float32(x))
     best = np.min(np.abs(grid - xe))
     assert abs(got - xe) <= best * (1 + 1e-12) + 1e-300
@@ -214,7 +225,7 @@ def bf16_oracle(x: float) -> float:
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
 @settings(max_examples=500)
 def test_round_to_bf16_matches_bit_oracle(x):
-    got = float(round_to_bf16(np.float32(x)))
+    got = float(round_to_bf16(f32(x)))
     want = bf16_oracle(x)
     if np.isinf(want):
         # overflow saturates to the largest finite bf16 rather than inf
@@ -224,14 +235,14 @@ def test_round_to_bf16_matches_bit_oracle(x):
 
 
 def test_round_to_bf16_specials():
-    assert float(round_to_bf16(np.float32(1.00390625))) == 1.0  # halfway, ties to even
-    assert float(round_to_bf16(np.float32(1.01171875))) == 1.015625  # halfway, odd target bumps
-    assert np.isnan(round_to_bf16(np.float32(np.nan)))
-    assert round_to_bf16(np.float32(np.inf)) == np.inf
-    assert round_to_bf16(np.float32(-np.inf)) == -np.inf
-    assert float(round_to_bf16(np.float32(3.4e38))) == BF16_MAX
-    out = round_to_bf16(np.float32(1.5))
-    assert np.isscalar(out) or out.ndim == 0
+    assert float(round_to_bf16(f32(1.00390625))) == 1.0  # halfway, ties to even
+    assert float(round_to_bf16(f32(1.01171875))) == 1.015625  # halfway, odd target bumps
+    assert np.isnan(round_to_bf16(f32(np.nan)))
+    assert round_to_bf16(f32(np.inf)) == np.inf
+    assert round_to_bf16(f32(-np.inf)) == -np.inf
+    assert float(round_to_bf16(f32(3.4e38))) == BF16_MAX
+    out = round_to_bf16(f32(1.5))
+    assert type(out) is np.ndarray and (out.dtype, out.shape) == (np.dtype(np.float32), ())
 
 
 @given(st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=64))
@@ -246,8 +257,7 @@ def test_round_to_bf16_idempotent(xs):
 @given(st.integers(min_value=0, max_value=2**16 - 1))
 @settings(max_examples=200)
 def test_round_to_bf16_preserves_exact_bf16(upper):
-    bits = np.uint32(upper << 16)
-    x = bits.view(np.float32)
+    x = np.asarray(upper << 16, np.uint32).view(np.float32)
     if np.isfinite(x):
         assert float(round_to_bf16(x)) == float(x)
 
@@ -340,61 +350,56 @@ def ref_encode(values, codec: Codec) -> np.ndarray:
     return np.where(np.isnan(xf), np.uint8(nan_code), code)
 
 
-FLOATS = {np.float32: np.uint32, np.float64: np.uint64}
-SIGNALING_NANS = {np.float32: [0x7F800001, 0xFFBFFFFF],
-                  np.float64: [0x7FF0000000000001, 0xFFF7FFFFFFFFFFFF]}
+SIGNALING_NANS = [0x7F800001, 0xFFBFFFFF]
 
 
-def _from_bits(bits, dtype):
-    return np.asarray(bits, dtype=FLOATS[dtype]).view(dtype)
+def _from_bits(bits):
+    return np.asarray(bits, dtype=np.uint32).view(np.float32)
 
 
-def _around(values, dtype) -> np.ndarray:
+def _around(values) -> np.ndarray:
     """Each value, both neighbours one ulp away, and the negatives of all three."""
-    v = np.asarray(values, dtype=dtype)
-    v = np.concatenate([v, np.nextafter(v, dtype(0)), np.nextafter(v, dtype(np.inf))])
+    v = np.asarray(values, dtype=np.float32)
+    v = np.concatenate([v, np.nextafter(v, np.float32(0)), np.nextafter(v, np.float32(np.inf))])
     return np.concatenate([v, -v])
 
 
 @functools.cache
-def edge_values(dtype) -> np.ndarray:
-    """Deterministic edge cases of every kernel in one float dtype.
+def edge_values() -> np.ndarray:
+    """Deterministic float32 edge cases of every kernel.
 
     Every FP8 value and midpoint, the FP8 subnormal/normal boundary and each
     codec max (each +-1 ulp); INT8 half-integers; +-0, +-inf, NaNs; BF16_MAX
     and the patterns around its rounding threshold; float subnormals.
     """
-    fi = np.finfo(dtype)
+    fi = np.finfo(np.float32)
     with np.errstate(over="ignore"):  # nextafter(max, inf)
-        parts = [_around([0.0, np.inf, fi.max, fi.tiny, fi.smallest_subnormal], dtype)]
-    parts += [_around(np.arange(-130, 131) + 0.5, dtype),
-              _around(_from_bits([0x7F7F0000, 0x7F7F8000], np.float32), dtype),
-              _from_bits(SIGNALING_NANS[dtype], dtype), np.array([np.nan, -np.nan], dtype=dtype)]
+        parts = [_around([0.0, np.inf, fi.max, fi.tiny, fi.smallest_subnormal])]
+    parts += [_around(np.arange(-130, 131) + 0.5),
+              _around(_from_bits([0x7F7F0000, 0x7F7F8000])),
+              _from_bits(SIGNALING_NANS), np.array([np.nan, -np.nan], dtype=np.float32)]
     for codec in (Codec.F8E4M3, Codec.F8E5M2):
         grid = decode(np.arange(128, dtype=np.uint8), codec).astype(np.float64)
         grid = grid[np.isfinite(grid)]
         bias = 7 if codec is Codec.F8E4M3 else 15
         top = 2 * grid[-1] - grid[-2]  # the step past the max, and the midpoint to it
-        parts += [_around(grid, dtype), _around(_ref_fp8_midpoints(codec), dtype),
-                  _around([2.0 ** (1 - bias), top, (grid[-1] + top) / 2], dtype)]
+        parts += [_around(grid), _around(_ref_fp8_midpoints(codec)),
+                  _around([2.0 ** (1 - bias), top, (grid[-1] + top) / 2])]
     return np.concatenate(parts)
 
 
 @functools.cache
-def oracle_inputs(dtype) -> np.ndarray:
-    """Random bit patterns plus `edge_values`: 2^22 float32 or 2^20 float64 patterns.
+def oracle_inputs() -> np.ndarray:
+    """2^22 random float32 bit patterns plus `edge_values`.
 
-    float32 also covers every NaN pattern at or above 0xFFFF8000 and 0x7FFF8000:
+    They also cover every NaN pattern at or above 0xFFFF8000 and 0x7FFF8000:
     adding 0x8000 in uint32 carries them out of the exponent to finite patterns.
     """
     rng = np.random.default_rng(6)
-    if dtype is np.float32:
-        bits = [rng.integers(0, 2**32, 2**22, dtype=np.uint32),
-                np.arange(0xFFFF8000, 2**32, dtype=np.uint32),
-                np.arange(0x7FFF8000, 2**31, dtype=np.uint32)]
-    else:
-        bits = [rng.integers(0, 2**64 - 1, 2**20, dtype=np.uint64, endpoint=True)]
-    return np.concatenate([_from_bits(np.concatenate(bits), dtype), edge_values(dtype)])
+    bits = [rng.integers(0, 2**32, 2**22, dtype=np.uint32),
+            np.arange(0xFFFF8000, 2**32, dtype=np.uint32),
+            np.arange(0x7FFF8000, 2**31, dtype=np.uint32)]
+    return np.concatenate([_from_bits(np.concatenate(bits)), edge_values()])
 
 
 def _assert_same_bits(got, want, inputs):
@@ -425,54 +430,26 @@ def _reference(fn, *args):
         return fn(*args)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_round_to_bf16_matches_reference_bit_for_bit(dtype):
-    x = oracle_inputs(dtype)
+def test_round_to_bf16_matches_reference_bit_for_bit():
+    x = oracle_inputs()
     _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
 
 
 def test_bf16_bits_matches_reference_bit_for_bit():
-    x = oracle_inputs(np.float32)
+    x = oracle_inputs()
     _assert_same_bits(bf16_bits(x), _reference(ref_bf16_bits, x), x)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
-def test_encode_matches_reference_bit_for_bit(codec, dtype):
-    x = oracle_inputs(dtype)
+def test_encode_matches_reference_bit_for_bit(codec):
+    x = oracle_inputs()
     _assert_same_bits(encode(x, codec), _reference(ref_encode, x, codec), x)
 
 
-def scalar_inputs():
-    """0-d inputs: numpy scalars, 0-d arrays and Python floats of the edge values."""
-    for dtype in (np.float32, np.float64):
-        for x in edge_values(dtype)[::7]:
-            yield x
-            yield np.asarray(x)
-    yield from (0.5, -2.5, 1e300, float("inf"), float("nan"))
-
-
-def other_dtype_inputs():
-    """Inputs that are neither float32 nor float64 arrays: every float16 pattern,
-    integers, a list and a 2-d float32 array."""
-    yield np.arange(2**16, dtype=np.uint16).view(np.float16)
-    yield np.arange(-300, 300, dtype=np.int64)
-    yield [0.5, -1.5, 200.0, float("nan"), float("-inf")]
-    yield oracle_inputs(np.float32)[:4096].reshape(64, 64)
-
-
-def test_kernels_match_reference_on_scalars_and_other_inputs():
-    for x in [*scalar_inputs(), *other_dtype_inputs()]:
-        _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
-        for codec in Codec:
-            _assert_same_bits(encode(x, codec), _reference(ref_encode, x, codec), x)
-
-
 def test_kernels_raise_no_warning_on_any_input():
-    # Signaling NaNs, overflowing narrowing casts and 0-d integer wrap-around
-    # included; codes and values for them are pinned by the tests above.
-    inputs = [oracle_inputs(np.float32), oracle_inputs(np.float64),
-              *scalar_inputs(), *other_dtype_inputs()]
+    # Signaling NaNs and 0-d integer wrap-around included; codes and values
+    # for them are pinned by the tests above.
+    inputs = [oracle_inputs(), *map(np.asarray, edge_values()[::7])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in inputs:
@@ -514,7 +491,7 @@ def test_kernels_map_a_0d_array_to_a_0d_array_with_the_1_element_bits(codec):
         assert type(got) is np.ndarray and got.shape == ()
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
-    for x in edge_values(np.float32)[::7]:
+    for x in edge_values()[::7]:
         for kernel in (functools.partial(encode, codec=codec), round_to_bf16, bf16_bits):
             check(kernel, np.asarray(x))
     for code in np.arange(256, dtype=np.uint8):
@@ -528,14 +505,13 @@ def test_kernels_map_a_0d_array_to_a_0d_array_with_the_1_element_bits(codec):
 GUARD_N = 1 << 16
 
 
-def _plant(dtype, value, clear_below=0.0):
-    """GUARD_N N(0,1) values of `dtype`, magnitudes under `clear_below` moved
+def _plant(value, clear_below=0.0):
+    """GUARD_N float32 N(0,1) values, magnitudes under `clear_below` moved
     above it, with `value` planted at lane GUARD_N // 3."""
     x = np.random.default_rng(11).standard_normal(GUARD_N)
     x[np.abs(x) < clear_below] += np.copysign(2 * clear_below, x[np.abs(x) < clear_below])
-    x = x.astype(dtype)
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN payloads and overflow narrow silently
-        x[GUARD_N // 3] = np.asarray(value).astype(dtype)
+    x = x.astype(np.float32)
+    x[GUARD_N // 3] = value
     return x
 
 
@@ -543,51 +519,47 @@ BF16_GUARD_LANES = [0x7F7F7FFF, 0x7F7F8000, 0xFF7F7FFF, 0xFF7F8000, 0x7F800000, 
                     0x7FC00000, 0xFFFF8000, 0xFFFFFFFF]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("lane", BF16_GUARD_LANES, ids=hex)
-def test_round_to_bf16_fixes_a_single_special_lane(lane, dtype):
-    x = _plant(dtype, _from_bits(lane, np.float32))
+def test_round_to_bf16_fixes_a_single_special_lane(lane):
+    x = _plant(_from_bits(lane))
     _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
 
 
 @pytest.mark.parametrize("lane", [*BF16_GUARD_LANES, 0x7F800001, 0xFF80FFFF], ids=hex)
 def test_bf16_bits_fixes_a_single_special_lane(lane):
-    x = _plant(np.float32, _from_bits(lane, np.float32))
+    x = _plant(_from_bits(lane))
     _assert_same_bits(bf16_bits(x), _reference(ref_bf16_bits, x), x)
 
 
 _FP8_BIAS = {Codec.F8E4M3: 7, Codec.F8E5M2: 15}
 
 
-def _fp8_guard_lanes(codec, dtype):
-    top = dtype(codec.max_magnitude)
-    past = np.nextafter(top, dtype(np.inf))  # one ulp of `dtype` past the max
+def _fp8_guard_lanes(codec):
+    top = np.float32(codec.max_magnitude)
+    past = np.nextafter(top, np.float32(np.inf))  # one float32 ulp past the max
     return {"subnormal": 0.375 * 2.0 ** (1 - _FP8_BIAS[codec]), "max": top, "past_max": past,
             "-past_max": -past, "inf": np.inf, "-inf": -np.inf, "nan": np.nan}
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("codec", [Codec.F8E4M3, Codec.F8E5M2], ids=lambda c: c.value)
 @pytest.mark.parametrize("lane", ["subnormal", "max", "past_max", "-past_max", "inf", "-inf", "nan"])
-def test_fp8_encode_fixes_a_single_special_lane(lane, codec, dtype):
+def test_fp8_encode_fixes_a_single_special_lane(lane, codec):
     # Ordinary lanes stay above 1/16, so the planted lane is the only FP8-subnormal one.
-    x = _plant(dtype, _fp8_guard_lanes(codec, dtype)[lane], clear_below=1 / 16)
+    x = _plant(_fp8_guard_lanes(codec)[lane], clear_below=1 / 16)
     assert (np.abs(x) < 2.0 ** (1 - _FP8_BIAS[codec])).sum() == (lane == "subnormal")
     _assert_same_bits(encode(x, codec), _reference(ref_encode, x, codec), x)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_int8_encode_fixes_a_single_nan_lane(dtype):
-    x = _plant(dtype, np.nan)
+def test_int8_encode_fixes_a_single_nan_lane():
+    x = _plant(np.nan)
     got = encode(x, Codec.INT8)
     _assert_same_bits(got, _reference(ref_encode, x, Codec.INT8), x)
     assert np.flatnonzero(got == 0x80).tolist() == [GUARD_N // 3]
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 8, 128)], ids=str)
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_kernels_take_empty_inputs(dtype, shape):
-    x = np.zeros(shape, dtype=dtype)
+def test_kernels_take_empty_inputs(shape):
+    x = np.zeros(shape, dtype=np.float32)
     _assert_same_bits(round_to_bf16(x), _reference(ref_round_to_bf16, x), x)
     _assert_same_bits(bf16_bits(x), _reference(ref_bf16_bits, x), x)
     for codec in Codec:
@@ -597,12 +569,11 @@ def test_kernels_take_empty_inputs(dtype, shape):
         assert (values.dtype, values.shape) == (np.dtype(np.float32), shape)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
-def test_kernels_leave_their_inputs_unchanged(codec, dtype):
+def test_kernels_leave_their_inputs_unchanged(codec):
     # The kernels work in place on buffers of their own; a caller's array
     # must keep its bytes, special values and all.
-    x = np.concatenate([_plant(dtype, 0.5), edge_values(dtype)])
+    x = np.concatenate([_plant(0.5), edge_values()])
     x = np.resize(x, (len(x) // CHUNK_ELEMS * CHUNK_ELEMS)).reshape(-1, 8, 128)
     kept = x.copy()
     round_to_bf16(x)
