@@ -125,7 +125,7 @@ def _int8_encode(x: np.ndarray) -> np.ndarray:
 
 def _fp8_encode(x: np.ndarray, codec: Codec) -> np.ndarray:
     _, man_bits, bias = _FP8_FIELDS[codec]
-    shift = 23 - man_bits
+    shift = 23 - man_bits  # float32: 23 mantissa bits, exponent bias 127
     bits = x.view(np.uint32)
     mag = bits & 0x7FFFFFFF
     special = mag.max(initial=0) >= 0x7F800000  # inf or NaN

@@ -449,7 +449,7 @@ def test_encode_matches_reference_bit_for_bit(codec):
 def test_kernels_raise_no_warning_on_any_input():
     # Signaling NaNs and 0-d integer wrap-around included; codes and values
     # for them are pinned by the tests above.
-    inputs = [oracle_inputs(), *map(np.asarray, edge_values()[::7])]
+    inputs = [oracle_inputs(), *map(f32, edge_values()[::7])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in inputs:
@@ -493,9 +493,9 @@ def test_kernels_map_a_0d_array_to_a_0d_array_with_the_1_element_bits(codec):
 
     for x in edge_values()[::7]:
         for kernel in (functools.partial(encode, codec=codec), round_to_bf16, bf16_bits):
-            check(kernel, np.asarray(x))
-    for code in np.arange(256, dtype=np.uint8):
-        check(functools.partial(decode, codec=codec), np.asarray(code))
+            check(kernel, f32(x))
+    for code in range(256):
+        check(functools.partial(decode, codec=codec), u8(code))
 
 
 # The kernels look for special lanes (non-finite, BF16 overflow, FP8
