@@ -228,7 +228,7 @@ def flavor_mses(inputs: list[Bf16Tensor], spec: PartitionSpec, cfgs: list[Collec
     baseline's all-gather is kept as BF16 bits; every other all-gather
     streams one minishard at a time (`gather_blocks`) into `blockwise_mse`
     against it, so no output is built. The naive ring runs last, as `naive_lowp_allreduce`, whose
-    all-gather overwrites its own reduce-scatter, and streams the same way.
+    output is its own reduce-scatter, and streams the same way.
     Beyond the inputs, this holds at most one reduce-scatter (or the naive
     output), the baseline's bits (half a float32 tensor) and the MSE's
     fixed buffer.

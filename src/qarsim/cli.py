@@ -379,10 +379,13 @@ def main(argv=None) -> int:
         if cfg.format is None:
             cfg.format = "json" if args.command == "timeline" else "csv"
         out = cfg.output and Path(cfg.output)  # checked before the command runs
-        if out and out.is_dir():
-            raise ConfigError(f"cannot write output file {out}: it is a directory")
-        if out and not out.parent.is_dir():
-            raise ConfigError(f"cannot write output file {out}: {out.parent} is not a directory")
+        try:
+            why = out and ("it is a directory" if out.is_dir() else
+                           not out.parent.is_dir() and f"{out.parent} is not a directory")
+        except OSError as e:  # such as a name too long for the file system
+            why = e.strerror or str(e)
+        if why:
+            raise ConfigError(f"cannot write output file {out}: {why}")
         text = COMMANDS[args.command](cfg)
         if cfg.output:
             _write_output(cfg.output, text)

@@ -39,7 +39,8 @@ a fresh array, so a hop adds into it in place and no input is ever written
 or rounded again. The all-gather quantizes each shard once at its source
 (or forwards it raw), one minishard at a time, and every device, the
 source included, decodes the same codes, so outputs are bit-identical
-across devices. Final outputs are BF16-rounded float32 `TensorBuf`s.
+across devices. Final outputs are BF16-rounded float32 `TensorBuf`s; the naive
+ring's decoded reduce-scatter is its output, as every code is a BF16 value.
 
 `reduce_scatter` is the first stage on its own: one flat float32 buffer
 whose s-th of N equal parts is shard s. It depends only on the variant,
@@ -47,8 +48,8 @@ whose s-th of N equal parts is shard s. It depends only on the variant,
 it. `gather_blocks`, the all-gather, reads that buffer as it is and yields
 the output one BF16-rounded minishard at a time, in output order, each
 made from its own minishard of the buffer alone, so a caller that reads
-the output once builds none. A collective writes the blocks over its own
-reduce-scatter's buffer and hands that one read-only buffer to every device.
+the output once builds none. `all_reduce` writes the blocks over its own
+reduce-scatter's buffer; each collective gives its one buffer to every device.
 """
 
 from __future__ import annotations
@@ -244,15 +245,10 @@ def _gathered(reduced, quantize, codec, tile):
         yield slice(lo, lo + tile), block
 
 
-def _gather_over(flat: np.ndarray, quantize: bool, codec: Codec, spec: PartitionSpec,
-                 inputs: Inputs) -> list[TensorBuf]:
-    """`gather_blocks` of a reduce-scatter buffer no one else holds, written over it
-    and given to every device, read-only, shaped as the inputs. Block k is made
-    from block k of the buffer alone before it is written back there."""
-    for part, block in gather_blocks(flat, quantize, codec, spec):
-        flat[part] = block
+def _outputs(flat: np.ndarray, inputs: Inputs) -> list[TensorBuf]:
+    """A collective's own buffer, read-only, as every device's output, shaped as the inputs."""
     flat.setflags(write=False)
-    return [TensorBuf(flat, inputs[0].rows, inputs[0].cols) for _ in range(spec.num_devices)]
+    return [TensorBuf(flat, inputs[0].rows, inputs[0].cols) for _ in inputs]
 
 
 def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
@@ -270,9 +266,13 @@ def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
 def all_reduce(inputs: Inputs, cfg: CollectiveConfig) -> list[TensorBuf]:
     """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized.
 
-    The all-gather is written over the reduce-scatter's own buffer.
+    The all-gather is written over the reduce-scatter's own buffer: block k is
+    made from block k of the buffer alone before it is written back there.
     """
-    return _gather_over(reduce_scatter(inputs, cfg), cfg.quantize_ag, cfg.codec, cfg.spec, inputs)
+    flat = reduce_scatter(inputs, cfg)
+    for part, block in gather_blocks(flat, cfg.quantize_ag, cfg.codec, cfg.spec):
+        flat[part] = block
+    return _outputs(flat, inputs)
 
 
 def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec) -> list[TensorBuf]:
@@ -282,5 +282,4 @@ def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec) -> list[TensorB
 
 def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec) -> list[TensorBuf]:
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
-    flat = _reduce_scatter(inputs, spec, Variant.FULL_LOOP, _CastHop(codec))
-    return _gather_over(flat, False, codec, spec, inputs)
+    return _outputs(_reduce_scatter(inputs, spec, Variant.FULL_LOOP, _CastHop(codec)), inputs)

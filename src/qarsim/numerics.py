@@ -1,8 +1,9 @@
 """Scalar formats used on the wire and in the accumulator.
 
 Three 8-bit codecs (symmetric INT8, FP8 E4M3, FP8 E5M2) plus software
-BF16 rounding, to float32 values (`round_to_bf16`) or to BF16 bit
-patterns (`bf16_bits`, the ingest of a BF16 tensor). E4M3 follows the
+BF16 rounding by one rule, `bf16_bits`', to BF16 bit patterns (the ingest
+of a BF16 tensor) or, in `round_to_bf16`, to the same patterns widened to
+float32 values. E4M3 follows the
 common convention with no infinities, a single NaN mantissa pattern and
 max finite 448; E5M2 is IEEE-like
 (inf at exponent-all-ones/mantissa-zero, max finite 57344). Encoding
@@ -104,11 +105,13 @@ def _fp8_pair_table(codec: Codec) -> np.ndarray:
     return _DECODE[codec][pairs].view(np.uint64).reshape(-1)
 
 
-def _check(arr, dtype) -> None:
-    """Raise TypeError unless `arr` is a NumPy array of `dtype`."""
+def _check(arr, dtype, size=None) -> None:
+    """Raise TypeError unless `arr` is a `dtype` array, C-contiguous of `size` elements if given."""
     if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
         got = f"{arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
         raise TypeError(f"expected a {np.dtype(dtype)} array, got {got}")
+    if size is not None and not (arr.flags.c_contiguous and arr.size == size):
+        raise TypeError(f"expected a C-contiguous {np.dtype(dtype)} array of {size} elements")
 
 
 def _int8_encode(x: np.ndarray) -> np.ndarray:
@@ -211,62 +214,55 @@ def _rne_carry(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rounds_finite(flat: np.ndarray) -> bool:
-    """Whether every float32 value of `flat` is finite and rounds to a finite BF16.
+def _special_lanes(flat: np.ndarray) -> np.ndarray:
+    """Indices of the float32 values of `flat` that are not finite or round to a
+    non-finite BF16: the magnitudes of at least _BF16_INF_FROM, and NaN.
 
-    Only a magnitude of at least _BF16_INF_FROM, or a NaN, can give a
-    non-finite input or output; NaN carries through both reductions. The
-    input's finiteness counts too: NaN patterns from 0xFFFF8000 up wrap to
-    finite.
+    A max and a min reduction, which NaN carries through, rule them out
+    first, so an array with none takes no further pass. The input's
+    finiteness counts too: NaN patterns from 0xFFFF8000 up wrap to finite.
     """
-    return bool(flat.max(initial=0) < _BF16_INF_FROM and flat.min(initial=0) > -_BF16_INF_FROM)
+    if flat.max(initial=0) < _BF16_INF_FROM and flat.min(initial=0) > -_BF16_INF_FROM:
+        return np.empty(0, np.intp)
+    return np.flatnonzero((flat.view(np.uint32) & 0x7FFFFFFF) >= _BF16_INF_FROM.view(np.uint32))
 
 
 def round_to_bf16(x: np.ndarray) -> np.ndarray:
-    """Round float32 values to the nearest BF16-representable value (ties to even).
-
-    Result stays float32. Finite overflow saturates to +/-BF16_MAX; NaN and
-    inf pass through unchanged.
-    """
+    """Round float32 values to BF16 values, kept as float32: `bf16_bits(x)`
+    widened to 32 bits (`bits << 16`), bit for bit."""
     _check(x, np.float32)
     flat = x.reshape(-1)
     out = _rne_carry(flat.view(np.uint32), np.empty(flat.size, np.uint32))
     out &= 0xFFFF0000
-    res = out.view(np.float32)
-    if not _rounds_finite(flat):
-        ok = np.isfinite(flat)
-        ok &= np.isfinite(res)
-        bad = np.flatnonzero(~ok)
-        a = flat[bad]
-        res[bad] = np.where(np.isfinite(a), np.copysign(np.float32(BF16_MAX), a), a)
-    return res.reshape(x.shape)
+    bad = _special_lanes(flat)
+    if bad.size:
+        out[bad] = bf16_bits(flat[bad]).astype(np.uint32) << 16
+    return out.view(np.float32).reshape(x.shape)
 
 
 def bf16_bits(x, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """BF16 bit patterns (uint16) of float32 values: the one ingest of a BF16 tensor.
+    """BF16 bit patterns (uint16) of float32 values: the one BF16 rounding rule.
 
-    Finite values and infinities round as `round_to_bf16` rounds them, so
-    the widened result (`bits << 16`) is `round_to_bf16`'s bit for bit. A
-    NaN keeps its sign and its high 16 bits; if those would read as +-inf
-    (its payload sat only in the low 16 bits, which BF16 cannot hold), the
-    quiet bit 0x0040 is set so that it stays NaN. `out` (uint16) and
-    `scratch` (uint32), each contiguous and of x's size, are written in
-    place when given, so a caller that ingests tile by tile allocates
-    nothing per tile. Returns `out`, or a new uint16 array of x's shape.
+    Round to nearest even; a finite value that rounds past the BF16 range
+    saturates to +-BF16_MAX, and an infinity stays one. A NaN keeps its sign
+    and its high 16 bits; if those would read as +-inf (its payload sat only
+    in the low 16 bits, which BF16 cannot hold), the quiet bit 0x0040 is set
+    so that it stays NaN. As the ingest of a BF16 tensor, it writes `out`
+    (uint16) and `scratch` (uint32), C-contiguous and of x's size or a
+    TypeError, in place when given, so a caller that ingests tile by tile
+    allocates nothing per tile. Returns `out`, or a new uint16 array of x's shape.
     """
     _check(x, np.float32)
     flat = x.reshape(-1)
-    if out is None:
-        out = np.empty(x.shape, np.uint16)
-    if scratch is None:
-        scratch = np.empty(flat.size, np.uint32)
+    out = np.empty(x.shape, np.uint16) if out is None else out
+    scratch = np.empty(flat.size, np.uint32) if scratch is None else scratch
+    _check(out, np.uint16, flat.size)
+    _check(scratch, np.uint32, flat.size)
     bits = flat.view(np.uint32)
     res = out.reshape(-1)
-    np.right_shift(_rne_carry(bits, scratch), 16, out=res)
-    if not _rounds_finite(flat):
-        ok = np.isfinite(flat)
-        ok &= (res & 0x7F80) != 0x7F80
-        bad = np.flatnonzero(~ok)
+    np.right_shift(_rne_carry(bits, scratch.reshape(-1)), 16, out=res)
+    bad = _special_lanes(flat)
+    if bad.size:
         a = flat[bad]
         high = (bits[bad] >> 16).astype(np.uint16)
         nan = high | np.where((high & 0x7FFF) == 0x7F80, np.uint16(0x0040), np.uint16(0))

@@ -79,8 +79,8 @@ def test_output_in_missing_directory_exits_2(tmp_path, capsys):
     assert captured.err.startswith("config error: ") and str(out) in captured.err
 
 
-@pytest.mark.parametrize("output", ["missing/x.csv", "file/x.csv", "directory"],
-                         ids=["missing", "file", "directory"])
+@pytest.mark.parametrize("output", ["missing/x.csv", "file/x.csv", "directory", "x" * 300],
+                         ids=["missing", "file", "directory", "name-too-long"])
 def test_unwritable_output_exits_2_before_the_command_runs(output, tmp_path, capsys, monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("the command ran although its output cannot be written")
@@ -91,7 +91,10 @@ def test_unwritable_output_exits_2_before_the_command_runs(output, tmp_path, cap
     out = tmp_path / output
     assert run(["tradeoff", "--config", write_cfg(tmp_path, SMALL), "--output", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and not out.is_file()
+    # Nothing was written: a 300-character name cannot even be tested with is_file().
+    assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "directory", "file"]
+    assert not any((tmp_path / "directory").iterdir())
     assert captured.err.startswith(f"config error: cannot write output file {out}")
 
 
@@ -349,6 +352,16 @@ def test_table_output_bytes_are_pinned(name, fmt, timestamp, monkeypatch, capsys
 def test_bad_size_token_exits_2(capsys):
     assert run(["sweep", "--sizes", "1MiB,huge"]) == 2
     assert "size" in capsys.readouterr().err
+
+
+def test_unknown_size_suffix_exits_2(capsys):
+    assert run(["sweep", "--sizes", "4XiB"]) == 2
+    assert capsys.readouterr().err == "config error: bad size value '4XiB'\n"
+
+
+def test_config_that_is_not_a_json_object_exits_2(tmp_path, capsys):
+    assert run(["simulate", "--config", write_cfg(tmp_path, [SMALL])]) == 2
+    assert capsys.readouterr().err == "config error: config document must be a JSON object\n"
 
 
 def test_timestamp_off_by_default_on_when_asked(tmp_path):

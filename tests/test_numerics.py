@@ -262,8 +262,8 @@ def test_round_to_bf16_preserves_exact_bf16(upper):
         assert float(round_to_bf16(x)) == float(x)
 
 
-# The BF16 ingest. A NaN keeps its sign and high 16 bits (quieted if they
-# read as inf); everything else is round_to_bf16's high half. Patterns are
+# The one BF16 rounding rule. round_to_bf16 is bf16_bits widened, and a NaN
+# keeps its sign and high 16 bits (quieted if they read as inf). Patterns are
 # drawn from the whole uint32 range and from the ranges that matter: NaN
 # payloads (high bits, low bits or both), infinities, the BF16 overflow
 # threshold, subnormals.
@@ -281,20 +281,31 @@ _PATTERNS = st.one_of(st.integers(0, 2**32 - 1),
 
 @given(st.lists(_PATTERNS, min_size=1, max_size=64))
 @settings(max_examples=500)
-def test_bf16_bits_widen_to_round_to_bf16_but_for_low_nan_payloads(patterns):
+def test_bf16_bits_widen_to_round_to_bf16(patterns):
     x = np.array(patterns, np.uint32).view(np.float32)
     wide = bf16_bits(x).astype(np.uint32) << 16
-    want = round_to_bf16(x).view(np.uint32)
-    nan = np.isnan(x)
-    assert np.array_equal(wide[~nan], want[~nan])
+    assert np.array_equal(wide, round_to_bf16(x).view(np.uint32))
     # A NaN keeps its sign and high 16 bits, and the quiet bit if they read as inf.
+    nan = np.isnan(x)
     high = x.view(np.uint32)[nan] & 0xFFFF0000
     quieted = np.where(high & 0x7FFF0000 == 0x7F800000, high | 0x00400000, high)
     assert np.array_equal(wide[nan], quieted)
     assert np.isnan(wide.view(np.float32)[nan]).all()
-    # Only a NaN with a payload in its low 16 bits comes out different.
-    same = ~nan | (x.view(np.uint32) & 0xFFFF == 0)
-    assert np.array_equal(wide[same], want[same])
+
+
+def test_round_to_bf16_is_bf16_bits_widened_for_every_high_half():
+    high = np.arange(1 << 16, dtype=np.uint32) << 16
+    low = np.array([0x0000, 0x0001, 0x7FFF, 0x8000, 0x8001, 0xFFFF], np.uint32)
+    x = (high[:, None] | low).view(np.float32)
+    assert np.array_equal(round_to_bf16(x).view(np.uint32), bf16_bits(x).astype(np.uint32) << 16)
+
+
+@pytest.mark.parametrize("codec", list(Codec), ids=lambda c: c.value)
+def test_every_decoded_code_is_a_bf16_value(codec):
+    # So the naive ring's decoded reduce-scatter needs no BF16 rounding pass.
+    values = decode(np.arange(256, dtype=np.uint8), codec)
+    assert not (values.view(np.uint32) & 0xFFFF).any()
+    assert round_to_bf16(values).tobytes() == values.tobytes()
 
 
 def test_bf16_bits_writes_into_the_buffers_it_is_given():
@@ -303,21 +314,53 @@ def test_bf16_bits_writes_into_the_buffers_it_is_given():
     assert bf16_bits(x, out, scratch) is out
     assert np.array_equal(out, bf16_bits(x))
     assert bf16_bits(x.reshape(30, 100)).shape == (30, 100)
+    out, scratch = np.empty((30, 100), np.uint16), np.empty((30, 100), np.uint32)
+    assert bf16_bits(x.reshape(30, 100), out, scratch) is out
+    assert np.array_equal(out.reshape(-1), bf16_bits(x))
+
+
+# bf16_bits writes `out` and `scratch` through flat views, so each must be a
+# C-contiguous array of its dtype with x's size; anything else is a TypeError.
+BAD_OUT = {"strided": np.zeros((4, 8), np.uint16)[:, :4], "f32": np.zeros((4, 4), np.float32),
+           "u32": np.zeros((4, 4), np.uint32), "short": np.zeros(15, np.uint16),
+           "list": [0] * 16}
+BAD_SCRATCH = {"strided": np.zeros((4, 8), np.uint32)[:, :4], "u16": np.zeros(16, np.uint16),
+               "f32": np.zeros(16, np.float32), "long": np.zeros(17, np.uint32)}
+
+
+@pytest.mark.parametrize("out", BAD_OUT.values(), ids=list(BAD_OUT))
+def test_bf16_bits_rejects_an_out_it_cannot_write_in_place(out):
+    x = np.random.default_rng(2).standard_normal((4, 4), dtype=np.float32)
+    kept = np.array(out, copy=True)
+    with pytest.raises(TypeError):
+        bf16_bits(x, out)
+    assert np.array_equal(np.asarray(out), kept)
+
+
+@pytest.mark.parametrize("scratch", BAD_SCRATCH.values(), ids=list(BAD_SCRATCH))
+def test_bf16_bits_rejects_a_scratch_it_cannot_write_in_place(scratch):
+    x = np.random.default_rng(2).standard_normal((4, 4), dtype=np.float32)
+    with pytest.raises(TypeError):
+        bf16_bits(x, np.empty(16, np.uint16), scratch)
 
 
 # Differential oracle: the float64 kernels that the integer kernels replaced,
-# kept verbatim as references. Every live kernel must match them bit for bit.
+# kept as references, verbatim but for the NaN rule. Every live kernel must
+# match them bit for bit.
 
 
 def ref_round_to_bf16(x):
-    """uint64 add-and-mask, then float-mask fix-ups for overflow and non-finite input."""
+    """uint64 add-and-mask, then float-mask fix-ups for overflow and non-finite
+    input; a NaN keeps its sign and high 16 bits, quieted if they read as inf."""
     arr = np.asarray(x, dtype=np.float32)
     bits = arr.view(np.uint32).astype(np.uint64)
     rounded = ((bits + 0x7FFF + ((bits >> 16) & 1)) & 0xFFFF0000).astype(np.uint32)
     out = rounded.view(np.float32)
     finite = np.isfinite(arr)
     out = np.where(finite & ~np.isfinite(out), np.copysign(np.float32(BF16_MAX), arr), out)
-    out = np.where(finite, out, arr)
+    high = arr.view(np.uint32) & np.uint32(0xFFFF0000)
+    nan = np.where(high & 0x7FFF0000 == 0x7F800000, high | np.uint32(0x00400000), high)
+    out = np.where(finite, out, np.where(np.isnan(arr), nan.view(np.float32), arr))
     if arr.ndim == 0:
         return np.float32(out[()])
     return out
@@ -417,12 +460,8 @@ def _assert_same_bits(got, want, inputs):
 
 
 def ref_bf16_bits(x):
-    """ref_round_to_bf16's high half; a NaN's own high half, quieted if it reads as inf."""
-    arr = np.asarray(x, dtype=np.float32)
-    high = (arr.view(np.uint32) >> 16).astype(np.uint16)
-    rounded = (np.asarray(ref_round_to_bf16(arr)).view(np.uint32) >> 16).astype(np.uint16)
-    nan = np.where(high & 0x7FFF == 0x7F80, high | np.uint16(0x0040), high)
-    return np.where(np.isnan(arr), nan, rounded)
+    """ref_round_to_bf16's high half."""
+    return (np.asarray(ref_round_to_bf16(x)).view(np.uint32) >> 16).astype(np.uint16)
 
 
 def _reference(fn, *args):

@@ -1,12 +1,14 @@
 """Block-wise scale grids and shard quantization."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarsim.numerics import Codec, decode
 from qarsim.quant import (
     GRID_BYTES,
+    QuantizedShard,
     absmax_grid,
     dequantize_shard,
     quantize_shard,
@@ -127,3 +129,16 @@ def test_fp8_grid_scales_normalize_to_codec_max():
     assert np.all(decode(q.payload, Codec.F8E4M3) == 448.0)
     back = dequantize_shard(q)
     assert np.allclose(back, 7.0, rtol=1e-6)
+
+
+_GOOD = {"payload": np.zeros((2, 8, 128), np.uint8), "grid": np.ones((8, 128), np.float32)}
+_BAD = [("payload", np.zeros((2, 8, 128), np.uint16)), ("payload", np.zeros((2, 8, 64), np.uint8)),
+        ("grid", np.ones((8, 128), np.float64)), ("grid", np.ones((8, 64), np.float32))]
+
+
+@pytest.mark.parametrize("field, value", _BAD,
+                         ids=["u16-payload", "narrow-payload", "f64-grid", "narrow-grid"])
+def test_quantized_shard_rejects_a_bad_payload_or_grid(field, value):
+    QuantizedShard(Codec.INT8, **_GOOD)
+    with pytest.raises(ValueError, match=f"bad {field} shape/dtype"):
+        QuantizedShard(Codec.INT8, **dict(_GOOD, **{field: value}))

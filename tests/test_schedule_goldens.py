@@ -29,12 +29,18 @@ current digests, each one that differs from the recorded digest marked
 
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qarsim
 from qarsim.analysis import device_inputs
 from qarsim.collectives import (
     CollectiveConfig,
@@ -249,6 +255,24 @@ def test_odd_ring_timeline_digest(case):
 @pytest.mark.parametrize("case", list(VALUE_GOLDENS))
 def test_functional_output_digest(case):
     assert value_digest(case) == VALUE_GOLDENS[case]
+
+
+def test_value_digests_hold_on_numpys_baseline_simd_path():
+    # Every VALUE_GOLDENS digest, recomputed in a child interpreter with all of
+    # NumPy's dispatched SIMD targets switched off, as on a host without them.
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    src = str(Path(qarsim.__file__).parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import json, test_schedule_goldens as g\n"
+            "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+            "assert not any(__cpu_features__[t] for t in __cpu_dispatch__)\n"
+            "print(json.dumps({c: g.value_digest(c) for c in g.VALUE_GOLDENS}))")
+    child = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == VALUE_GOLDENS
 
 
 @pytest.mark.parametrize("case", list(NONFINITE_GOLDENS))

@@ -93,6 +93,12 @@ def test_lower_bound_worked_example():
     assert lower_bound(Variant.SEMI_LOOP, 4, 8 * MIB, 1e9) == pytest.approx(8 * MIB / (2 * 1e9), rel=1e-12)
 
 
+@pytest.mark.parametrize("variant", [Variant.FULL_LOOP, Variant.SEMI_LOOP])
+def test_lower_bound_needs_two_devices(variant):
+    with pytest.raises(ValueError, match="need at least 2 devices"):
+        lower_bound(variant, 1, 8 * MIB, 1e9)
+
+
 def test_semi_loop_lower_bound_needs_an_even_ring():
     # The semi loop pairs the ring into two arcs, so on an odd ring it has no bound to give.
     with pytest.raises(SemiLoopOddNError):
