@@ -354,9 +354,14 @@ def test_bad_size_token_exits_2(capsys):
     assert "size" in capsys.readouterr().err
 
 
-def test_unknown_size_suffix_exits_2(capsys):
-    assert run(["sweep", "--sizes", "4XiB"]) == 2
-    assert capsys.readouterr().err == "config error: bad size value '4XiB'\n"
+@pytest.mark.parametrize("flags, doc, shown", [(["--sizes", "4XiB"], None, "'4XiB'"),
+                                               ([], {"sizes": [True]}, "True")],
+                         ids=["unknown-suffix", "bool-in-config"])
+def test_bad_size_value_exits_2_naming_it(flags, doc, shown, tmp_path, capsys):
+    if doc is not None:
+        flags = ["--config", write_cfg(tmp_path, doc)]
+    assert run(["sweep", *flags]) == 2
+    assert capsys.readouterr().err == f"config error: bad size value {shown}\n"
 
 
 def test_config_that_is_not_a_json_object_exits_2(tmp_path, capsys):
