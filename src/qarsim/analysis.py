@@ -250,12 +250,12 @@ def flavor_mses(inputs: list[Bf16Tensor], spec: PartitionSpec, cfgs: list[Collec
         for i in members:
             if i is None:  # each block's bits written where it goes
                 bits = np.empty(inputs[0].bits.size, np.uint16)
-                for part, block in gather_blocks(reduced, False, base.codec, spec):
+                for part, block in gather_blocks(reduced, base):
                     bf16_bits(block, bits[part])
+                del block  # a view of reduced, which must not outlive its group
                 baseline = Bf16Tensor(bits, inputs[0].rows, inputs[0].cols)
             else:
-                cfg = cfgs[i]
-                errs[i] = error(gather_blocks(reduced, cfg.quantize_ag, cfg.codec, cfg.spec))
+                errs[i] = error(gather_blocks(reduced, cfgs[i]))
         del reduced  # freed before the next reduce-scatter
     if naive is not None:
         out = naive_lowp_allreduce(inputs, naive, spec)[0].data

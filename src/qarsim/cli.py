@@ -41,7 +41,6 @@ from .layout import (
 )
 from .numerics import Codec
 from .presets import DEFAULT_PRESET, available_presets, load_preset
-from .quant import GRID_BYTES
 from .simnet import (
     ComputeParams,
     LinkParams,
@@ -297,31 +296,28 @@ def cmd_timeline(cfg: RunConfig) -> str:
 
 
 def cmd_bounds(cfg: RunConfig) -> str:
-    """Each variant's reduce-scatter bound on its wire bytes: the BF16 tensor's
-    for a raw stage; half of them plus one scale grid per minishard of each
-    shard for a quantized one. On an odd ring, where the semi loop cannot run,
-    both semi-loop cells are empty (CSV) or null (JSON)."""
+    """Each variant's reduce-scatter bound on its wire bytes (`lower_bound`),
+    raw and quantized. On an odd ring, where the semi loop cannot run, both
+    semi-loop cells are empty (CSV) or null (JSON)."""
     link, _ = resolve_params(cfg)
-    n, bandwidth = cfg.num_devices, link.bandwidth_bytes_per_s
     spec = _partition_spec(cfg)
-    spec.validate_element_count(cfg.rows * cfg.cols)
-    d_bytes = cfg.rows * cfg.cols * 2
-    quant_bytes = d_bytes / 2 + n * spec.minishards_per_shard * GRID_BYTES
+    tensor_bytes = cfg.rows * cfg.cols * 2
 
-    def bound(variant: Variant, nbytes: float) -> float | None:
+    def bound(variant: Variant, quantized: bool) -> float | None:
         try:
-            return lower_bound(variant, n, nbytes, bandwidth)
+            return lower_bound(CollectiveConfig(variant, spec, quantize_rs=quantized),
+                               tensor_bytes, link)
         except SemiLoopOddNError:
             return None
 
     row = {
-        "N": n,
-        "tensor_bytes": d_bytes,
-        "bandwidth_bytes_per_s": bandwidth,
-        "full_loop_bound_s": bound(Variant.FULL_LOOP, d_bytes),
-        "semi_loop_bound_s": bound(Variant.SEMI_LOOP, d_bytes),
-        "full_loop_quant_bound_s": bound(Variant.FULL_LOOP, quant_bytes),
-        "semi_loop_quant_bound_s": bound(Variant.SEMI_LOOP, quant_bytes),
+        "N": cfg.num_devices,
+        "tensor_bytes": tensor_bytes,
+        "bandwidth_bytes_per_s": link.bandwidth_bytes_per_s,
+        "full_loop_bound_s": bound(Variant.FULL_LOOP, False),
+        "semi_loop_bound_s": bound(Variant.SEMI_LOOP, False),
+        "full_loop_quant_bound_s": bound(Variant.FULL_LOOP, True),
+        "semi_loop_quant_bound_s": bound(Variant.SEMI_LOOP, True),
     }
     return _render([row], tuple(row), cfg)
 

@@ -39,16 +39,17 @@ a fresh array, so a hop adds into it in place and no input is ever written
 or rounded again. The all-gather quantizes each shard once at its source
 (or forwards it raw), one minishard at a time, and every device, the
 source included, decodes the same codes, so outputs are bit-identical
-across devices. Final outputs are BF16-rounded float32 `TensorBuf`s; the naive
-ring's decoded reduce-scatter is its output, as every code is a BF16 value.
+across devices. Outputs are float32 `TensorBuf`s of BF16 values, rounded in
+the all-gather only if a stage is quantized: any other ring's reduce-scatter,
+the naive ring's included, is BF16 already and is its output as it stands.
 
 `reduce_scatter` is the first stage on its own: one flat float32 buffer
 whose s-th of N equal parts is shard s. It depends only on the variant,
 `quantize_rs` and the codec, so collectives that agree on those can share
 it. `gather_blocks`, the all-gather, reads that buffer as it is and yields
-the output one BF16-rounded minishard at a time, in output order, each
-made from its own minishard of the buffer alone, so a caller that reads
-the output once builds none. `all_reduce` writes the blocks over its own
+the output one minishard at a time, in output order, each made from its
+own minishard of the buffer alone, so a caller that reads the output once
+builds none. A quantized `all_reduce` writes the blocks over its own
 reduce-scatter's buffer; each collective gives its one buffer to every device.
 """
 
@@ -216,32 +217,35 @@ def _reduce_scatter(inputs: Inputs, spec: PartitionSpec, variant: Variant,
     return flat
 
 
-def gather_blocks(reduced: np.ndarray, quantize: bool, codec: Codec,
-                  spec: PartitionSpec) -> Iterator[tuple[slice, np.ndarray]]:
+def gather_blocks(reduced: np.ndarray,
+                  cfg: CollectiveConfig) -> Iterator[tuple[slice, np.ndarray]]:
     """The all-gather's output one minishard at a time: (part, values) in output order.
 
     `reduced` is `reduce_scatter`'s flat float32 buffer, checked here. Block k
-    is the BF16-rounded float32 output at `part`, made when it is taken from
-    minishard k of the N·m in `reduced` alone. With quantize set each
-    minishard is encoded once at its source and every device, the source
-    included, decodes the same codes, so every device's output is these blocks.
+    is the output at `part`, made when it is taken from minishard k of the N·m
+    in `reduced` alone. With cfg.quantize_ag it is encoded once at its source
+    and every device, the source included, decodes the same codes. A block is
+    rounded to BF16 only if a stage is quantized; else it is a read-only view
+    of `reduced`, whose every sum the ring has rounded already.
     """
     if reduced.ndim != 1 or reduced.dtype != np.float32:
         raise ShapeMismatchError(f"a reduce-scatter is one flat float32 buffer, got "
                                  f"{reduced.dtype} of shape {reduced.shape}")
-    spec.validate_element_count(reduced.size)
-    return _gathered(reduced, quantize, codec,
-                     reduced.size // (spec.num_devices * spec.minishards_per_shard))
+    cfg.spec.validate_element_count(reduced.size)
+    view = reduced.view()
+    view.setflags(write=False)  # a shared reduce-scatter is only read
+    return _gathered(view, cfg, reduced.size // (cfg.spec.num_devices
+                                                 * cfg.spec.minishards_per_shard))
 
 
-def _gathered(reduced, quantize, codec, tile):
+def _gathered(reduced, cfg, tile):
     for lo in range(0, reduced.size, tile):
         block = reduced[lo:lo + tile]
         with np.errstate(invalid="ignore", over="ignore"):  # as in _reduce_scatter
-            if quantize:
-                block = dequantize_shard(
-                    quantize_shard(block.reshape(-1, CHUNK_ROWS, CHUNK_COLS), codec)).reshape(-1)
-            block = round_to_bf16(block)
+            if cfg.quantize_ag:
+                block = dequantize_shard(_QuantHop(cfg.codec).send(block)).reshape(-1)
+            if cfg.quantize_rs or cfg.quantize_ag:  # else BF16 already
+                block = round_to_bf16(block)
         yield slice(lo, lo + tile), block
 
 
@@ -266,12 +270,13 @@ def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
 def all_reduce(inputs: Inputs, cfg: CollectiveConfig) -> list[TensorBuf]:
     """Reduce-scatter (per cfg.variant) then all-gather, each optionally quantized.
 
-    The all-gather is written over the reduce-scatter's own buffer: block k is
-    made from block k of the buffer alone before it is written back there.
+    If a stage is quantized, the all-gather is written over the reduce-scatter's
+    own buffer, block k made from block k alone; else that buffer is the output.
     """
     flat = reduce_scatter(inputs, cfg)
-    for part, block in gather_blocks(flat, cfg.quantize_ag, cfg.codec, cfg.spec):
-        flat[part] = block
+    if cfg.quantize_rs or cfg.quantize_ag:  # else gather_blocks' blocks are the buffer's own
+        for part, block in gather_blocks(flat, cfg):
+            flat[part] = block
     return _outputs(flat, inputs)
 
 

@@ -62,7 +62,7 @@ from itertools import chain, pairwise, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .collectives import CollectiveConfig, SemiLoopOddNError
+from .collectives import CollectiveConfig
 from .layout import DivisibilityError, PartitionSpec
 from .quant import GRID_BYTES
 from .schedule import Arc, Variant, ag_arcs, rs_arcs
@@ -247,18 +247,16 @@ def idle_time(t: Timeline) -> float:
     return sum(gap[r] for r in order)
 
 
-def lower_bound(variant: Variant, num_devices: int, d_bytes: float, bandwidth: float) -> float:
-    """Bandwidth lower bound on reduce-scatter time for d_bytes on the wire at
-    bandwidth B: the BF16 tensor's bytes for a raw stage, but half of them
-    plus one scale grid per minishard of each shard for a quantized one. The
-    semi loop has none on an odd ring, where it cannot run."""
-    if num_devices < 2:
-        raise ValueError("need at least 2 devices")
-    if variant is Variant.SEMI_LOOP:
-        if num_devices % 2:
-            raise SemiLoopOddNError(f"semi-loop requires an even ring, got num_devices={num_devices}")
-        return d_bytes / (2.0 * bandwidth)
-    return (num_devices - 1) * d_bytes / (2.0 * num_devices * bandwidth)
+def lower_bound(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams) -> float:
+    """Bandwidth lower bound on reduce-scatter time, on the stage's wire bytes: the
+    BF16 tensor's for a raw stage, half of them plus one scale grid per
+    minishard of each shard for a quantized one."""
+    n, m = cfg.spec.num_devices, cfg.spec.minishards_per_shard
+    _elements(tensor_bytes, cfg.spec)
+    wire = tensor_bytes / 2 + n * m * GRID_BYTES if cfg.quantize_rs else tensor_bytes
+    if cfg.variant is Variant.SEMI_LOOP:
+        return wire / (2.0 * link.bandwidth_bytes_per_s)
+    return (n - 1) * wire / (2.0 * n * link.bandwidth_bytes_per_s)
 
 
 def _check_overlap(resource, start_s, end_s, label) -> None:

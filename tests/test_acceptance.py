@@ -143,7 +143,7 @@ def test_criterion_4_bound_convergence():
             for variant in (Variant.FULL_LOOP, Variant.SEMI_LOOP):
                 cfg = CollectiveConfig(variant, PartitionSpec(n, 1, 1))
                 rs_span = simulate(cfg, d, link, fast).stage_end("rs")
-                bound = lower_bound(variant, n, d, link.bandwidth_bytes_per_s)
+                bound = lower_bound(cfg, d, link)
                 worst = max(worst, abs(rs_span / bound - 1))
     ok = worst <= 0.01
     assert verdict("criterion 4", ok,

@@ -238,6 +238,15 @@ def test_device_inputs_raises_a_drawing_threads_error_and_joins_the_rest(monkeyp
     assert threading.active_count() == before
 
 
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # Where the OS has no affinity set: the CPU count, or 1 when it is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert qarsim.analysis._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert qarsim.analysis._usable_cpus() == 1
+
+
 def test_importing_qarsim_starts_no_thread_and_no_executor():
     # Drawing threads start per call; an import-time pool, or the import of
     # concurrent.futures, would cost every workload's set-up.
@@ -340,12 +349,12 @@ def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
         stage_of[id(reduced)] = (cfg.variant, cfg.quantize_rs)
         return reduced
 
-    def observed_gather_blocks(reduced, quantize, codec, spec):
+    def observed_gather_blocks(reduced, cfg):
         h = hashlib.sha256()
-        for part, block in gather_blocks(reduced, quantize, codec, spec):
+        for part, block in gather_blocks(reduced, cfg):
             h.update(block.tobytes())
             yield part, block
-        digests[flavor_of[(*stage_of[id(reduced)], quantize)]] = h.hexdigest()
+        digests[flavor_of[(*stage_of[id(reduced)], cfg.quantize_ag)]] = h.hexdigest()
 
     def observed_naive(*args):
         out = naive_lowp_allreduce(*args)
@@ -398,7 +407,7 @@ def test_tradeoff_study_mses_are_the_exact_mean_to_an_ulp(monkeypatch):
 
 def test_tradeoff_study_keeps_at_most_one_shared_reduce_scatter_alive():
     # The 8 BF16 inputs (half a float32 tensor each) plus one reduce-scatter
-    # result (or the naive ring's output, gathered over its own
+    # result (or the naive ring's output, which is its own decoded
     # reduce-scatter) plus the baseline's BF16 bits (half a tensor) plus the
     # mse's 1 MiB buffer and a 1 MiB margin for one minishard's transients
     # (a whole 64Ki-element shard here, at m=1). No flavor output is built.

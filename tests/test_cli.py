@@ -4,7 +4,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import runpy
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -96,6 +99,33 @@ def test_unwritable_output_exits_2_before_the_command_runs(output, tmp_path, cap
         "cfg.json", "directory", "file"]
     assert not any((tmp_path / "directory").iterdir())
     assert captured.err.startswith(f"config error: cannot write output file {out}")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a /dev/full device")
+def test_output_the_file_system_cannot_hold_exits_2(capsys):
+    # The pre-check passes (/dev is a directory); the write itself fails.
+    assert run(["bounds", "--output", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("config error: cannot write output file /dev/full")
+    assert "No space left on device" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [([], 0), (["--codec", "int4"], 2)], ids=["ok", "bad-codec"])
+def test_module_entry_point_exits_with_mains_code(argv, code, capsys):
+    # `python -m qarsim.cli` runs entrypoint, which exits with main's return code.
+    argv = ["bounds", "--rows", "64", "--cols", "128", "--num-devices", "2", *argv]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-m", "qarsim.cli", *argv],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == code, child.stderr
+    assert run(argv) == code
+    assert child.stdout == capsys.readouterr().out
+    if code == 0:
+        assert child.stdout.startswith("N,tensor_bytes,bandwidth_bytes_per_s,")
+    else:
+        assert child.stdout == "" and "field 'codec'" in child.stderr
 
 
 def test_wrong_type_exits_2(tmp_path, capsys):

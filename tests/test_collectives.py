@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qarsim.collectives as collectives
 from qarsim.analysis import device_inputs, mse
@@ -26,7 +28,7 @@ from qarsim.layout import (
     ShapeMismatchError,
     TensorBuf,
 )
-from qarsim.numerics import BF16_MAX, Codec, bf16_bits, decode, encode
+from qarsim.numerics import BF16_MAX, Codec, bf16_bits, decode, encode, round_to_bf16
 from qarsim.quant import absmax_grid, scales_from_absmax
 
 
@@ -213,22 +215,32 @@ def test_all_reduce_of_a_given_reduce_scatter_is_all_reduce(cfg):
     inputs[2].bits[[7, 4000]] = bf16_bits(np.array([np.nan, np.inf], np.float32))
     given = reduce_scatter(inputs, _sibling(cfg))
     assert given.tobytes() == reduce_scatter(inputs, cfg).tobytes()
-    streamed = np.concatenate([b for _, b in gather_blocks(given, cfg.quantize_ag, cfg.codec,
-                                                           cfg.spec)])
+    streamed = np.concatenate([b for _, b in gather_blocks(given, cfg)])
     assert streamed.tobytes() == all_reduce(inputs, cfg)[0].data.tobytes()
 
 
 @pytest.mark.parametrize("cfg", RING_CASES, ids=lambda c: f"{c.variant.value}-rs={c.quantize_rs}"
                          f"-ag={c.quantize_ag}-{c.codec.value}")
-def test_streamed_gather_blocks_are_the_all_reduce_output(cfg):
+def test_streamed_gather_blocks_are_the_all_reduce_output(cfg, monkeypatch):
     # gather_blocks' parts tile the output in order, and their values are
     # all_reduce's output bit for bit; a shared reduce-scatter is only read.
     # The baseline is the full-loop unquantized all_reduce, NaN and inf included.
+    # Only a quantized stage leaves the BF16 grid, so only then is a block
+    # rounded; else each block is a read-only view of the reduce-scatter.
     inputs = device_inputs(64, 256, 4, seed=17)
     inputs[2].bits[[7, 4000]] = bf16_bits(np.array([np.nan, np.inf], np.float32))
     reduced = reduce_scatter(inputs, cfg)
     before = reduced.tobytes()
-    blocks = list(gather_blocks(reduced, cfg.quantize_ag, cfg.codec, cfg.spec))
+    rounded = []
+    monkeypatch.setattr(collectives, "round_to_bf16",
+                        lambda x: rounded.append(x.size) or round_to_bf16(x))
+    blocks = list(gather_blocks(reduced, cfg))
+    monkeypatch.undo()
+    quantized = cfg.quantize_rs or cfg.quantize_ag
+    assert len(rounded) == (len(blocks) if quantized else 0)
+    for _, block in blocks:
+        assert np.shares_memory(block, reduced) != quantized
+        assert block.flags.writeable == quantized
     ends = [0] + [part.stop for part, _ in blocks]
     assert [(part.start, part.stop) for part, _ in blocks] == list(zip(ends, ends[1:]))
     assert len(blocks) == cfg.spec.num_devices * cfg.spec.minishards_per_shard
@@ -237,6 +249,57 @@ def test_streamed_gather_blocks_are_the_all_reduce_output(cfg):
     assert reduced.tobytes() == before
     if not (cfg.quantize_rs or cfg.quantize_ag) and cfg.variant is Variant.FULL_LOOP:
         assert baseline_allreduce_bf16(inputs, cfg.spec)[0].data.tobytes() == streamed.tobytes()
+
+
+@pytest.mark.parametrize("run", [
+    lambda inputs, spec: all_reduce(inputs, CollectiveConfig(Variant.SEMI_LOOP, spec)),
+    baseline_allreduce_bf16,
+], ids=["all_reduce", "baseline_allreduce_bf16"])
+def test_unquantized_all_reduce_returns_its_reduce_scatter_as_it_stands(run, monkeypatch):
+    # The reduce-scatter's buffer is the output: no all-gather runs over it.
+    made = {}
+
+    def recorded(inputs, cfg):
+        made["buffer"] = reduce_scatter(inputs, cfg)
+        made["bytes"] = made["buffer"].tobytes()
+        return made["buffer"]
+
+    def not_called(*args):
+        raise AssertionError("an unquantized all_reduce gathered its BF16 reduce-scatter")
+
+    monkeypatch.setattr(collectives, "reduce_scatter", recorded)
+    monkeypatch.setattr(collectives, "gather_blocks", not_called)
+    out = run(device_inputs(64, 256, 4, seed=6), PartitionSpec(4, 2, 1))
+    assert out[0].data is made["buffer"] and out[0].data.tobytes() == made["bytes"]
+
+
+# BF16 bit patterns planted below: NaNs with payloads (quiet and signaling, both
+# signs), +-inf and +-BF16_MAX.
+_PLANTS = [0x7FC1, 0xFFE3, 0x7F81, 0xFFA5, 0x7F80, 0xFF80, 0x7F7F, 0xFF7F]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_unquantized_reduce_scatter_is_bf16_already(data):
+    # gather_blocks passes an unquantized reduce-scatter on unrounded, which
+    # holds only because every BF16 hop rounds its sum: the buffer is bitwise
+    # its own BF16 rounding, near overflow and with non-finite inputs too.
+    n = data.draw(st.integers(2, 8), label="N")
+    variant = data.draw(st.sampled_from(list(Variant) if n % 2 == 0 else [Variant.FULL_LOOP]),
+                        label="variant")
+    m = data.draw(st.integers(1, 4), label="m")
+    scale = data.draw(st.sampled_from([1.0, 2.0**-120, 2.0**100, BF16_MAX / 64, BF16_MAX / 4]),
+                      label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    elems = n * m * CHUNK_ELEMS
+    with np.errstate(over="ignore"):  # past float32's range is inf, a value the ring takes
+        inputs = [Bf16Tensor(bf16_bits(rng.standard_normal(elems, np.float32) * np.float32(scale)),
+                             1, elems) for _ in range(n)]
+    plants = st.tuples(st.integers(0, n - 1), st.integers(0, elems - 1), st.sampled_from(_PLANTS))
+    for d, i, bits in data.draw(st.lists(plants, max_size=16), label="plants"):
+        inputs[d].bits[i] = bits
+    reduced = reduce_scatter(inputs, CollectiveConfig(variant, PartitionSpec(n, m, 1)))
+    assert round_to_bf16(reduced).tobytes() == reduced.tobytes()
 
 
 @pytest.mark.parametrize("name", UNQUANTIZED)
@@ -303,13 +366,13 @@ def test_semi_loop_rejects_odd_ring():
                          ids=["2-D", "float64"])
 def test_gather_blocks_rejects_a_buffer_that_is_not_a_reduce_scatter(bad):
     with pytest.raises(ShapeMismatchError, match="one flat float32 buffer"):
-        gather_blocks(bad, False, Codec.INT8, PartitionSpec(4, 1, 1))
+        gather_blocks(bad, CollectiveConfig(Variant.FULL_LOOP, PartitionSpec(4, 1, 1)))
 
 
 def test_gather_blocks_rejects_a_size_the_minishards_do_not_divide():
     with pytest.raises(DivisibilityError, match="minishards_per_shard=2"):
-        gather_blocks(np.zeros(4 * 3 * CHUNK_ELEMS, np.float32), False, Codec.INT8,
-                      PartitionSpec(4, 2, 1))
+        gather_blocks(np.zeros(4 * 3 * CHUNK_ELEMS, np.float32),
+                      CollectiveConfig(Variant.FULL_LOOP, PartitionSpec(4, 2, 1)))
 
 
 @pytest.mark.parametrize("variant", list(Variant))

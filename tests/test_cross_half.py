@@ -167,7 +167,8 @@ def _functional(variant, nmu, kind, monkeypatch):
         # encodes the m messages of shard 0, its own.
         passes.clear()
         messages.clear()
-        for _ in collectives.gather_blocks(reduced, True, Codec.INT8, spec):
+        for _ in collectives.gather_blocks(reduced, CollectiveConfig(
+                variant, spec, quantize_ag=True, codec=Codec.INT8)):
             pass
         assert len(messages) == n * m
         work["ag", "dq"] += passes["dq"]

@@ -50,6 +50,9 @@ def test_partition_spec_validation():
 def test_tensorbuf_size_check():
     with pytest.raises(ShapeMismatchError):
         TensorBuf(np.zeros(10, dtype=np.float32), 4, 4)
+    for data in (np.zeros(16, dtype=np.float64), np.zeros((4, 4), dtype=np.float32)):
+        with pytest.raises(ValueError, match="flat float32"):
+            TensorBuf(data, 4, 4)
 
 
 def test_bf16_tensor_checks_its_bits():

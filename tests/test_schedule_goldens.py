@@ -258,21 +258,26 @@ def test_functional_output_digest(case):
 
 
 def test_value_digests_hold_on_numpys_baseline_simd_path():
-    # Every VALUE_GOLDENS digest, recomputed in a child interpreter with all of
-    # NumPy's dispatched SIMD targets switched off, as on a host without them.
+    # Every VALUE_GOLDENS digest and the tradeoff study's STUDY_MSES (its
+    # streamed all-gathers and blockwise MSE), recomputed in a child
+    # interpreter with all of NumPy's dispatched SIMD targets switched off,
+    # as on a host without them.
     from numpy._core._multiarray_umath import __cpu_dispatch__
+    from test_analysis import STUDY_MSES
 
     src = str(Path(qarsim.__file__).parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import json, test_schedule_goldens as g\n"
             "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+            "from qarsim.analysis import tradeoff_study\n"
             "assert not any(__cpu_features__[t] for t in __cpu_dispatch__)\n"
-            "print(json.dumps({c: g.value_digest(c) for c in g.VALUE_GOLDENS}))")
+            "print(json.dumps([{c: g.value_digest(c) for c in g.VALUE_GOLDENS},\n"
+            "                  {r.flavor: repr(r.mse) for r in tradeoff_study(512, 1024, 8)}]))")
     child = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
                            capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == VALUE_GOLDENS
+    assert json.loads(child.stdout) == [VALUE_GOLDENS, STUDY_MSES]
 
 
 @pytest.mark.parametrize("case", list(NONFINITE_GOLDENS))

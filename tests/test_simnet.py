@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qarsim.simnet as simnet
-from qarsim.collectives import CollectiveConfig, SemiLoopOddNError, Variant
+from qarsim.collectives import CollectiveConfig, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
 from qarsim.presets import load_preset
 from qarsim.quant import GRID_BYTES
@@ -89,21 +89,35 @@ def test_no_resource_overlap(variant, quant):
 
 
 def test_lower_bound_worked_example():
-    assert lower_bound(Variant.FULL_LOOP, 4, 8 * MIB, 1e9) == pytest.approx(0.003145728, rel=1e-12)
-    assert lower_bound(Variant.SEMI_LOOP, 4, 8 * MIB, 1e9) == pytest.approx(8 * MIB / (2 * 1e9), rel=1e-12)
+    # N=4, m=2, D = 8 MiB at B = 1 GB/s: a raw stage sends D, a quantized one
+    # D/2 plus one scale grid per minishard of each shard.
+    spec, link = PartitionSpec(4, 2, 1), LinkParams(1e9)
+    full, semi = (CollectiveConfig(v, spec) for v in Variant)
+    assert lower_bound(full, 8 * MIB, link) == pytest.approx(0.003145728, rel=1e-12)
+    assert lower_bound(semi, 8 * MIB, link) == pytest.approx(8 * MIB / (2 * 1e9), rel=1e-12)
+    wire = 8 * MIB / 2 + 4 * 2 * GRID_BYTES
+    assert lower_bound(replace(full, quantize_rs=True), 8 * MIB, link) == pytest.approx(
+        3 * wire / (2 * 4 * 1e9), rel=1e-12)
+    assert lower_bound(replace(semi, quantize_rs=True), 8 * MIB, link) == pytest.approx(
+        wire / (2 * 1e9), rel=1e-12)
+    # The all-gather's stage does not change the reduce-scatter's bytes.
+    assert lower_bound(replace(full, quantize_ag=True), 8 * MIB, link) == lower_bound(
+        full, 8 * MIB, link)
+    odd = CollectiveConfig(Variant.FULL_LOOP, PartitionSpec(3, 1, 1))
+    assert lower_bound(odd, 8 * MIB - 2048, link) == pytest.approx(
+        2 * (8 * MIB - 2048) / 6e9, rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", [Variant.FULL_LOOP, Variant.SEMI_LOOP])
-def test_lower_bound_needs_two_devices(variant):
-    with pytest.raises(ValueError, match="need at least 2 devices"):
-        lower_bound(variant, 1, 8 * MIB, 1e9)
-
-
-def test_semi_loop_lower_bound_needs_an_even_ring():
-    # The semi loop pairs the ring into two arcs, so on an odd ring it has no bound to give.
-    with pytest.raises(SemiLoopOddNError):
-        lower_bound(Variant.SEMI_LOOP, 3, 8 * MIB, 1e9)
-    assert lower_bound(Variant.FULL_LOOP, 3, 8 * MIB, 1e9) == pytest.approx(8 * MIB / 3e9, rel=1e-12)
+@pytest.mark.parametrize("tensor_bytes, why", [
+    (8 * MIB + 1, "whole BF16 element count"),
+    (8 * MIB + 2, "chunk size"),
+    (8 * MIB + 2048, "num_devices=4"),
+    (4 * 2048, "minishards_per_shard=2"),
+], ids=["odd-bytes", "chunks", "devices", "minishards"])
+def test_lower_bound_rejects_a_tensor_the_spec_cannot_partition(tensor_bytes, why):
+    cfg = CollectiveConfig(Variant.FULL_LOOP, PartitionSpec(4, 2, 1))
+    with pytest.raises(DivisibilityError, match=why):
+        lower_bound(cfg, tensor_bytes, LinkParams(1e9))
 
 
 @pytest.mark.parametrize("variant", [Variant.FULL_LOOP, Variant.SEMI_LOOP])
@@ -113,7 +127,7 @@ def test_rs_span_approaches_bandwidth_bound(variant):
     cfg = CollectiveConfig(variant, PartitionSpec(n, 1, 1))
     tl = simulate(cfg, d, link, FAST)
     rs_span = tl.stage_end("rs")
-    bound = lower_bound(variant, n, d, link.bandwidth_bytes_per_s)
+    bound = lower_bound(cfg, d, link)
     assert rs_span >= bound - 1e-15  # never beats the bound
     assert rs_span / bound - 1 <= 0.01
 
@@ -298,10 +312,9 @@ def test_reduce_scatter_is_never_faster_than_the_bound_on_its_wire_bytes(
     # each of the N shards. BF16 bytes do not bound a quantized stage.
     cfg = small_cfg(n, m, u, variant, rs=quantized, ag=False)
     d = small_bytes(cfg, chunks)
-    tl = simulate(cfg, d, LinkParams(bandwidth, latency),
-                  ComputeParams(*rates, fuse_recv_pass=fuse))
-    wire = d / 2 + n * m * GRID_BYTES if quantized else d
-    assert tl.stage_end("rs") >= lower_bound(variant, n, wire, bandwidth) * (1 - 1e-12)
+    link = LinkParams(bandwidth, latency)
+    tl = simulate(cfg, d, link, ComputeParams(*rates, fuse_recv_pass=fuse))
+    assert tl.stage_end("rs") >= lower_bound(cfg, d, link) * (1 - 1e-12)
 
 
 @settings(max_examples=400, deadline=None)
@@ -420,11 +433,12 @@ def test_raw_ag_total_includes_final_hop_latency():
 def test_naive_and_ideal_orderings():
     spec = PartitionSpec(8, 1, 1)
     nbytes = 64 * MIB
-    base = simulate(CollectiveConfig(Variant.FULL_LOOP, spec), nbytes, LINK, COMP).total_time
+    cfg = CollectiveConfig(Variant.FULL_LOOP, spec)
+    base = simulate(cfg, nbytes, LINK, COMP).total_time
     naive = simulate_naive(spec, nbytes, LINK, COMP).total_time
     ideal = simulate_ideal_2to1(spec, nbytes, LINK, COMP).total_time
     assert ideal <= naive <= base
-    assert ideal >= lower_bound(Variant.FULL_LOOP, 8, nbytes, LINK.bandwidth_bytes_per_s) / 2
+    assert ideal >= lower_bound(cfg, nbytes, LINK) / 2
 
 
 def test_timeline_jsonl_schema_and_stages():
