@@ -6,8 +6,9 @@ the config are rejected rather than ignored.
 
 Exit codes: 0 success, 2 config/validation problems (bad JSON, unknown or
 ill-typed fields, bad enum values, a config file that cannot be read or an
-output file that cannot be written), 3 domain errors from the collective
-itself (divisibility, odd-N semi loop, mismatched shapes).
+output file that cannot be written, link and compute parameters under which
+simulated times overflow), 3 domain errors from the collective itself
+(divisibility, odd-N semi loop, mismatched shapes).
 """
 
 from __future__ import annotations
@@ -246,6 +247,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
     else:
         (err,) = flavor_mses(inputs, spec, [_collective_config(cfg, spec)])
     tl = _timeline(cfg, spec, link, compute)
+    idle = idle_time(tl)  # first, so that `total_time` reads the columns it records
     row = {
         "variant": cfg.variant,
         "stages": "cast" if cfg.naive else stages_tag(cfg.quantize_rs, cfg.quantize_ag),
@@ -258,7 +260,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
         "seed": cfg.seed,
         "mse": err,
         "total_time_s": tl.total_time,
-        "idle_time_s": idle_time(tl),
+        "idle_time_s": idle,
     }
     return _render([row], tuple(row), cfg)
 
@@ -387,7 +389,7 @@ def main(argv=None) -> int:
             _write_output(cfg.output, text)
         else:
             print(text, end="")
-    except ConfigError as e:
+    except (ConfigError, OverflowError) as e:  # OverflowError: simulated times overflow
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (DivisibilityError, SemiLoopOddNError, ShapeMismatchError) as e:

@@ -34,6 +34,14 @@ iteration's sends and receives, and each stage's end). Only
 `Timeline._per_device` lays out devices 1..N-1: every segment once per
 device, device 0 first; its callers say how to render one copy.
 
+A simulated timeline schedules nothing until it is read. `total_time` and
+`len(events)`, read before anything else, come from a walk that keeps no
+column and formats no label; the first read of anything else walks once
+more, recording, and keeps device 0's columns. Both walks run the same
+float operations in the same order, so they agree bit for bit, and both
+check for overlaps: the recording walk over its columns, the other event
+by event. Both raise `OverflowError` if the latest time is not finite.
+
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
 add follows dequantize; the scale-encode of any microshard in a minishard
@@ -123,7 +131,7 @@ class _Events(Sequence[TimelineEvent]):
         self._tl = tl
 
     def __len__(self) -> int:
-        return self._tl.n * len(self._tl.label)
+        return self._tl.n * self._tl._span[1]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -143,7 +151,6 @@ def _lead_rows(lead: Callable[[int], str]) -> Callable[[int, Sequence[str]], lis
     return copy
 
 
-@dataclass(frozen=True, eq=False)
 class Timeline:
     """The events of n devices that each run device 0's events, in emission order.
 
@@ -154,23 +161,47 @@ class Timeline:
     once per device, device 0 first, as `_per_device` lays it out.
     `total_time`, `stage_end`, `len(events)` and `idle_time` read device
     0's columns; `columns` and `events` are the n devices' events, built on
-    first read.
+    first read. A timeline from `simulate` schedules on first read: see the
+    module docstring.
     """
 
-    n: int
-    bounds: Sequence[int]
-    resource: Sequence[str]
-    start_s: Sequence[float]
-    end_s: Sequence[float]
-    label: Sequence[str]
-
-    def __post_init__(self):
-        if len({len(self.resource), len(self.start_s), len(self.end_s), len(self.label)}) > 1:
+    def __init__(self, n: int, bounds: Sequence[int], resource: Sequence[str],
+                 start_s: Sequence[float], end_s: Sequence[float], label: Sequence[str]):
+        if len({len(resource), len(start_s), len(end_s), len(label)}) > 1:
             raise ValueError("timeline columns differ in length")
-        b = self.bounds
-        if not (b and b[0] == 0 and b[-1] == len(self.label)
-                and all(x < y for x, y in pairwise(b))):
+        if not (bounds and bounds[0] == 0 and bounds[-1] == len(label)
+                and all(x < y for x, y in pairwise(bounds))):
             raise ValueError("timeline bounds must increase from 0 to the column length")
+        self.n = n
+        self._record = SimpleNamespace(bounds=bounds, resource=resource, start_s=start_s,
+                                       end_s=end_s, label=label)
+
+    @classmethod
+    def _scheduled(cls, n: int, walk: Callable[[bool], _Sched]) -> Timeline:
+        """The timeline of the finished scheduler `walk(record)` returns; walked when read."""
+        tl = cls.__new__(cls)
+        tl.n, tl._walk = n, walk
+        return tl
+
+    @cached_property
+    def _record(self) -> _Sched:
+        """Device 0's columns and bounds: given, or recorded by walking once more."""
+        return self._walk(True)
+
+    bounds = property(lambda self: self._record.bounds)
+    resource = property(lambda self: self._record.resource)
+    start_s = property(lambda self: self._record.start_s)
+    end_s = property(lambda self: self._record.end_s)
+    label = property(lambda self: self._record.label)
+
+    @cached_property
+    def _span(self) -> tuple[float, int]:
+        """The latest end and device 0's event count: from the columns when
+        they are there, else from a walk that records nothing."""
+        if "_record" in vars(self):
+            return max(self.end_s, default=0.0), len(self.label)
+        s = self._walk(False)
+        return s.latest, s.count
 
     def _per_device(self, rows: Sequence, copy: Callable[[int, Sequence], Iterable]) -> Iterator:
         """The items of `copy(d, seg)` for each segment `seg` of device 0's
@@ -192,7 +223,7 @@ class Timeline:
 
     @property
     def total_time(self) -> float:
-        return max(self.end_s, default=0.0)
+        return self._span[0]
 
     def stage_end(self, prefix: str) -> float:
         """Latest end among events whose label starts with prefix (e.g. 'rs', 'ag')."""
@@ -277,18 +308,22 @@ def _check_overlap(resource, start_s, end_s, label) -> None:
 class _Sched:
     """Static-order list scheduler over device 0's link and VPU resources.
 
-    Events go into parallel columns, one append per field. `mark` ends a
-    segment of the emission order. `merge` and `rs_done` are what crosses
-    from the reduce-scatter into the all-gather: per direction, when the
-    owner's merges end (per minishard g and microshard j for quantized
-    hops), and when the last of them does.
+    With `record`, events go into parallel columns, one append per field,
+    and `mark` ends a segment of the emission order; without it, `run`
+    checks each event against its resource's previous end and the events
+    are only counted, and the hop kinds format no label (they pass
+    `record and label`). `merge` and `rs_done` are what crosses from the
+    reduce-scatter into the all-gather: per direction, when the owner's
+    merges end (per minishard g and microshard j for quantized hops), and
+    when the last of them does.
     """
 
-    def __init__(self, n: int, link: LinkParams, compute: ComputeParams):
-        self.n = n
+    def __init__(self, link: LinkParams, compute: ComputeParams, record: bool):
         self.link = link
         self.compute = compute
+        self.record = record
         self.free: dict[str, float] = {}
+        self.count = 0
         self.merge: dict = {}
         self.rs_done = 0.0
         self.resource: list[str] = []
@@ -297,20 +332,25 @@ class _Sched:
         self.label: list[str] = []
         self.bounds = [0]
 
-    def run(self, resource: str, label: str, dur: float, ready: float = 0.0) -> float:
-        """Run an event once resource is free and its inputs are ready; return its end."""
-        t0 = self.free.get(resource, 0.0)
-        if ready > t0:
-            t0 = ready
+    def run(self, resource: str, label: str | bool, dur: float, ready: float = 0.0) -> float:
+        """Run an event once resource is free and its inputs are ready; return its end.
+
+        `label` is False when the walk does not record."""
+        prev = self.free.get(resource, 0.0)
+        t0 = ready if ready > prev else prev
         t1 = t0 + dur
         self.free[resource] = t1
-        self.resource.append(resource)
-        self.start_s.append(t0)
-        self.end_s.append(t1)
-        self.label.append(label)
+        self.count += 1
+        if self.record:
+            self.resource.append(resource)
+            self.start_s.append(t0)
+            self.end_s.append(t1)
+            self.label.append(label)
+        elif not t0 >= prev - 1e-12:  # `_check_overlap`'s test, on this event
+            raise RuntimeError(f"overlap on {resource}")
         return t1
 
-    def send(self, direction: str, label: str, nbytes: float, ready: float = 0.0) -> float:
+    def send(self, direction: str, label: str | bool, nbytes: float, ready: float = 0.0) -> float:
         """Put nbytes on direction's link; return when the receiver sees them,
         one hop latency after the wire drains."""
         end = self.run(_LINK_OF[direction], label, nbytes / self.link.bandwidth_bytes_per_s, ready)
@@ -320,16 +360,21 @@ class _Sched:
         if len(self.label) > self.bounds[-1]:
             self.bounds.append(len(self.label))
 
-    def finish(self) -> Timeline:
-        """Check device 0's events for overlaps; return the n-device timeline.
+    def finish(self) -> _Sched:
+        """Check device 0's recorded events for overlaps, and every time for
+        overflow; set `latest`, the latest end.
 
         The other devices' events are copies of device 0's, so this checks
-        every event.
+        every event. Each resource's ends never decrease, so `latest` is bit
+        for bit the latest end of any event.
         """
-        cols = (self.resource, self.start_s, self.end_s, self.label)
-        _check_overlap(*cols)
-        self.mark()
-        return Timeline(self.n, self.bounds, *cols)
+        if self.record:
+            _check_overlap(self.resource, self.start_s, self.end_s, self.label)
+            self.mark()
+        if not all(map(math.isfinite, self.free.values())):
+            raise OverflowError(f"simulated times overflow under {self.link} and {self.compute}")
+        self.latest = max(self.free.values(), default=0.0)
+        return self
 
 
 def _interleave(*seqs):
@@ -345,12 +390,13 @@ def _prep_quant(s: _Sched, tag: str, gs: range, u: int, e_micro: int, stage: str
 
     Returns the scan join per minishard and the encode ends per microshard.
     """
-    c = s.compute
+    c, rec = s.compute, s.record
     scan, enc = e_micro / c.scan_rate, e_micro / c.encode_rate
-    scans = {g: [s.run(RES_VPU, f"{stage}:scan:prep:{tag}:g={g}:j={j}", scan, ready)
+    scans = {g: [s.run(RES_VPU, rec and f"{stage}:scan:prep:{tag}:g={g}:j={j}", scan, ready)
                  for j in range(u)] for g in gs}
     joined = {g: max(ends) for g, ends in scans.items()}
-    return joined, {g: [s.run(RES_VPU, f"{stage}:enc:prep:{tag}:g={g}:j={j}", enc, joined[g])
+    return joined, {g: [s.run(RES_VPU, rec and f"{stage}:enc:prep:{tag}:g={g}:j={j}", enc,
+                              joined[g])
                         for j in range(u)] for g in gs}
 
 
@@ -389,29 +435,29 @@ class _Quant:
             scanj, enc = _prep_quant(s, dn or "own", pa[0].units, u, e, "ag", s.rs_done)
             for a in pa:
                 self.scanj[a.direction], self.enc[a.direction] = scanj, enc
-        dq = e / s.compute.dequant_rate
+        dq, rec = e / s.compute.dequant_rate, s.record
         for dn, pa in parts:
             enc = self.enc[pa[0].direction]
             tag = f":{dn}" if dn else ""
             for g in pa[0].units:
                 for j in range(u):
-                    s.run(RES_VPU, f"ag:dq:own{tag}:g={g}:j={j}", dq, enc[g][j])
+                    s.run(RES_VPU, rec and f"ag:dq:own{tag}:g={g}:j={j}", dq, enc[g][j])
 
     def send(self, a: Arc, t: int) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
-        dn, gs = a.direction, a.units
+        dn, gs, rec = a.direction, a.units, s.record
         if st == "ag" and t > 1:
             # Forward the codes and grids that arrived on the previous hop.
             meta, pay = self.meta[dn], self.pay[dn]
         else:
             meta, pay = max(self.scanj[dn][g] for g in gs), self.enc[dn]
-        self.meta[dn] = s.send(dn, f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES, meta)
-        self.pay[dn] = {g: [s.send(dn, f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e, pay[g][j])
+        self.meta[dn] = s.send(dn, rec and f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES, meta)
+        self.pay[dn] = {g: [s.send(dn, rec and f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e, pay[g][j])
                             for j in range(u)] for g in gs}
 
     def recv(self, arcs: list[Arc], t: int) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
-        c = s.compute
+        c, rec = s.compute, s.record
         dq, add, scan, enc = (e / r for r in (c.dequant_rate, c.add_rate, c.scan_rate,
                                              c.encode_rate))
         # With fuse_recv_pass a microshard's dequantize, add (and scan) are one
@@ -423,27 +469,29 @@ class _Quant:
             pay, meta = self.pay[dn][g], self.meta[dn]
             if st == "ag":
                 for j in range(u):
-                    s.run(RES_VPU, f"ag:dq:it={t}:{dn}:g={g}:j={j}", dq, max(pay[j], meta))
+                    s.run(RES_VPU, rec and f"ag:dq:it={t}:{dn}:g={g}:j={j}", dq, max(pay[j], meta))
                 continue
             # Fold into the accumulator the earlier arc's merge made.
             after = s.merge[a.after][g] if last and a.after else None
             ends = []
             for j in range(u):
-                tag = f":it={t}:{dn}:g={g}:j={j}"
+                tag = rec and f":it={t}:{dn}:g={g}:j={j}"
                 ready = max(pay[j], meta) if after is None else max(pay[j], meta, after[j])
                 if c.fuse_recv_pass:
-                    end = s.run(RES_VPU, f"rs:fused{tag}", fused_last if last else fused, ready)
+                    end = s.run(RES_VPU, rec and f"rs:fused{tag}", fused_last if last else fused,
+                                ready)
                 else:
-                    end = s.run(RES_VPU, f"rs:dq{tag}", dq, ready)
-                    end = s.run(RES_VPU, f"rs:add{tag}", add, end)
+                    end = s.run(RES_VPU, rec and f"rs:dq{tag}", dq, ready)
+                    end = s.run(RES_VPU, rec and f"rs:add{tag}", add, end)
                     if not last:
-                        end = s.run(RES_VPU, f"rs:scan{tag}", scan, end)
+                        end = s.run(RES_VPU, rec and f"rs:scan{tag}", scan, end)
                 ends.append(end)
             if last:
                 s.merge.setdefault(dn, {})[g] = ends
                 continue
             joined = self.scanj[dn][g] = max(ends)
-            self.enc[dn][g] = [s.run(RES_VPU, f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", enc, joined)
+            self.enc[dn][g] = [s.run(RES_VPU, rec and f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", enc,
+                                     joined)
                                for j in range(u)]
 
     def done(self, arcs: list[Arc]) -> None:
@@ -475,34 +523,34 @@ class _Plain:
             if self.stage == "ag":
                 self.wire[dn] = s.merge[dn] if self.eight_bit else s.rs_done
             elif self.cast:
-                self.wire[dn] = s.run(RES_VPU, f"rs:cast:prep:{dn}",
+                self.wire[dn] = s.run(RES_VPU, s.record and f"rs:cast:prep:{dn}",
                                       len(a.units) / s.compute.cast_rate)
 
     def send(self, a: Arc, t: int) -> None:
         dn = a.direction
         word, elem_bytes = ("pay", 1) if self.eight_bit else ("raw", 2)
-        self.wire[dn] = self.s.send(dn, f"{self.stage}:{word}:it={t}:{dn}",
+        self.wire[dn] = self.s.send(dn, self.s.record and f"{self.stage}:{word}:it={t}:{dn}",
                                     elem_bytes * len(a.units), self.wire.get(dn, 0.0))
 
     def recv(self, arcs: list[Arc], t: int) -> None:
         s, st = self.s, self.stage
-        c = s.compute
+        c, rec = s.compute, s.record
         for a in arcs:
             dn, elems = a.direction, len(a.units)
             arrive = self.wire[dn]
             if st == "ag":
                 if self.cast:
-                    s.run(RES_VPU, f"ag:dec:it={t}:{dn}", elems / c.cast_rate, arrive)
+                    s.run(RES_VPU, rec and f"ag:dec:it={t}:{dn}", elems / c.cast_rate, arrive)
                 else:
                     # Zero-cost landing marker: completion includes the final hop latency.
-                    s.run(RES_VPU, f"ag:land:it={t}:{dn}", 0.0, arrive)
+                    s.run(RES_VPU, rec and f"ag:land:it={t}:{dn}", 0.0, arrive)
                 continue
             last = t == len(a.devices) - 1
             if last and a.after:
                 arrive = max(arrive, s.merge[a.after])
-            end = s.run(RES_VPU, f"rs:add:it={t}:{dn}", elems / c.add_rate, arrive)
+            end = s.run(RES_VPU, rec and f"rs:add:it={t}:{dn}", elems / c.add_rate, arrive)
             if self.cast:
-                end = s.run(RES_VPU, f"rs:recode:it={t}:{dn}", elems / c.cast_rate, end)
+                end = s.run(RES_VPU, rec and f"rs:recode:it={t}:{dn}", elems / c.cast_rate, end)
             if last:
                 s.merge[dn] = end
             else:
@@ -514,11 +562,11 @@ class _Plain:
             s.rs_done = max(s.merge[a.direction] for a in arcs)
         elif self.cast:
             for a in arcs:
-                s.run(RES_VPU, f"ag:dec:own:{a.direction}", len(a.units) / s.compute.cast_rate,
-                      s.merge[a.direction])
+                s.run(RES_VPU, s.record and f"ag:dec:own:{a.direction}",
+                      len(a.units) / s.compute.cast_rate, s.merge[a.direction])
 
 
-def _execute(s: _Sched, *stages: tuple[list[Arc], _Quant | _Plain]) -> Timeline:
+def _execute(s: _Sched, *stages: tuple[list[Arc], _Quant | _Plain]) -> _Sched:
     """Walk each stage's shard-0 arcs in order, emitting device 0's events
     through its hop kind: in iteration t, hop t of every arc that has one is
     sent, then received, CW before CCW. A segment ends after each stage's
@@ -549,23 +597,25 @@ def _elements(tensor_bytes: int, spec: PartitionSpec) -> int:
 
 def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
              compute: ComputeParams) -> Timeline:
-    """Schedule one AllReduce of a BF16 tensor of tensor_bytes and return its timeline."""
+    """The timeline of one AllReduce of a BF16 tensor of tensor_bytes, scheduled when read."""
     spec = cfg.spec
     n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
     e_shard = _elements(tensor_bytes, spec) // n
-    s = _Sched(n, link, compute)
-
-    def hops(stage: str, quantized: bool) -> _Quant | _Plain:
-        if quantized:
-            return _Quant(s, stage, e_shard // (m * u), u, cfg.variant is Variant.SEMI_LOOP)
-        return _Plain(s, stage)
-
     q_rs, q_ag = cfg.quantize_rs, cfg.quantize_ag
-    return _execute(
-        s,
-        (rs_arcs(cfg.variant, n, m if q_rs else e_shard)[0], hops("rs", q_rs)),
-        (ag_arcs(cfg.variant, n, m if q_ag else e_shard)[0], hops("ag", q_ag)),
-    )
+    rs = rs_arcs(cfg.variant, n, m if q_rs else e_shard)[0]
+    ag = ag_arcs(cfg.variant, n, m if q_ag else e_shard)[0]
+
+    def walk(record: bool) -> _Sched:
+        s = _Sched(link, compute, record)
+
+        def hops(stage: str, quantized: bool) -> _Quant | _Plain:
+            if quantized:
+                return _Quant(s, stage, e_shard // (m * u), u, cfg.variant is Variant.SEMI_LOOP)
+            return _Plain(s, stage)
+
+        return _execute(s, (rs, hops("rs", q_rs)), (ag, hops("ag", q_ag)))
+
+    return Timeline._scheduled(n, walk)
 
 
 def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
@@ -573,13 +623,14 @@ def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
     """Full-loop ring at 1 byte per element; optional cast/recode/decode passes."""
     n = spec.num_devices
     e_shard = _elements(tensor_bytes, spec) // n
-    s = _Sched(n, link, compute)
-    rs, ag = (_Plain(s, stage, eight_bit=True, cast=cast) for stage in ("rs", "ag"))
-    return _execute(
-        s,
-        (rs_arcs(Variant.FULL_LOOP, n, e_shard)[0], rs),
-        (ag_arcs(Variant.FULL_LOOP, n, e_shard)[0], ag),
-    )
+    rs, ag = (arcs(Variant.FULL_LOOP, n, e_shard)[0] for arcs in (rs_arcs, ag_arcs))
+
+    def walk(record: bool) -> _Sched:
+        s = _Sched(link, compute, record)
+        return _execute(s, *((arcs, _Plain(s, stage, eight_bit=True, cast=cast))
+                             for arcs, stage in ((rs, "rs"), (ag, "ag"))))
+
+    return Timeline._scheduled(n, walk)
 
 
 def simulate_naive(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,

@@ -32,6 +32,7 @@ from qarsim.analysis import (
 from qarsim.collectives import Variant, gather_blocks, naive_lowp_allreduce, reduce_scatter
 from qarsim.layout import Bf16Tensor, ShapeMismatchError, TensorBuf
 from qarsim.numerics import Codec, bf16_bits, round_to_bf16
+from qarsim.simnet import Timeline
 
 MIB = 1 << 20
 
@@ -460,3 +461,16 @@ def test_size_sweep_respects_variant():
     assert points[0].baseline_time_s == full[0].baseline_time_s  # shared baseline
     assert points[0].flavor_time_s != full[0].flavor_time_s
 
+
+
+def test_studies_record_no_timeline_column(monkeypatch):
+    # Both studies read only `total_time`, so every simulation is a walk
+    # that keeps no column and formats no label.
+    def forbidden(self):
+        raise AssertionError("timeline columns recorded")
+
+    monkeypatch.setattr(Timeline, "_record", property(forbidden))
+    for variant in Variant:
+        assert all(p.ratio > 0 for p in size_sweep([MIB, 4 * MIB], variant=variant,
+                                                   num_devices=4))
+    assert all(r.predicted_speedup > 0 for r in tradeoff_study(128, 512, num_devices=4))

@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from test_simnet import finished_walks
 
 import qarsim.cli as cli
 from qarsim.cli import RunConfig, _build_parser, build_config, main
@@ -627,6 +628,44 @@ def test_non_finite_link_or_compute_value_exits_2_naming_field(flag, name, value
     assert run(["simulate", *argv]) == 2
     err = capsys.readouterr().err
     assert name in err and "finite" in err and "Traceback" not in err
+
+
+# Finite, positive parameters under which some simulated time overflows:
+# a subnormal bandwidth, or a hop latency summed over a deep ring.
+OVERFLOW_CASES = [
+    ["simulate", "--rows", "1024", "--cols", "1024", "--num-devices", "8",
+     "--bandwidth", "1e-320"],
+    ["sweep", "--sizes", "1MiB", "--num-devices", "8", "--bandwidth", "1e-310"],
+    ["timeline", "--rows", "64", "--cols", "1024", "--num-devices", "16",
+     "--hop-latency", "1e308"],
+    ["tradeoff", "--rows", "64", "--cols", "1024", "--num-devices", "16",
+     "--hop-latency", "1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_CASES, ids=[c[0] for c in OVERFLOW_CASES])
+def test_simulated_times_that_overflow_exit_2(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("config error: simulated times overflow")
+    assert "LinkParams(" in err and "ComputeParams(" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["timeline"], [True]),
+    (["timeline", "--format", "csv"], [True]),
+    (["simulate"], [True]),
+    (["simulate", "--naive"], [True]),
+    (["sweep", "--sizes", "1MiB,2MiB"], [False] * 4),
+    (["tradeoff"], [False] * 8),
+], ids=["timeline", "timeline-csv", "simulate", "simulate-naive", "sweep", "tradeoff"])
+def test_each_command_walks_each_schedule_once(argv, walks, capsys):
+    # Each finished walk, by whether it recorded: a command that reads
+    # columns records each schedule once and walks it no other way, and one
+    # that reads only `total_time` records nothing.
+    with finished_walks() as seen:
+        assert run([*argv, *AGREE_ARGS]) == 0
+    assert seen == walks
 
 
 def test_int_config_value_accepted_for_float_field(tmp_path):

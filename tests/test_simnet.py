@@ -1,5 +1,6 @@
 """Event-driven performance model: schedule structure, determinism, bounds."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -153,15 +154,15 @@ _RINGS = [f"{v.value}-{rs}-{ag}" for v in Variant
 
 
 @st.composite
-def sim_setups(draw, latency=True, rings=_RINGS):
+def sim_setups(draw, latency=True, rings=_RINGS, max_n=8, max_m=4):
     """(ring, spec, chunks per microshard, link, compute): a ring from `rings`
     (by default either variant with any stage pair, or the naive or ideal
-    ring); N <= 8, m and u <= 4; rates
+    ring); N <= max_n (even for the semi loop), m <= max_m, u <= 4; rates
     and bandwidth from 1e9 to 1e12; `fuse_recv_pass` on or off."""
     ring = draw(st.sampled_from(rings))
     semi = ring.startswith(Variant.SEMI_LOOP.value)
-    n = draw(st.sampled_from([2, 4, 6, 8] if semi else range(2, 9)))
-    spec = PartitionSpec(n, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    n = draw(st.sampled_from(range(2, max_n + 1, 2) if semi else range(2, max_n + 1)))
+    spec = PartitionSpec(n, draw(st.integers(1, max_m)), draw(st.integers(1, 4)))
     rate = st.floats(1e9, 1e12)
     link = LinkParams(draw(rate), draw(st.floats(0.0, 1e-4)) if latency else 0.0)
     compute = ComputeParams(*(draw(rate) for _ in _RATES), fuse_recv_pass=draw(st.booleans()))
@@ -214,6 +215,69 @@ def test_doubling_bandwidth_and_rates_halves_every_event_time(setup):
     assert (fast.resource, fast.label) == (tl.resource, tl.label)
     assert fast.start_s == [t / 2 for t in tl.start_s]
     assert fast.end_s == [t / 2 for t in tl.end_s]
+
+
+# The two reads a walk that records nothing answers, and a column read.
+_FIRST_READS = {"total_time": operator.attrgetter("total_time"),
+                "len(events)": lambda tl: len(tl.events), "label": operator.attrgetter("label")}
+
+
+@contextlib.contextmanager
+def finished_walks():
+    """The `record` flag of each walk of a schedule that finishes in the block."""
+    finish, seen = simnet._Sched.finish, []
+
+    def counted(self):
+        seen.append(self.record)
+        return finish(self)
+
+    simnet._Sched.finish = counted
+    try:
+        yield seen
+    finally:
+        simnet._Sched.finish = finish
+
+
+@settings(max_examples=300, deadline=None)
+@given(sim_setups(max_n=16, max_m=8), st.booleans(), st.sampled_from(list(_FIRST_READS)))
+def test_the_time_only_walk_is_the_recorded_walk_bit_for_bit(setup, no_latency, first):
+    # `total_time` and `len(events)` read before any column come from a walk
+    # that records nothing. Whichever is read first, they must be the
+    # recorded walk's max(end_s) and n * len(label).
+    ring, spec, chunks, link, compute = setup
+    if no_latency:
+        link = replace(link, hop_latency_s=0.0)
+    with finished_walks() as walks:
+        tl = _sim(ring, spec, chunks, link, compute)
+        _FIRST_READS[first](tl)
+        got = (tl.total_time, len(tl.events))
+        assert walks == [first == "label"]
+        assert got == (max(tl.end_s), tl.n * len(tl.label))
+        assert walks == ([True] if first == "label" else [False, True])
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "time-only"])
+def test_both_walks_raise_the_overlap_error_on_a_nan_duration(record):
+    # A NaN end makes the next start on its resource fail `_check_overlap`'s
+    # test. The recorded walk runs it over its columns when it finishes and
+    # names the event; the time-only walk runs it on each event and names
+    # the resource alone.
+    s = simnet._Sched(LINK, COMP, record)
+    s.run(RES_LINK_CW, record and "a", 1.0)
+    s.run(RES_VPU, record and "b", math.nan)
+    with pytest.raises(RuntimeError, match="^overlap on VPU" + (" at c$" if record else "$")):
+        s.run(RES_VPU, record and "c", 1.0)
+        s.finish()
+
+
+@pytest.mark.parametrize("read", list(_FIRST_READS))
+def test_a_schedule_whose_times_overflow_raises(read):
+    # Finite, positive parameters can still overflow: 2 KiB over a subnormal
+    # bandwidth is inf, and idle_time would read inf - inf as NaN.
+    cfg = small_cfg()
+    tl = simulate(cfg, small_bytes(cfg), LinkParams(1e-320), COMP)
+    with pytest.raises(OverflowError, match=r"overflow under LinkParams\(bandwidth_bytes_per_s="):
+        _FIRST_READS[read](tl)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -298,6 +362,29 @@ def test_quantized_reduce_scatter_meets_its_vpu_bound_closed_form(variant, n):
                       ComputeParams(dq, add, scan, enc, 1e12))
         expected = (n - 1) * m * u * 1024 * (1 / dq + 1 / add + 1 / scan + 1 / enc)
         assert tl.stage_end("rs") == pytest.approx(expected, rel=1e-6), (m, u)
+
+
+@pytest.mark.parametrize("rs", ["raw", "quant"])
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_quantized_all_gather_meets_its_vpu_bound_closed_form(variant, n, rs):
+    # With the links free the VPU never waits, so the run is the VPU's work
+    # on E elements (a shard). The reduce-scatter does N-1 times all four
+    # passes when quantized (as above) and N-1 adds when raw. The all-gather
+    # source scans and encodes its shard and dequantizes its own codes, and
+    # each of the N-1 hops it receives (2(N-1) half shards in the full loop;
+    # N/2 + N/2-1 whole ones in the semi loop) is one dequantize: E times
+    # one scan, one encode and N dequantizes. Read through the time-only walk.
+    rng = np.random.default_rng(n)
+    for m, u, _ in product(range(1, 5), range(1, 5), range(3)):
+        dq, add, scan, enc = 10.0 ** rng.uniform(9, 12, size=4)
+        cfg = small_cfg(n, m, u, variant, rs=rs == "quant", ag=True)
+        tl = simulate(cfg, small_bytes(cfg), LinkParams(1e18, 0.0),
+                      ComputeParams(dq, add, scan, enc, 1e12))
+        e = m * u * 1024
+        per_hop = 1 / dq + 1 / add + 1 / scan + 1 / enc if rs == "quant" else 1 / add
+        expected = (n - 1) * e * per_hop + e * (1 / scan + 1 / enc + n / dq)
+        assert tl.total_time == pytest.approx(expected, rel=1e-6), (m, u)
 
 
 @settings(max_examples=400, deadline=None)
@@ -658,7 +745,7 @@ def test_exports_build_no_string_per_device_copy(export):
 
 def _filled_sched(rows) -> simnet._Sched:
     """A one-device scheduler holding the events `rows` of (resource, start_s, end_s, label)."""
-    s = simnet._Sched(1, LINK, COMP)
+    s = simnet._Sched(LINK, COMP, record=True)
     for row in rows:
         for col, value in zip((s.resource, s.start_s, s.end_s, s.label), row):
             col.append(value)
@@ -690,11 +777,17 @@ def test_finish_keeps_the_tolerance():
 
 
 def test_overlap_check_runs_under_optimize():
+    # Both walks: the recording one's check on its columns, and the
+    # event-by-event one's.
     code = ("import qarsim.simnet as s\n"
-            "x = s._Sched(1, None, None)\n"
+            "x = s._Sched(None, None, True)\n"
             "for c, v in zip((x.resource, x.start_s, x.end_s, x.label),"
             " ('VPU', -1.0, 0.0, 'a')): c.append(v)\n"
-            "try:\n    x.finish()\nexcept RuntimeError:\n    raise SystemExit(0)\n"
+            "try:\n    x.finish()\nexcept RuntimeError:\n    pass\n"
+            "else:\n    raise SystemExit(1)\n"
+            "y = s._Sched(None, None, False)\n"
+            "y.run('VPU', False, float('nan'))\n"
+            "try:\n    y.run('VPU', False, 1.0)\nexcept RuntimeError:\n    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
     src = str(Path(simnet.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
