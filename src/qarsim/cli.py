@@ -277,6 +277,8 @@ def cmd_tradeoff(cfg: RunConfig) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
+    if cfg.naive:  # the sweep times the configured flavor; it has no naive ring
+        raise ConfigError("field 'naive' is not supported by sweep")
     link, compute = resolve_params(cfg)
     points = size_sweep(
         cfg.sizes, variant=Variant(cfg.variant), codec=Codec(cfg.codec),

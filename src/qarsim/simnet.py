@@ -39,8 +39,9 @@ A simulated timeline schedules nothing until it is read. `total_time` and
 column and formats no label; the first read of anything else walks once
 more, recording, and keeps device 0's columns. Both walks run the same
 float operations in the same order, so they agree bit for bit, and both
-check for overlaps: the recording walk over its columns, the other event
-by event. Both raise `OverflowError` if the latest time is not finite.
+run one overlap check, in `_Sched.run`, on every event. Both raise
+`OverflowError` if the latest time is not finite, so every time a
+timeline shows is finite.
 
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
@@ -61,7 +62,6 @@ bytes / 2. Quantized hops send `quant`'s wire message, one per minishard;
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -154,38 +154,24 @@ def _lead_rows(lead: Callable[[int], str]) -> Callable[[int, Sequence[str]], lis
 class Timeline:
     """The events of n devices that each run device 0's events, in emission order.
 
-    `resource`, `start_s`, `end_s` and `label` are device 0's events as
-    parallel columns (entry i of each is a field of its event i), and
-    `bounds` are where each segment of the emission order ends, from 0 to
-    the column length. Across devices the emission order is each segment
-    once per device, device 0 first, as `_per_device` lays it out.
+    `walk(record)` schedules device 0's events and returns the finished
+    `_Sched`; nothing is walked until the timeline is read (see the module
+    docstring). `resource`, `start_s`, `end_s` and `label` are device 0's
+    events as parallel columns (entry i of each is a field of its event
+    i), and `bounds` are where each segment of the emission order ends,
+    from 0 to the column length. Across devices the emission order is each
+    segment once per device, device 0 first, as `_per_device` lays it out.
     `total_time`, `stage_end`, `len(events)` and `idle_time` read device
     0's columns; `columns` and `events` are the n devices' events, built on
-    first read. A timeline from `simulate` schedules on first read: see the
-    module docstring.
+    first read.
     """
 
-    def __init__(self, n: int, bounds: Sequence[int], resource: Sequence[str],
-                 start_s: Sequence[float], end_s: Sequence[float], label: Sequence[str]):
-        if len({len(resource), len(start_s), len(end_s), len(label)}) > 1:
-            raise ValueError("timeline columns differ in length")
-        if not (bounds and bounds[0] == 0 and bounds[-1] == len(label)
-                and all(x < y for x, y in pairwise(bounds))):
-            raise ValueError("timeline bounds must increase from 0 to the column length")
-        self.n = n
-        self._record = SimpleNamespace(bounds=bounds, resource=resource, start_s=start_s,
-                                       end_s=end_s, label=label)
-
-    @classmethod
-    def _scheduled(cls, n: int, walk: Callable[[bool], _Sched]) -> Timeline:
-        """The timeline of the finished scheduler `walk(record)` returns; walked when read."""
-        tl = cls.__new__(cls)
-        tl.n, tl._walk = n, walk
-        return tl
+    def __init__(self, n: int, walk: Callable[[bool], _Sched]):
+        self.n, self._walk = n, walk
 
     @cached_property
     def _record(self) -> _Sched:
-        """Device 0's columns and bounds: given, or recorded by walking once more."""
+        """Device 0's columns and bounds, recorded by walking once more."""
         return self._walk(True)
 
     bounds = property(lambda self: self._record.bounds)
@@ -196,11 +182,9 @@ class Timeline:
 
     @cached_property
     def _span(self) -> tuple[float, int]:
-        """The latest end and device 0's event count: from the columns when
-        they are there, else from a walk that records nothing."""
-        if "_record" in vars(self):
-            return max(self.end_s, default=0.0), len(self.label)
-        s = self._walk(False)
+        """The latest end and device 0's event count: from the recording walk
+        when it has run, else from a walk that records nothing."""
+        s = vars(self).get("_record") or self._walk(False)
         return s.latest, s.count
 
     def _per_device(self, rows: Sequence, copy: Callable[[int, Sequence], Iterable]) -> Iterator:
@@ -232,10 +216,9 @@ class Timeline:
 
     def to_jsonl(self) -> str:
         """One line per event, byte for byte the `json.dumps` of its field dict."""
-        # A finite sum means every time is finite, and json.dumps writes a
-        # finite float as float.__repr__ does; it spells out NaN and Infinity.
-        num = float.__repr__ if math.isfinite(sum(self.start_s) + sum(self.end_s)) else json.dumps
-        enc = encode_basestring_ascii
+        # Every time is finite (a walk raises before a non-finite one can be
+        # read), and json.dumps writes a finite float as float.__repr__ does.
+        num, enc = float.__repr__, encode_basestring_ascii
         # Format device 0's lines once from the resource on; each copy leads
         # each line with `{"device": d`.
         lines = [f', "resource": {enc(r)}, "start_s": {num(s)}, "end_s": {num(e)}, '
@@ -290,32 +273,19 @@ def lower_bound(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams) -> f
     return (n - 1) * wire / (2.0 * n * link.bandwidth_bytes_per_s)
 
 
-def _check_overlap(resource, start_s, end_s, label) -> None:
-    """Raise unless each resource runs one event at a time.
-
-    Per-resource emission order is execution order, so each event may
-    start at most 1e-12 s before the previous event on its resource ends,
-    and the first event on a resource at most 1e-12 s before 0. The first
-    overlapping event emitted is named.
-    """
-    prev_end: dict[str, float] = {}
-    for r, start, end, lb in zip(resource, start_s, end_s, label):
-        if not start >= prev_end.get(r, 0.0) - 1e-12:
-            raise RuntimeError(f"overlap on {r} at {lb}")
-        prev_end[r] = end
-
-
 class _Sched:
     """Static-order list scheduler over device 0's link and VPU resources.
 
-    With `record`, events go into parallel columns, one append per field,
-    and `mark` ends a segment of the emission order; without it, `run`
-    checks each event against its resource's previous end and the events
-    are only counted, and the hop kinds format no label (they pass
-    `record and label`). `merge` and `rs_done` are what crosses from the
-    reduce-scatter into the all-gather: per direction, when the owner's
-    merges end (per minishard g and microshard j for quantized hops), and
-    when the last of them does.
+    `run` checks every event against its resource's previous end, and
+    raises `RuntimeError` naming the resource (and the label when
+    recording) if it starts earlier. With `record`, events go into
+    parallel columns, one append per field, and `mark` ends a segment of
+    the emission order; without it, the events are only counted, and the
+    hop kinds format no label (they pass `record and label`). `merge` and
+    `rs_done` are what crosses from the reduce-scatter into the
+    all-gather: per direction, when the owner's merges end (per minishard
+    g and microshard j for quantized hops), and when the last of them
+    does.
     """
 
     def __init__(self, link: LinkParams, compute: ComputeParams, record: bool):
@@ -338,6 +308,9 @@ class _Sched:
         `label` is False when the walk does not record."""
         prev = self.free.get(resource, 0.0)
         t0 = ready if ready > prev else prev
+        if not t0 >= prev:  # fails only on a NaN time
+            raise RuntimeError(f"overlap on {resource} at {label}" if self.record
+                               else f"overlap on {resource}")
         t1 = t0 + dur
         self.free[resource] = t1
         self.count += 1
@@ -346,8 +319,6 @@ class _Sched:
             self.start_s.append(t0)
             self.end_s.append(t1)
             self.label.append(label)
-        elif not t0 >= prev - 1e-12:  # `_check_overlap`'s test, on this event
-            raise RuntimeError(f"overlap on {resource}")
         return t1
 
     def send(self, direction: str, label: str | bool, nbytes: float, ready: float = 0.0) -> float:
@@ -361,16 +332,11 @@ class _Sched:
             self.bounds.append(len(self.label))
 
     def finish(self) -> _Sched:
-        """Check device 0's recorded events for overlaps, and every time for
-        overflow; set `latest`, the latest end.
+        """Check every time for overflow; set `latest`, the latest end.
 
-        The other devices' events are copies of device 0's, so this checks
-        every event. Each resource's ends never decrease, so `latest` is bit
-        for bit the latest end of any event.
+        Each resource's ends never decrease, so `latest` is bit for bit the
+        latest end of any event.
         """
-        if self.record:
-            _check_overlap(self.resource, self.start_s, self.end_s, self.label)
-            self.mark()
         if not all(map(math.isfinite, self.free.values())):
             raise OverflowError(f"simulated times overflow under {self.link} and {self.compute}")
         self.latest = max(self.free.values(), default=0.0)
@@ -615,7 +581,7 @@ def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
 
         return _execute(s, (rs, hops("rs", q_rs)), (ag, hops("ag", q_ag)))
 
-    return Timeline._scheduled(n, walk)
+    return Timeline(n, walk)
 
 
 def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
@@ -630,7 +596,7 @@ def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
         return _execute(s, *((arcs, _Plain(s, stage, eight_bit=True, cast=cast))
                              for arcs, stage in ((rs, "rs"), (ag, "ag"))))
 
-    return Timeline._scheduled(n, walk)
+    return Timeline(n, walk)
 
 
 def simulate_naive(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,

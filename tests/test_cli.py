@@ -454,6 +454,26 @@ def test_naive_semi_loop_exits_2_naming_variant(command, source, tmp_path, capsy
                             "got 'semi_loop'\n")
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_naive_sweep_exits_2_naming_naive(source, tmp_path, capsys, monkeypatch):
+    # The sweep times the configured flavor against the baseline and has no
+    # naive ring, so a naive request must not print the quantized ring's ratios.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("size_sweep ran")
+
+    monkeypatch.setattr(cli, "size_sweep", forbidden)
+    out = tmp_path / "sweep.csv"
+    argv = ["--naive", "--sizes", "4MiB"]
+    if source == "file":
+        argv = ["--config", write_cfg(tmp_path, {"naive": True, "sizes": ["4MiB"]})]
+    assert run(["sweep", *argv, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert run(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: field 'naive' is not supported by sweep\n" * 2
+
+
 # --- every override flag and every config field lands on its RunConfig field ---
 
 # (flag argv, expected RunConfig fields): each flag alone, all else at default.

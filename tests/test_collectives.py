@@ -409,6 +409,76 @@ def test_power_of_two_scaling_homogeneity():
     assert np.array_equal(out2.data, out1.data * np.float32(2.0))
 
 
+def _draw_ring(data):
+    """A collective as run(list of each device's BF16 bits) -> output values,
+    and its spec: N <= 8, m and u <= 4, any codec, and either a stage pair of
+    a variant (the semi loop on even rings only) or the naive ring."""
+    n = data.draw(st.integers(2, 8), label="N")
+    spec = PartitionSpec(n, data.draw(st.integers(1, 4), label="m"),
+                         data.draw(st.integers(1, 4), label="u"))
+    codec = data.draw(st.sampled_from(list(Codec)), label="codec")
+    variants = list(Variant) if n % 2 == 0 else [Variant.FULL_LOOP]
+    flavor = data.draw(st.sampled_from(
+        [(v, rs, ag) for v in variants for rs in (False, True) for ag in (False, True)]
+        + ["naive"]), label="flavor")
+
+    def run(bits):
+        inputs = [Bf16Tensor(b, 1, b.size) for b in bits]
+        if flavor == "naive":
+            return naive_lowp_allreduce(inputs, codec, spec)[0].data
+        variant, q_rs, q_ag = flavor
+        cfg = CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
+        return all_reduce(inputs, cfg)[0].data
+
+    return run, spec, codec, flavor
+
+
+def _random_bits(data, spec, exponents, mantissa_bits=7):
+    """Each device's BF16 bits: random signs, unbiased exponents drawn from
+    the range `exponents`, and random values of the top `mantissa_bits` of
+    the mantissa (the rest 0)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
+    size = (n, n * m * u * CHUNK_ELEMS)
+    bits = rng.integers(exponents.start + 127, exponents.stop + 127, size, dtype=np.uint16) << 7
+    bits |= rng.integers(0, 1 << mantissa_bits, size, dtype=np.uint16) << 7 - mantissa_bits
+    bits |= rng.integers(0, 2, size, dtype=np.uint16) << 15
+    return list(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_negating_every_input_negates_every_output(data):
+    # Every codec, the scale division and each rounding are odd functions,
+    # so flipping every input's sign bit negates every output as a value,
+    # and so bit for bit wherever it is nonzero. A zero need not flip: a
+    # sum that cancels is +0.0 for x and for -x. Inputs span 2**60, so
+    # small elements quantize to zero next to large ones.
+    run, spec, _, _ = _draw_ring(data)
+    bits = _random_bits(data, spec, range(-30, 31))
+    out = run(bits)
+    assert np.array_equal(run([b ^ 0x8000 for b in bits]), -out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scaling_every_input_by_4_scales_every_output_by_4(data):
+    # Adding 2 to every input's exponent multiplies it by 4. A quantized
+    # stage's scales then grow by 4 exactly and its codes repeat, and BF16
+    # sums scale exactly, so every output is x4 bit for bit, while every
+    # value stays well inside the normal range. The naive ring casts
+    # without a scale: an FP8 cast scales exactly on magnitudes from 2**-4
+    # to 2**3 (sums of 8 stay below 448 after x4), but an INT8 cast rounds
+    # to integers, so it scales only small integers, here +-1 and +-2.
+    run, spec, codec, flavor = _draw_ring(data)
+    if flavor == "naive" and codec is Codec.INT8:
+        bits = _random_bits(data, spec, range(0, 2), mantissa_bits=0)
+    else:
+        bits = _random_bits(data, spec, range(-4, 3))
+    out = run(bits)
+    assert run([b + (2 << 7) for b in bits]).tobytes() == (out * np.float32(4)).tobytes()
+
+
 @pytest.mark.parametrize("codec", list(Codec))
 def test_cast_hop_is_decode_add_encode(codec):
     # One table lookup per element gives the hop's four passes bit for bit:

@@ -15,6 +15,7 @@ import tracemalloc
 from dataclasses import replace
 from itertools import pairwise, product, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qarsim.collectives import CollectiveConfig, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
 from qarsim.presets import load_preset
 from qarsim.quant import GRID_BYTES
-from qarsim.schedule import ag_arcs
+from qarsim.schedule import ag_arcs, rs_arcs
 from qarsim.simnet import (
     RES_LINK_CCW,
     RES_LINK_CW,
@@ -258,16 +259,18 @@ def test_the_time_only_walk_is_the_recorded_walk_bit_for_bit(setup, no_latency, 
 
 @pytest.mark.parametrize("record", [True, False], ids=["recorded", "time-only"])
 def test_both_walks_raise_the_overlap_error_on_a_nan_duration(record):
-    # A NaN end makes the next start on its resource fail `_check_overlap`'s
-    # test. The recorded walk runs it over its columns when it finishes and
-    # names the event; the time-only walk runs it on each event and names
-    # the resource alone.
+    # A NaN end makes the next start on its resource fail the overlap test
+    # that `_Sched.run` applies to every event. It names the resource, and
+    # the event when the walk records. Events on different resources may
+    # overlap in time, so a NaN end on the VPU holds up no link.
     s = simnet._Sched(LINK, COMP, record)
-    s.run(RES_LINK_CW, record and "a", 1.0)
-    s.run(RES_VPU, record and "b", math.nan)
-    with pytest.raises(RuntimeError, match="^overlap on VPU" + (" at c$" if record else "$")):
-        s.run(RES_VPU, record and "c", 1.0)
-        s.finish()
+    assert s.run(RES_LINK_CW, record and "a", 2.0) == 2.0
+    assert s.run(RES_VPU, record and "b", 1.0, 0.5) == 1.5
+    s.run(RES_VPU, record and "c", math.nan)
+    assert s.run(RES_LINK_CCW, record and "d", 3.0, 1.0) == 4.0
+    with pytest.raises(RuntimeError, match="^overlap on VPU" + (" at e$" if record else "$")):
+        s.run(RES_VPU, record and "e", 1.0)
+    assert s.count == 4 and s.label == (["a", "b", "c", "d"] if record else [])
 
 
 @pytest.mark.parametrize("read", list(_FIRST_READS))
@@ -361,6 +364,27 @@ def test_quantized_reduce_scatter_meets_its_vpu_bound_closed_form(variant, n):
         tl = simulate(cfg, small_bytes(cfg), LinkParams(1e18, 0.0),
                       ComputeParams(dq, add, scan, enc, 1e12))
         expected = (n - 1) * m * u * 1024 * (1 / dq + 1 / add + 1 / scan + 1 / enc)
+        assert tl.stage_end("rs") == pytest.approx(expected, rel=1e-6), (m, u)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_fused_quantized_reduce_scatter_meets_its_vpu_bound_closed_form(variant, n):
+    # As above, but with fuse_recv_pass a receive is one pass at the slowest
+    # of its rates: dequantize, add and scan on a hop that passes the
+    # partial on, dequantize and add at the owner. An arc of h hops on E
+    # elements costs E times the first hop's scan and encode, h-1 fused
+    # passes and encodes, and the owner's pass, summed over shard 0's arcs.
+    rng = np.random.default_rng(n)
+    for m, u, _ in product(range(1, 5), range(1, 5), range(3)):
+        dq, add, scan, enc = 10.0 ** rng.uniform(9, 12, size=4)
+        cfg = small_cfg(n, m, u, variant, rs=True, ag=False)
+        tl = simulate(cfg, small_bytes(cfg), LinkParams(1e18, 0.0),
+                      ComputeParams(dq, add, scan, enc, 1e12, fuse_recv_pass=True))
+        expected = sum(len(arc.units) * u * 1024
+                       * (1 / scan + 1 / enc + 1 / min(dq, add)
+                          + (len(arc.devices) - 2) * (1 / min(dq, add, scan) + 1 / enc))
+                       for arc in rs_arcs(variant, n, m)[0])
         assert tl.stage_end("rs") == pytest.approx(expected, rel=1e-6), (m, u)
 
 
@@ -678,30 +702,23 @@ def test_events_view_is_a_read_only_sequence():
     assert len(tl.events) == n and list(tl.events) == list(ev)
 
 
-def test_timeline_rejects_columns_of_unequal_length():
-    with pytest.raises(ValueError, match="differ in length"):
-        Timeline(1, [0, 1], [RES_VPU, RES_VPU], [0.0], [1.0], ["a"])
-
-
-# Not from 0, short of the length 2, decreasing, repeating, empty.
-@pytest.mark.parametrize("bounds", [[1, 2], [0, 1], [0, 2, 1, 2], [0, 1, 1, 2], []])
-def test_timeline_rejects_bounds_that_do_not_increase_from_0_to_the_length(bounds):
-    with pytest.raises(ValueError, match="bounds"):
-        Timeline(1, bounds, [RES_VPU] * 2, [0.0, 1.0], [1.0, 2.0], ["a", "b"])
+def _stub_timeline(n, bounds, resource, start_s, end_s, label) -> Timeline:
+    """A timeline whose walk returns device 0's columns as given."""
+    cols = SimpleNamespace(bounds=bounds, resource=resource, start_s=start_s, end_s=end_s,
+                           label=label)
+    return Timeline(n, lambda record: cols)
 
 
 def test_to_jsonl_escapes_like_json_dumps():
-    # Quoting, control characters (a NUL among them), non-ASCII and
-    # non-finite times must come out as json.dumps writes them.
+    # Quoting, control characters (a NUL among them) and non-ASCII must come
+    # out as json.dumps writes them.
     labels = ['q"uote', "back\\slash", "caf\u00e9", "tab\tnew\nline", "\U0001f600", "n\0l"]
     n = len(labels)
-    tl = Timeline(1, [0, n], [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU, "\0"],
-                  [0.0, 1e-300, 2.5, 1 / 3, 7.0, 8.0], [0.1, 1e300, 3.5, 2 / 3, 7.0, 9.0], labels)
+    resource = [RES_VPU, RES_LINK_CW, "r\u00e9s", RES_LINK_CCW, RES_VPU, "\0"]
+    tl = _stub_timeline(1, [0, n], resource, [0.0, 1e-300, 2.5, 1 / 3, 7.0, 8.0],
+                        [0.1, 1e300, 3.5, 2 / 3, 7.0, 9.0], labels)
     assert tl.to_jsonl().splitlines() == [json.dumps(dataclasses.asdict(e)) for e in tl.events]
-    odd = Timeline(1, [0, 3], [RES_VPU] * 3, [0.0, math.inf, -math.inf],
-                   [math.nan, math.inf, 0.0], ["a", "b", "c"])
-    assert odd.to_jsonl() == _ref_jsonl(odd.events)
-    assert Timeline(1, [0], [], [], [], []).to_jsonl() == ""
+    assert _stub_timeline(1, [0], [], [], [], []).to_jsonl() == ""
 
 
 def test_to_csv_is_the_csv_writer_rendering_of_the_columns(monkeypatch):
@@ -716,7 +733,7 @@ def test_to_csv_is_the_csv_writer_rendering_of_the_columns(monkeypatch):
     for constants in [(), (1760000000.123456,), ("x,y", 7)]:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
-            zip(*Timeline(*args).columns, *map(repeat, constants)))
+            zip(*_stub_timeline(*args).columns, *map(repeat, constants)))
         expected[constants] = buf.getvalue()
 
     def forbidden(*args):
@@ -724,8 +741,8 @@ def test_to_csv_is_the_csv_writer_rendering_of_the_columns(monkeypatch):
 
     monkeypatch.setattr(Timeline, "columns", property(forbidden))
     for constants, text in expected.items():
-        assert Timeline(*args).to_csv(*constants) == text
-    assert Timeline(2, [0], [], [], [], []).to_csv() == ""
+        assert _stub_timeline(*args).to_csv(*constants) == text
+    assert _stub_timeline(2, [0], [], [], [], []).to_csv() == ""
 
 
 @pytest.mark.parametrize("export", [Timeline.to_jsonl, Timeline.to_csv])
@@ -743,52 +760,15 @@ def test_exports_build_no_string_per_device_copy(export):
     assert peak < 1.75 * len(text)
 
 
-def _filled_sched(rows) -> simnet._Sched:
-    """A one-device scheduler holding the events `rows` of (resource, start_s, end_s, label)."""
-    s = simnet._Sched(LINK, COMP, record=True)
-    for row in rows:
-        for col, value in zip((s.resource, s.start_s, s.end_s, s.label), row):
-            col.append(value)
-    return s
-
-
-@pytest.mark.parametrize("rows, culprit", [
-    # Different resources may overlap in time; the first overlap emitted is
-    # named, not the first in resource order.
-    ([(RES_LINK_CW, 0.0, 2.0, "a"), (RES_VPU, 0.5, 1.0, "b"), (RES_VPU, 0.9, 1.5, "d"),
-      (RES_LINK_CCW, 0.5, 3.0, "c"), (RES_LINK_CCW, 1.0, 2.0, "f")], "VPU at d"),
-    # The first event on a resource may not start before 0.
-    ([(RES_VPU, 0.0, 1.0, "a"), (RES_LINK_CCW, -1e-9, 1.0, "e")], "LINK_CCW at e"),
-])
-def test_finish_raises_on_overlap(rows, culprit):
-    # `_Sched.finish` runs this check on device 0's columns.
-    with pytest.raises(RuntimeError, match=f"overlap on {culprit}$"):
-        simnet._check_overlap(*zip(*rows))
-    with pytest.raises(RuntimeError, match=f"overlap on {culprit}$"):
-        _filled_sched(rows).finish()
-
-
-def test_finish_keeps_the_tolerance():
-    tl = _filled_sched([(RES_VPU, -0.5e-12, 1.0, "a"), (RES_VPU, 1.0 - 0.5e-12, 2.0, "b"),
-                        (RES_LINK_CW, 0.0, 0.0, "c")]).finish()
-    assert list(tl.label) == ["a", "b", "c"]
-    with pytest.raises(RuntimeError):
-        _filled_sched([(RES_VPU, 0.0, math.nan, "a"), (RES_VPU, 1.0, 2.0, "b")]).finish()
-
-
 def test_overlap_check_runs_under_optimize():
-    # Both walks: the recording one's check on its columns, and the
-    # event-by-event one's.
+    # Both walks, the recording one and the time-only one, on a NaN end.
     code = ("import qarsim.simnet as s\n"
-            "x = s._Sched(None, None, True)\n"
-            "for c, v in zip((x.resource, x.start_s, x.end_s, x.label),"
-            " ('VPU', -1.0, 0.0, 'a')): c.append(v)\n"
-            "try:\n    x.finish()\nexcept RuntimeError:\n    pass\n"
-            "else:\n    raise SystemExit(1)\n"
-            "y = s._Sched(None, None, False)\n"
-            "y.run('VPU', False, float('nan'))\n"
-            "try:\n    y.run('VPU', False, 1.0)\nexcept RuntimeError:\n    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
+            "for record in (True, False):\n"
+            "    x = s._Sched(None, None, record)\n"
+            "    x.run('VPU', record and 'a', float('nan'))\n"
+            "    try:\n        x.run('VPU', record and 'b', 1.0)\n"
+            "    except RuntimeError:\n        continue\n"
+            "    raise SystemExit(1)\n")
     src = str(Path(simnet.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
