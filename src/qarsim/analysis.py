@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import starmap
 
 import numpy as np
 
-# all_reduce and baseline_allreduce_bf16 are not called here, but stay bound
-# in this module: perfbench/harness.py binds its output checks to them here.
+# all_reduce and naive_lowp_allreduce are not called here, but stay bound in
+# this module: perfbench/harness.py binds its output checks to them here.
 from .collectives import (  # noqa: F401
     CollectiveConfig,
     Variant,
@@ -66,10 +66,12 @@ _MSE_LANES = 1024
 _INGEST_TILE = 64 * 1024
 
 
-def stages_tag(quantize_rs: bool, quantize_ag: bool) -> str:
-    """Which ring stages are quantized: none, rs, ag or both."""
+def stages_tag(cfg: CollectiveConfig) -> str:
+    """What the ring stages carry: cast (the naive ring), or which are quantized."""
+    if cfg.cast:
+        return "cast"
     return {(False, False): "none", (True, False): "rs",
-            (False, True): "ag", (True, True): "both"}[(quantize_rs, quantize_ag)]
+            (False, True): "ag", (True, True): "both"}[(cfg.quantize_rs, cfg.quantize_ag)]
 
 
 def mse(a, b) -> float:
@@ -217,36 +219,32 @@ class FlavorResult:
     predicted_speedup: float
 
 
-def flavor_mses(inputs: list[Bf16Tensor], spec: PartitionSpec, cfgs: list[CollectiveConfig],
-                naive: Codec | None = None) -> list[float]:
+def flavor_mses(inputs: list[Bf16Tensor], spec: PartitionSpec,
+                cfgs: list[CollectiveConfig]) -> list[float]:
     """Each config's MSE against the baseline (the BF16 full loop over `spec`), in
-    `cfgs` order; with `naive` a codec, the naive ring's MSE in it comes last.
+    `cfgs` order.
 
-    Configs that agree on variant and quantize_rs, and on codec when
-    quantize_rs is set, share one reduce-scatter. These run one at a time,
-    the baseline's first, and each is dropped after its group. The
-    baseline's all-gather is kept as BF16 bits; every other all-gather
-    streams one minishard at a time (`gather_blocks`) into `blockwise_mse`
-    against it, so no output is built. The naive ring runs last, as `naive_lowp_allreduce`, whose
-    output is its own reduce-scatter, and streams the same way.
-    Beyond the inputs, this holds at most one reduce-scatter (or the naive
-    output), the baseline's bits (half a float32 tensor) and the MSE's
-    fixed buffer.
+    Configs that agree on variant, quantize_rs and cast, and on codec when
+    a reduce-scatter stage is quantized or cast, share one reduce-scatter.
+    These run one at a time, the baseline's first (`baseline_allreduce_bf16`,
+    whose output is its own reduce-scatter), and each is dropped after its
+    group. The baseline's all-gather is kept as BF16 bits; every other
+    all-gather streams one minishard at a time (`gather_blocks`) into
+    `blockwise_mse` against it, so no output is built. Beyond the inputs,
+    this holds at most one reduce-scatter, the baseline's bits (half a
+    float32 tensor) and the MSE's fixed buffer.
     """
     base = CollectiveConfig(Variant.FULL_LOOP, spec)
     groups = {base: [None]}  # None is the baseline: every MSE compares with its output
     for i, cfg in enumerate(cfgs):
-        rs_cfg = CollectiveConfig(cfg.variant, cfg.spec, quantize_rs=cfg.quantize_rs,
-                                  codec=cfg.codec if cfg.quantize_rs else base.codec)
+        rs_cfg = replace(cfg, quantize_ag=False,
+                         codec=cfg.codec if cfg.quantize_rs or cfg.cast else base.codec)
         groups.setdefault(rs_cfg, []).append(i)
-
-    def error(blocks) -> float:
-        # starmap keeps no block alive while it makes the next pair.
-        return blockwise_mse(starmap(lambda part, block: (baseline.values(part), block), blocks))
 
     errs = [0.0] * len(cfgs)
     for rs_cfg, members in groups.items():
-        reduced = reduce_scatter(inputs, rs_cfg)
+        reduced = (baseline_allreduce_bf16(inputs, spec)[0].data if rs_cfg == base
+                   else reduce_scatter(inputs, rs_cfg))
         for i in members:
             if i is None:  # each block's bits written where it goes
                 bits = np.empty(inputs[0].bits.size, np.uint16)
@@ -254,13 +252,10 @@ def flavor_mses(inputs: list[Bf16Tensor], spec: PartitionSpec, cfgs: list[Collec
                     bf16_bits(block, bits[part])
                 del block  # a view of reduced, which must not outlive its group
                 baseline = Bf16Tensor(bits, inputs[0].rows, inputs[0].cols)
-            else:
-                errs[i] = error(gather_blocks(reduced, cfgs[i]))
+            else:  # starmap keeps no block alive while it makes the next pair
+                errs[i] = blockwise_mse(starmap(lambda part, block: (baseline.values(part), block),
+                                                gather_blocks(reduced, cfgs[i])))
         del reduced  # freed before the next reduce-scatter
-    if naive is not None:
-        out = naive_lowp_allreduce(inputs, naive, spec)[0].data
-        parts = (slice(i, i + _MSE_BUF_ELEMS) for i in range(0, out.size, _MSE_BUF_ELEMS))
-        errs.append(error((part, out[part]) for part in parts))
     return errs
 
 
@@ -278,29 +273,27 @@ def tradeoff_study(
     """Run all 8 flavors on identical inputs; MSE vs baseline plus predicted speedup.
 
     The MSEs come from one `flavor_mses` call, the naive ring's in F8E5M2,
-    so no flavor output is built. Rows come out in FLAVORS order.
+    so no flavor output is built. Rows come out in FLAVORS order. The naive
+    ring is timed through `simulate_naive`, under whose name perfbench
+    checks its timeline.
     """
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
     spec = PartitionSpec(num_devices, m, microshards)
-    cfgs = [CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
-            for variant, q_rs, q_ag in _FLAVOR_DEFS.values()]
-    *errs, naive_err = flavor_mses(device_inputs(rows, cols, num_devices, seed), spec, cfgs,
-                                   naive=Codec.F8E5M2)
+    cfgs = [CollectiveConfig(Variant.FULL_LOOP, spec, codec=Codec.F8E5M2, cast=True),
+            *(CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
+              for variant, q_rs, q_ag in _FLAVOR_DEFS.values())]
+    errs = flavor_mses(device_inputs(rows, cols, num_devices, seed), spec, cfgs)
 
     tensor_bytes = rows * cols * 2
     t_base = simulate(CollectiveConfig(Variant.FULL_LOOP, spec), tensor_bytes, link,
                       compute).total_time
-
-    def result(flavor, variant, stages, codec_name, err, t_flavor):
-        return FlavorResult(flavor, variant.value, stages, codec_name, num_devices, rows, cols,
-                            m, microshards, seed, err, t_base / t_flavor)
-
-    t_naive = simulate_naive(spec, tensor_bytes, link, compute).total_time
-    return [result("baseline", Variant.FULL_LOOP, "none", "bf16", 0.0, t_base),
-            result("naive", Variant.FULL_LOOP, "cast", Codec.F8E5M2.value, naive_err, t_naive),
-            *(result(flavor, cfg.variant, stages_tag(cfg.quantize_rs, cfg.quantize_ag),
-                     codec.value, err, simulate(cfg, tensor_bytes, link, compute).total_time)
-              for flavor, cfg, err in zip(_FLAVOR_DEFS, cfgs, errs))]
+    times = [simulate_naive(spec, tensor_bytes, link, compute).total_time,
+             *(simulate(cfg, tensor_bytes, link, compute).total_time for cfg in cfgs[1:])]
+    return [FlavorResult("baseline", Variant.FULL_LOOP.value, "none", "bf16", num_devices, rows,
+                         cols, m, microshards, seed, 0.0, 1.0),
+            *(FlavorResult(flavor, cfg.variant.value, stages_tag(cfg), cfg.codec.value,
+                           num_devices, rows, cols, m, microshards, seed, err, t_base / t)
+              for flavor, cfg, err, t in zip(FLAVORS[1:], cfgs, errs, times))]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Value-level ring collectives: baseline, quantized, and naive low-precision.
+"""Value-level ring collectives: baseline, quantized and naive, each a `CollectiveConfig`.
 
 AllReduce = reduce-scatter then all-gather on a ring of N devices. The
 reduce-scatter runs the arcs of `schedule` on values: the arc's head puts
@@ -10,18 +10,20 @@ which only permutes hop order functionally; the semi loop (N even) meets
 two arcs at the owner, a balanced adder tree with at most N/2
 quantize/dequantize pairs on any path. `schedule` defines the arcs.
 
-One loop walks every arc; only the hop kind (the wire format) differs:
+One loop walks every arc; only the hop kind (the wire format) differs,
+picked by the config's `quantize_rs`, else its `cast`, else BF16:
 
   quantized  one message per minishard, its scale grid ahead of its codes
              (`quant`): each receiver dequantizes to FP32, adds its local
              part and re-quantizes.
   BF16       raw partials, rounded to BF16 after every addition (the
              baseline).
-  cast       the naive low-precision strawman: codes cast elementwise with
-             no scaling; each receiver decodes, adds in FP32 and
-             re-encodes, saturating at the codec's range. That sum depends
-             only on the two codes, so a hop encodes its local part and
-             looks the sum up (`numerics.cast_add_table`).
+  cast       the naive low-precision strawman, a full loop with no
+             quantized stage: codes cast elementwise with no scaling; each
+             receiver decodes, adds in FP32 and re-encodes, saturating at
+             the codec's range. That sum depends only on the two codes, so
+             a hop encodes its local part and looks the sum up
+             (`numerics.cast_add_table`).
 
 The ring walks one minishard-sized tile at a time: each arc's part of a
 shard is cut at minishard boundaries (and where the arc starts or ends, as
@@ -45,8 +47,8 @@ the naive ring's included, is BF16 already and is its output as it stands.
 
 `reduce_scatter` is the first stage on its own: one flat float32 buffer
 whose s-th of N equal parts is shard s. It depends only on the variant,
-`quantize_rs` and the codec, so collectives that agree on those can share
-it. `gather_blocks`, the all-gather, reads that buffer as it is and yields
+`quantize_rs`, `cast` and the codec, so collectives that agree on those can
+share it. `gather_blocks`, the all-gather, reads that buffer as it is and yields
 the output one minishard at a time, in output order, each made from its
 own minishard of the buffer alone, so a caller that reads the output once
 builds none. A quantized `all_reduce` writes the blocks over its own
@@ -85,12 +87,16 @@ class CollectiveConfig:
     quantize_rs: bool = False
     quantize_ag: bool = False
     codec: Codec = Codec.INT8
+    cast: bool = False  # the unscaled stages carry codes cast to `codec` with no scale
 
     def __post_init__(self):
         if self.variant is Variant.SEMI_LOOP and self.spec.num_devices % 2:
             raise SemiLoopOddNError(
                 f"semi-loop requires an even ring, got num_devices={self.spec.num_devices}"
             )
+        if self.cast and (self.variant is Variant.SEMI_LOOP
+                          or self.quantize_rs or self.quantize_ag):
+            raise ValueError("cast needs the full loop and no quantized stage")
 
 
 Inputs = Sequence[Bf16Tensor]
@@ -249,21 +255,16 @@ def _gathered(reduced, cfg, tile):
         yield slice(lo, lo + tile), block
 
 
-def _outputs(flat: np.ndarray, inputs: Inputs) -> list[TensorBuf]:
-    """A collective's own buffer, read-only, as every device's output, shaped as the inputs."""
-    flat.setflags(write=False)
-    return [TensorBuf(flat, inputs[0].rows, inputs[0].cols) for _ in inputs]
-
-
 def reduce_scatter(inputs: Inputs, cfg: CollectiveConfig) -> np.ndarray:
     """The reduce-scatter stage of `all_reduce`: one flat float32 buffer whose
     s-th of N equal parts is shard s, reduced at device s.
 
-    The result depends on cfg.variant, cfg.quantize_rs and cfg.codec only,
-    so collectives that agree on those can share it and stream each one's
-    all-gather through `gather_blocks`.
+    The result depends on cfg.variant, cfg.quantize_rs, cfg.cast and
+    cfg.codec only, so collectives that agree on those can share it and
+    stream each one's all-gather through `gather_blocks`.
     """
-    kind = _QuantHop(cfg.codec) if cfg.quantize_rs else _Bf16Hop()
+    kind = (_QuantHop(cfg.codec) if cfg.quantize_rs else _CastHop(cfg.codec) if cfg.cast
+            else _Bf16Hop())
     return _reduce_scatter(inputs, cfg.spec, cfg.variant, kind)
 
 
@@ -277,7 +278,8 @@ def all_reduce(inputs: Inputs, cfg: CollectiveConfig) -> list[TensorBuf]:
     if cfg.quantize_rs or cfg.quantize_ag:  # else gather_blocks' blocks are the buffer's own
         for part, block in gather_blocks(flat, cfg):
             flat[part] = block
-    return _outputs(flat, inputs)
+    flat.setflags(write=False)  # the one buffer is every device's output
+    return [TensorBuf(flat, inputs[0].rows, inputs[0].cols) for _ in inputs]
 
 
 def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec) -> list[TensorBuf]:
@@ -287,4 +289,4 @@ def baseline_allreduce_bf16(inputs: Inputs, spec: PartitionSpec) -> list[TensorB
 
 def naive_lowp_allreduce(inputs: Inputs, codec: Codec, spec: PartitionSpec) -> list[TensorBuf]:
     """Cast-without-scaling strawman: saturating adds in the codec's range."""
-    return _outputs(_reduce_scatter(inputs, spec, Variant.FULL_LOOP, _CastHop(codec)), inputs)
+    return all_reduce(inputs, CollectiveConfig(Variant.FULL_LOOP, spec, codec=codec, cast=True))

@@ -1,16 +1,15 @@
 """Scalar formats used on the wire and in the accumulator.
 
 Three 8-bit codecs (symmetric INT8, FP8 E4M3, FP8 E5M2) plus software
-BF16 rounding by one rule, `bf16_bits`', to BF16 bit patterns (the ingest
+BF16 rounding by one rule, `bf16_bits`, to BF16 bit patterns (the ingest
 of a BF16 tensor) or, in `round_to_bf16`, to the same patterns widened to
-float32 values. E4M3 follows the
-common convention with no infinities, a single NaN mantissa pattern and
-max finite 448; E5M2 is IEEE-like
-(inf at exponent-all-ones/mantissa-zero, max finite 57344). Encoding
-is round-to-nearest-even; magnitudes past the format max saturate to
-the max finite value. NaN always survives encoding: FP8 NaN patterns
-propagate, and INT8 maps NaN onto the otherwise unused code -128 so
-corruption stays loud after decode instead of turning into a zero.
+float32 values. E4M3 follows the common convention with no infinities, a
+single NaN mantissa pattern and max finite 448; E5M2 is IEEE-like (inf at
+exponent-all-ones/mantissa-zero, max finite 57344). Encoding is
+round-to-nearest-even; magnitudes past the format max saturate to the max
+finite value. NaN always survives encoding: FP8 NaN patterns propagate,
+and INT8 maps NaN onto the otherwise unused code -128 so corruption stays
+loud after decode instead of turning into a zero.
 
 The kernels take NumPy arrays of any shape, 0-d included, and return
 arrays of that shape: `encode`, `round_to_bf16` and `bf16_bits` take
@@ -26,13 +25,13 @@ signaling NaNs included, makes a kernel raise a floating-point warning.
 
 The kernels keep full-array passes few. Each works in place on buffers
 it allocated itself (or, for `bf16_bits`, that its caller passed) and
-never writes to its input. Special values are
-found by a whole-array test first and fixed only when present: both BF16
-roundings compare a max and a min reduction with the smallest magnitude
-that rounds to inf (NaN carries through both); INT8 looks for NaN lanes
-only when its max is NaN; FP8 rounds its subnormal lanes only at the
-indices where they occur, and looks for inf and NaN lanes only when the
-largest magnitude is one.
+never writes to its input. Special values are found by a whole-array
+test first and fixed only when present: both BF16 roundings compare a
+max and a min reduction with the smallest magnitude that rounds to inf
+(NaN carries through both); INT8 looks for NaN lanes only when its max
+is NaN; FP8 rounds its subnormal lanes only at the indices where they
+occur, and looks for inf and NaN lanes only when the largest magnitude
+is one.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ produce bit-identical timelines, and total time is non-increasing in
 bandwidth and in every compute rate (a fixed order can never invert).
 
 The hop structure comes from `schedule`'s arcs. One executor walks shard
-0's arcs iteration by iteration and emits each hop's events through its
-hop kind: quantized, raw BF16, or the 8-bit casts of the naive and ideal
-2:1 rings.
+0's arcs iteration by iteration and emits each hop's events through the
+hop kind the config picks per stage: quantized, raw BF16, or the naive
+ring's 8-bit casts (`cast`). The ideal 2:1 ring sends those bytes uncast.
 
 One representative device. The ring is rotation-symmetric: device d runs
 device 0's hops on shards shifted by d, so its events are device 0's
@@ -263,11 +263,12 @@ def idle_time(t: Timeline) -> float:
 
 def lower_bound(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams) -> float:
     """Bandwidth lower bound on reduce-scatter time, on the stage's wire bytes: the
-    BF16 tensor's for a raw stage, half of them plus one scale grid per
-    minishard of each shard for a quantized one."""
+    BF16 tensor's for a raw stage, half of them for a cast one, and half of
+    them plus one scale grid per minishard of each shard for a quantized one."""
     n, m = cfg.spec.num_devices, cfg.spec.minishards_per_shard
     _elements(tensor_bytes, cfg.spec)
-    wire = tensor_bytes / 2 + n * m * GRID_BYTES if cfg.quantize_rs else tensor_bytes
+    wire = (tensor_bytes / 2 + n * m * GRID_BYTES if cfg.quantize_rs
+            else tensor_bytes / 2 if cfg.cast else tensor_bytes)
     if cfg.variant is Variant.SEMI_LOOP:
         return wire / (2.0 * link.bandwidth_bytes_per_s)
     return (n - 1) * wire / (2.0 * n * link.bandwidth_bytes_per_s)
@@ -561,9 +562,10 @@ def _elements(tensor_bytes: int, spec: PartitionSpec) -> int:
     return elems
 
 
-def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
-             compute: ComputeParams) -> Timeline:
-    """The timeline of one AllReduce of a BF16 tensor of tensor_bytes, scheduled when read."""
+def _ring(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams, compute: ComputeParams,
+          eight_bit: bool) -> Timeline:
+    """`simulate`'s timeline; `eight_bit` sends the plain stages' codes at 1 byte
+    per element (the naive ring's, with cfg.cast, else the ideal 2:1 ring's)."""
     spec = cfg.spec
     n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
     e_shard = _elements(tensor_bytes, spec) // n
@@ -577,35 +579,28 @@ def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
         def hops(stage: str, quantized: bool) -> _Quant | _Plain:
             if quantized:
                 return _Quant(s, stage, e_shard // (m * u), u, cfg.variant is Variant.SEMI_LOOP)
-            return _Plain(s, stage)
+            return _Plain(s, stage, eight_bit, cfg.cast)
 
         return _execute(s, (rs, hops("rs", q_rs)), (ag, hops("ag", q_ag)))
 
     return Timeline(n, walk)
 
 
-def _lowp_ring(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
-               compute: ComputeParams, cast: bool) -> Timeline:
-    """Full-loop ring at 1 byte per element; optional cast/recode/decode passes."""
-    n = spec.num_devices
-    e_shard = _elements(tensor_bytes, spec) // n
-    rs, ag = (arcs(Variant.FULL_LOOP, n, e_shard)[0] for arcs in (rs_arcs, ag_arcs))
-
-    def walk(record: bool) -> _Sched:
-        s = _Sched(link, compute, record)
-        return _execute(s, *((arcs, _Plain(s, stage, eight_bit=True, cast=cast))
-                             for arcs, stage in ((rs, "rs"), (ag, "ag"))))
-
-    return Timeline(n, walk)
+def simulate(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams,
+             compute: ComputeParams) -> Timeline:
+    """The timeline of one AllReduce of a BF16 tensor of tensor_bytes, scheduled when read."""
+    return _ring(cfg, tensor_bytes, link, compute, eight_bit=cfg.cast)
 
 
 def simulate_naive(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
                    compute: ComputeParams) -> Timeline:
     """Naive cast-to-8-bit AllReduce: half the wire bytes plus cast/recode passes."""
-    return _lowp_ring(spec, tensor_bytes, link, compute, cast=True)
+    return simulate(CollectiveConfig(Variant.FULL_LOOP, spec, cast=True), tensor_bytes, link,
+                    compute)
 
 
 def simulate_ideal_2to1(spec: PartitionSpec, tensor_bytes: int, link: LinkParams,
                         compute: ComputeParams) -> Timeline:
     """Hypothetical lossless 2:1 compression: half the wire bytes, add-only compute."""
-    return _lowp_ring(spec, tensor_bytes, link, compute, cast=False)
+    return _ring(CollectiveConfig(Variant.FULL_LOOP, spec), tensor_bytes, link, compute,
+                 eight_bit=True)

@@ -27,10 +27,17 @@ from qarsim.analysis import (
     device_inputs,
     mse,
     size_sweep,
+    stages_tag,
     tradeoff_study,
 )
-from qarsim.collectives import Variant, gather_blocks, naive_lowp_allreduce, reduce_scatter
-from qarsim.layout import Bf16Tensor, ShapeMismatchError, TensorBuf
+from qarsim.collectives import (
+    CollectiveConfig,
+    Variant,
+    baseline_allreduce_bf16,
+    gather_blocks,
+    reduce_scatter,
+)
+from qarsim.layout import Bf16Tensor, PartitionSpec, ShapeMismatchError, TensorBuf
 from qarsim.numerics import Codec, bf16_bits, round_to_bf16
 from qarsim.simnet import Timeline
 
@@ -40,6 +47,16 @@ MIB = 1 << 20
 def test_flavor_listing_is_fixed():
     assert FLAVORS == ("baseline", "naive", "full_rs", "full_ag", "full_both",
                        "semi_rs", "semi_ag", "semi_both")
+
+
+def test_stages_tag_names_what_the_stages_carry():
+    spec = PartitionSpec(4, 1, 1)
+    for (rs, ag), tag in {(False, False): "none", (True, False): "rs", (False, True): "ag",
+                          (True, True): "both"}.items():
+        assert stages_tag(CollectiveConfig(Variant.FULL_LOOP, spec, quantize_rs=rs,
+                                           quantize_ag=ag)) == tag
+    naive = CollectiveConfig(Variant.FULL_LOOP, spec, codec=Codec.F8E5M2, cast=True)
+    assert stages_tag(naive) == "cast"
 
 
 def test_mse_basics():
@@ -337,18 +354,26 @@ STUDY_DIGESTS = {
 
 def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
     # Observed where the study takes them: each all-gather's streamed blocks,
-    # hashed in output order (the bytes of the output they would make), and
-    # the naive ring's output. A gather is the flavor of the reduce-scatter
-    # it reads and its quantize flag; the baseline is the BF16 full loop's
-    # unquantized one.
-    flavor_of = {(v, q_rs, q_ag): f for f, (v, q_rs, q_ag) in qarsim.analysis._FLAVOR_DEFS.items()}
-    flavor_of[Variant.FULL_LOOP, False, False] = "baseline"
+    # hashed in output order (the bytes of the output they would make). A
+    # gather is the flavor of the reduce-scatter it reads and its quantize
+    # flag. The naive ring's reduce-scatter is the cast one; the baseline's
+    # is the BF16 full loop's, which the study takes from
+    # baseline_allreduce_bf16 and gathers unquantized.
+    flavor_of = {(v, q_rs, False, q_ag): f
+                 for f, (v, q_rs, q_ag) in qarsim.analysis._FLAVOR_DEFS.items()}
+    flavor_of[Variant.FULL_LOOP, False, False, False] = "baseline"
+    flavor_of[Variant.FULL_LOOP, False, True, False] = "naive"
     stage_of, digests = {}, {}
 
     def observed_reduce_scatter(inputs, cfg):
         reduced = reduce_scatter(inputs, cfg)
-        stage_of[id(reduced)] = (cfg.variant, cfg.quantize_rs)
+        stage_of[id(reduced)] = (cfg.variant, cfg.quantize_rs, cfg.cast)
         return reduced
+
+    def observed_baseline(inputs, spec):
+        out = baseline_allreduce_bf16(inputs, spec)
+        stage_of[id(out[0].data)] = (Variant.FULL_LOOP, False, False)
+        return out
 
     def observed_gather_blocks(reduced, cfg):
         h = hashlib.sha256()
@@ -357,14 +382,9 @@ def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
             yield part, block
         digests[flavor_of[(*stage_of[id(reduced)], cfg.quantize_ag)]] = h.hexdigest()
 
-    def observed_naive(*args):
-        out = naive_lowp_allreduce(*args)
-        digests["naive"] = hashlib.sha256(out[0].data.tobytes()).hexdigest()
-        return out
-
     monkeypatch.setattr(qarsim.analysis, "reduce_scatter", observed_reduce_scatter)
+    monkeypatch.setattr(qarsim.analysis, "baseline_allreduce_bf16", observed_baseline)
     monkeypatch.setattr(qarsim.analysis, "gather_blocks", observed_gather_blocks)
-    monkeypatch.setattr(qarsim.analysis, "naive_lowp_allreduce", observed_naive)
     tradeoff_study(512, 1024, 8)
     assert digests == STUDY_DIGESTS
 
@@ -408,8 +428,8 @@ def test_tradeoff_study_mses_are_the_exact_mean_to_an_ulp(monkeypatch):
 
 def test_tradeoff_study_keeps_at_most_one_shared_reduce_scatter_alive():
     # The 8 BF16 inputs (half a float32 tensor each) plus one reduce-scatter
-    # result (or the naive ring's output, which is its own decoded
-    # reduce-scatter) plus the baseline's BF16 bits (half a tensor) plus the
+    # result (the naive ring's output is its own decoded reduce-scatter)
+    # plus the baseline's BF16 bits (half a tensor) plus the
     # mse's 1 MiB buffer and a 1 MiB margin for one minishard's transients
     # (a whole 64Ki-element shard here, at m=1). No flavor output is built.
     # A small study first, so the decode and cast tables each process builds

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from test_simnet import finished_walks
 
+import qarsim.analysis
 import qarsim.cli as cli
 from qarsim.cli import RunConfig, _build_parser, build_config, main
 from qarsim.presets import DEFAULT_PRESET, available_presets, load_preset
@@ -378,6 +379,33 @@ def test_table_output_bytes_are_pinned(name, fmt, timestamp, monkeypatch, capsys
     assert run([*TABLE_ARGV[name], "--format", fmt, *["--timestamp"] * timestamp]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == OUTPUT_SHA256[name, fmt, timestamp]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_naive_ignores_the_quantize_flags(fmt, capsys):
+    # The naive ring has no quantized stage, so turning both off changes no byte.
+    argv = [*TABLE_ARGV["simulate-naive"], "--no-quantize-rs", "--no-quantize-ag"]
+    assert run([*argv, "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == OUTPUT_SHA256["simulate-naive", fmt, False]
+
+
+_NUMPY_OOM = "Unable to allocate 16.0 GiB for an array with shape (8, 1073741824) and data type uint16"
+
+
+@pytest.mark.parametrize("message, shown", [(_NUMPY_OOM, _NUMPY_OOM), ("", "out of memory")],
+                         ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["tradeoff", "simulate"])
+def test_inputs_that_cannot_be_allocated_exit_2(command, message, shown, monkeypatch, capsys):
+    # The allocation failure is simulated: a real one would take the host's memory.
+    def no_memory(rows, cols, num_devices, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(qarsim.analysis, "device_inputs", no_memory)
+    monkeypatch.setattr(cli, "device_inputs", no_memory)
+    assert run([command, *_SMALL_ARGV]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {shown}\n"
 
 
 def test_bad_size_token_exits_2(capsys):

@@ -361,6 +361,16 @@ def test_semi_loop_rejects_odd_ring():
         CollectiveConfig(Variant.SEMI_LOOP, PartitionSpec(5, 1, 1))
 
 
+@pytest.mark.parametrize("kw", [dict(variant=Variant.SEMI_LOOP), dict(quantize_rs=True),
+                                dict(quantize_ag=True)], ids=["semi_loop", "rs", "ag"])
+def test_cast_needs_the_full_loop_and_no_quantized_stage(kw):
+    # No half implements a cast semi loop or a cast ring with a scaled stage.
+    kw = {"variant": Variant.FULL_LOOP, **kw}
+    with pytest.raises(ValueError, match="cast needs the full loop and no quantized stage"):
+        CollectiveConfig(spec=PartitionSpec(4, 1, 1), codec=Codec.F8E5M2, cast=True, **kw)
+    CollectiveConfig(spec=PartitionSpec(4, 1, 1), codec=Codec.F8E5M2, **kw)  # fine uncast
+
+
 # gather_blocks checks the buffer when called: no block is taken below.
 @pytest.mark.parametrize("bad", [np.zeros((4, 1024), np.float32), np.zeros(4096, np.float64)],
                          ids=["2-D", "float64"])

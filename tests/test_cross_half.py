@@ -33,7 +33,7 @@ from qarsim.layout import CHUNK_ELEMS, PartitionSpec
 from qarsim.numerics import Codec, decode, encode
 from qarsim.quant import QuantizedShard, dequantize_shard, quantize_shard
 from qarsim.schedule import ag_arcs, rs_arcs
-from qarsim.simnet import RES_LINK_CCW, RES_LINK_CW, RES_VPU, simulate, simulate_naive
+from qarsim.simnet import RES_LINK_CCW, RES_LINK_CW, RES_VPU, simulate
 
 CONFIGS = [(v, spec) for spec in SIM_SPECS for v in Variant] + [
     (Variant.FULL_LOOP, spec) for spec in ODD_SIM_SPECS]
@@ -211,12 +211,9 @@ def _run(variant, nmu, kind, monkeypatch):
     spec = PartitionSpec(*nmu)
     rows, cols = _tensor(*nmu)
     nbytes = 2 * rows * cols
-    if kind == "naive":
-        tl = simulate_naive(spec, nbytes, LINK, COMPUTE)
-    else:
-        q = kind == "quant"
-        tl = simulate(CollectiveConfig(variant, spec, quantize_rs=q, quantize_ag=q),
-                      nbytes, LINK, COMPUTE)
+    q, cast = kind == "quant", kind == "naive"
+    tl = simulate(CollectiveConfig(variant, spec, quantize_rs=q, quantize_ag=q, cast=cast),
+                  nbytes, LINK, COMPUTE)
     return _functional(variant, nmu, kind, monkeypatch), _simulated(tl, COMPUTE)
 
 

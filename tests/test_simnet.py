@@ -108,6 +108,9 @@ def test_lower_bound_worked_example():
     odd = CollectiveConfig(Variant.FULL_LOOP, PartitionSpec(3, 1, 1))
     assert lower_bound(odd, 8 * MIB - 2048, link) == pytest.approx(
         2 * (8 * MIB - 2048) / 6e9, rel=1e-12)
+    # The naive ring's cast stage sends 1-byte codes: D/2 and no grid.
+    assert lower_bound(replace(full, cast=True), 8 * MIB, link) == pytest.approx(
+        3 * 8 * MIB / 2 / (2 * 4 * 1e9), rel=1e-12)
 
 
 @pytest.mark.parametrize("tensor_bytes, why", [
@@ -122,11 +125,15 @@ def test_lower_bound_rejects_a_tensor_the_spec_cannot_partition(tensor_bytes, wh
         lower_bound(cfg, tensor_bytes, LinkParams(1e9))
 
 
-@pytest.mark.parametrize("variant", [Variant.FULL_LOOP, Variant.SEMI_LOOP])
-def test_rs_span_approaches_bandwidth_bound(variant):
+@pytest.mark.parametrize("variant, cast", [
+    pytest.param(Variant.FULL_LOOP, False, id="Variant.FULL_LOOP"),
+    pytest.param(Variant.SEMI_LOOP, False, id="Variant.SEMI_LOOP"),
+    pytest.param(Variant.FULL_LOOP, True, id="naive"),
+])
+def test_rs_span_approaches_bandwidth_bound(variant, cast):
     link = LinkParams(4.5e10, 0.0)
     n, d = 8, 8 * MIB
-    cfg = CollectiveConfig(variant, PartitionSpec(n, 1, 1))
+    cfg = CollectiveConfig(variant, PartitionSpec(n, 1, 1), cast=cast)
     tl = simulate(cfg, d, link, FAST)
     rs_span = tl.stage_end("rs")
     bound = lower_bound(cfg, d, link)
