@@ -43,6 +43,7 @@ from .simnet import (
     LinkParams,
     Timeline,
     TimelineEvent,
+    WalkBudgetError,
     idle_time,
     lower_bound,
     simulate,

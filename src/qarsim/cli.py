@@ -7,8 +7,9 @@ the config are rejected rather than ignored.
 Exit codes: 0 success, 2 config/validation problems (bad JSON, unknown or
 ill-typed fields, bad enum values, a config file that cannot be read or an
 output file that cannot be written, link and compute parameters under which
-simulated times overflow, inputs too large to allocate), 3 domain errors
-from the collective itself (divisibility, odd-N semi loop, mismatched shapes).
+simulated times overflow, a schedule past the simulator's walk budget,
+inputs too large to allocate), 3 domain errors from the collective itself
+(divisibility, odd-N semi loop, mismatched shapes).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .simnet import (  # noqa: F401
     LinkParams,
     Timeline,
     TimelineEvent,
+    WalkBudgetError,
     idle_time,
     lower_bound,
     simulate,
@@ -389,7 +391,8 @@ def main(argv=None) -> int:
             _write_output(cfg.output, text)
         else:
             print(text, end="")
-    except (ConfigError, OverflowError, MemoryError) as e:  # times overflow, inputs do not fit
+    # Times overflow, a walk passes its budget, inputs do not fit.
+    except (ConfigError, OverflowError, WalkBudgetError, MemoryError) as e:
         print(f"config error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except (DivisibilityError, SemiLoopOddNError, ShapeMismatchError) as e:

@@ -73,29 +73,28 @@ def _hop_counts(variant: Variant, n: int, gather: bool) -> dict[str, int]:
     return {CW: half, CCW: half - 1} if gather else {CW: half - 1, CCW: half}
 
 
+def shard_arcs(variant: Variant, n: int, units: int, s: int, gather: bool) -> list[Arc]:
+    """Shard s's arcs, CW before CCW: the reduce-scatter's, which end at the
+    owner s and are in its merge order, or with `gather` the all-gather's,
+    which start at s and forward its reduced shard."""
+    parts = split(variant, units)
+    hops = _hop_counts(variant, n, gather)
+    arcs: list[Arc] = []
+    for dn in DIRECTIONS:
+        if hops[dn] and parts[dn]:
+            head = s if gather else s - STEP[dn] * hops[dn]
+            devices = tuple((head + STEP[dn] * k) % n for k in range(hops[dn] + 1))
+            after = (arcs[-1].direction if not gather and variant is Variant.SEMI_LOOP and arcs
+                     else None)
+            arcs.append(Arc(dn, devices, parts[dn], after))
+    return arcs
+
+
 def rs_arcs(variant: Variant, n: int, units: int) -> list[list[Arc]]:
     """Reduce-scatter arcs per shard, in the owner's merge order."""
-    parts = split(variant, units)
-    hops = _hop_counts(variant, n, gather=False)
-    out = []
-    for s in range(n):
-        arcs = []
-        for dn in DIRECTIONS:
-            if hops[dn] and parts[dn]:
-                # Ends at the owner s after hops[dn] steps of STEP[dn].
-                devices = tuple((s - STEP[dn] * (hops[dn] - k)) % n for k in range(hops[dn] + 1))
-                after = arcs[-1].direction if variant is Variant.SEMI_LOOP and arcs else None
-                arcs.append(Arc(dn, devices, parts[dn], after))
-        out.append(arcs)
-    return out
+    return [shard_arcs(variant, n, units, s, gather=False) for s in range(n)]
 
 
 def ag_arcs(variant: Variant, n: int, units: int) -> list[list[Arc]]:
     """All-gather arcs per shard: the owner forwards its reduced shard."""
-    parts = split(variant, units)
-    hops = _hop_counts(variant, n, gather=True)
-    return [
-        [Arc(dn, tuple((s + STEP[dn] * k) % n for k in range(hops[dn] + 1)), parts[dn])
-         for dn in DIRECTIONS if hops[dn] and parts[dn]]
-        for s in range(n)
-    ]
+    return [shard_arcs(variant, n, units, s, gather=True) for s in range(n)]

@@ -26,22 +26,25 @@ send, then when it arrives), and the reduce-scatter's merge ends cross
 into the all-gather on the scheduler. None of them names a shard, so the
 arrival device 0's send of a (direction, iteration) hands to its own
 receive is the time its neighbour's matching send arrives; each
-iteration emits its sends before its receives. The overlap check runs on
-device 0's events, and every other device's are copies of them, so it
-covers every event. A `Timeline` is device 0's events plus where each
-segment of the emission order ends (after each stage's prep, each
-iteration's sends and receives, and each stage's end). Only
-`Timeline._per_device` lays out devices 1..N-1: every segment once per
-device, device 0 first; its callers say how to render one copy.
+iteration emits its sends before its receives. A quantized hop kind hands
+the scheduler each iteration's events as one batch per resource, so a walk
+makes as many scheduler calls at any m. The overlap check runs on device
+0's events, and every other device's are copies of them, so it covers
+every event. A `Timeline` is device 0's events plus where each segment of
+the emission order ends (after each stage's prep, each iteration's sends
+and receives, and each stage's end). Only `Timeline._per_device` lays out
+devices 1..N-1: every segment once per device, device 0 first; its
+callers say how to render one copy.
 
 A simulated timeline schedules nothing until it is read. `total_time` and
 `len(events)`, read before anything else, come from a walk that keeps no
 column and formats no label; the first read of anything else walks once
 more, recording, and keeps device 0's columns. Both walks run the same
 float operations in the same order, so they agree bit for bit, and both
-run one overlap check, in `_Sched.run`, on every event. Both raise
+run one overlap check, in `_Sched.batch`, on every event. Both raise
 `OverflowError` if the latest time is not finite, so every time a
-timeline shows is finite.
+timeline shows is finite. A schedule whose N*m*u passes `WALK_BUDGET` is
+refused before it walks.
 
 Dependency rules mirror the functional collectives: a microshard's
 dequantize waits for its payload bytes and for its minishard's metadata;
@@ -66,20 +69,29 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, pairwise, repeat, zip_longest
+from itertools import accumulate, chain, pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .collectives import CollectiveConfig
 from .layout import DivisibilityError, PartitionSpec
 from .quant import GRID_BYTES
-from .schedule import Arc, Variant, ag_arcs, rs_arcs
+from .schedule import Arc, Variant, shard_arcs
 
 RES_LINK_CW = "LINK_CW"
 RES_LINK_CCW = "LINK_CCW"
 RES_VPU = "VPU"
 
 _LINK_OF = {"cw": RES_LINK_CW, "ccw": RES_LINK_CCW}
+
+# The largest N*m*u a simulation walks. Device 0's events grow linearly in it
+# (26,652 at N=8, m=256, u=2, quantized), so a walk at the budget takes seconds.
+# Every shipped study and workload sits 100x or more under it.
+WALK_BUDGET = 1 << 21
+
+
+class WalkBudgetError(ValueError):
+    """A schedule whose N*m*u passes `WALK_BUDGET`."""
 
 
 @dataclass(frozen=True)
@@ -277,16 +289,17 @@ def lower_bound(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams) -> f
 class _Sched:
     """Static-order list scheduler over device 0's link and VPU resources.
 
-    `run` checks every event against its resource's previous end, and
-    raises `RuntimeError` naming the resource (and the label when
-    recording) if it starts earlier. With `record`, events go into
-    parallel columns, one append per field, and `mark` ends a segment of
-    the emission order; without it, the events are only counted, and the
-    hop kinds format no label (they pass `record and label`). `merge` and
-    `rs_done` are what crosses from the reduce-scatter into the
-    all-gather: per direction, when the owner's merges end (per minishard
-    g and microshard j for quantized hops), and when the last of them
-    does.
+    `batch` runs an ordered batch of events on one resource, checking each
+    against the previous end there, and is its events run one by one; `run`
+    is a batch of one. A start earlier than that end raises `RuntimeError`
+    naming the resource (and the event's label when recording), once the
+    events before it are kept. With `record`, events go into parallel
+    columns, one extend per field a batch, and `mark` ends a segment of the
+    emission order; without it, the events are only counted, and the hop
+    kinds build no label (they pass `record and labels`). `merge` and
+    `rs_done` are what crosses from the reduce-scatter into the all-gather:
+    per direction, when the owner's merges end (a list in (g, j) order for
+    quantized hops), and when the last of them does.
     """
 
     def __init__(self, link: LinkParams, compute: ComputeParams, record: bool):
@@ -303,30 +316,43 @@ class _Sched:
         self.label: list[str] = []
         self.bounds = [0]
 
-    def run(self, resource: str, label: str | bool, dur: float, ready: float = 0.0) -> float:
-        """Run an event once resource is free and its inputs are ready; return its end.
-
-        `label` is False when the walk does not record."""
-        prev = self.free.get(resource, 0.0)
-        t0 = ready if ready > prev else prev
-        if not t0 >= prev:  # fails only on a NaN time
-            raise RuntimeError(f"overlap on {resource} at {label}" if self.record
+    def batch(self, resource: str, labels: Sequence[str] | bool, durs: Sequence[float],
+              readys: Sequence[float]) -> list[float]:
+        """Run event i for durs[i] once resource is free and readys[i] has passed,
+        for each i in order; return the ends. `labels` is False when not recording."""
+        prev = free = self.free.get(resource, 0.0)
+        ends: list[float] = []
+        push = ends.append
+        for dur, ready in zip(durs, readys):
+            t0 = ready if ready > prev else prev
+            if not t0 >= prev:  # fails only on a NaN time
+                break
+            prev = t0 + dur
+            push(prev)
+        self.count += len(ends)
+        if ends:
+            self.free[resource] = prev
+            if self.record:
+                # Each start again, as the loop took it: max(ready, the previous end).
+                self.start_s += [r if r > p else p for r, p in zip(readys, [free, *ends[:-1]])]
+                self.resource += [resource] * len(ends)
+                self.end_s += ends
+                self.label += labels[:len(ends)]
+        if len(ends) < len(durs):
+            raise RuntimeError(f"overlap on {resource} at {labels[len(ends)]}" if self.record
                                else f"overlap on {resource}")
-        t1 = t0 + dur
-        self.free[resource] = t1
-        self.count += 1
-        if self.record:
-            self.resource.append(resource)
-            self.start_s.append(t0)
-            self.end_s.append(t1)
-            self.label.append(label)
-        return t1
+        return ends
 
-    def send(self, direction: str, label: str | bool, nbytes: float, ready: float = 0.0) -> float:
-        """Put nbytes on direction's link; return when the receiver sees them,
-        one hop latency after the wire drains."""
-        end = self.run(_LINK_OF[direction], label, nbytes / self.link.bandwidth_bytes_per_s, ready)
-        return end + self.link.hop_latency_s
+    def run(self, resource: str, label: str | bool, dur: float, ready: float = 0.0) -> float:
+        return self.batch(resource, (label,), (dur,), (ready,))[0]
+
+    def send(self, direction: str, labels: Sequence[str] | bool, nbytes: Sequence[int],
+             readys: Sequence[float]) -> list[float]:
+        """Put each nbytes[i] on direction's link once readys[i] has passed; return
+        when the receiver sees each, one hop latency after the wire drains."""
+        bw, lat = self.link.bandwidth_bytes_per_s, self.link.hop_latency_s
+        ends = self.batch(_LINK_OF[direction], labels, [b / bw for b in nbytes], readys)
+        return [end + lat for end in ends]
 
     def mark(self) -> None:
         if len(self.label) > self.bounds[-1]:
@@ -344,27 +370,36 @@ class _Sched:
         return self
 
 
-def _interleave(*seqs):
-    out = []
-    for row in zip_longest(*seqs):
-        out.extend(x for x in row if x is not None)
-    return out
+def _vpu_rows(s: _Sched, blocks: list[list[tuple]]) -> list[list[list[float]]]:
+    """Run each arc's per-minishard blocks as one VPU batch; return each arc's
+    end columns.
 
-
-def _prep_quant(s: _Sched, tag: str, gs: range, u: int, e_micro: int, stage: str,
-                ready: float = 0.0) -> tuple[dict[int, float], dict[int, list[float]]]:
-    """Send-side phase-1 scans (all microshards) then phase-2 encodes.
-
-    Returns the scan join per minishard and the encode ends per microshard.
+    An arc's block is a list of columns (duration, readys, labels), one per
+    event of the block, with one ready time and label per minishard. Row i
+    of the batch is block i of each arc that has one, in arc order (CW g0,
+    CCW g0, CW g1, ...). Every arc after the first has as many blocks as the
+    first or one fewer, so column c of arc x is one extended slice of the
+    batch, from x's offset in a row plus c, in steps of a row's length.
     """
-    c, rec = s.compute, s.record
-    scan, enc = e_micro / c.scan_rate, e_micro / c.encode_rate
-    scans = {g: [s.run(RES_VPU, rec and f"{stage}:scan:prep:{tag}:g={g}:j={j}", scan, ready)
-                 for j in range(u)] for g in gs}
-    joined = {g: max(ends) for g, ends in scans.items()}
-    return joined, {g: [s.run(RES_VPU, rec and f"{stage}:enc:prep:{tag}:g={g}:j={j}", enc,
-                              joined[g])
-                        for j in range(u)] for g in gs}
+    offs = list(accumulate(map(len, blocks), initial=0))
+    width = offs[-1]
+    size = sum(len(cols) * len(cols[0][1]) for cols in blocks)
+    durs, readys = [0.0] * size, [0.0] * size
+    labels = s.record and [""] * size
+    for off, cols in zip(offs, blocks):
+        for c, (dur, rdy, lab) in enumerate(cols, off):
+            durs[c::width], readys[c::width] = [dur] * len(rdy), rdy
+            if s.record:
+                labels[c::width] = lab
+    ends = s.batch(RES_VPU, labels, durs, readys)
+    return [[ends[c::width] for c in range(off, off + len(cols))]
+            for off, cols in zip(offs, blocks)]
+
+
+def _gj(columns: Sequence[Sequence[float]]) -> list[float]:
+    """One list in (g, j) order from u columns, column j holding microshard j
+    of each minishard g."""
+    return list(chain.from_iterable(zip(*columns)))
 
 
 class _Quant:
@@ -373,54 +408,71 @@ class _Quant:
 
     Reduce-scatter receivers dequantize, add, scan and re-encode for the next
     hop; all-gather receivers dequantize. `whole`: every arc carries the
-    whole shard (semi loop).
+    whole shard (semi loop). Each iteration's events go to the scheduler as
+    one batch per link and one VPU batch over every live arc (`_vpu_rows`),
+    each prep's scans and encodes as one VPU batch. An event that waits for
+    the VPU event before it (add after dequantize, scan after add, encodes
+    after their minishard's scans) is passed ready 0.0: it starts at that
+    event's end either way.
     """
 
     def __init__(self, s: _Sched, stage: str, e_micro: int, u: int, whole: bool):
         self.s, self.stage = s, stage
         self.e, self.u, self.whole = e_micro, u, whole
-        # Per direction, the times hop t hands on: the scan join per minishard
-        # g and the encode ends per microshard (g, j) of what it sends, then
-        # the metadata and payload arrivals.
-        self.scanj: dict[str, dict[int, float]] = {}
-        self.enc: dict[str, dict[int, list[float]]] = {}
+        # Per direction, the times hop t hands on: when the last scan of what
+        # it sends ends, and the encode end of each microshard, then the
+        # metadata arrival and each payload arrival; lists in (g, j) order.
+        self.scanj: dict[str, float] = {}
+        self.enc: dict[str, list[float]] = {}
         self.meta: dict[str, float] = {}
-        self.pay: dict[str, dict[int, list[float]]] = {}
+        self.pay: dict[str, list[float]] = {}
+
+    def _scan_encode(self, tag: str, gs: range, ready: float) -> tuple[float, list[float]]:
+        """Send-side phase-1 scans (all microshards) then phase-2 encodes, as one
+        VPU batch; return when the last scan ends, and the encode ends."""
+        s, u, c = self.s, self.u, self.s.compute
+        k = len(gs) * u
+        labels = s.record and [f"{self.stage}:{word}:prep:{tag}:g={g}:j={j}"
+                               for word in ("scan", "enc") for g in gs for j in range(u)]
+        ends = s.batch(RES_VPU, labels, [self.e / c.scan_rate] * k + [self.e / c.encode_rate] * k,
+                       [ready] * k + [0.0] * k)
+        return ends[k - 1], ends[k:]
 
     def prep(self, arcs: list[Arc]) -> None:
-        s, e, u = self.s, self.e, self.u
+        s, u = self.s, self.u
         if self.stage == "rs":
             for a in arcs:
-                dn = a.direction
-                self.scanj[dn], self.enc[dn] = _prep_quant(s, dn, a.units, u, e, "rs")
+                self.scanj[a.direction], self.enc[a.direction] = self._scan_encode(
+                    a.direction, a.units, 0.0)
             return
         # The source encodes its reduced shard (once for both directions when
         # the arcs carry it whole) and decodes its own codes too, so outputs
         # match everywhere.
         parts = [("", arcs)] if self.whole else [(a.direction, [a]) for a in arcs]
         for dn, pa in parts:
-            scanj, enc = _prep_quant(s, dn or "own", pa[0].units, u, e, "ag", s.rs_done)
+            scanj, enc = self._scan_encode(dn or "own", pa[0].units, s.rs_done)
             for a in pa:
                 self.scanj[a.direction], self.enc[a.direction] = scanj, enc
-        dq, rec = e / s.compute.dequant_rate, s.record
+        dq = self.e / s.compute.dequant_rate
         for dn, pa in parts:
-            enc = self.enc[pa[0].direction]
             tag = f":{dn}" if dn else ""
-            for g in pa[0].units:
-                for j in range(u):
-                    s.run(RES_VPU, rec and f"ag:dq:own{tag}:g={g}:j={j}", dq, enc[g][j])
+            enc = self.enc[pa[0].direction]
+            labels = s.record and [f"ag:dq:own{tag}:g={g}:j={j}" for g in pa[0].units
+                                   for j in range(u)]
+            s.batch(RES_VPU, labels, [dq] * len(enc), enc)
 
     def send(self, a: Arc, t: int) -> None:
-        s, st, e, u = self.s, self.stage, self.e, self.u
-        dn, gs, rec = a.direction, a.units, s.record
+        s, st, dn = self.s, self.stage, a.direction
         if st == "ag" and t > 1:
             # Forward the codes and grids that arrived on the previous hop.
             meta, pay = self.meta[dn], self.pay[dn]
         else:
-            meta, pay = max(self.scanj[dn][g] for g in gs), self.enc[dn]
-        self.meta[dn] = s.send(dn, rec and f"{st}:meta:it={t}:{dn}", len(gs) * GRID_BYTES, meta)
-        self.pay[dn] = {g: [s.send(dn, rec and f"{st}:pay:it={t}:{dn}:g={g}:j={j}", e, pay[g][j])
-                            for j in range(u)] for g in gs}
+            meta, pay = self.scanj[dn], self.enc[dn]
+        labels = s.record and [f"{st}:meta:it={t}:{dn}",
+                               *(f"{st}:pay:it={t}:{dn}:g={g}:j={j}" for g in a.units
+                                 for j in range(self.u))]
+        self.meta[dn], *self.pay[dn] = s.send(
+            dn, labels, [len(a.units) * GRID_BYTES] + [self.e] * len(pay), [meta, *pay])
 
     def recv(self, arcs: list[Arc], t: int) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
@@ -431,41 +483,45 @@ class _Quant:
         # pass gated by the slowest participating rate.
         fused_last = e / min(c.dequant_rate, c.add_rate)
         fused = e / min(c.dequant_rate, c.add_rate, c.scan_rate)
-        for a, g in _interleave(*[[(a, g) for g in a.units] for a in arcs]):
-            dn, last = a.direction, t == len(a.devices) - 1
-            pay, meta = self.pay[dn][g], self.meta[dn]
+        blocks, passes = [], []
+        for a in arcs:
+            dn, gs, last = a.direction, a.units, t == len(a.devices) - 1
+            meta = self.meta[dn]
+            # A microshard's first pass waits for its payload and its grid.
+            ready = [meta if meta > p else p for p in self.pay[dn]]
+            if st == "rs" and last and a.after:
+                # Fold into the accumulator the earlier arc's merge made.
+                ready = [x if x > r else r for r, x in zip(ready, s.merge[a.after])]
             if st == "ag":
-                for j in range(u):
-                    s.run(RES_VPU, rec and f"ag:dq:it={t}:{dn}:g={g}:j={j}", dq, max(pay[j], meta))
-                continue
-            # Fold into the accumulator the earlier arc's merge made.
-            after = s.merge[a.after][g] if last and a.after else None
-            ends = []
-            for j in range(u):
-                tag = rec and f":it={t}:{dn}:g={g}:j={j}"
-                ready = max(pay[j], meta) if after is None else max(pay[j], meta, after[j])
-                if c.fuse_recv_pass:
-                    end = s.run(RES_VPU, rec and f"rs:fused{tag}", fused_last if last else fused,
-                                ready)
-                else:
-                    end = s.run(RES_VPU, rec and f"rs:dq{tag}", dq, ready)
-                    end = s.run(RES_VPU, rec and f"rs:add{tag}", add, end)
-                    if not last:
-                        end = s.run(RES_VPU, rec and f"rs:scan{tag}", scan, end)
-                ends.append(end)
-            if last:
-                s.merge.setdefault(dn, {})[g] = ends
-                continue
-            joined = self.scanj[dn][g] = max(ends)
-            self.enc[dn][g] = [s.run(RES_VPU, rec and f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}", enc,
-                                     joined)
-                               for j in range(u)]
+                steps = [("ag:dq", dq)]
+            elif c.fuse_recv_pass:
+                steps = [("rs:fused", fused_last if last else fused)]
+            else:
+                steps = [("rs:dq", dq), ("rs:add", add)] + ([] if last else [("rs:scan", scan)])
+            zero = [0.0] * len(gs)
+            cols = [(dur, zero if k else ready[j::u],
+                     rec and [f"{word}:it={t}:{dn}:g={g}:j={j}" for g in gs])
+                    for j in range(u) for k, (word, dur) in enumerate(steps)]
+            if st == "rs" and not last:
+                cols += [(enc, zero, rec and [f"rs:enc:it={t + 1}:{dn}:g={g}:j={j}" for g in gs])
+                         for j in range(u)]
+            blocks.append(cols)
+            passes.append(len(steps))
+        ends = _vpu_rows(s, blocks)
+        if st == "ag":
+            return
+        for a, k, cols in zip(arcs, passes, ends):
+            dn = a.direction
+            if t == len(a.devices) - 1:
+                s.merge[dn] = _gj(cols[k - 1::k])
+            else:
+                # Ends on one resource never decrease, so the last scan ends last.
+                self.scanj[dn], self.enc[dn] = cols[k * u - 1][-1], _gj(cols[k * u:])
 
     def done(self, arcs: list[Arc]) -> None:
         if self.stage == "rs":
             # The all-gather starts once every partial merged at the owner.
-            self.s.rs_done = max(end for a in arcs for ends in self.s.merge[a.direction].values()
-                                 for end in ends)
+            self.s.rs_done = max(chain.from_iterable(self.s.merge[a.direction] for a in arcs))
 
 
 class _Plain:
@@ -496,8 +552,8 @@ class _Plain:
     def send(self, a: Arc, t: int) -> None:
         dn = a.direction
         word, elem_bytes = ("pay", 1) if self.eight_bit else ("raw", 2)
-        self.wire[dn] = self.s.send(dn, self.s.record and f"{self.stage}:{word}:it={t}:{dn}",
-                                    elem_bytes * len(a.units), self.wire.get(dn, 0.0))
+        self.wire[dn], = self.s.send(dn, [self.s.record and f"{self.stage}:{word}:it={t}:{dn}"],
+                                     [elem_bytes * len(a.units)], [self.wire.get(dn, 0.0)])
 
     def recv(self, arcs: list[Arc], t: int) -> None:
         s, st = self.s, self.stage
@@ -569,9 +625,12 @@ def _ring(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams, compute: C
     spec = cfg.spec
     n, m, u = spec.num_devices, spec.minishards_per_shard, spec.microshards_per_minishard
     e_shard = _elements(tensor_bytes, spec) // n
+    if n * m * u > WALK_BUDGET:
+        raise WalkBudgetError(f"N*m*u = {n * m * u} (N={n}, m={m}, u={u}) passes the "
+                              f"simulator's walk budget of {WALK_BUDGET}")
     q_rs, q_ag = cfg.quantize_rs, cfg.quantize_ag
-    rs = rs_arcs(cfg.variant, n, m if q_rs else e_shard)[0]
-    ag = ag_arcs(cfg.variant, n, m if q_ag else e_shard)[0]
+    rs = shard_arcs(cfg.variant, n, m if q_rs else e_shard, 0, gather=False)
+    ag = shard_arcs(cfg.variant, n, m if q_ag else e_shard, 0, gather=True)
 
     def walk(record: bool) -> _Sched:
         s = _Sched(link, compute, record)

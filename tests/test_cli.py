@@ -408,6 +408,22 @@ def test_inputs_that_cannot_be_allocated_exit_2(command, message, shown, monkeyp
     assert out == "" and err == f"config error: {shown}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sizes", "99999999GiB"],
+    ["timeline", "--rows", "65536", "--cols", "65536", "--num-devices", "8",
+     "--minishards", "262144", "--microshards", "2"],
+], ids=["sweep", "timeline"])
+def test_a_simulation_past_the_walk_budget_exits_2(argv, capsys):
+    # Refused before any walk: the sweep's would take about two months.
+    with finished_walks() as walks:
+        assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert walks == [] and out == ""
+    assert err.startswith("config error: N*m*u = ") and err.endswith(
+        " passes the simulator's walk budget of 2097152\n")
+    assert err.count("\n") == 1
+
+
 def test_bad_size_token_exits_2(capsys):
     assert run(["sweep", "--sizes", "1MiB,huge"]) == 2
     assert "size" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Ring schedule structure: arcs, the CW/CCW split and their rotation symmetry."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from qarsim.schedule import (
     Variant,
     ag_arcs,
     rs_arcs,
+    shard_arcs,
     split,
 )
 
@@ -20,6 +22,19 @@ def test_split_gives_cw_the_larger_half():
     assert split(Variant.FULL_LOOP, 1) == {CW: range(0, 1), CCW: range(1, 1)}
     assert split(Variant.FULL_LOOP, 2048) == {CW: range(0, 1024), CCW: range(1024, 2048)}
     assert split(Variant.SEMI_LOOP, 3) == {CW: range(3), CCW: range(3)}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_shard_arcs_are_each_shards_arcs(variant):
+    # The simulator builds shard 0's arcs alone, through the function both
+    # lists of every shard's arcs map over.
+    for n, units in product(range(2, 17), (1, 2, 5, 8)):
+        if variant is Variant.SEMI_LOOP and n % 2:
+            continue
+        rs, ag = rs_arcs(variant, n, units), ag_arcs(variant, n, units)
+        for s in range(n):
+            assert shard_arcs(variant, n, units, s, gather=False) == rs[s]
+            assert shard_arcs(variant, n, units, s, gather=True) == ag[s]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])

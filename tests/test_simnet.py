@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qarsim.simnet as simnet
+from qarsim.analysis import auto_minishards
 from qarsim.collectives import CollectiveConfig, Variant
 from qarsim.layout import DivisibilityError, PartitionSpec
 from qarsim.presets import load_preset
@@ -267,7 +268,7 @@ def test_the_time_only_walk_is_the_recorded_walk_bit_for_bit(setup, no_latency, 
 @pytest.mark.parametrize("record", [True, False], ids=["recorded", "time-only"])
 def test_both_walks_raise_the_overlap_error_on_a_nan_duration(record):
     # A NaN end makes the next start on its resource fail the overlap test
-    # that `_Sched.run` applies to every event. It names the resource, and
+    # that `_Sched.batch` applies to every event. It names the resource, and
     # the event when the walk records. Events on different resources may
     # overlap in time, so a NaN end on the VPU holds up no link.
     s = simnet._Sched(LINK, COMP, record)
@@ -278,6 +279,96 @@ def test_both_walks_raise_the_overlap_error_on_a_nan_duration(record):
     with pytest.raises(RuntimeError, match="^overlap on VPU" + (" at e$" if record else "$")):
         s.run(RES_VPU, record and "e", 1.0)
     assert s.count == 4 and s.label == (["a", "b", "c", "d"] if record else [])
+
+
+# Durations and ready times with zeros, ties, inf and NaN: a NaN end makes
+# the next start on its resource fail the overlap test.
+_TIMES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf, math.nan]), st.floats(0.0, 4.0))
+
+
+def _sched_state(s):
+    """Everything a scheduler keeps, with each time as its float.hex (so NaN
+    compares equal to NaN)."""
+    return ({r: t.hex() for r, t in s.free.items()}, s.count, s.resource,
+            [t.hex() for t in s.start_s], [t.hex() for t in s.end_s], s.label)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([RES_VPU, RES_LINK_CW]),
+                          st.lists(st.tuples(_TIMES, _TIMES), max_size=6)), max_size=6),
+       st.booleans())
+def test_a_batch_is_its_events_run_one_by_one(batches, record):
+    # Each batch of (duration, ready) events on one resource, against the
+    # same events given to `run` one at a time: the same ends and the same
+    # state, and on an overlap the same message, naming the event inside
+    # the batch, after the events before it.
+    whole, single = simnet._Sched(LINK, COMP, record), simnet._Sched(LINK, COMP, record)
+    for b, (resource, events) in enumerate(batches):
+        labels = [f"b{b}:e{i}" for i in range(len(events))]
+        want, raised = [], None
+        for label, (dur, ready) in zip(labels, events):
+            try:
+                want.append(single.run(resource, record and label, dur, ready))
+            except RuntimeError as e:
+                raised = str(e)
+                break
+        try:
+            got = whole.batch(resource, record and labels, [d for d, _ in events],
+                              [r for _, r in events])
+        except RuntimeError as e:
+            assert str(e) == raised == (f"overlap on {resource} at {labels[len(want)]}"
+                                        if record else f"overlap on {resource}")
+        else:
+            assert raised is None and [t.hex() for t in got] == [t.hex() for t in want]
+        assert _sched_state(whole) == _sched_state(single)
+
+
+@pytest.mark.parametrize("variant, m", [(Variant.FULL_LOOP, 2), (Variant.SEMI_LOOP, 1)])
+def test_a_walks_scheduler_calls_do_not_grow_with_m(variant, m, monkeypatch):
+    # Events go to the scheduler as batches, a fixed number per stage and
+    # iteration, so a walk at m=256 makes as many calls as one at the
+    # smallest m with both arcs (the full loop's one minishard at m=1 goes
+    # clockwise alone).
+    calls = []
+    batch = simnet._Sched.batch
+
+    def counted(self, *args):
+        calls.append(self)
+        return batch(self, *args)
+
+    monkeypatch.setattr(simnet._Sched, "batch", counted)
+
+    def walk(minishards, read):
+        cfg = small_cfg(n=8, m=minishards, u=2, variant=variant)
+        calls.clear()
+        _FIRST_READS[read](simulate(cfg, small_bytes(cfg), LINK, COMP))
+        return len(calls)
+
+    for read in ("total_time", "label"):
+        assert walk(256, read) == walk(m, read)
+
+
+def test_a_schedule_past_the_walk_budget_is_refused_before_it_walks():
+    budget = simnet.WALK_BUDGET
+    at = CollectiveConfig(Variant.FULL_LOOP, PartitionSpec(8, budget // 16, 2))
+    past = replace(at, spec=PartitionSpec(8, budget // 8, 2))
+    with finished_walks() as walks:
+        simulate(at, small_bytes(at), LINK, COMP)  # scheduled when read, so never walked
+        with pytest.raises(simnet.WalkBudgetError,
+                           match=rf"^N\*m\*u = {2 * budget} \(N=8, m={budget // 8}, u=2\) passes"):
+            simulate(past, small_bytes(past), LINK, COMP)
+        with pytest.raises(simnet.WalkBudgetError):
+            simulate_naive(past.spec, small_bytes(past), LINK, COMP)
+    assert walks == []
+
+
+def test_shipped_studies_and_workloads_sit_100x_under_the_walk_budget():
+    # The sweep's sizes at N=8 and N=16, the 4096x4096 N=8 study, and a
+    # pod-scale point, N=64, m=64, u=4.
+    sweep = [n * auto_minishards((MIB << i) // 2, n) * 2 for n in (8, 16) for i in range(9)]
+    study = 8 * auto_minishards(4096 * 4096, 8) * 2
+    assert (max(sweep), study) == (4096, 512)
+    assert 100 * max(max(sweep), study, 64 * 64 * 4) <= simnet.WALK_BUDGET
 
 
 @pytest.mark.parametrize("read", list(_FIRST_READS))
