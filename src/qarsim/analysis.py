@@ -32,6 +32,7 @@ import numpy as np
 # all_reduce and naive_lowp_allreduce are not called here, but stay bound in
 # this module: perfbench/harness.py binds its output checks to them here.
 from .collectives import (  # noqa: F401
+    STAGES,
     CollectiveConfig,
     Variant,
     all_reduce,
@@ -45,14 +46,14 @@ from .numerics import Codec, bf16_bits
 from .presets import DEFAULT_PRESET, load_preset
 from .simnet import ComputeParams, LinkParams, simulate, simulate_naive
 
-# flavor -> (variant, quantize_rs, quantize_ag)
+# flavor -> (variant, its `STAGES` tag)
 _FLAVOR_DEFS = {
-    "full_rs": (Variant.FULL_LOOP, True, False),
-    "full_ag": (Variant.FULL_LOOP, False, True),
-    "full_both": (Variant.FULL_LOOP, True, True),
-    "semi_rs": (Variant.SEMI_LOOP, True, False),
-    "semi_ag": (Variant.SEMI_LOOP, False, True),
-    "semi_both": (Variant.SEMI_LOOP, True, True),
+    "full_rs": (Variant.FULL_LOOP, "rs"),
+    "full_ag": (Variant.FULL_LOOP, "ag"),
+    "full_both": (Variant.FULL_LOOP, "both"),
+    "semi_rs": (Variant.SEMI_LOOP, "rs"),
+    "semi_ag": (Variant.SEMI_LOOP, "ag"),
+    "semi_both": (Variant.SEMI_LOOP, "both"),
 }
 
 FLAVORS = ("baseline", "naive", *_FLAVOR_DEFS)
@@ -64,14 +65,6 @@ _MSE_BUF_ELEMS = 128 * 1024
 _MSE_LANES = 1024
 # device_inputs draws and rounds this many elements at a time.
 _INGEST_TILE = 64 * 1024
-
-
-def stages_tag(cfg: CollectiveConfig) -> str:
-    """What the ring stages carry: cast (the naive ring), or which are quantized."""
-    if cfg.cast:
-        return "cast"
-    return {(False, False): "none", (True, False): "rs",
-            (False, True): "ag", (True, True): "both"}[(cfg.quantize_rs, cfg.quantize_ag)]
 
 
 def mse(a, b) -> float:
@@ -280,18 +273,18 @@ def tradeoff_study(
     m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
     spec = PartitionSpec(num_devices, m, microshards)
     cfgs = [CollectiveConfig(Variant.FULL_LOOP, spec, codec=Codec.F8E5M2, cast=True),
-            *(CollectiveConfig(variant, spec, quantize_rs=q_rs, quantize_ag=q_ag, codec=codec)
-              for variant, q_rs, q_ag in _FLAVOR_DEFS.values())]
+            *(CollectiveConfig(variant, spec, codec=codec, **STAGES[stages])
+              for variant, stages in _FLAVOR_DEFS.values())]
     errs = flavor_mses(device_inputs(rows, cols, num_devices, seed), spec, cfgs)
 
     tensor_bytes = rows * cols * 2
-    t_base = simulate(CollectiveConfig(Variant.FULL_LOOP, spec), tensor_bytes, link,
-                      compute).total_time
+    base = CollectiveConfig(Variant.FULL_LOOP, spec)
+    t_base = simulate(base, tensor_bytes, link, compute).total_time
     times = [simulate_naive(spec, tensor_bytes, link, compute).total_time,
              *(simulate(cfg, tensor_bytes, link, compute).total_time for cfg in cfgs[1:])]
-    return [FlavorResult("baseline", Variant.FULL_LOOP.value, "none", "bf16", num_devices, rows,
+    return [FlavorResult("baseline", base.variant.value, base.stages, "bf16", num_devices, rows,
                          cols, m, microshards, seed, 0.0, 1.0),
-            *(FlavorResult(flavor, cfg.variant.value, stages_tag(cfg), cfg.codec.value,
+            *(FlavorResult(flavor, cfg.variant.value, cfg.stages, cfg.codec.value,
                            num_devices, rows, cols, m, microshards, seed, err, t_base / t)
               for flavor, cfg, err, t in zip(FLAVORS[1:], cfgs, errs, times))]
 
@@ -311,14 +304,14 @@ def size_sweep(
     variant: Variant = Variant.FULL_LOOP,
     codec: Codec = Codec.INT8,
     num_devices: int = 8,
-    quantize_rs: bool = True,
-    quantize_ag: bool = True,
+    stages: str = "both",
     minishards: int | None = None,
     microshards: int = 2,
     link: LinkParams = _DEFAULT_LINK,
     compute: ComputeParams = _DEFAULT_COMPUTE,
 ) -> list[SweepPoint]:
-    """Predicted flavor-vs-baseline time ratio per tensor size (BF16 bytes).
+    """Predicted flavor-vs-baseline time ratio per tensor size (BF16 bytes), the
+    flavor's stages carrying `stages`, a `STAGES` tag.
 
     With minishards unset each size picks its own block-preserving count, the
     same rule tradeoff_study uses.
@@ -328,8 +321,7 @@ def size_sweep(
         elems = size // 2
         m = minishards if minishards is not None else auto_minishards(elems, num_devices)
         spec = PartitionSpec(num_devices, m, microshards)
-        cfg = CollectiveConfig(variant, spec, quantize_rs=quantize_rs,
-                               quantize_ag=quantize_ag, codec=codec)
+        cfg = CollectiveConfig(variant, spec, codec=codec, **STAGES[stages])
         t_base = simulate(CollectiveConfig(Variant.FULL_LOOP, spec), size, link, compute).total_time
         t_flavor = simulate(cfg, size, link, compute).total_time
         out.append(SweepPoint(size, t_flavor, t_base, t_flavor / t_base))

@@ -2,14 +2,17 @@
 
 One JSON config document drives every subcommand; individual flags override
 config-file fields, which override the named preset. Unknown keys anywhere in
-the config are rejected rather than ignored.
+the config are rejected rather than ignored. A collective is `variant`,
+`stages` and `codec`, the columns of the `tradeoff` table: `stages` is a tag of
+`collectives.STAGES`, and `cast`, the naive ring's, needs the full loop.
 
 Exit codes: 0 success, 2 config/validation problems (bad JSON, unknown or
 ill-typed fields, bad enum values, a config file that cannot be read or an
 output file that cannot be written, link and compute parameters under which
 simulated times overflow, a schedule past the simulator's walk budget,
-inputs too large to allocate), 3 domain errors from the collective itself
-(divisibility, odd-N semi loop, mismatched shapes).
+inputs too large to allocate, `cast` stages on the semi loop), 3 domain
+errors from the collective itself (divisibility, odd-N semi loop,
+mismatched shapes).
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from .analysis import (
     device_inputs,
     flavor_mses,
     size_sweep,
-    stages_tag,
     tradeoff_study,
 )
-from .collectives import CollectiveConfig, SemiLoopOddNError, Variant
+from .collectives import STAGES, CollectiveConfig, SemiLoopOddNError, Variant
 from .layout import (
     DivisibilityError,
     PartitionSpec,
@@ -68,10 +70,8 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     variant: str = "full_loop"
-    quantize_rs: bool = True
-    quantize_ag: bool = True
+    stages: str = "both"
     codec: str = "int8"
-    naive: bool = False
     num_devices: int = 8
     rows: int = 4096
     cols: int = 4096
@@ -93,13 +93,14 @@ _SCOPES = {"link": typing.get_type_hints(LinkParams),
            "compute": typing.get_type_hints(ComputeParams)}
 
 # Allowed values of each enum field; the preset names come from the presets module.
-_ALLOWED = {"variant": {v.value for v in Variant}, "codec": {c.value for c in Codec},
-            "format": {"csv", "json"}}
+_ALLOWED = {"variant": {v.value for v in Variant}, "stages": set(STAGES),
+            "codec": {c.value for c in Codec}, "format": {"csv", "json"}}
 # A flag is its field's name with dashes, apart from these shorter spellings.
 _SHORT_FLAGS = {"minishards_per_shard": "--minishards",
                 "microshards_per_minishard": "--microshards",
                 "bandwidth_bytes_per_s": "--bandwidth", "hop_latency_s": "--hop-latency"}
-_HELP = {"output": "result file path (default: stdout)",
+_HELP = {"stages": "what the stages carry: " + ", ".join(STAGES),
+         "output": "result file path (default: stdout)",
          "sizes": "comma list of sizes for sweep, e.g. '1MiB,4MiB,64MiB'"}
 # Smallest legal value of each integer field; an unset minishard count is chosen later.
 _MINIMUM = {"num_devices": 2, "rows": 1, "cols": 1, "minishards_per_shard": 1,
@@ -150,8 +151,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         val = getattr(cfg, name)
         if val is not None and val not in allowed:
             raise ConfigError(f"field '{name}' must be one of {sorted(allowed)}, got {val!r}")
-    if cfg.naive and cfg.variant != Variant.FULL_LOOP.value:  # the naive ring is a full loop
-        raise ConfigError(f"field 'variant' must be 'full_loop' with naive, got {cfg.variant!r}")
+    if STAGES[cfg.stages].get("cast") and cfg.variant != Variant.FULL_LOOP.value:
+        raise ConfigError(f"field 'variant' must be 'full_loop' with stages {cfg.stages!r}, "
+                          f"got {cfg.variant!r}")
     for name, low in _MINIMUM.items():
         val = getattr(cfg, name)
         if val is not None and val < low:
@@ -215,10 +217,8 @@ def _partition_spec(cfg: RunConfig) -> PartitionSpec:
 
 
 def _collective_config(cfg: RunConfig, spec: PartitionSpec) -> CollectiveConfig:
-    if cfg.naive:  # a full loop (see _validate) with no quantized stage, whatever the flags
-        return CollectiveConfig(Variant.FULL_LOOP, spec, codec=Codec(cfg.codec), cast=True)
-    return CollectiveConfig(Variant(cfg.variant), spec, quantize_rs=cfg.quantize_rs,
-                            quantize_ag=cfg.quantize_ag, codec=Codec(cfg.codec))
+    return CollectiveConfig(Variant(cfg.variant), spec, codec=Codec(cfg.codec),
+                            **STAGES[cfg.stages])
 
 
 def _timeline(cfg: RunConfig, spec: PartitionSpec, link: LinkParams,
@@ -250,7 +250,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
     idle = idle_time(tl)  # first, so that `total_time` reads the columns it records
     row = {
         "variant": cfg.variant,
-        "stages": stages_tag(ccfg),
+        "stages": ccfg.stages,
         "codec": cfg.codec,
         "N": cfg.num_devices,
         "rows": cfg.rows,
@@ -277,12 +277,10 @@ def cmd_tradeoff(cfg: RunConfig) -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
-    if cfg.naive:  # the sweep times the configured flavor; it has no naive ring
-        raise ConfigError("field 'naive' is not supported by sweep")
     link, compute = resolve_params(cfg)
     points = size_sweep(
         cfg.sizes, variant=Variant(cfg.variant), codec=Codec(cfg.codec),
-        num_devices=cfg.num_devices, quantize_rs=cfg.quantize_rs, quantize_ag=cfg.quantize_ag,
+        num_devices=cfg.num_devices, stages=cfg.stages,
         minishards=cfg.minishards_per_shard, microshards=cfg.microshards_per_minishard,
         link=link, compute=compute,
     )

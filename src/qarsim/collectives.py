@@ -80,6 +80,12 @@ class SemiLoopOddNError(ValueError):
     """Semi-loop pairs the ring into two arcs and needs an even device count."""
 
 
+# What a collective's stages carry, by tag: the `CollectiveConfig` fields the tag
+# sets, each of the others unset. `cast` is the naive ring, a full loop.
+STAGES = {"none": {}, "rs": {"quantize_rs": True}, "ag": {"quantize_ag": True},
+          "both": {"quantize_rs": True, "quantize_ag": True}, "cast": {"cast": True}}
+
+
 @dataclass(frozen=True)
 class CollectiveConfig:
     variant: Variant
@@ -88,6 +94,12 @@ class CollectiveConfig:
     quantize_ag: bool = False
     codec: Codec = Codec.INT8
     cast: bool = False  # the unscaled stages carry codes cast to `codec` with no scale
+
+    @property
+    def stages(self) -> str:
+        """The `STAGES` tag of what this config's stages carry."""
+        carried = {f: True for f in ("quantize_rs", "quantize_ag", "cast") if getattr(self, f)}
+        return next(tag for tag, kw in STAGES.items() if kw == carried)
 
     def __post_init__(self):
         if self.variant is Variant.SEMI_LOOP and self.spec.num_devices % 2:

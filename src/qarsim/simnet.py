@@ -22,7 +22,8 @@ per direction and receives hop t of another, and every shard's arcs are
 shard 0's rotated, so the executor emits shard 0's hop t of each
 direction. Times are handed straight from event to event: each hop kind
 holds, per direction, what hop t hands on (when its data is ready to
-send, then when it arrives), and the reduce-scatter's merge ends cross
+send, then when it arrives; for quantized hops one pair, the grid's time
+and the payload microshards'), and the reduce-scatter's merge ends cross
 into the all-gather on the scheduler. None of them names a shard, so the
 arrival device 0's send of a (direction, iteration) hands to its own
 receive is the time its neighbour's matching send arrives; each
@@ -419,13 +420,11 @@ class _Quant:
     def __init__(self, s: _Sched, stage: str, e_micro: int, u: int, whole: bool):
         self.s, self.stage = s, stage
         self.e, self.u, self.whole = e_micro, u, whole
-        # Per direction, the times hop t hands on: when the last scan of what
-        # it sends ends, and the encode end of each microshard, then the
-        # metadata arrival and each payload arrival; lists in (g, j) order.
-        self.scanj: dict[str, float] = {}
-        self.enc: dict[str, list[float]] = {}
-        self.meta: dict[str, float] = {}
-        self.pay: dict[str, list[float]] = {}
+        # Per direction, what hop t hands on: when its grid and each payload
+        # microshard ((g, j) order) are ready to send, then when they arrive. A
+        # reduce-scatter receive sets the next hop's last scan end and encode
+        # ends; an all-gather leaves the arrivals, so the next hop forwards them.
+        self.wire: dict[str, tuple[float, list[float]]] = {}
 
     def _scan_encode(self, tag: str, gs: range, ready: float) -> tuple[float, list[float]]:
         """Send-side phase-1 scans (all microshards) then phase-2 encodes, as one
@@ -442,37 +441,33 @@ class _Quant:
         s, u = self.s, self.u
         if self.stage == "rs":
             for a in arcs:
-                self.scanj[a.direction], self.enc[a.direction] = self._scan_encode(
-                    a.direction, a.units, 0.0)
+                self.wire[a.direction] = self._scan_encode(a.direction, a.units, 0.0)
             return
         # The source encodes its reduced shard (once for both directions when
         # the arcs carry it whole) and decodes its own codes too, so outputs
         # match everywhere.
         parts = [("", arcs)] if self.whole else [(a.direction, [a]) for a in arcs]
         for dn, pa in parts:
-            scanj, enc = self._scan_encode(dn or "own", pa[0].units, s.rs_done)
+            wire = self._scan_encode(dn or "own", pa[0].units, s.rs_done)
             for a in pa:
-                self.scanj[a.direction], self.enc[a.direction] = scanj, enc
+                self.wire[a.direction] = wire
         dq = self.e / s.compute.dequant_rate
         for dn, pa in parts:
             tag = f":{dn}" if dn else ""
-            enc = self.enc[pa[0].direction]
+            enc = self.wire[pa[0].direction][1]
             labels = s.record and [f"ag:dq:own{tag}:g={g}:j={j}" for g in pa[0].units
                                    for j in range(u)]
             s.batch(RES_VPU, labels, [dq] * len(enc), enc)
 
     def send(self, a: Arc, t: int) -> None:
         s, st, dn = self.s, self.stage, a.direction
-        if st == "ag" and t > 1:
-            # Forward the codes and grids that arrived on the previous hop.
-            meta, pay = self.meta[dn], self.pay[dn]
-        else:
-            meta, pay = self.scanj[dn], self.enc[dn]
+        meta, pay = self.wire[dn]
         labels = s.record and [f"{st}:meta:it={t}:{dn}",
                                *(f"{st}:pay:it={t}:{dn}:g={g}:j={j}" for g in a.units
                                  for j in range(self.u))]
-        self.meta[dn], *self.pay[dn] = s.send(
-            dn, labels, [len(a.units) * GRID_BYTES] + [self.e] * len(pay), [meta, *pay])
+        meta, *pay = s.send(dn, labels, [len(a.units) * GRID_BYTES] + [self.e] * len(pay),
+                            [meta, *pay])
+        self.wire[dn] = meta, pay
 
     def recv(self, arcs: list[Arc], t: int) -> None:
         s, st, e, u = self.s, self.stage, self.e, self.u
@@ -486,9 +481,9 @@ class _Quant:
         blocks, passes = [], []
         for a in arcs:
             dn, gs, last = a.direction, a.units, t == len(a.devices) - 1
-            meta = self.meta[dn]
+            meta, pay = self.wire[dn]
             # A microshard's first pass waits for its payload and its grid.
-            ready = [meta if meta > p else p for p in self.pay[dn]]
+            ready = [meta if meta > p else p for p in pay]
             if st == "rs" and last and a.after:
                 # Fold into the accumulator the earlier arc's merge made.
                 ready = [x if x > r else r for r, x in zip(ready, s.merge[a.after])]
@@ -516,7 +511,7 @@ class _Quant:
                 s.merge[dn] = _gj(cols[k - 1::k])
             else:
                 # Ends on one resource never decrease, so the last scan ends last.
-                self.scanj[dn], self.enc[dn] = cols[k * u - 1][-1], _gj(cols[k * u:])
+                self.wire[dn] = cols[k * u - 1][-1], _gj(cols[k * u:])
 
     def done(self, arcs: list[Arc]) -> None:
         if self.stage == "rs":

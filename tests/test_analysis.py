@@ -27,10 +27,10 @@ from qarsim.analysis import (
     device_inputs,
     mse,
     size_sweep,
-    stages_tag,
     tradeoff_study,
 )
 from qarsim.collectives import (
+    STAGES,
     CollectiveConfig,
     Variant,
     baseline_allreduce_bf16,
@@ -47,16 +47,6 @@ MIB = 1 << 20
 def test_flavor_listing_is_fixed():
     assert FLAVORS == ("baseline", "naive", "full_rs", "full_ag", "full_both",
                        "semi_rs", "semi_ag", "semi_both")
-
-
-def test_stages_tag_names_what_the_stages_carry():
-    spec = PartitionSpec(4, 1, 1)
-    for (rs, ag), tag in {(False, False): "none", (True, False): "rs", (False, True): "ag",
-                          (True, True): "both"}.items():
-        assert stages_tag(CollectiveConfig(Variant.FULL_LOOP, spec, quantize_rs=rs,
-                                           quantize_ag=ag)) == tag
-    naive = CollectiveConfig(Variant.FULL_LOOP, spec, codec=Codec.F8E5M2, cast=True)
-    assert stages_tag(naive) == "cast"
 
 
 def test_mse_basics():
@@ -359,10 +349,13 @@ def test_tradeoff_flavor_outputs_are_pinned(monkeypatch):
     # flag. The naive ring's reduce-scatter is the cast one; the baseline's
     # is the BF16 full loop's, which the study takes from
     # baseline_allreduce_bf16 and gathers unquantized.
-    flavor_of = {(v, q_rs, False, q_ag): f
-                 for f, (v, q_rs, q_ag) in qarsim.analysis._FLAVOR_DEFS.items()}
-    flavor_of[Variant.FULL_LOOP, False, False, False] = "baseline"
-    flavor_of[Variant.FULL_LOOP, False, True, False] = "naive"
+    spec = PartitionSpec(8, 1, 2)
+    flavor_of = {}
+    for f, (v, stages) in {"baseline": (Variant.FULL_LOOP, "none"),
+                           "naive": (Variant.FULL_LOOP, "cast"),
+                           **qarsim.analysis._FLAVOR_DEFS}.items():
+        c = CollectiveConfig(v, spec, **STAGES[stages])
+        flavor_of[c.variant, c.quantize_rs, c.cast, c.quantize_ag] = f
     stage_of, digests = {}, {}
 
     def observed_reduce_scatter(inputs, cfg):

@@ -17,10 +17,13 @@ from test_simnet import finished_walks
 
 import qarsim.analysis
 import qarsim.cli as cli
+from qarsim.analysis import auto_minishards
 from qarsim.cli import RunConfig, _build_parser, build_config, main
+from qarsim.collectives import CollectiveConfig, Variant
+from qarsim.layout import PartitionSpec
 from qarsim.presets import DEFAULT_PRESET, available_presets, load_preset
 from qarsim.quant import GRID_BYTES
-from qarsim.simnet import ComputeParams, LinkParams
+from qarsim.simnet import ComputeParams, LinkParams, simulate, simulate_naive
 
 MIB = 1 << 20
 SCRIPTS = Path(__file__).parents[1] / "scripts"
@@ -209,7 +212,7 @@ def test_bounds_quantized_columns_bound_a_quantized_reduce_scatter(tmp_path, cap
     out = tmp_path / "b.json"
     assert run(["bounds", *argv, "--format", "json", "--output", str(out)]) == 0
     rec = json.loads(out.read_text())[0]
-    assert run(["timeline", *argv, "--quantize-rs"]) == 0
+    assert run(["timeline", *argv, "--stages", "both"]) == 0
     events = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     rs_end = max(e["end_s"] for e in events if e["label"].startswith("rs"))
     assert rs_end == pytest.approx(154.7e-6, abs=0.05e-6)
@@ -308,7 +311,7 @@ def test_shipped_size_sweep_regenerates_byte_for_byte(tmp_path):
 _SMALL_ARGV = ["--rows", "256", "--cols", "512", "--num-devices", "4", "--seed", "7"]
 TABLE_ARGV = {
     "simulate": ["simulate", *_SMALL_ARGV],
-    "simulate-naive": ["simulate", *_SMALL_ARGV, "--naive", "--codec", "f8e5m2"],
+    "simulate-naive": ["simulate", *_SMALL_ARGV, "--stages", "cast", "--codec", "f8e5m2"],
     "tradeoff": ["tradeoff", *_SMALL_ARGV],
     "sweep": ["sweep", "--sizes", "1MiB,4MiB,64MiB", "--num-devices", "8"],
     "sweep-no-sizes": ["sweep", "--sizes", ","],
@@ -379,15 +382,6 @@ def test_table_output_bytes_are_pinned(name, fmt, timestamp, monkeypatch, capsys
     assert run([*TABLE_ARGV[name], "--format", fmt, *["--timestamp"] * timestamp]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == OUTPUT_SHA256[name, fmt, timestamp]
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_naive_ignores_the_quantize_flags(fmt, capsys):
-    # The naive ring has no quantized stage, so turning both off changes no byte.
-    argv = [*TABLE_ARGV["simulate-naive"], "--no-quantize-rs", "--no-quantize-ag"]
-    assert run([*argv, "--format", fmt]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == OUTPUT_SHA256["simulate-naive", fmt, False]
 
 
 _NUMPY_OOM = "Unable to allocate 16.0 GiB for an array with shape (8, 1073741824) and data type uint16"
@@ -476,7 +470,7 @@ def test_help_exits_0(command, capsys):
 
 
 def test_naive_flavor_via_cli(tmp_path):
-    cfg = write_cfg(tmp_path, dict(SMALL, naive=True, codec="f8e5m2"))
+    cfg = write_cfg(tmp_path, dict(SMALL, stages="cast", codec="f8e5m2"))
     out = tmp_path / "n.json"
     assert run(["simulate", "--config", cfg, "--format", "json", "--output", str(out)]) == 0
     rec = json.loads(out.read_text())[0]
@@ -484,38 +478,40 @@ def test_naive_flavor_via_cli(tmp_path):
     assert rec["mse"] > 0.01  # cast-style ring is far noisier than scaled codecs
 
 
-@pytest.mark.parametrize("command", ["simulate", "timeline"])
+@pytest.mark.parametrize("command", ["simulate", "timeline", "sweep"])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_naive_semi_loop_exits_2_naming_variant(command, source, tmp_path, capsys):
-    # The naive ring is a full loop; a semi-loop request must not print full-loop results.
-    argv = ["--naive", "--variant", "semi_loop", "--rows", "256", "--cols", "512"]
+    # The naive ring (cast stages) is a full loop; a semi-loop request must not
+    # print full-loop results.
+    argv = ["--stages", "cast", "--variant", "semi_loop", "--rows", "256", "--cols", "512"]
     if source == "file":
-        argv = ["--config", write_cfg(tmp_path, dict(SMALL, naive=True, variant="semi_loop"))]
+        argv = ["--config", write_cfg(tmp_path, dict(SMALL, stages="cast", variant="semi_loop"))]
     assert run([command, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("config error: field 'variant' must be 'full_loop' with naive, "
-                            "got 'semi_loop'\n")
+    assert captured.err == ("config error: field 'variant' must be 'full_loop' with stages "
+                            "'cast', got 'semi_loop'\n")
 
 
-@pytest.mark.parametrize("source", ["flag", "file"])
-def test_naive_sweep_exits_2_naming_naive(source, tmp_path, capsys, monkeypatch):
-    # The sweep times the configured flavor against the baseline and has no
-    # naive ring, so a naive request must not print the quantized ring's ratios.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("size_sweep ran")
+def test_naive_sweep_is_the_naive_rings_time_over_the_baselines(capsys):
+    sizes = [MIB, 4 * MIB, 64 * MIB]
+    assert run(["sweep", "--stages", "cast", "--sizes", ",".join(map(str, sizes))]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    link, compute = load_preset(DEFAULT_PRESET)
+    assert [int(r["size_bytes"]) for r in rows] == sizes
+    for size, row in zip(sizes, rows):
+        spec = PartitionSpec(8, auto_minishards(size // 2, 8), 2)
+        naive = simulate_naive(spec, size, link, compute).total_time
+        base = simulate(CollectiveConfig(Variant.FULL_LOOP, spec), size, link, compute).total_time
+        assert row["ratio"] == repr(naive / base)
 
-    monkeypatch.setattr(cli, "size_sweep", forbidden)
-    out = tmp_path / "sweep.csv"
-    argv = ["--naive", "--sizes", "4MiB"]
-    if source == "file":
-        argv = ["--config", write_cfg(tmp_path, {"naive": True, "sizes": ["4MiB"]})]
-    assert run(["sweep", *argv, "--output", str(out)]) == 2
-    assert not out.exists()
-    assert run(["sweep", *argv]) == 2
+
+@pytest.mark.parametrize("name", ["quantize_rs", "quantize_ag", "naive"])
+def test_a_removed_stage_field_in_a_config_file_exits_2(name, tmp_path, capsys):
+    # `stages` names what the stages carry; the fields it replaced have no alias.
+    assert run(["simulate", "--config", write_cfg(tmp_path, dict(SMALL, **{name: True}))]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "config error: field 'naive' is not supported by sweep\n" * 2
+    assert captured.out == "" and captured.err == f"config error: unknown config field '{name}'\n"
 
 
 # --- every override flag and every config field lands on its RunConfig field ---
@@ -529,9 +525,7 @@ FLAG_CASES = [
     (["--timestamp"], {"timestamp": True}),
     (["--variant", "semi_loop"], {"variant": "semi_loop"}),
     (["--codec", "f8e4m3"], {"codec": "f8e4m3"}),
-    (["--no-quantize-rs"], {"quantize_rs": False}),
-    (["--no-quantize-ag"], {"quantize_ag": False}),
-    (["--naive"], {"naive": True}),
+    (["--stages", "cast"], {"stages": "cast"}),
     (["--num-devices", "4"], {"num_devices": 4}),
     (["--rows", "256"], {"rows": 256}),
     (["--cols", "512"], {"cols": 512}),
@@ -552,10 +546,8 @@ FLAG_CASES = [
 #           field value with the flag given too)
 FILE_CASES = {
     "variant": ("semi_loop", ["--variant", "full_loop"], "semi_loop", "full_loop"),
-    "quantize_rs": (False, ["--quantize-rs"], False, True),
-    "quantize_ag": (False, ["--quantize-ag"], False, True),
+    "stages": ("rs", ["--stages", "ag"], "rs", "ag"),
     "codec": ("f8e5m2", ["--codec", "f8e4m3"], "f8e5m2", "f8e4m3"),
-    "naive": (True, ["--no-naive"], True, False),
     "num_devices": (4, ["--num-devices", "6"], 4, 6),
     "rows": (256, ["--rows", "512"], 256, 512),
     "cols": (1024, ["--cols", "2048"], 1024, 2048),
@@ -594,7 +586,7 @@ def test_flag_cases_cover_every_override_flag():
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     actions = [a for a in sub.choices["simulate"]._actions
                if a.option_strings and a.dest not in ("help", "config")]
-    assert len(actions) == len(FLAG_CASES) == 24
+    assert len(actions) == len(FLAG_CASES) == 22
     for action in actions:
         assert any(argv[0] in action.option_strings for argv, _ in FLAG_CASES), action.dest
 
@@ -719,7 +711,7 @@ def test_simulated_times_that_overflow_exit_2(argv, capsys):
     (["timeline"], [True]),
     (["timeline", "--format", "csv"], [True]),
     (["simulate"], [True]),
-    (["simulate", "--naive"], [True]),
+    (["simulate", "--stages", "cast"], [True]),
     (["sweep", "--sizes", "1MiB,2MiB"], [False] * 4),
     (["tradeoff"], [False] * 8),
 ], ids=["timeline", "timeline-csv", "simulate", "simulate-naive", "sweep", "tradeoff"])
@@ -740,16 +732,6 @@ def test_int_config_value_accepted_for_float_field(tmp_path):
     assert json.loads(out.read_text())[0]["bandwidth_bytes_per_s"] == 1e9
 
 
-# `qarsim simulate` flags for each `qarsim tradeoff` row but the baseline's.
-TRADEOFF_ROW_FLAGS = {
-    "naive": ["--naive", "--codec", "f8e5m2"],
-    "full_rs": ["--no-quantize-ag"],
-    "full_ag": ["--no-quantize-rs"],
-    "full_both": [],
-    "semi_rs": ["--variant", "semi_loop", "--no-quantize-ag"],
-    "semi_ag": ["--variant", "semi_loop", "--no-quantize-rs"],
-    "semi_both": ["--variant", "semi_loop"],
-}
 # N is even, so the semi loop runs.
 AGREE_ARGS = ["--rows", "256", "--cols", "512", "--num-devices", "4", "--minishards", "2",
               "--seed", "5"]
@@ -762,17 +744,37 @@ def tradeoff_rows(tmp_path_factory):
     return {row["flavor"]: row for row in csv.DictReader(out.open())}
 
 
-@pytest.mark.parametrize("flavor", list(TRADEOFF_ROW_FLAGS))
+def _row_flags(row):
+    """A tradeoff row's own config: its variant, stages and codec (the
+    baseline's `bf16` is no codec flag, and its stages read none)."""
+    codec = [] if row["codec"] == "bf16" else ["--codec", row["codec"]]
+    return ["--variant", row["variant"], "--stages", row["stages"], *codec]
+
+
+@pytest.mark.parametrize("flavor", qarsim.analysis.FLAVORS)
 def test_simulate_mse_is_the_tradeoff_rows(flavor, tradeoff_rows, tmp_path):
+    trow = tradeoff_rows[flavor]
     out = tmp_path / "s.csv"
-    assert run(["simulate", *AGREE_ARGS, *TRADEOFF_ROW_FLAGS[flavor], "--output", str(out)]) == 0
+    assert run(["simulate", *AGREE_ARGS, *_row_flags(trow), "--output", str(out)]) == 0
     (row,) = csv.DictReader(out.open())
-    assert float(row["mse"]) > 0.0
-    assert row["mse"] == tradeoff_rows[flavor]["mse"]  # the same repr: the same bits
+    assert (float(row["mse"]) > 0.0) == (flavor != "baseline")
+    assert row["mse"] == trow["mse"]  # the same repr: the same bits
 
 
-@pytest.mark.parametrize("flags", [[], ["--variant", "semi_loop"], ["--naive"],
-                                   ["--no-quantize-rs", "--no-quantize-ag"]],
+@pytest.mark.parametrize("flavor", qarsim.analysis.FLAVORS)
+def test_sweep_ratio_is_the_tradeoff_rows_speedup(flavor, tradeoff_rows, tmp_path):
+    trow = tradeoff_rows[flavor]
+    out = tmp_path / "s.csv"
+    size = int(trow["rows"]) * int(trow["cols"]) * 2
+    assert run(["sweep", *AGREE_ARGS, *_row_flags(trow), "--sizes", str(size),
+                "--output", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    assert repr(float(row["baseline_time_s"]) / float(row["flavor_time_s"])) == (
+        trow["predicted_speedup"])
+
+
+@pytest.mark.parametrize("flags", [[], ["--variant", "semi_loop"], ["--stages", "cast"],
+                                   ["--stages", "none"]],
                          ids=["default", "semi_loop", "naive", "unquantized"])
 def test_simulate_builds_no_output(flags, tmp_path):
     # Beyond the 8 BF16 inputs: one reduce-scatter (or the naive ring's

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import qarsim.collectives as collectives
 from qarsim.analysis import device_inputs, mse
 from qarsim.collectives import (
+    STAGES,
     CollectiveConfig,
     SemiLoopOddNError,
     Variant,
@@ -369,6 +370,20 @@ def test_cast_needs_the_full_loop_and_no_quantized_stage(kw):
     with pytest.raises(ValueError, match="cast needs the full loop and no quantized stage"):
         CollectiveConfig(spec=PartitionSpec(4, 1, 1), codec=Codec.F8E5M2, cast=True, **kw)
     CollectiveConfig(spec=PartitionSpec(4, 1, 1), codec=Codec.F8E5M2, **kw)  # fine uncast
+
+
+def test_stages_tag_names_what_the_stages_carry():
+    # Each tag builds its config through STAGES, and the config reads it back.
+    spec = PartitionSpec(4, 1, 1)
+    carried = {"none": (False, False, False), "rs": (True, False, False),
+               "ag": (False, True, False), "both": (True, True, False),
+               "cast": (False, False, True)}
+    assert list(STAGES) == list(carried)
+    for tag, (rs, ag, cast) in carried.items():
+        for variant in Variant if not cast else [Variant.FULL_LOOP]:
+            cfg = CollectiveConfig(variant, spec, quantize_rs=rs, quantize_ag=ag, cast=cast)
+            assert CollectiveConfig(variant, spec, **STAGES[tag]) == cfg
+            assert cfg.stages == tag
 
 
 # gather_blocks checks the buffer when called: no block is taken below.
