@@ -3,10 +3,12 @@
 from .analysis import (
     FLAVORS,
     FlavorResult,
+    InputBudgetError,
     SweepPoint,
     auto_minishards,
     device_inputs,
     mse,
+    partition,
     size_sweep,
     tradeoff_study,
 )

@@ -44,7 +44,7 @@ from .collectives import (  # noqa: F401
 from .layout import CHUNK_ELEMS, Bf16Tensor, PartitionSpec, ShapeMismatchError, TensorBuf
 from .numerics import Codec, bf16_bits
 from .presets import DEFAULT_PRESET, load_preset
-from .simnet import ComputeParams, LinkParams, simulate, simulate_naive
+from .simnet import ComputeParams, LinkParams, bf16_elements, simulate, simulate_naive
 
 # flavor -> (variant, its `STAGES` tag)
 _FLAVOR_DEFS = {
@@ -65,6 +65,17 @@ _MSE_BUF_ELEMS = 128 * 1024
 _MSE_LANES = 1024
 # device_inputs draws and rounds this many elements at a time.
 _INGEST_TILE = 64 * 1024
+
+# The most input bytes (N*rows*cols BF16 elements) `device_inputs` allocates: 2 GiB.
+# A run holds its inputs whole and peaks at about 1.5x them (391 MiB for the
+# 256 MiB of the shipped 4096x4096, N=8 study), so this keeps any run near 3 GiB,
+# where a larger one would exhaust the memory of a typical host; the shipped
+# study sits 8x under it, the perfbench workloads 32x or more.
+INPUT_BUDGET = 1 << 31
+
+
+class InputBudgetError(ValueError):
+    """Inputs whose N*rows*cols*2 bytes pass `INPUT_BUDGET`."""
 
 
 def mse(a, b) -> float:
@@ -150,9 +161,14 @@ def device_inputs(rows: int, cols: int, num_devices: int, seed: int) -> list[Bf1
     are rows of one array: one large allocation, which NumPy backs with
     huge pages where the OS allows, so writing it first costs fewer page
     faults. Every thread is joined before the call returns, and then the
-    first error a drawing thread raised is raised here.
+    first error a drawing thread raised is raised here. Inputs past
+    `INPUT_BUDGET` raise `InputBudgetError` before anything is allocated.
     """
     n = rows * cols
+    if num_devices * n * 2 > INPUT_BUDGET:
+        raise InputBudgetError(f"inputs of N*rows*cols*2 = {num_devices * n * 2} bytes (N="
+                               f"{num_devices}, rows={rows}, cols={cols}) pass the input budget "
+                               f"of {INPUT_BUDGET} bytes")
     block = np.empty((num_devices, n), np.uint16)
     k = max(1, min(num_devices, _usable_cpus()))  # one thread even for no devices
 
@@ -192,6 +208,16 @@ def auto_minishards(total_elems: int, num_devices: int) -> int:
     least 64 chunks when p >= 64, but not the most of them (p = 200 gives 1)."""
     per_shard = total_elems // CHUNK_ELEMS // num_devices
     return math.gcd(per_shard, max(1, per_shard // 64))
+
+
+def partition(elements: int, num_devices: int, minishards: int | None = None,
+              microshards: int = 2) -> PartitionSpec:
+    """`elements` cut over `num_devices` into `minishards` per shard (unset:
+    `auto_minishards`) of `microshards`, checked before any input or walk."""
+    m = minishards if minishards is not None else auto_minishards(elements, num_devices)
+    spec = PartitionSpec(num_devices, m, microshards)
+    spec.validate_element_count(elements)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -265,23 +291,22 @@ def tradeoff_study(
 ) -> list[FlavorResult]:
     """Run all 8 flavors on identical inputs; MSE vs baseline plus predicted speedup.
 
-    The MSEs come from one `flavor_mses` call, the naive ring's in F8E5M2,
-    so no flavor output is built. Rows come out in FLAVORS order. The naive
-    ring is timed through `simulate_naive`, under whose name perfbench
-    checks its timeline.
+    The times come first, so no input is drawn for a run they refuse; the
+    MSEs come from one `flavor_mses` call, the naive ring's in F8E5M2, so no
+    flavor output is built. Rows come out in FLAVORS order. The naive ring
+    is timed through `simulate_naive`, whose timeline perfbench checks.
     """
-    m = minishards if minishards is not None else auto_minishards(rows * cols, num_devices)
-    spec = PartitionSpec(num_devices, m, microshards)
+    spec = partition(rows * cols, num_devices, minishards, microshards)
+    m = spec.minishards_per_shard
     cfgs = [CollectiveConfig(Variant.FULL_LOOP, spec, codec=Codec.F8E5M2, cast=True),
             *(CollectiveConfig(variant, spec, codec=codec, **STAGES[stages])
               for variant, stages in _FLAVOR_DEFS.values())]
-    errs = flavor_mses(device_inputs(rows, cols, num_devices, seed), spec, cfgs)
-
     tensor_bytes = rows * cols * 2
     base = CollectiveConfig(Variant.FULL_LOOP, spec)
     t_base = simulate(base, tensor_bytes, link, compute).total_time
     times = [simulate_naive(spec, tensor_bytes, link, compute).total_time,
              *(simulate(cfg, tensor_bytes, link, compute).total_time for cfg in cfgs[1:])]
+    errs = flavor_mses(device_inputs(rows, cols, num_devices, seed), spec, cfgs)
     return [FlavorResult("baseline", base.variant.value, base.stages, "bf16", num_devices, rows,
                          cols, m, microshards, seed, 0.0, 1.0),
             *(FlavorResult(flavor, cfg.variant.value, cfg.stages, cfg.codec.value,
@@ -313,14 +338,12 @@ def size_sweep(
     """Predicted flavor-vs-baseline time ratio per tensor size (BF16 bytes), the
     flavor's stages carrying `stages`, a `STAGES` tag.
 
-    With minishards unset each size picks its own block-preserving count, the
-    same rule tradeoff_study uses.
+    Each size is cut by `partition`, so with minishards unset it picks its
+    own block-preserving count, the same rule tradeoff_study uses.
     """
     out = []
     for size in sizes:
-        elems = size // 2
-        m = minishards if minishards is not None else auto_minishards(elems, num_devices)
-        spec = PartitionSpec(num_devices, m, microshards)
+        spec = partition(bf16_elements(size), num_devices, minishards, microshards)
         cfg = CollectiveConfig(variant, spec, codec=codec, **STAGES[stages])
         t_base = simulate(CollectiveConfig(Variant.FULL_LOOP, spec), size, link, compute).total_time
         t_flavor = simulate(cfg, size, link, compute).total_time

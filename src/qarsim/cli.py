@@ -9,10 +9,12 @@ the config are rejected rather than ignored. A collective is `variant`,
 Exit codes: 0 success, 2 config/validation problems (bad JSON, unknown or
 ill-typed fields, bad enum values, a config file that cannot be read or an
 output file that cannot be written, link and compute parameters under which
-simulated times overflow, a schedule past the simulator's walk budget,
-inputs too large to allocate, `cast` stages on the semi loop), 3 domain
-errors from the collective itself (divisibility, odd-N semi loop,
-mismatched shapes).
+simulated times or bounds overflow, a schedule past the simulator's walk
+budget, inputs past the input budget or too large to allocate, `cast`
+stages on the semi loop, a sweep with no sizes), 3 domain errors from the
+collective itself (divisibility, odd-N semi loop, mismatched shapes).
+`simulate` and `tradeoff` check the cut, the configs and the simulated
+times before they draw any input.
 """
 
 from __future__ import annotations
@@ -30,26 +32,22 @@ from pathlib import Path
 
 from .analysis import (
     FlavorResult,
+    InputBudgetError,
     SweepPoint,
-    auto_minishards,
     device_inputs,
     flavor_mses,
+    partition,
     size_sweep,
     tradeoff_study,
 )
 from .collectives import STAGES, CollectiveConfig, SemiLoopOddNError, Variant
-from .layout import (
-    DivisibilityError,
-    PartitionSpec,
-    ShapeMismatchError,
-)
+from .layout import DivisibilityError, ShapeMismatchError
 from .numerics import Codec
 from .presets import DEFAULT_PRESET, available_presets, load_preset
 # simulate_naive is not called here, but perfbench/harness.py binds its checks to it here.
 from .simnet import (  # noqa: F401
     ComputeParams,
     LinkParams,
-    Timeline,
     TimelineEvent,
     WalkBudgetError,
     idle_time,
@@ -209,21 +207,11 @@ def resolve_params(cfg: RunConfig) -> tuple[LinkParams, ComputeParams]:
         raise ConfigError(str(e)) from None
 
 
-def _partition_spec(cfg: RunConfig) -> PartitionSpec:
-    m = cfg.minishards_per_shard
-    if m is None:
-        m = auto_minishards(cfg.rows * cfg.cols, cfg.num_devices)
-    return PartitionSpec(cfg.num_devices, m, cfg.microshards_per_minishard)
-
-
-def _collective_config(cfg: RunConfig, spec: PartitionSpec) -> CollectiveConfig:
+def _collective_config(cfg: RunConfig) -> CollectiveConfig:
+    spec = partition(cfg.rows * cfg.cols, cfg.num_devices, cfg.minishards_per_shard,
+                     cfg.microshards_per_minishard)
     return CollectiveConfig(Variant(cfg.variant), spec, codec=Codec(cfg.codec),
                             **STAGES[cfg.stages])
-
-
-def _timeline(cfg: RunConfig, spec: PartitionSpec, link: LinkParams,
-              compute: ComputeParams) -> Timeline:
-    return simulate(_collective_config(cfg, spec), cfg.rows * cfg.cols * 2, link, compute)
 
 
 def _render(rows: list[dict], columns, cfg: RunConfig) -> str:
@@ -242,12 +230,12 @@ def _render(rows: list[dict], columns, cfg: RunConfig) -> str:
 
 def cmd_simulate(cfg: RunConfig) -> str:
     link, compute = resolve_params(cfg)
-    spec = _partition_spec(cfg)
-    ccfg = _collective_config(cfg, spec)
-    (err,) = flavor_mses(device_inputs(cfg.rows, cfg.cols, cfg.num_devices, cfg.seed), spec,
-                         [ccfg])
-    tl = _timeline(cfg, spec, link, compute)
+    ccfg = _collective_config(cfg)
+    tl = simulate(ccfg, cfg.rows * cfg.cols * 2, link, compute)
     idle = idle_time(tl)  # first, so that `total_time` reads the columns it records
+    total = tl.total_time  # the walk's budget and overflow checks run before any draw
+    (err,) = flavor_mses(device_inputs(cfg.rows, cfg.cols, cfg.num_devices, cfg.seed),
+                         ccfg.spec, [ccfg])
     row = {
         "variant": cfg.variant,
         "stages": ccfg.stages,
@@ -255,11 +243,11 @@ def cmd_simulate(cfg: RunConfig) -> str:
         "N": cfg.num_devices,
         "rows": cfg.rows,
         "cols": cfg.cols,
-        "m": spec.minishards_per_shard,
-        "u": spec.microshards_per_minishard,
+        "m": ccfg.spec.minishards_per_shard,
+        "u": ccfg.spec.microshards_per_minishard,
         "seed": cfg.seed,
         "mse": err,
-        "total_time_s": tl.total_time,
+        "total_time_s": total,
         "idle_time_s": idle,
     }
     return _render([row], tuple(row), cfg)
@@ -278,6 +266,8 @@ def cmd_tradeoff(cfg: RunConfig) -> str:
 
 def cmd_sweep(cfg: RunConfig) -> str:
     link, compute = resolve_params(cfg)
+    if not cfg.sizes:  # only the sweep reads sizes; it needs at least one
+        raise ConfigError("field 'sizes' must hold at least one size")
     points = size_sweep(
         cfg.sizes, variant=Variant(cfg.variant), codec=Codec(cfg.codec),
         num_devices=cfg.num_devices, stages=cfg.stages,
@@ -289,7 +279,8 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 
 def cmd_timeline(cfg: RunConfig) -> str:
-    tl = _timeline(cfg, _partition_spec(cfg), *resolve_params(cfg))
+    link, compute = resolve_params(cfg)
+    tl = simulate(_collective_config(cfg), cfg.rows * cfg.cols * 2, link, compute)
     if cfg.format != "csv":
         return tl.to_jsonl()
     # `_render`'s header, then the rows it would write, straight from device 0's columns.
@@ -302,7 +293,8 @@ def cmd_bounds(cfg: RunConfig) -> str:
     raw and quantized. On an odd ring, where the semi loop cannot run, both
     semi-loop cells are empty (CSV) or null (JSON)."""
     link, _ = resolve_params(cfg)
-    spec = _partition_spec(cfg)
+    spec = partition(cfg.rows * cfg.cols, cfg.num_devices, cfg.minishards_per_shard,
+                     cfg.microshards_per_minishard)
     tensor_bytes = cfg.rows * cfg.cols * 2
 
     def bound(variant: Variant, quantized: bool) -> float | None:
@@ -389,8 +381,8 @@ def main(argv=None) -> int:
             _write_output(cfg.output, text)
         else:
             print(text, end="")
-    # Times overflow, a walk passes its budget, inputs do not fit.
-    except (ConfigError, OverflowError, WalkBudgetError, MemoryError) as e:
+    # Times overflow, a walk or the inputs pass their budget, inputs do not fit.
+    except (ConfigError, OverflowError, WalkBudgetError, InputBudgetError, MemoryError) as e:
         print(f"config error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except (DivisibilityError, SemiLoopOddNError, ShapeMismatchError) as e:

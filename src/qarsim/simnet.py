@@ -277,14 +277,18 @@ def idle_time(t: Timeline) -> float:
 def lower_bound(cfg: CollectiveConfig, tensor_bytes: int, link: LinkParams) -> float:
     """Bandwidth lower bound on reduce-scatter time, on the stage's wire bytes: the
     BF16 tensor's for a raw stage, half of them for a cast one, and half of
-    them plus one scale grid per minishard of each shard for a quantized one."""
+    them plus one scale grid per minishard of each shard for a quantized one.
+    A bound past the float range raises `OverflowError`, as a walk's times do."""
     n, m = cfg.spec.num_devices, cfg.spec.minishards_per_shard
     _elements(tensor_bytes, cfg.spec)
     wire = (tensor_bytes / 2 + n * m * GRID_BYTES if cfg.quantize_rs
             else tensor_bytes / 2 if cfg.cast else tensor_bytes)
-    if cfg.variant is Variant.SEMI_LOOP:
-        return wire / (2.0 * link.bandwidth_bytes_per_s)
-    return (n - 1) * wire / (2.0 * n * link.bandwidth_bytes_per_s)
+    bw = link.bandwidth_bytes_per_s
+    bound = (wire / (2.0 * bw) if cfg.variant is Variant.SEMI_LOOP
+             else (n - 1) * wire / (2.0 * n * bw))
+    if not math.isfinite(bound):
+        raise OverflowError(f"bandwidth bound overflows under {link}")
+    return bound
 
 
 class _Sched:
@@ -605,11 +609,15 @@ def _execute(s: _Sched, *stages: tuple[list[Arc], _Quant | _Plain]) -> _Sched:
     return s.finish()
 
 
-def _elements(tensor_bytes: int, spec: PartitionSpec) -> int:
+def bf16_elements(tensor_bytes: int) -> int:
+    """The element count of a BF16 tensor of tensor_bytes; an odd count is refused."""
     if tensor_bytes % 2:
         raise DivisibilityError(f"tensor_bytes={tensor_bytes} is not a whole BF16 element count")
-    elems = tensor_bytes // 2
-    spec.validate_element_count(elems)
+    return tensor_bytes // 2
+
+
+def _elements(tensor_bytes: int, spec: PartitionSpec) -> int:
+    spec.validate_element_count(elems := bf16_elements(tensor_bytes))
     return elems
 
 

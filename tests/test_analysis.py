@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 import qarsim.analysis
 from qarsim.analysis import (
     FLAVORS,
+    INPUT_BUDGET,
     FlavorResult,
     SweepPoint,
     auto_minishards,
     blockwise_mse,
     device_inputs,
     mse,
+    partition,
     size_sweep,
     tradeoff_study,
 )
@@ -37,7 +39,13 @@ from qarsim.collectives import (
     gather_blocks,
     reduce_scatter,
 )
-from qarsim.layout import Bf16Tensor, PartitionSpec, ShapeMismatchError, TensorBuf
+from qarsim.layout import (
+    Bf16Tensor,
+    DivisibilityError,
+    PartitionSpec,
+    ShapeMismatchError,
+    TensorBuf,
+)
 from qarsim.numerics import Codec, bf16_bits, round_to_bf16
 from qarsim.simnet import Timeline
 
@@ -286,6 +294,29 @@ def test_device_inputs_traced_peak_is_its_result_plus_one_tile_per_thread(monkey
     result = sum(t.bits.nbytes for t in inputs)
     assert result == n * rows * cols * 2
     assert peak < result + k * (qarsim.analysis._INGEST_TILE * (4 + 4) + 64 * 1024)
+
+
+def test_partition_is_the_automatic_cut_checked():
+    assert partition(4096 * 4096, 8) == PartitionSpec(8, auto_minishards(4096 * 4096, 8), 2)
+    assert partition(4096 * 4096, 8, 4, 1) == PartitionSpec(8, 4, 1)
+    with pytest.raises(DivisibilityError, match="microshards_per_minishard=3"):
+        partition(4096 * 4096, 8, microshards=3)
+    with pytest.raises(DivisibilityError, match="num_devices=96"):
+        partition(2048 * 2048, 96)
+
+
+def test_an_odd_sweep_size_is_named_before_the_cut():
+    # 1,025 bytes is not a whole BF16 element count; its 512 elements would
+    # also fail the cut, which reports second.
+    with pytest.raises(DivisibilityError, match="tensor_bytes=1025 is not a whole BF16"):
+        size_sweep([1025])
+
+
+def test_the_input_budget_sits_8x_over_every_shipped_run():
+    # (N, rows, cols): the shipped 4096x4096 study, then perfbench's
+    # tradeoff_int8 and fp8_deep_ring inputs.
+    for n, rows, cols in [(8, 4096, 4096), (8, 2048, 2048), (16, 1024, 1024)]:
+        assert 8 * n * rows * cols * 2 <= INPUT_BUDGET
 
 
 def test_auto_minishards_targets_64_chunk_blocks():

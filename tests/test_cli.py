@@ -282,7 +282,7 @@ def test_timeline_csv_is_the_dict_writer_rendering(flags, monkeypatch, capsys):
             "--format", "csv", *flags]
     assert run(["timeline", *argv]) == 0
     cfg = _parse(argv)
-    tl = cli._timeline(cfg, cli._partition_spec(cfg), *cli.resolve_params(cfg))
+    tl = simulate(cli._collective_config(cfg), cfg.rows * cfg.cols * 2, *cli.resolve_params(cfg))
     rows = [dict(zip(cli.TIMELINE_COLUMNS, r)) for r in zip(*tl.columns)]
     expected = cli._render(rows, cli.TIMELINE_COLUMNS, cfg)
     assert ("timestamp" in expected.partition("\n")[0]) == bool(flags)
@@ -307,6 +307,28 @@ def test_shipped_size_sweep_regenerates_byte_for_byte(tmp_path):
     assert out.read_bytes() == (SCRIPTS / "size_sweep_n8.csv").read_bytes()
 
 
+@pytest.mark.parametrize("args, code, shown", [([], 0, "identical to"),
+                                               (["--bandwidth", "1e10"], 1, "DIFFERS from")],
+                         ids=["shipped", "changed"])
+def test_size_sweep_check_passes_only_on_the_shipped_bytes(args, code, shown, capsys):
+    check = runpy.run_path(str(SCRIPTS / "run_size_sweep.py"))["check"]
+    assert check(args) == code
+    assert capsys.readouterr().out.startswith(shown)
+
+
+@pytest.mark.parametrize("flags, doc", [(["--sizes", ","], None), (["--sizes", ""], None),
+                                        ([], {"sizes": []})], ids=["comma", "empty", "file"])
+def test_a_sweep_with_no_sizes_exits_2(flags, doc, tmp_path, capsys):
+    if doc is not None:
+        flags = ["--config", write_cfg(tmp_path, doc)]
+    assert run(["sweep", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: field 'sizes' must hold at least one size\n"
+    # Only the sweep reads sizes: every other command still runs.
+    for command in sorted(set(cli.COMMANDS) - {"sweep"}):
+        assert run([command, *flags, *_SMALL_ARGV]) == 0
+
+
 # A small run of each table command, for the pinned output bytes below.
 _SMALL_ARGV = ["--rows", "256", "--cols", "512", "--num-devices", "4", "--seed", "7"]
 TABLE_ARGV = {
@@ -314,7 +336,6 @@ TABLE_ARGV = {
     "simulate-naive": ["simulate", *_SMALL_ARGV, "--stages", "cast", "--codec", "f8e5m2"],
     "tradeoff": ["tradeoff", *_SMALL_ARGV],
     "sweep": ["sweep", "--sizes", "1MiB,4MiB,64MiB", "--num-devices", "8"],
-    "sweep-no-sizes": ["sweep", "--sizes", ","],
     "bounds": ["bounds"],
     "timeline": ["timeline", *_SMALL_ARGV, "--variant", "semi_loop"],
 }
@@ -353,14 +374,6 @@ OUTPUT_SHA256 = {
         "66b41b976b7e941c98f55d1eee6fd17d7bbfe28def233e2cf174078021974959",
     ("sweep", "json", True):
         "ceccae4f1c04cfff3e3791667912b309f5cee4de5a353b57593f1ebe19328503",
-    ("sweep-no-sizes", "csv", False):
-        "35636844e182cba55ef3c23baf2057381b5df9d4cb5cd0e0fdc4b49dfe78efad",
-    ("sweep-no-sizes", "csv", True):
-        "058ebc5f4955d2abd46d803eedac46559f64527dbf0469530839ac18a2eb0831",
-    ("sweep-no-sizes", "json", False):
-        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-    ("sweep-no-sizes", "json", True):
-        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     ("bounds", "csv", False):
         "c1fdb63d335aa618fee1d7181918a327e79036e43a62ddb4652265fee71486a9",
     ("bounds", "csv", True):
@@ -400,6 +413,58 @@ def test_inputs_that_cannot_be_allocated_exit_2(command, message, shown, monkeyp
     assert run([command, *_SMALL_ARGV]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"config error: {shown}\n"
+
+
+def _overflow(**link) -> str:
+    params = load_preset(DEFAULT_PRESET)
+    return f"simulated times overflow under {replace(params[0], **link)} and {params[1]}"
+
+
+# Runs refused by a cheap check before any input is drawn: the cut, then the
+# simulated times. Each used to draw every device's inputs first.
+REFUSED_BEFORE_INPUTS = [
+    (["simulate", "--rows", "2048", "--cols", "2048", "--num-devices", "96"], 3,
+     "DivisibilityError: 4096 chunks do not split across num_devices=96"),
+    (["tradeoff", "--rows", "4096", "--cols", "4096", "--microshards", "3"], 3,
+     "DivisibilityError: 64 chunks per minishard do not split across "
+     "microshards_per_minishard=3"),
+    (["simulate", "--rows", "4096", "--cols", "4096", "--bandwidth", "1e-320"], 2,
+     "config error: " + _overflow(bandwidth_bytes_per_s=1e-320)),
+    (["tradeoff", "--rows", "2048", "--cols", "2048", "--hop-latency", "1e308"], 2,
+     "config error: " + _overflow(hop_latency_s=1e308)),
+]
+
+
+@pytest.mark.parametrize("argv, code, shown", REFUSED_BEFORE_INPUTS,
+                         ids=["simulate-cut", "tradeoff-cut", "simulate-times", "tradeoff-times"])
+def test_a_refused_run_draws_no_input(argv, code, shown, monkeypatch, capsys):
+    def no_inputs(*args):
+        raise AssertionError("device_inputs was called")
+
+    monkeypatch.setattr(qarsim.analysis, "device_inputs", no_inputs)
+    monkeypatch.setattr(cli, "device_inputs", no_inputs)
+    assert run(argv) == code
+    assert capsys.readouterr() == ("", shown + "\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "tradeoff"])
+def test_inputs_past_the_input_budget_exit_2_before_allocating(command, monkeypatch, capsys):
+    # 16 GiB of inputs at N=8; m = u = 1 keeps the walks that come first small.
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("device_inputs allocated")
+
+    monkeypatch.setattr(qarsim.analysis.np, "empty", no_allocation)
+    assert run([command, "--rows", "32768", "--cols", "32768", "--minishards", "1",
+                "--microshards", "1"]) == 2
+    assert capsys.readouterr() == ("", "config error: inputs of N*rows*cols*2 = 17179869184 "
+                                   "bytes (N=8, rows=32768, cols=32768) pass the input budget "
+                                   "of 2147483648 bytes\n")
+
+
+def test_a_bound_that_overflows_exits_2(capsys):
+    assert run(["bounds", "--bandwidth", "1e-320"]) == 2
+    link = replace(load_preset(DEFAULT_PRESET)[0], bandwidth_bytes_per_s=1e-320)
+    assert capsys.readouterr() == ("", f"config error: bandwidth bound overflows under {link}\n")
 
 
 @pytest.mark.parametrize("argv", [
